@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, GridSpec, grid_weighted_norm, sample
-from .params import lp_params, lp_regime
+from .params import lp_regime
 from .radial import RadialProfile, radial_weighted_norm
 from .specialfn import dimension_constants
 
@@ -79,8 +79,9 @@ def alpha_exponent(d: int, p: float) -> float:
 def gc_infimum_sweep(d: int, p: float, c_values) -> list[float]:
     """Squared g_c uncertainty ratios along increasing c; supercritical only."""
     if lp_regime(d, p) != "supercritical":
+        crit = 2.0 * d / (d - 1) if d > 1 else math.inf
         raise ValueError(
-            f"gc_infimum_sweep requires supercritical p > 2d/(d-1); got d={d}, p={p}"
+            f"p must satisfy p > 2d/(d-1) = {crit:g} for d={d}, got p={p}"
         )
     c_values = list(c_values)
     if any(c < 1 for c in c_values) or sorted(c_values) != c_values:

@@ -1,6 +1,7 @@
-"""End-to-end experiments: dimension sweeps, per-function inequality chains,
-and the Cowling-Price trichotomy pipeline.
+"""End-to-end experiments: dimension and two-scale sweeps, per-function
+inequality chains, and the Cowling-Price trichotomy pipeline.
 
+Every pass/fail rule lives here; the CLI only maps a verdict to an exit code.
 Sweeps are deterministic and emit one row per dimension; summaries report the
 first dimension d0 from which every flag holds and least-squares slopes of
 ln(bound) against ln(d) (window start 50 avoids small-d transients).
@@ -20,21 +21,21 @@ from .grid import (
     GridFunction,
     default_spec,
     fourier_transform,
-    gaussian_grid_function,
     grid_weighted_norm,
     random_bump,
 )
 from .params import (
     compute_threshold,
+    cp_classify,
     cp_params,
     l2_params,
     lp_params,
 )
-from .radial import RadialProfile, gaussian_profile, radial_weighted_norm
+from .radial import RadialProfile, gaussian_log_product, gaussian_profile, radial_weighted_norm
 from .specialfn import LOG_2, dimension_constants
 
 SLACK_TOL = 1e-6
-CLASS_TOL = 1e-12
+SLOPE_RTOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class SweepRow:
     gaussian_log_product: float
     claimed_floor_log: float
     flags: dict[str, bool]
-    quotient_log: float | None = None
 
     @property
     def satisfied(self) -> bool:
@@ -63,6 +63,14 @@ def fit_log_slope(ds, log_vals, lo: int = 50) -> float:
     return float(coeffs[0])
 
 
+def _slope_or_none(ds, log_vals) -> float | None:
+    """fit_log_slope, or None when the sweep is too short for the fit window."""
+    try:
+        return fit_log_slope(ds, log_vals)
+    except ValueError:
+        return None
+
+
 def heisenberg_sweep(d_max: int) -> list[SweepRow]:
     """Method bound vs the sharp Gaussian value d^2/(16 pi^2) for d = 1..d_max."""
     if not 1 <= d_max <= 1000:
@@ -70,7 +78,7 @@ def heisenberg_sweep(d_max: int) -> list[SweepRow]:
     rows = []
     for d in range(1, d_max + 1):
         params = l2_params(d)
-        gauss_log = 2.0 * math.log(d) - math.log(16.0) - 2.0 * math.log(math.pi)
+        gauss_log = gaussian_log_product(d, 2.0)
         floor_log = 2.0 * math.log(d) - 10.0 * math.log(10.0)
         quotient_log = (2.0 / (d + 1)) * (
             params.log_c_d - dimension_constants(d).log_sphere_area
@@ -88,7 +96,6 @@ def heisenberg_sweep(d_max: int) -> list[SweepRow]:
                 gaussian_log_product=gauss_log,
                 claimed_floor_log=floor_log,
                 flags=flags,
-                quotient_log=quotient_log,
             )
         )
     return rows
@@ -109,8 +116,7 @@ def heisenberg_summary(rows: list[SweepRow]) -> dict:
     # pass reflects the inequality flags only; the slope is a diagnostic of
     # the fit window and converges to 2 from above as d_max grows
     d0 = stable_onset(rows)
-    ds = [r.d for r in rows]
-    slope = fit_log_slope(ds, [r.method_log_bound for r in rows]) if max(ds) >= 52 else None
+    slope = _slope_or_none([r.d for r in rows], [r.method_log_bound for r in rows])
     ok = d0 is not None and d0 <= 10
     return {"d0": d0, "slope": slope, "pass": ok}
 
@@ -118,7 +124,7 @@ def heisenberg_summary(rows: list[SweepRow]) -> dict:
 def lp_sweep(p: float, d_max: int) -> list[SweepRow]:
     """Method and Gaussian bounds across dimensions at fixed p in (1, 2]."""
     if not 1.0 < p <= 2.0:
-        raise ValueError(f"lp_sweep requires p in (1, 2], got {p}")
+        raise ValueError(f"p must satisfy 1 < p <= 2 for the growth sweep, got {p}")
     if not 1 <= d_max <= 1000:
         raise ValueError(f"d_max must be 1..1000, got {d_max}")
     # floor constant calibrated at d = 50, then tested beyond
@@ -128,10 +134,7 @@ def lp_sweep(p: float, d_max: int) -> list[SweepRow]:
     rows = []
     for d in range(1, d_max + 1):
         params = lp_params(d, p)
-        gauss_log = (
-            -p * math.log(math.pi * p)
-            + 2.0 * (math.lgamma(0.5 * (p + d)) - math.lgamma(0.5 * d))
-        )
+        gauss_log = gaussian_log_product(d, p)
         floor_log = (c1_log + p * math.log(d)) if c1_log is not None else -math.inf
         flags = {"below_sharp": params.log_bound <= gauss_log}
         if c1_log is not None and d > 50:
@@ -151,8 +154,8 @@ def lp_sweep(p: float, d_max: int) -> list[SweepRow]:
 
 def lp_summary(rows: list[SweepRow], p: float) -> dict:
     ds = [r.d for r in rows]
-    slope_method = fit_log_slope(ds, [r.method_log_bound for r in rows])
-    slope_gauss = fit_log_slope(ds, [r.gaussian_log_product for r in rows])
+    slope_method = _slope_or_none(ds, [r.method_log_bound for r in rows])
+    slope_gauss = _slope_or_none(ds, [r.gaussian_log_product for r in rows])
     ok = all(r.satisfied for r in rows)
     return {
         "slope_method": slope_method,
@@ -162,12 +165,30 @@ def lp_summary(rows: list[SweepRow], p: float) -> dict:
     }
 
 
+def sharpness_summary(d: int, p: float, c_values: list[float]) -> dict:
+    """Two-scale collapse: g_c products decrease and end below 10% of the first."""
+    products = cx.gc_infimum_sweep(d, p, c_values)
+    decreasing = all(b < a for a, b in zip(products, products[1:]))
+    collapsed = products[-1] < 0.1 * products[0]
+    return {
+        "d": d,
+        "p": p,
+        "c_values": c_values,
+        "products": products,
+        "decreasing": decreasing,
+        "collapsed": collapsed,
+        "pass": decreasing and collapsed,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Per-function inequality chain
 
 
 @dataclass(frozen=True)
-class ChainLink:
+class Check:
+    """One inequality between a measured lhs and a bound rhs."""
+
     name: str
     lhs: float
     rhs: float
@@ -178,12 +199,17 @@ class ChainLink:
         return self.lhs / self.rhs - 1.0 if self.rhs != 0 else math.inf
 
 
+def _at_least(name: str, lhs: float, rhs: float) -> Check:
+    """lhs >= rhs, up to the relative slack tolerance SLACK_TOL."""
+    return Check(name, lhs, rhs, lhs >= rhs * (1.0 - SLACK_TOL))
+
+
 @dataclass(frozen=True)
 class ChainReport:
     d: int
     p: float
     threshold: float
-    links: tuple[ChainLink, ...]
+    links: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
@@ -219,16 +245,14 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
 
     links = []
     half_rhs = 0.5 * norm_a**a
-    links.append(
-        ChainLink("half_mass", tail_a, half_rhs, tail_a >= half_rhs * (1.0 - SLACK_TOL))
-    )
+    links.append(_at_least("half_mass", tail_a, half_rhs))
 
     log_tail_rhs = (1.0 / s) * (
         log_omega - math.log(eps) - eps * math.log(t_radius)
     ) + (1.0 / r) * math.log(moment)
     tail_rhs = math.exp(log_tail_rhs)
     links.append(
-        ChainLink("tail_hoelder", tail_a, tail_rhs, tail_a <= tail_rhs * (1.0 + SLACK_TOL))
+        Check("tail_hoelder", tail_a, tail_rhs, tail_a <= tail_rhs * (1.0 + SLACK_TOL))
     )
 
     per_fn_lhs = moment / norm_p**p
@@ -238,29 +262,18 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
         + p * (1.0 + eps / d) * (math.log(norm_a) - math.log(norm_p))
     )
     per_fn_rhs = math.exp(log_per_fn_rhs)
-    links.append(
-        ChainLink(
-            "per_function",
-            per_fn_lhs,
-            per_fn_rhs,
-            per_fn_lhs >= per_fn_rhs * (1.0 - SLACK_TOL),
-        )
-    )
+    links.append(_at_least("per_function", per_fn_lhs, per_fn_rhs))
 
     fhat = fourier_transform(f)
     quotient = (norm_a * grid_weighted_norm(fhat, a)) / (
         norm_p * grid_weighted_norm(fhat, p)
     )
-    links.append(
-        ChainLink("primary_up", quotient, 1.0, quotient >= 1.0 - SLACK_TOL)
-    )
+    links.append(_at_least("primary_up", quotient, 1.0))
 
     hat_ratio = grid_weighted_norm(fhat, p, 1.0) ** p / grid_weighted_norm(fhat, p) ** p
     product = per_fn_lhs * hat_ratio
     bound = math.exp(params.log_bound)
-    links.append(
-        ChainLink("certified_product", product, bound, product >= bound * (1.0 - SLACK_TOL))
-    )
+    links.append(_at_least("certified_product", product, bound))
 
     return ChainReport(d=d, p=p, threshold=t_radius, links=tuple(links))
 
@@ -269,13 +282,34 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
 # Cowling-Price trichotomy
 
 
-@dataclass(frozen=True)
-class FunctionResult:
-    name: str
-    lhs: float
-    rhs: float
-    slack: float
-    passed: bool
+def rs_predicted_slope(d: int, p: float, theta: float) -> float:
+    """Growth slope d/2 - d/p - theta of the signed-translate schedule."""
+    return 0.5 * d - d / p - theta
+
+
+def _slope_agrees(measured: float, predicted: float) -> bool:
+    """A measured growth slope confirms the prediction within SLOPE_RTOL."""
+    return predicted == 0 or abs(measured - predicted) <= SLOPE_RTOL * abs(predicted)
+
+
+def rs_check(d: int, k_max: int, p: float, theta: float) -> tuple[dict, cx.RSFamily]:
+    """Slope summary of the translate families of levels 0..k_max, and the top family."""
+    if not 1 <= k_max <= 4:
+        raise ValueError(f"k-max must be 1..4, got {k_max}")
+    base = cx.rs_base(d)
+    families = [cx.rs_level(base, d, k) for k in range(k_max + 1)]
+    measured = cx.rs_slope(families, p, theta)
+    predicted = rs_predicted_slope(d, p, theta)
+    summary = {
+        "d": d,
+        "k_max": k_max,
+        "p": p,
+        "theta": theta,
+        "predicted_slope": predicted,
+        "measured_slope": measured,
+        "pass": _slope_agrees(measured, predicted),
+    }
+    return summary, families[-1]
 
 
 @dataclass(frozen=True)
@@ -286,7 +320,7 @@ class CPReport:
     theta: float
     phi: float
     classification: str
-    functions: tuple[FunctionResult, ...] = ()
+    functions: tuple[Check, ...] = ()
     predicted_slope: float | None = None
     measured_slope: float | None = None
     tail_masses: tuple[float, ...] = ()
@@ -298,36 +332,28 @@ class CPReport:
         if self.classification == "feasible":
             return all(fr.passed for fr in self.functions)
         if self.classification == "violated":
-            return self.predicted_slope is not None and self.predicted_slope > 0
+            if self.measured_slope is None:
+                # no translate-family measurement at d >= 3 yet
+                return self.predicted_slope is not None and self.predicted_slope > 0
+            return _slope_agrees(self.measured_slope, self.predicted_slope)
         return bool(self.tail_masses) and self.weighted_mass is not None
 
-
-def cp_classify(d: int, p: float, q: float, theta: float, phi: float) -> str:
-    if not (p > 1 and q > 1 and theta > 0 and phi > 0):
-        raise ValueError("require 1 < p, q < inf and theta, phi > 0")
-    if abs(1.0 / q + phi / d - 1.0 / p - theta / d) > CLASS_TOL:
-        raise ValueError(
-            "homogeneity 1/q + phi/d = 1/p + theta/d fails; no classification applies"
-        )
-    margin = theta / d - (0.5 - 1.0 / p)
-    if margin > CLASS_TOL:
-        return "feasible"
-    if margin < -CLASS_TOL:
-        return "violated"
-    return "endpoint"
+    @property
+    def holds(self) -> bool:
+        """The inequality holds: feasible and verified (violated/endpoint never hold)."""
+        return self.classification == "feasible" and self.passed
 
 
 def _cp_radial_result(
     name: str, profile: RadialProfile, d, p, q, theta, phi, bound
-) -> FunctionResult:
+) -> Check:
     # self-dual profiles only: both sides of the product use the same profile
     lhs = (
         radial_weighted_norm(profile, d, p, theta)
         * radial_weighted_norm(profile, d, q, phi)
     )
     rhs = bound * radial_weighted_norm(profile, d, 2.0, 0.0) ** 2
-    slack = lhs / rhs - 1.0
-    return FunctionResult(name, lhs, rhs, slack, slack >= -SLACK_TOL)
+    return _at_least(name, lhs, rhs)
 
 
 def cp_check(
@@ -336,19 +362,17 @@ def cp_check(
     q: float,
     theta: float,
     phi: float,
-    mode: str = "auto",
     seed: int = 0,
 ) -> CPReport:
     """Classify a Cowling-Price tuple and run the matching verification.
 
     feasible  -> certify the inequality on {gaussian, g_2, g_4, random bump};
-    violated  -> report the (positive) growth slope of the signed-translate
-                 counterexample schedule, measured on grids for d <= 2;
+    violated  -> compare the predicted growth slope of the signed-translate
+                 counterexample schedule with the one measured on grids
+                 for d <= 2;
     endpoint  -> report the divergent L^2 tail-mass sequence and the finite
                  endpoint weighted mass.
     """
-    if mode != "auto":
-        raise ValueError(f"unsupported mode {mode!r}")
     classification = cp_classify(d, p, q, theta, phi)
 
     if classification == "feasible":
@@ -363,8 +387,7 @@ def cp_check(
         bump_hat = fourier_transform(bump)
         lhs = grid_weighted_norm(bump, p, theta) * grid_weighted_norm(bump_hat, q, phi)
         rhs = bound * grid_weighted_norm(bump, 2.0) ** 2
-        slack = lhs / rhs - 1.0
-        results.append(FunctionResult("random_bump", lhs, rhs, slack, slack >= -SLACK_TOL))
+        results.append(_at_least("random_bump", lhs, rhs))
         return CPReport(
             d=d, p=p, q=q, theta=theta, phi=phi,
             classification=classification,
@@ -373,16 +396,13 @@ def cp_check(
         )
 
     if classification == "violated":
-        predicted = 0.5 * d - d / p - theta
         measured = None
         if d <= 2:
-            base = cx.rs_base(d)
-            families = [cx.rs_level(base, d, k) for k in range(4)]
-            measured = cx.rs_slope(families, p, theta)
+            measured = rs_check(d, 3, p, theta)[0]["measured_slope"]
         return CPReport(
             d=d, p=p, q=q, theta=theta, phi=phi,
             classification=classification,
-            predicted_slope=predicted,
+            predicted_slope=rs_predicted_slope(d, p, theta),
             measured_slope=measured,
         )
 

@@ -139,13 +139,11 @@ def lp_regime(d: int, p: float) -> str:
 
 def lp_epsilon(d: int, p: float) -> float:
     """An admissible epsilon for the L^p parameter choice at (d, p)."""
-    if d >= 2 and lp_regime(d, p) != "subcritical":
+    if lp_regime(d, p) != "subcritical":
         crit = 2.0 * d / (d - 1)
         raise ValueError(
             f"p must satisfy 1 < p < 2d/(d-1) = {crit:g} for d={d}, got p={p}"
         )
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
     if p <= 2:
         return p / (p - 1.0)
     lower = max(0.0, (d + p - d * p) / (p - 1.0))
@@ -178,16 +176,27 @@ def primary_up_admissible(a: float, p: float) -> bool:
     return 1.0 < a < p and 1.0 / a + 1.0 / p >= 1.0
 
 
+def cp_classify(d: int, p: float, q: float, theta: float, phi: float) -> str:
+    """feasible / endpoint / violated by theta/d against 1/2 - 1/p (phi follows by
+    homogeneity); the tolerance is relative, so p <= 2 and theta > 0 is never endpoint."""
+    if not (p > 1 and q > 1 and theta > 0 and phi > 0):
+        raise ValueError("require 1 < p, q < inf and theta, phi > 0")
+    if abs(1.0 / q + phi / d - 1.0 / p - theta / d) > EQ_TOL:
+        raise ValueError(
+            "homogeneity 1/q + phi/d = 1/p + theta/d fails; no classification applies"
+        )
+    lhs, rhs = theta / d, 0.5 - 1.0 / p
+    if abs(lhs - rhs) <= EQ_TOL * max(abs(lhs), abs(rhs)):
+        return "endpoint"
+    return "feasible" if lhs > rhs else "violated"
+
+
 def cp_feasible(d: int, p: float, q: float, theta: float, phi: float) -> bool:
     """True iff (d, p, q, theta, phi) admits a Cowling-Price inequality."""
-    if not (1.0 < p and 1.0 < q and theta > 0 and phi > 0):
+    try:
+        return cp_classify(d, p, q, theta, phi) == "feasible"
+    except ValueError:
         return False
-    homogeneous = abs(1.0 / q + phi / d - 1.0 / p - theta / d) <= EQ_TOL
-    return (
-        homogeneous
-        and theta / d > 0.5 - 1.0 / p
-        and phi / d > 0.5 - 1.0 / q
-    )
 
 
 def cp_delta(d: int, p: float, q: float, theta: float, phi: float) -> float:
@@ -209,7 +218,7 @@ def cp_delta(d: int, p: float, q: float, theta: float, phi: float) -> float:
 
 def cp_params(d: int, p: float, q: float, theta: float, phi: float) -> CowlingPriceParams:
     """The full Cowling-Price parameter bundle for a feasible tuple."""
-    if not cp_feasible(d, p, q, theta, phi):
+    if cp_classify(d, p, q, theta, phi) != "feasible":
         raise ValueError(
             f"(d={d}, p={p}, q={q}, theta={theta}, phi={phi}) is not feasible"
         )

@@ -33,7 +33,6 @@ class RadialProfile:
 
     terms: tuple[tuple[float, float], ...] = field(default=())
     power_log: tuple[float, float] | None = None
-    support_note: str = "gaussian"
 
     def __post_init__(self):
         if bool(self.terms) == (self.power_log is not None):
@@ -170,19 +169,22 @@ def radial_weighted_norm(
     return (omega * total) ** (1.0 / p)
 
 
-def gaussian_uncertainty_product(d: int, p: float) -> float:
-    """V_p(g)/||g||_p^p * V_p(g^)/||g^||_p^p for the standard Gaussian.
+def gaussian_log_product(d: int, p: float) -> float:
+    """ln of V_p(g)/||g||_p^p * V_p(g^)/||g^||_p^p for the standard Gaussian.
 
     The standard Gaussian is self-dual, so the product is the square of one
-    ratio: (pi p)^{-p} * (Gamma((p+d)/2) / Gamma(d/2))^2, evaluated in log
-    domain.
+    ratio: (pi p)^{-p} * (Gamma((p+d)/2) / Gamma(d/2))^2.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    log_val = (
+    return (
         -p * math.log(math.pi * p)
         + 2.0 * (log_gamma(0.5 * (p + d)) - log_gamma(0.5 * d))
     )
-    return math.exp(log_val)
+
+
+def gaussian_uncertainty_product(d: int, p: float) -> float:
+    """The Gaussian uncertainty product itself, exp of gaussian_log_product."""
+    return math.exp(gaussian_log_product(d, p))

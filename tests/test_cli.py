@@ -2,6 +2,8 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,12 @@ class TestLpCommand:
         assert code == 0
         assert "pass=True" in out
 
+    def test_short_sweep_has_no_slope(self, capsys):
+        # d-max below the fit window: no slope, but still a verdict
+        code, out, _ = run(capsys, "lp", "--p", "1.5", "--d-max", "10")
+        assert code == 0
+        assert "slope_method=None slope_gaussian=None pass=True" in out
+
     def test_usage_error_beyond_range(self, capsys):
         code, _, err = run(capsys, "lp", "--p", "3", "--d-max", "100")
         assert code == 2
@@ -93,6 +101,16 @@ class TestCowlingPriceCommand:
         )
         assert code == 0
         assert "feasible" in out
+
+    def test_tiny_weights_are_feasible(self, capsys):
+        # p = 2 puts the endpoint at theta = 0, so any theta > 0 is feasible
+        code, out, _ = run(
+            capsys,
+            "cowling-price", "--d", "1", "--p", "2", "--q", "2",
+            "--theta", "1e-13", "--phi", "1e-13",
+        )
+        assert code == 0
+        assert "classification: feasible" in out
 
     def test_violated_exit_one(self, capsys):
         code, out, _ = run(
@@ -147,3 +165,22 @@ class TestParserContract:
         with pytest.raises(SystemExit) as exc:
             main(["sharpness", "--p", "5"])
         assert exc.value.code == 2
+
+
+def readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in readme.read_text().splitlines()
+        if line.startswith("uplab ")
+    ]
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_exits_zero(self, capsys, tmp_path, monkeypatch):
+        commands = readme_commands()
+        assert len(commands) == 7
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv, err)

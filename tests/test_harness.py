@@ -4,6 +4,7 @@ Determinism, flag logic, and the cross-sweep consistency of the Gaussian
 column are checked here; the full-scale sweeps live in the acceptance suite.
 """
 
+import dataclasses
 import json
 import math
 
@@ -191,6 +192,14 @@ class TestTrichotomy:
         assert bump1.lhs == bump2.lhs
         assert bump1.lhs != bump3.lhs
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            harness.cp_check(1, 2.0, 2.0, 1.0, 1.0, mode="exhaustive")
+    def test_violated_verdict_rests_on_measurement(self):
+        # the prediction alone is positive for every violated tuple; a
+        # measurement far from it must fail the verdict
+        report = harness.CPReport(
+            d=2, p=8.0, q=8.0, theta=0.1, phi=0.1,
+            classification="violated",
+            predicted_slope=0.65,
+            measured_slope=0.2,
+        )
+        assert not report.passed
+        assert dataclasses.replace(report, measured_slope=0.62).passed

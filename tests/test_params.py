@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from uplab.params import (
     EQ_TOL,
     compute_threshold,
+    cp_classify,
     cp_delta,
     cp_feasible,
     cp_params,
@@ -220,6 +221,31 @@ class TestCowlingPriceParams:
             m_theta = theta / d - (0.5 - 1.0 / p)
             m_phi = phi / d - (0.5 - 1.0 / q)
             assert m_theta == pytest.approx(m_phi, abs=EQ_TOL)
+
+    @settings(max_examples=300)
+    @given(
+        d=st.integers(min_value=1, max_value=6),
+        p=st.floats(min_value=1.01, max_value=10.0),
+        q=st.floats(min_value=1.01, max_value=10.0),
+        theta=st.one_of(
+            st.floats(min_value=1e-15, max_value=1e-6),
+            st.floats(min_value=1e-6, max_value=4.0),
+        ),
+        at_endpoint=st.booleans(),
+    )
+    def test_one_classifier(self, d, p, q, theta, at_endpoint):
+        if at_endpoint:
+            assume(p > 2)
+            theta = d * (0.5 - 1.0 / p)
+        phi = theta + d * (1.0 / p - 1.0 / q)
+        assume(phi > 0)
+        assume(abs(1.0 / q + phi / d - 1.0 / p - theta / d) <= EQ_TOL)
+        cls = cp_classify(d, p, q, theta, phi)
+        assert cp_feasible(d, p, q, theta, phi) == (cls == "feasible")
+        if p <= 2:
+            assert cls != "endpoint"
+        if at_endpoint:
+            assert cls == "endpoint"
 
 
 class TestComputeThreshold:
