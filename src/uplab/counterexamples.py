@@ -14,18 +14,20 @@ Three constructions live here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, grid_weighted_norm, sample
+from .grid import GridFunction, GridSpec, grid_weighted_norm
 from .params import lp_regime
 from .radial import RadialProfile, radial_weighted_norm
 from .specialfn import dimension_constants
 
 MAX_SIGN_DIM = 12
 RS_SPACING = 1.0 / 16.0
+RS_HALF_WIDTH = 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -93,37 +95,23 @@ def gc_infimum_sweep(d: int, p: float, c_values) -> list[float]:
 # Sign matrices (parallelogram law for 2^d numbers)
 
 
-@dataclass(frozen=True)
-class SignMatrix:
-    """2^d x 2^d matrix of +-1 with pairwise-orthogonal rows and first column +1.
+def sign_matrix(d: int) -> np.ndarray:
+    """Read-only 2^d x 2^d int8 matrix of +-1, by recursive doubling [[M, M], [M, -M]].
 
-    For any complex vector a:  sum_i |sum_j e_ij a_j|^2 = 2^d sum_j |a_j|^2.
+    Its rows are pairwise orthogonal and its first column is +1, so for any
+    complex vector a:  sum_i |sum_j e_ij a_j|^2 = 2^d sum_j |a_j|^2.
     """
-
-    d: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=np.int8)
-        m = 2**self.d
-        if ent.shape != (m, m):
-            raise ValueError(f"expected {m}x{m} entries for d={self.d}")
-        object.__setattr__(self, "entries", ent)
-        ent.setflags(write=False)
-
-
-def sign_matrix(d: int) -> SignMatrix:
-    """Build the sign matrix by recursive doubling: [[M, M], [M, -M]]."""
     if not 1 <= d <= MAX_SIGN_DIM:
         raise ValueError(f"sign_matrix supports 1 <= d <= {MAX_SIGN_DIM}, got {d}")
     m = np.array([[1]], dtype=np.int8)
     for _ in range(d):
         m = np.block([[m, m], [m, -m]]).astype(np.int8)
-    return SignMatrix(d=d, entries=m)
+    m.setflags(write=False)
+    return m
 
 
 # ---------------------------------------------------------------------------
-# Rudin-Shapiro translate families
+# Rudin-Shapiro translate families: +-1 sign tensors times one bump
 
 
 @dataclass(frozen=True)
@@ -144,37 +132,44 @@ def rs_base_bump_1d(t: np.ndarray) -> np.ndarray:
     return core**4
 
 
-def rs_base(d: int, half_width: float = 16.0) -> GridFunction:
+def rs_base(d: int) -> GridFunction:
     """The level-0 bump on the lattice-exact grid (spacing 1/16)."""
     if d not in (1, 2):
         raise ValueError(f"translate families are built on grids only for d <= 2, got {d}")
-    n = int(round(2.0 * half_width / RS_SPACING))
-    spec = GridSpec(d=d, n=n, half_width=half_width)
-
-    def gen(*mesh):
-        out = np.ones(mesh[0].shape)
-        for m in mesh:
-            out = out * rs_base_bump_1d(m)
-        return out
-
-    return sample(gen, spec)
+    n = int(round(2.0 * RS_HALF_WIDTH / RS_SPACING))
+    spec = GridSpec(d=d, n=n, half_width=RS_HALF_WIDTH)
+    bump = rs_base_bump_1d(spec.axis_coordinates())
+    return GridFunction(spec=spec, values=functools.reduce(np.multiply.outer, [bump] * d))
 
 
-def _corner_offsets(d: int, k: int) -> list[tuple[int, ...]]:
-    # all corners with coordinates 0 or 2^k, at least one nonzero
-    out = []
-    for j in range(1, 2**d):
-        out.append(tuple(2**k if (j >> b) & 1 else 0 for b in range(d)))
-    return out
+def rs_signs(d: int, k: int) -> np.ndarray:
+    """The +-1 coefficients of the 2^d level-k members on the cells {0..2^k-1}^d.
 
-
-def _shift_cells(arr: np.ndarray, cells: tuple[int, ...]) -> np.ndarray:
-    # integer-cell translate; supports stay interior so the roll never wraps mass
-    return np.roll(arr, cells, axis=tuple(range(arr.ndim)))
+    int8 of shape (2^d,) + (2^k,)*d.  Member i of level k+1 holds s_ij times
+    member j of level k in corner block j of the doubled cube, where s is
+    sign_matrix(d) and bit b of j selects the upper half on axis b.
+    """
+    if k < 0:
+        raise ValueError(f"level must be >= 0, got {k}")
+    s = sign_matrix(d)
+    m = 2**d
+    signs = np.ones((m,) + (1,) * d, dtype=np.int8)
+    for level in range(k):
+        side = 2**level
+        doubled = np.empty((m,) + (2 * side,) * d, dtype=np.int8)
+        for j in range(m):
+            block = tuple(slice(side, 2 * side) if (j >> b) & 1 else slice(0, side) for b in range(d))
+            doubled[(slice(None),) + block] = s[:, j].reshape((m,) + (1,) * d) * signs[j]
+        signs = doubled
+    return signs
 
 
 def rs_level(base: GridFunction, d: int, k: int) -> RSFamily:
-    """Apply the signed-translate recursion k times to the base bump."""
+    """The level-k members: each sign tensor of rs_signs(d, k) times the bump tile.
+
+    The tile is the base sampled on the unit cell [0, 1)^d; the base bump is
+    supported inside it, so the translates have disjoint supports.
+    """
     if d not in (1, 2):
         raise ValueError(f"rs_level supports d in (1, 2), got {d}")
     if base.spec.d != d:
@@ -188,23 +183,17 @@ def rs_level(base: GridFunction, d: int, k: int) -> RSFamily:
     if 2**k > base.spec.half_width:
         raise ValueError(f"grid cannot hold the level-{k} support [0, {2**k}]^{d}")
     cells_per_unit = int(round(inv))
-    signs = sign_matrix(d).entries
-    members = [base.values.real.astype(float) for _ in range(2**d)]
-    for level in range(k):
-        offsets = _corner_offsets(d, level)
-        shifted = [members[0]] + [
-            _shift_cells(members[j + 1], tuple(cells_per_unit * o for o in offsets[j]))
-            for j in range(2**d - 1)
-        ]
-        members = [
-            sum(int(signs[i, j]) * shifted[j] for j in range(2**d))
-            for i in range(2**d)
-        ]
-    grid_members = tuple(
-        GridFunction(spec=base.spec, values=m.astype(complex)) for m in members
-    )
+    origin = base.spec.n // 2  # sample index of x = 0
+    tile = base.values.real[(slice(origin, origin + cells_per_unit),) * d]
+    support = (slice(origin, origin + cells_per_unit * 2**k),) * d
+    members = []
+    for signs in rs_signs(d, k):
+        values = np.zeros(base.values.shape)
+        # adding onto +0.0 turns the -1 * 0.0 products outside the bump into +0.0
+        values[support] += np.kron(signs, tile)
+        members.append(GridFunction(spec=base.spec, values=values))
     base_l2_sq = grid_weighted_norm(base, 2.0) ** 2
-    return RSFamily(d=d, k=k, members=grid_members, base_l2_sq=base_l2_sq)
+    return RSFamily(d=d, k=k, members=tuple(members), base_l2_sq=base_l2_sq)
 
 
 def rs_growth_ratio(families: list[RSFamily], p: float, theta: float) -> list[float]:

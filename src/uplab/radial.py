@@ -158,7 +158,11 @@ def radial_weighted_norm(
             return (omega * abs(coef) ** p * moment) ** (1.0 / p)
 
         def integrand(r):
-            return r ** (k - 1.0) * abs(profile(r)) ** p
+            # log domain: r^(k-1) alone overflows at large r and k
+            mix = sum(coef * math.exp(-math.pi * rate * r * r) for coef, rate in profile.terms)
+            if mix == 0.0:
+                return 0.0
+            return math.exp((k - 1.0) * math.log(r) + p * math.log(abs(mix)))
 
         total = _quad(integrand, 0.0, math.inf, points=_gaussian_scales(profile))
         return (omega * total) ** (1.0 / p)

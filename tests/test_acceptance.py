@@ -198,7 +198,7 @@ def test_criterion_08_parallelogram_law(capsys):
     rng = np.random.default_rng(2024)
     worst = 0.0
     for d in range(1, 9):
-        m = cx.sign_matrix(d).entries.astype(float)
+        m = cx.sign_matrix(d).astype(float)
         n = 2**d
         vecs = rng.normal(size=(n, 1000)) + 1j * rng.normal(size=(n, 1000))
         lhs = np.sum(np.abs(m @ vecs) ** 2, axis=0)

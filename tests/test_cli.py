@@ -5,9 +5,12 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from uplab import counterexamples as cx
 from uplab.cli import main
+from uplab.grid import read_grid_csv
 from uplab.harness import read_sweep_csv
 
 
@@ -86,6 +89,20 @@ class TestRudinShapiroCommand:
         assert code == 0
         assert "measured=0.64" in out or "measured=0.65" in out
 
+    def test_export_dir_round_trips(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "rudin-shapiro", "--d", "1", "--k-max", "3", "--export-dir", str(tmp_path)
+        )
+        assert code == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "member_1_level_3.csv", "member_2_level_3.csv"
+        ]
+        members = cx.rs_level(cx.rs_base(1), 1, 3).members
+        for i, member in enumerate(members, start=1):
+            exported = read_grid_csv(tmp_path / f"member_{i}_level_3.csv")
+            assert exported.spec == member.spec
+            assert np.array_equal(exported.values, member.values)
+
     def test_bad_level_is_usage_error(self, capsys):
         code, _, err = run(capsys, "rudin-shapiro", "--d", "2", "--k-max", "9")
         assert code == 2
@@ -111,6 +128,20 @@ class TestCowlingPriceCommand:
         )
         assert code == 0
         assert "classification: feasible" in out
+
+    @pytest.mark.parametrize("d, weight", [("4", "3"), ("40", "30")])
+    def test_beyond_grids_and_float_range(self, capsys, d, weight):
+        # d = 4 has no grid for the random bump; at d = 40 the radial
+        # integrand's r^{k-1} exceeds the float range
+        code, out, err = run(
+            capsys,
+            "cowling-price", "--d", d, "--p", "2", "--q", "2",
+            "--theta", weight, "--phi", weight,
+        )
+        assert (code, err) == (0, "")
+        assert "classification: feasible" in out
+        assert out.count("pass=True") == 3
+        assert "random_bump" not in out
 
     def test_violated_exit_one(self, capsys):
         code, out, _ = run(

@@ -78,7 +78,7 @@ class TestGcFamily:
 class TestSignMatrix:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
     def test_orthogonality_and_first_column(self, d):
-        m = cx.sign_matrix(d).entries.astype(float)
+        m = cx.sign_matrix(d).astype(float)
         n = 2**d
         assert np.all(np.abs(m) == 1)
         assert np.all(m[:, 0] == 1)
@@ -87,7 +87,7 @@ class TestSignMatrix:
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=100))
     @settings(max_examples=60, deadline=None)
     def test_parallelogram_law(self, d, seed):
-        m = cx.sign_matrix(d).entries.astype(float)
+        m = cx.sign_matrix(d).astype(float)
         n = 2**d
         rng = np.random.default_rng(seed)
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -97,15 +97,44 @@ class TestSignMatrix:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_leading_submatrix_recursion(self, d):
-        m = cx.sign_matrix(d).entries
+        m = cx.sign_matrix(d)
         half = 2 ** (d - 1)
-        assert np.array_equal(m[:half, :half], cx.sign_matrix(d - 1).entries)
+        assert np.array_equal(m[:half, :half], cx.sign_matrix(d - 1))
+
+    def test_read_only_int8(self):
+        m = cx.sign_matrix(3)
+        assert m.dtype == np.int8
+        with pytest.raises(ValueError):
+            m[0, 0] = -1
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             cx.sign_matrix(0)
         with pytest.raises(ValueError):
             cx.sign_matrix(cx.MAX_SIGN_DIM + 1)
+
+
+class TestSignTensors:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(5))
+    def test_shape_and_spectral_identity(self, d, k):
+        # sum_i |P_i|^2 = 2^{d(k+1)} at every frequency, where P_i is the
+        # trigonometric polynomial of member i's coefficients (acceptance 7's
+        # identity with the bump factored out)
+        signs = cx.rs_signs(d, k)
+        assert signs.dtype == np.int8
+        assert signs.shape == (2**d,) + (2**k,) * d
+        assert np.all(np.abs(signs) == 1)
+        spectra = np.abs(np.fft.fftn(signs, axes=tuple(range(1, d + 1)))) ** 2
+        expected = 2.0 ** (d * (k + 1))
+        assert np.max(np.abs(spectra.sum(axis=0) - expected)) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_leading_member_extends_previous_level(self, d, k):
+        lead = cx.rs_signs(d, k)[0]
+        half = 2 ** (k - 1)
+        assert np.array_equal(lead[(slice(0, half),) * d], cx.rs_signs(d, k - 1)[0])
 
 
 @pytest.fixture(scope="module")
@@ -166,12 +195,33 @@ class TestTranslateFamilies:
         predicted = 1.0 - 2.0 / p - theta
         assert cx.rs_slope(families_2d, p, theta) == pytest.approx(predicted, rel=0.10)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k", range(5))
+    def test_matches_dense_roll_recursion(self, d, k):
+        # reference: translate member j by 2^level along the axes of j's
+        # bits, then mix the translates with the sign matrix, k times
+        base = cx.rs_base(d)
+        s = cx.sign_matrix(d)
+        cells = round(1.0 / base.spec.spacing)
+        members = [base.values.real for _ in range(2**d)]
+        for level in range(k):
+            shifted = [
+                np.roll(m, tuple(cells * 2**level * ((j >> b) & 1) for b in range(d)), axis=tuple(range(d)))
+                for j, m in enumerate(members)
+            ]
+            members = [sum(int(s[i, j]) * shifted[j] for j in range(2**d)) for i in range(2**d)]
+        family = cx.rs_level(base, d, k)
+        for member, expected in zip(family.members, members, strict=True):
+            assert np.array_equal(member.values, expected)
+
     def test_level_validation(self):
         base = cx.rs_base(2)
         with pytest.raises(ValueError):
             cx.rs_level(base, 2, 5)
         with pytest.raises(ValueError):
             cx.rs_level(base, 1, 1)  # dimension mismatch
+        with pytest.raises(ValueError):
+            cx.rs_signs(2, -1)
 
     def test_slope_needs_three_levels(self):
         base = cx.rs_base(1)

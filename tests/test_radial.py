@@ -143,6 +143,16 @@ class TestRadialWeightedNorm:
         oracle, _ = integrate.quad(integrand, 0.0, math.inf, limit=200)
         assert norm == pytest.approx((omega * oracle) ** (1.0 / p), rel=1e-8)
 
+    @pytest.mark.parametrize("d, weight", [(1, 0.0), (3, 1.0), (40, 30.0)])
+    def test_equal_rate_mixture_matches_single_term(self, d, weight):
+        # the two-term path integrates by quadrature, the one-term path is closed
+        # form; at d = 40 the integrand's r^{k-1} alone exceeds the float range
+        mixture = RadialProfile(terms=((0.25, 1.0), (0.75, 1.0)))
+        norm = radial_weighted_norm(mixture, d, 2.0, weight)
+        assert norm == pytest.approx(
+            radial_weighted_norm(gaussian_profile(), d, 2.0, weight), rel=1e-10
+        )
+
     def test_power_log_norm_matches_closed_form(self):
         # |f|^p = r^{-1} ln^{-2}(1/r); substituting u = ln(1/r) gives
         # int_{ln 2}^inf u^{-2} du = 1 / ln 2 exactly
