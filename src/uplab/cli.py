@@ -70,8 +70,8 @@ def _cmd_rudin_shapiro(args) -> int:
     if args.export_dir:
         out_dir = Path(args.export_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i, member in enumerate(top.members, start=1):
-            write_grid_csv(member, out_dir / f"member_{i}_level_{top.k}.csv")
+        for i in range(len(top.signs)):
+            write_grid_csv(top.member(i), out_dir / f"member_{i + 1}_level_{top.k}.csv")
     print(f"rudin-shapiro d={args.d} k<={args.k_max}: "
           f"predicted slope={summary['predicted_slope']:.4f} "
           f"measured={summary['measured_slope']:.4f} pass={summary['pass']}")

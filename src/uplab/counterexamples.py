@@ -116,12 +116,27 @@ def sign_matrix(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RSFamily:
-    """The 2^d signed-translate functions at level k, on a shared grid."""
+    """The 2^d level-k signed translates of the base bump, which lies inside [0, 1)^d,
+    so the translates have disjoint supports; signs is rs_signs(d, k).
+    """
 
     d: int
     k: int
-    members: tuple[GridFunction, ...]
+    signs: np.ndarray
+    base: GridFunction
     base_l2_sq: float
+
+    def member(self, i: int) -> GridFunction:
+        """Member i: signs[i] times the tile, the base bump on the unit cell [0, 1)^d."""
+        spec = self.base.spec
+        cells = round(1.0 / spec.spacing)
+        origin = spec.n // 2  # sample index of x = 0
+        tile = self.base.values[(slice(origin, origin + cells),) * self.d]
+        values = np.zeros(self.base.values.shape)
+        # adding onto +0.0 turns the -1 * 0.0 products outside the bump into +0.0
+        support = (slice(origin, origin + cells * 2**self.k),) * self.d
+        values[support] += np.kron(self.signs[i], tile)
+        return GridFunction(spec=spec, values=values)
 
 
 def rs_base_bump_1d(t: np.ndarray) -> np.ndarray:
@@ -145,9 +160,9 @@ def rs_base(d: int) -> GridFunction:
 def rs_signs(d: int, k: int) -> np.ndarray:
     """The +-1 coefficients of the 2^d level-k members on the cells {0..2^k-1}^d.
 
-    int8 of shape (2^d,) + (2^k,)*d.  Member i of level k+1 holds s_ij times
-    member j of level k in corner block j of the doubled cube, where s is
-    sign_matrix(d) and bit b of j selects the upper half on axis b.
+    Read-only int8 of shape (2^d,) + (2^k,)*d.  Member i of level k+1 holds
+    s_ij times member j of level k in corner block j of the doubled cube, where
+    s is sign_matrix(d) and bit b of j selects the upper half on axis b.
     """
     if k < 0:
         raise ValueError(f"level must be >= 0, got {k}")
@@ -161,15 +176,12 @@ def rs_signs(d: int, k: int) -> np.ndarray:
             block = tuple(slice(side, 2 * side) if (j >> b) & 1 else slice(0, side) for b in range(d))
             doubled[(slice(None),) + block] = s[:, j].reshape((m,) + (1,) * d) * signs[j]
         signs = doubled
+    signs.setflags(write=False)
     return signs
 
 
 def rs_level(base: GridFunction, d: int, k: int) -> RSFamily:
-    """The level-k members: each sign tensor of rs_signs(d, k) times the bump tile.
-
-    The tile is the base sampled on the unit cell [0, 1)^d; the base bump is
-    supported inside it, so the translates have disjoint supports.
-    """
+    """The level-k family on the grid of base; RSFamily.member builds each function."""
     if d not in (1, 2):
         raise ValueError(f"rs_level supports d in (1, 2), got {d}")
     if base.spec.d != d:
@@ -182,18 +194,8 @@ def rs_level(base: GridFunction, d: int, k: int) -> RSFamily:
         raise ValueError(f"grid spacing {spacing} does not divide 1; translates not lattice-exact")
     if 2**k > base.spec.half_width:
         raise ValueError(f"grid cannot hold the level-{k} support [0, {2**k}]^{d}")
-    cells_per_unit = int(round(inv))
-    origin = base.spec.n // 2  # sample index of x = 0
-    tile = base.values.real[(slice(origin, origin + cells_per_unit),) * d]
-    support = (slice(origin, origin + cells_per_unit * 2**k),) * d
-    members = []
-    for signs in rs_signs(d, k):
-        values = np.zeros(base.values.shape)
-        # adding onto +0.0 turns the -1 * 0.0 products outside the bump into +0.0
-        values[support] += np.kron(signs, tile)
-        members.append(GridFunction(spec=base.spec, values=values))
     base_l2_sq = grid_weighted_norm(base, 2.0) ** 2
-    return RSFamily(d=d, k=k, members=tuple(members), base_l2_sq=base_l2_sq)
+    return RSFamily(d=d, k=k, signs=rs_signs(d, k), base=base, base_l2_sq=base_l2_sq)
 
 
 def rs_growth_ratio(families: list[RSFamily], p: float, theta: float) -> list[float]:
@@ -212,7 +214,7 @@ def rs_growth_ratio(families: list[RSFamily], p: float, theta: float) -> list[fl
         raise ValueError("families must share the dimension")
     out = []
     for fam in families:
-        lead = fam.members[0]
+        lead = fam.member(0)
         l2_sq = grid_weighted_norm(lead, 2.0) ** 2
         weighted = grid_weighted_norm(lead, p, theta)
         fourier_side = 2.0 ** (0.5 * d * fam.k + 0.5 * d)

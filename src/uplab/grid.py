@@ -1,5 +1,5 @@
-"""Sampled functions on centered cubes in R^d (d <= 3) and a discrete
-approximation of the continuous Fourier transform f^(xi) = int f e^{-2 pi i x.xi} dx.
+"""Sampled real or complex functions on centered cubes in R^d (d <= 3) and a
+discrete approximation of the Fourier transform f^(xi) = int f e^{-2 pi i x.xi} dx.
 
 The sampling is centered (sample k -> -L + k*spacing per axis) and the
 transform returns samples on the dual grid (spacing 1/(2L), half-width
@@ -72,13 +72,15 @@ def default_spec(d: int, n: int | None = None, half_width: float | None = None) 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples over a GridSpec, row-major; sample k sits at -L + k*spacing."""
+    """Real (float64) or complex (complex128) samples over a GridSpec, row-major;
+    sample k sits at -L + k*spacing.  Stored read-only, uncopied if of that dtype.
+    """
 
     spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
         expected = (self.spec.n,) * self.spec.d
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} != grid shape {expected}")
@@ -90,11 +92,8 @@ class GridFunction:
 
 def sample(generator, spec: GridSpec) -> GridFunction:
     """Sample a pointwise function of d coordinate arrays onto the grid."""
-    mesh = spec.meshgrid()
-    vals = np.asarray(generator(*mesh), dtype=complex)
-    vals = np.broadcast_to(vals, (spec.n,) * spec.d).copy()
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("generator produced non-finite samples")
+    mesh = spec.meshgrid()  # bound until return: freeing it early costs page faults later
+    vals = np.broadcast_to(generator(*mesh), (spec.n,) * spec.d).copy()
     return GridFunction(spec=spec, values=vals)
 
 
@@ -126,7 +125,7 @@ def fourier_transform(f: GridFunction) -> GridFunction:
     n, d = spec.n, spec.d
     k = np.arange(n)
     alt = np.where(k % 2 == 0, 1.0, -1.0)  # (-1)^k, exact phase for centered samples
-    vals = f.values.copy()
+    vals = f.values
     for axis in range(d):
         shape = [1] * d
         shape[axis] = n

@@ -266,12 +266,11 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
     links.append(_at_least("per_function", per_fn_lhs, per_fn_rhs))
 
     fhat = fourier_transform(f)
-    quotient = (norm_a * grid_weighted_norm(fhat, a)) / (
-        norm_p * grid_weighted_norm(fhat, p)
-    )
+    hat_p = grid_weighted_norm(fhat, p)
+    quotient = (norm_a * grid_weighted_norm(fhat, a)) / (norm_p * hat_p)
     links.append(_at_least("primary_up", quotient, 1.0))
 
-    hat_ratio = grid_weighted_norm(fhat, p, 1.0) ** p / grid_weighted_norm(fhat, p) ** p
+    hat_ratio = grid_weighted_norm(fhat, p, 1.0) ** p / hat_p**p
     product = per_fn_lhs * hat_ratio
     bound = math.exp(params.log_bound)
     links.append(_at_least("certified_product", product, bound))

@@ -166,15 +166,15 @@ def test_criterion_07_translate_family_invariants(capsys):
 
     mass_ok = True
     for fam in families:
-        lead_sq = grid_weighted_norm(fam.members[0], 2.0) ** 2
+        lead_sq = grid_weighted_norm(fam.member(0), 2.0) ** 2
         if abs(lead_sq - 4.0**fam.k * base_sq) > 1e-6 * 4.0**fam.k * base_sq:
             mass_ok = False
 
     spectral_ok = True
-    base_hat_sq = np.abs(fourier_transform(families[0].members[0]).values) ** 2
+    base_hat_sq = np.abs(fourier_transform(families[0].member(0)).values) ** 2
     for k in (1, 2, 3):
         total = sum(
-            np.abs(fourier_transform(m).values) ** 2 for m in families[k].members
+            np.abs(fourier_transform(families[k].member(i)).values) ** 2 for i in range(4)
         )
         expected = 4.0 ** (k + 1) * base_hat_sq
         if np.max(np.abs(total - expected)) > 1e-6 * expected.max():

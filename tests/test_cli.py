@@ -97,8 +97,8 @@ class TestRudinShapiroCommand:
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             "member_1_level_3.csv", "member_2_level_3.csv"
         ]
-        members = cx.rs_level(cx.rs_base(1), 1, 3).members
-        for i, member in enumerate(members, start=1):
+        family = cx.rs_level(cx.rs_base(1), 1, 3)
+        for i, member in enumerate(map(family.member, range(2)), start=1):
             exported = read_grid_csv(tmp_path / f"member_{i}_level_3.csv")
             assert exported.spec == member.spec
             assert np.array_equal(exported.values, member.values)

@@ -7,6 +7,7 @@ have independent quadrature values.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from uplab import counterexamples as cx
-from uplab.grid import fourier_transform, grid_weighted_norm, sample
+from uplab import harness
+from uplab.grid import (
+    default_spec,
+    fourier_transform,
+    gaussian_grid_function,
+    grid_weighted_norm,
+    random_bump,
+    sample,
+)
 from uplab.radial import gaussian_uncertainty_product
 from uplab.specialfn import dimension_constants
 
@@ -156,22 +165,22 @@ class TestTranslateFamilies:
         # ||f_{1,k}||_2^2 = 2^{dk} ||f||_2^2
         base_sq = families_2d[0].base_l2_sq
         for fam in families_2d:
-            lead_sq = grid_weighted_norm(fam.members[0], 2.0) ** 2
+            lead_sq = grid_weighted_norm(fam.member(0), 2.0) ** 2
             assert lead_sq == pytest.approx(4.0**fam.k * base_sq, rel=1e-6)
 
     def test_sup_norm_flat(self, families_2d):
         # translates have disjoint supports, so the sup norm never grows
-        peak = np.abs(families_2d[0].members[0].values).max()
+        peak = np.abs(families_2d[0].member(0).values).max()
         for fam in families_2d:
-            for member in fam.members:
+            for member in map(fam.member, range(len(fam.signs))):
                 assert np.abs(member.values).max() == pytest.approx(peak, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_fourier_square_sum_identity(self, families_2d, k):
         # sum_i |fhat_{i,k}|^2 = 4^{k+1} |fhat|^2 pointwise (d = 2)
         fam = families_2d[k]
-        total = sum(np.abs(fourier_transform(m).values) ** 2 for m in fam.members)
-        base_sq = np.abs(fourier_transform(families_2d[0].members[0]).values) ** 2
+        total = sum(np.abs(fourier_transform(fam.member(i)).values) ** 2 for i in range(4))
+        base_sq = np.abs(fourier_transform(families_2d[0].member(0)).values) ** 2
         expected = 4.0 ** (k + 1) * base_sq
         scale = expected.max()
         assert np.max(np.abs(total - expected)) <= 1e-6 * scale
@@ -179,9 +188,9 @@ class TestTranslateFamilies:
     def test_one_dimensional_identity(self):
         base = cx.rs_base(1)
         fams = [cx.rs_level(base, 1, k) for k in range(3)]
-        base_sq = np.abs(fourier_transform(fams[0].members[0]).values) ** 2
+        base_sq = np.abs(fourier_transform(fams[0].member(0)).values) ** 2
         for k in (1, 2):
-            total = sum(np.abs(fourier_transform(m).values) ** 2 for m in fams[k].members)
+            total = sum(np.abs(fourier_transform(fams[k].member(i)).values) ** 2 for i in range(2))
             expected = 2.0 ** (k + 1) * base_sq
             assert np.max(np.abs(total - expected)) <= 1e-6 * expected.max()
 
@@ -211,7 +220,8 @@ class TestTranslateFamilies:
             ]
             members = [sum(int(s[i, j]) * shifted[j] for j in range(2**d)) for i in range(2**d)]
         family = cx.rs_level(base, d, k)
-        for member, expected in zip(family.members, members, strict=True):
+        built = [family.member(i) for i in range(len(family.signs))]
+        for member, expected in zip(built, members, strict=True):
             assert np.array_equal(member.values, expected)
 
     def test_level_validation(self):
@@ -228,6 +238,30 @@ class TestTranslateFamilies:
         fams = [cx.rs_level(base, 1, k) for k in range(2)]
         with pytest.raises(ValueError):
             cx.rs_slope(fams, 8.0, 0.1)
+
+
+class TestStorage:
+    def test_dtypes_and_read_only(self):
+        family = cx.rs_level(cx.rs_base(2), 2, 2)
+        real = [gaussian_grid_function(default_spec(2)), cx.rs_base(2)]
+        real += [family.member(i) for i in range(4)]
+        cplx = [random_bump(default_spec(2), seed=0), fourier_transform(real[0])]
+        for fs, dtype in [(real, np.float64), (cplx, np.complex128)]:
+            for f in fs:
+                assert f.values.dtype == dtype
+                assert not f.values.flags.writeable
+
+    def test_rs_check_peak_memory(self):
+        # rs_check holds the base and one member at a time, each a 2 MiB
+        # 512^2 float64 grid, plus the temporaries of one weighted norm
+        harness.rs_check(2, 3, 8.0, 0.1)  # warm-up
+        tracemalloc.start()
+        try:
+            harness.rs_check(2, 3, 8.0, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
 
 class TestEndpointMasses:

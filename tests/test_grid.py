@@ -80,6 +80,18 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
+    def test_keeps_real_and_complex_dtypes(self):
+        spec = GridSpec(d=1, n=16, half_width=2.0)
+        real = np.zeros(16)
+        assert GridFunction(spec=spec, values=real).values is real
+        assert GridFunction(spec=spec, values=np.zeros(16, dtype=int)).values.dtype == np.float64
+        assert GridFunction(spec=spec, values=np.zeros(16, dtype=complex)).values.dtype == complex
+
+    def test_sample_rejects_nonfinite(self):
+        spec = GridSpec(d=1, n=16, half_width=2.0)
+        with pytest.raises(ValueError):
+            sample(lambda x: np.where(x > 0, np.nan, x), spec)
+
 
 class TestFourierTransform:
     @pytest.mark.parametrize("d", [1, 2, 3])
