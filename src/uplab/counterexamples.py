@@ -214,9 +214,9 @@ def rs_growth_ratio(families: list[RSFamily], p: float, theta: float) -> list[fl
         raise ValueError("families must share the dimension")
     out = []
     for fam in families:
-        lead = fam.member(0)
-        l2_sq = grid_weighted_norm(lead, 2.0) ** 2
-        weighted = grid_weighted_norm(lead, p, theta)
+        # the 2^{dk} translates of the base are disjoint and carry signs +-1
+        l2_sq = 2.0 ** (d * fam.k) * fam.base_l2_sq
+        weighted = grid_weighted_norm(fam.member(0), p, theta)
         fourier_side = 2.0 ** (0.5 * d * fam.k + 0.5 * d)
         out.append(l2_sq / (weighted * fourier_side))
     return out

@@ -3,9 +3,10 @@ discrete approximation of the Fourier transform f^(xi) = int f e^{-2 pi i x.xi} 
 
 The sampling is centered (sample k -> -L + k*spacing per axis) and the
 transform returns samples on the dual grid (spacing 1/(2L), half-width
-n/(4L)).  The centered phase factors are applied exactly rather than by
-modular reindexing, so for well-resolved inputs the output matches the
-continuous transform to near machine precision.
+n/(4L)).  Both grids put sample k at (k - n/2)*spacing, so the transform is
+the DFT with the origin rotated to index 0 and back, which is exact; for
+well-resolved inputs the output matches the continuous transform to near
+machine precision.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ class GridSpec:
         return -self.half_width + self.spacing * np.arange(self.n)
 
     def meshgrid(self) -> list[np.ndarray]:
+        """One open coordinate axis per dimension, shaped to broadcast to the grid shape."""
         ax = self.axis_coordinates()
-        return list(np.meshgrid(*([ax] * self.d), indexing="ij"))
+        return list(np.meshgrid(*([ax] * self.d), indexing="ij", sparse=True))
 
     def radius(self) -> np.ndarray:
         mesh = self.meshgrid()
@@ -67,7 +69,7 @@ class GridSpec:
 
 def default_spec(d: int, n: int | None = None, half_width: float | None = None) -> GridSpec:
     base_n, base_l = DEFAULT_SPECS[d]
-    return GridSpec(d=d, n=n or base_n, half_width=half_width or base_l)
+    return GridSpec(d, base_n if n is None else n, base_l if half_width is None else half_width)
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,10 @@ class GridFunction:
 
 def sample(generator, spec: GridSpec) -> GridFunction:
     """Sample a pointwise function of d coordinate arrays onto the grid."""
-    mesh = spec.meshgrid()  # bound until return: freeing it early costs page faults later
-    vals = np.broadcast_to(generator(*mesh), (spec.n,) * spec.d).copy()
+    shape = (spec.n,) * spec.d
+    vals = generator(*spec.meshgrid())
+    if np.shape(vals) != shape:
+        vals = np.broadcast_to(vals, shape).copy()
     return GridFunction(spec=spec, values=vals)
 
 
@@ -122,21 +126,8 @@ def fourier_transform(f: GridFunction) -> GridFunction:
             stacklevel=2,
         )
     spec = f.spec
-    n, d = spec.n, spec.d
-    k = np.arange(n)
-    alt = np.where(k % 2 == 0, 1.0, -1.0)  # (-1)^k, exact phase for centered samples
-    vals = f.values
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = n
-        vals = vals * alt.reshape(shape)
-    vals = np.fft.fftn(vals)
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = n
-        vals = vals * alt.reshape(shape)
-    global_phase = (1.0 if (n // 2) % 2 == 0 else -1.0) ** d
-    vals = vals * (spec.spacing**d * global_phase)
+    # sample k sits at (k - n/2)*spacing on both grids: rotate x = 0 to index 0 and back
+    vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values))) * spec.spacing**spec.d
     return GridFunction(spec=spec.dual(), values=vals)
 
 
@@ -202,8 +193,8 @@ def read_grid_csv(path) -> GridFunction:
         data = np.loadtxt(fh, delimiter=",")
     if data.ndim == 1:
         data = data.reshape(1, -1)
-    vals = (data[:, 1] + 1j * data[:, 2]).reshape((spec.n,) * spec.d)
-    return GridFunction(spec=spec, values=vals)
+    vals = data[:, 1] + 1j * data[:, 2] if data[:, 2].any() else data[:, 1].copy()
+    return GridFunction(spec=spec, values=vals.reshape((spec.n,) * spec.d))
 
 
 def gaussian_grid_function(spec: GridSpec, rate: float = 1.0) -> GridFunction:

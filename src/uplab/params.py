@@ -179,6 +179,8 @@ def primary_up_admissible(a: float, p: float) -> bool:
 def cp_classify(d: int, p: float, q: float, theta: float, phi: float) -> str:
     """feasible / endpoint / violated by theta/d against 1/2 - 1/p (phi follows by
     homogeneity); the tolerance is relative, so p <= 2 and theta > 0 is never endpoint."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     if not (p > 1 and q > 1 and theta > 0 and phi > 0):
         raise ValueError("require 1 < p, q < inf and theta, phi > 0")
     if abs(1.0 / q + phi / d - 1.0 / p - theta / d) > EQ_TOL:

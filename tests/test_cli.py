@@ -101,6 +101,7 @@ class TestRudinShapiroCommand:
         for i, member in enumerate(map(family.member, range(2)), start=1):
             exported = read_grid_csv(tmp_path / f"member_{i}_level_3.csv")
             assert exported.spec == member.spec
+            assert exported.values.dtype == member.values.dtype
             assert np.array_equal(exported.values, member.values)
 
     def test_bad_level_is_usage_error(self, capsys):
@@ -152,6 +153,16 @@ class TestCowlingPriceCommand:
         assert code == 1
         assert "violated" in out
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_nonpositive_dimension_usage_error(self, capsys, d):
+        code, _, err = run(
+            capsys,
+            "cowling-price", "--d", d, "--p", "2", "--q", "2", "--theta", "1", "--phi", "1",
+        )
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "dimension must be >= 1" in err
+
     def test_homogeneity_usage_error(self, capsys):
         code, _, err = run(
             capsys,
@@ -185,6 +196,13 @@ class TestChainCommand:
         assert payload["pass"] is True
         assert len(payload["links"]) == 5
 
+    @pytest.mark.parametrize("flag", ["--n", "--L"])
+    def test_zero_grid_size_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "chain", "--d", "1", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+
 
 class TestParserContract:
     def test_unknown_command_exits_two(self):
@@ -215,3 +233,15 @@ class TestReadmeCommands:
         for argv in commands:
             code, _, err = run(capsys, *argv)
             assert code == 0, (argv, err)
+
+    def test_outputs_match_golden_files(self, capsys, tmp_path, monkeypatch):
+        # stdout of every README command and the heisenberg CSV, byte for byte
+        golden = Path(__file__).resolve().parent / "golden"
+        monkeypatch.chdir(tmp_path)
+        transcript = []
+        for argv in readme_commands():
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            transcript.append(f"$ uplab {shlex.join(argv)}\n{out}")
+        assert "".join(transcript) == (golden / "readme_stdout.txt").read_text()
+        assert (tmp_path / "sweep.csv").read_bytes() == (golden / "sweep.csv").read_bytes()

@@ -6,6 +6,7 @@ the translate families have integer-power norm growth; the endpoint masses
 have independent quadrature values.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -223,6 +224,25 @@ class TestTranslateFamilies:
         built = [family.member(i) for i in range(len(family.signs))]
         for member, expected in zip(built, members, strict=True):
             assert np.array_equal(member.values, expected)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_same_bytes_as_dense_mesh(self, d):
+        # reference: in each occupied cell c, signs[i][c] times the bump at x - c,
+        # evaluated on the dense coordinate mesh and added onto +0.0
+        base = cx.rs_base(d)
+        ax = base.spec.axis_coordinates()
+        mesh = np.meshgrid(*([ax] * d), indexing="ij")
+        bump = functools.reduce(np.multiply, [cx.rs_base_bump_1d(m) for m in mesh])
+        assert base.values.tobytes() == bump.tobytes()
+        cell = [np.floor(m).astype(int) for m in mesh]
+        local = functools.reduce(np.multiply, [cx.rs_base_bump_1d(m - c) for m, c in zip(mesh, cell)])
+        for k in range(5):
+            inside = functools.reduce(np.logical_and, [(c >= 0) & (c < 2**k) for c in cell])
+            index = tuple(np.where(inside, c, 0) for c in cell)
+            family = cx.rs_level(base, d, k)
+            for i in range(2**d):
+                expected = 0.0 + np.where(inside, family.signs[i][index] * local, 0.0)
+                assert family.member(i).values.tobytes() == expected.tobytes()
 
     def test_level_validation(self):
         base = cx.rs_base(2)

@@ -6,6 +6,7 @@ machine-precision oracles for the transform; norms are checked against
 analytic values.
 """
 
+import functools
 import math
 import warnings
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uplab import counterexamples as cx
 from uplab.grid import (
     GridFunction,
     GridSpec,
@@ -27,6 +29,42 @@ from uplab.grid import (
     sample,
     write_grid_csv,
 )
+
+# the 512^2 grid of the translate families, beside the default grids
+SPECS = [default_spec(1), default_spec(2), default_spec(3), GridSpec(d=2, n=512, half_width=16.0)]
+
+
+def dense_meshgrid(spec):
+    """Reference: d full-shape coordinate arrays, one per axis."""
+    ax = spec.axis_coordinates()
+    return list(np.meshgrid(*([ax] * spec.d), indexing="ij"))
+
+
+def phase_factor_transform(f):
+    """Reference: (-1)^k phase factors on both grids around an uncentered fftn."""
+    n, d = f.spec.n, f.spec.d
+    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    vals = f.values
+    for axis in range(d):
+        vals = vals * alt.reshape([n if ax == axis else 1 for ax in range(d)])
+    vals = np.fft.fftn(vals)
+    for axis in range(d):
+        vals = vals * alt.reshape([n if ax == axis else 1 for ax in range(d)])
+    global_phase = (1.0 if (n // 2) % 2 == 0 else -1.0) ** d
+    return vals * (f.spec.spacing**d * global_phase)
+
+
+def translate_member(d):
+    """Member 1 of a signed-translate family; at d = 3 on a 64^3 grid of spacing 1/8."""
+    if d < 3:
+        return cx.rs_level(cx.rs_base(d), d, 2).member(1)
+    spec = GridSpec(d=3, n=64, half_width=4.0)
+    bump = cx.rs_base_bump_1d(spec.axis_coordinates())
+    base = GridFunction(spec=spec, values=functools.reduce(np.multiply.outer, [bump] * 3))
+    family = cx.RSFamily(
+        d=3, k=1, signs=cx.rs_signs(3, 1), base=base, base_l2_sq=grid_weighted_norm(base, 2.0) ** 2
+    )
+    return family.member(1)
 
 
 class TestGridSpec:
@@ -60,6 +98,35 @@ class TestGridSpec:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
+
+
+class TestBroadcastAxes:
+    def test_meshgrid_axes_are_open(self):
+        spec = default_spec(3)
+        shapes = [m.shape for m in spec.meshgrid()]
+        assert shapes == [(64, 1, 1), (1, 64, 1), (1, 1, 64)]
+        assert np.broadcast_shapes(*shapes) == (64, 64, 64)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"d{s.d}n{s.n}")
+    def test_same_bytes_as_dense_mesh(self, spec, monkeypatch):
+        profile = cx.gc_profile(2.0, spec.d)
+
+        def evaluate():
+            return [
+                spec.radius(),
+                gaussian_grid_function(spec).values,
+                gaussian_grid_function(spec, rate=2.5).values,
+                random_bump(spec, seed=3).values,
+                sample(lambda *mesh: profile((sum(m * m for m in mesh)) ** 0.5), spec).values,
+            ]
+
+        built = evaluate()
+        dense_radius = np.sqrt(sum(m * m for m in dense_meshgrid(spec)))
+        assert built[0].tobytes() == dense_radius.tobytes()
+        monkeypatch.setattr(GridSpec, "meshgrid", dense_meshgrid)
+        for new, old in zip(built, evaluate(), strict=True):
+            assert new.dtype == old.dtype
+            assert new.tobytes() == old.tobytes()
 
 
 class TestGridFunction:
@@ -148,6 +215,12 @@ class TestFourierTransform:
         rhs = 2.0 * fourier_transform(f).values - 1j * fourier_transform(g).values
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_phase_factor_transform(self, d):
+        spec = default_spec(d)
+        for f in (gaussian_grid_function(spec), random_bump(spec, seed=d), translate_member(d)):
+            assert np.array_equal(fourier_transform(f).values, phase_factor_transform(f))
+
     def test_rejects_nondecaying_function(self):
         spec = default_spec(1)
         ones = sample(lambda x: np.ones_like(x), spec)
@@ -210,13 +283,15 @@ class TestPrimaryUpDefect:
 class TestCsvRoundTrip:
     @pytest.mark.parametrize("d", [1, 2])
     def test_exact_round_trip(self, tmp_path, d):
+        # complex grids come back complex128, real ones float64
         spec = default_spec(d, n=32 if d == 2 else 64, half_width=4.0)
-        f = random_bump(spec, seed=11)
-        path = tmp_path / "grid.csv"
-        write_grid_csv(f, path)
-        g = read_grid_csv(path)
-        assert g.spec == f.spec
-        assert np.array_equal(g.values, f.values)
+        for f in (random_bump(spec, seed=11), gaussian_grid_function(spec)):
+            path = tmp_path / "grid.csv"
+            write_grid_csv(f, path)
+            g = read_grid_csv(path)
+            assert g.spec == f.spec
+            assert g.values.dtype == f.values.dtype
+            assert g.values.tobytes() == f.values.tobytes()
 
     def test_rejects_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
