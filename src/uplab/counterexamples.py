@@ -36,8 +36,8 @@ RS_HALF_WIDTH = 16.0
 
 def gc_profile(c: float, d: int) -> RadialProfile:
     """The two-scale mixture c^{-d/2} e^{-pi r^2/c^2} + c^{d/2} e^{-pi c^2 r^2}."""
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not (c > 0 and 0 < c * c < math.inf):
+        raise ValueError(f"c must be positive with a finite, nonzero square, got {c}")
     return RadialProfile(
         terms=((c ** (-0.5 * d), 1.0 / (c * c)), (c ** (0.5 * d), c * c))
     )
@@ -126,17 +126,36 @@ class RSFamily:
     base: GridFunction
     base_l2_sq: float
 
-    def member(self, i: int) -> GridFunction:
-        """Member i: signs[i] times the tile, the base bump on the unit cell [0, 1)^d."""
-        spec = self.base.spec
-        cells = round(1.0 / spec.spacing)
+    def member(self, i: int, spec: GridSpec | None = None) -> GridFunction:
+        """Member i, signs[i] times the tile (the base bump on the unit cell [0, 1)^d),
+        sampled on spec: a centered grid of the base's spacing that holds the
+        support [0, 2^k)^d (default: the base grid).
+        """
+        base = self.base.spec
+        spec = base if spec is None else spec
+        cells = round(1.0 / base.spacing)
+        if spec.d != self.d or spec.spacing != base.spacing or spec.n < 2 * cells * 2**self.k:
+            raise ValueError(f"grid {spec} cannot hold the level-{self.k} support at the base spacing")
+        tile = self.base.values[(slice(base.n // 2, base.n // 2 + cells),) * self.d]
+        values = np.zeros((spec.n,) * self.d)
         origin = spec.n // 2  # sample index of x = 0
-        tile = self.base.values[(slice(origin, origin + cells),) * self.d]
-        values = np.zeros(self.base.values.shape)
-        # adding onto +0.0 turns the -1 * 0.0 products outside the bump into +0.0
         support = (slice(origin, origin + cells * 2**self.k),) * self.d
+        # adding onto +0.0 turns the -1 * 0.0 products outside the bump into +0.0
         values[support] += np.kron(self.signs[i], tile)
         return GridFunction(spec=spec, values=values)
+
+
+def _support_grid(spec: GridSpec, k: int) -> GridSpec:
+    """The smallest centered grid of spec's spacing that holds [0, 2^k)^d.
+
+    Its rows keep at least 128 samples, numpy's pairwise-summation block, so
+    each block lies inside one row as it does on spec: a norm over it then
+    adds the same nonzero samples in the same order and drops only exact
+    zeros, which keeps its bits.
+    """
+    support = round(1.0 / spec.spacing) * 2**k
+    n = min(spec.n, max(128, 1 << (2 * support - 1).bit_length()))
+    return GridSpec(spec.d, n, 0.5 * n * spec.spacing)
 
 
 def rs_base_bump_1d(t: np.ndarray) -> np.ndarray:
@@ -181,7 +200,11 @@ def rs_signs(d: int, k: int) -> np.ndarray:
 
 
 def rs_level(base: GridFunction, d: int, k: int) -> RSFamily:
-    """The level-k family on the grid of base; RSFamily.member builds each function."""
+    """The level-k family on the grid of base; RSFamily.member builds each function.
+
+    base_l2_sq is the L^2 mass of base over the support grid of the unit cell,
+    where base lives.
+    """
     if d not in (1, 2):
         raise ValueError(f"rs_level supports d in (1, 2), got {d}")
     if base.spec.d != d:
@@ -194,7 +217,10 @@ def rs_level(base: GridFunction, d: int, k: int) -> RSFamily:
         raise ValueError(f"grid spacing {spacing} does not divide 1; translates not lattice-exact")
     if 2**k > base.spec.half_width:
         raise ValueError(f"grid cannot hold the level-{k} support [0, {2**k}]^{d}")
-    base_l2_sq = grid_weighted_norm(base, 2.0) ** 2
+    window = _support_grid(base.spec, 0)
+    lo = (base.spec.n - window.n) // 2
+    cell = GridFunction(spec=window, values=base.values[(slice(lo, lo + window.n),) * d])
+    base_l2_sq = grid_weighted_norm(cell, 2.0) ** 2
     return RSFamily(d=d, k=k, signs=rs_signs(d, k), base=base, base_l2_sq=base_l2_sq)
 
 
@@ -203,12 +229,13 @@ def rs_growth_ratio(families: list[RSFamily], p: float, theta: float) -> list[fl
 
     ratio_k = ||f_{1,k}||_2^2 / (|| |x|^theta f_{1,k} ||_p * 2^{dk/2 + d/2}),
     with the k-independent Fourier-side norm factor dropped (it does not
-    affect the slope).
+    affect the slope).  The weighted norm sums over the level-k support grid,
+    not the base grid; the samples it leaves out are exact zeros.
     """
     if len(families) < 3:
         raise ValueError("need at least 3 levels for a slope fit")
-    if not p > 1 or theta < 0:
-        raise ValueError("require p > 1 and theta >= 0")
+    if not (p > 1 and 0 <= theta < math.inf):
+        raise ValueError("require p > 1 and 0 <= theta < inf")
     d = families[0].d
     if any(fam.d != d for fam in families):
         raise ValueError("families must share the dimension")
@@ -216,7 +243,7 @@ def rs_growth_ratio(families: list[RSFamily], p: float, theta: float) -> list[fl
     for fam in families:
         # the 2^{dk} translates of the base are disjoint and carry signs +-1
         l2_sq = 2.0 ** (d * fam.k) * fam.base_l2_sq
-        weighted = grid_weighted_norm(fam.member(0), p, theta)
+        weighted = grid_weighted_norm(fam.member(0, _support_grid(fam.base.spec, fam.k)), p, theta)
         fourier_side = 2.0 ** (0.5 * d * fam.k + 0.5 * d)
         out.append(l2_sq / (weighted * fourier_side))
     return out

@@ -132,14 +132,16 @@ def fourier_transform(f: GridFunction) -> GridFunction:
 
 
 def grid_weighted_norm(f: GridFunction, p: float, weight_exponent: float = 0.0) -> float:
-    """Riemann-sum norm (sum |x_k|^{p w} |f_k|^p spacing^d)^{1/p}; p=inf -> max |f_k|."""
+    """Riemann-sum norm (sum |x_k|^{p w} |f_k|^p spacing^d)^{1/p}; p=inf -> max |x_k|^w |f_k|."""
+    if not weight_exponent >= 0:
+        raise ValueError("weight_exponent must be nonnegative")
     mags = np.abs(f.values)
-    if math.isinf(p):
+    if p == math.inf:
+        if weight_exponent > 0:
+            mags = f.spec.radius() ** weight_exponent * mags
         return float(mags.max())
     if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    if weight_exponent < 0:
-        raise ValueError("weight_exponent must be nonnegative")
     if weight_exponent > 0:
         weights = f.spec.radius() ** (p * weight_exponent)
         total = float(np.sum(weights * mags**p))

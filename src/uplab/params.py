@@ -127,8 +127,8 @@ def l2_params(d: int) -> WigdersonParams:
 
 def lp_regime(d: int, p: float) -> str:
     """Classify p against the critical exponent 2d/(d-1)."""
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
+    if not 1 < p < math.inf:
+        raise ValueError(f"p must be finite and exceed 1, got {p}")
     if d == 1:
         return "subcritical"
     crit = 2.0 * d / (d - 1)
@@ -181,8 +181,8 @@ def cp_classify(d: int, p: float, q: float, theta: float, phi: float) -> str:
     homogeneity); the tolerance is relative, so p <= 2 and theta > 0 is never endpoint."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if not (p > 1 and q > 1 and theta > 0 and phi > 0):
-        raise ValueError("require 1 < p, q < inf and theta, phi > 0")
+    if not (1 < p < math.inf and 1 < q < math.inf and 0 < theta < math.inf and 0 < phi < math.inf):
+        raise ValueError("require 1 < p, q < inf and 0 < theta, phi < inf")
     if abs(1.0 / q + phi / d - 1.0 / p - theta / d) > EQ_TOL:
         raise ValueError(
             "homogeneity 1/q + phi/d = 1/p + theta/d fails; no classification applies"

@@ -181,8 +181,8 @@ def gaussian_log_product(d: int, p: float) -> float:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
+    if not 1 < p < math.inf:
+        raise ValueError(f"p must be finite and exceed 1, got {p}")
     return (
         -p * math.log(math.pi * p)
         + 2.0 * (log_gamma(0.5 * (p + d)) - log_gamma(0.5 * d))

@@ -204,6 +204,39 @@ class TestChainCommand:
         assert err.count("\n") == 1
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv", [
+        ["cowling-price", "--d", "1", "--p", "inf", "--q", "inf", "--theta", "1", "--phi", "1"],
+        ["cowling-price", "--d", "1", "--p", "2", "--q", "2", "--theta", "inf", "--phi", "inf"],
+        ["rudin-shapiro", "--d", "1", "--theta", "inf"],
+        ["sharpness", "--d", "3", "--p", "inf"],
+        ["sharpness", "--d", "2", "--p", "5", "--c-list", "1,1e300"],
+        ["gaussian", "--d", "1", "--p", "inf"],
+    ])
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "inf" in err or "finite" in err
+
+    def test_weighted_sup_norm_slope(self, capsys):
+        # p = inf weighs the sup norm by |x|^theta; measured 0.5 when it did not
+        code, out, _ = run(capsys, "rudin-shapiro", "--d", "1", "--p", "inf", "--theta", "0.1")
+        assert code == 0
+        assert "predicted slope=0.4000 measured=0.3839 pass=True" in out
+
+
+class TestUnwritableOutput:
+    def test_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "heisenberg", "--d-max", "5", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert str(target) in err
+
+
 class TestParserContract:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:

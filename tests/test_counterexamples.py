@@ -18,6 +18,7 @@ from scipy import integrate
 from uplab import counterexamples as cx
 from uplab import harness
 from uplab.grid import (
+    GridSpec,
     default_spec,
     fourier_transform,
     gaussian_grid_function,
@@ -58,6 +59,11 @@ class TestGcFamily:
             cx.gc_infimum_sweep(2, 3.0, [1, 2, 4])
         with pytest.raises(ValueError):
             cx.gc_infimum_sweep(1, 10.0, [1, 2, 4])
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, 1e300, 1e-300, math.inf, math.nan])
+    def test_profile_rejects_c_without_finite_square(self, c):
+        with pytest.raises(ValueError, match="c must be positive"):
+            cx.gc_profile(c, 2)
 
     def test_sweep_rejects_bad_schedule(self):
         with pytest.raises(ValueError):
@@ -244,6 +250,40 @@ class TestTranslateFamilies:
                 expected = 0.0 + np.where(inside, family.signs[i][index] * local, 0.0)
                 assert family.member(i).values.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_support_grid_norms_keep_bits(self, d):
+        # reference: the same ratios from norms over the 512^d base grid; at
+        # d = 2, rows shorter than 128 samples move the last bit of
+        # (p, theta) = (4, 0.5), (5, 0.3), (8, 0.8) and (12, 0.05) at k = 0 or 1
+        base = cx.rs_base(d)
+        families = [cx.rs_level(base, d, k) for k in range(5)]
+        base_l2_sq = grid_weighted_norm(base, 2.0) ** 2
+        assert all(fam.base_l2_sq == base_l2_sq for fam in families)
+        leading = [fam.member(0) for fam in families]
+        for p in (3.0, 4.0, 5.0, 8.0, 12.0, math.inf):
+            for theta in (0.05, 0.3, 0.5, 0.8):
+                expected = [
+                    2.0 ** (d * fam.k) * base_l2_sq
+                    / (grid_weighted_norm(lead, p, theta) * 2.0 ** (0.5 * d * fam.k + 0.5 * d))
+                    for fam, lead in zip(families, leading)
+                ]
+                assert cx.rs_growth_ratio(families, p, theta) == expected
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_member_on_smaller_grid(self, d):
+        # a centered grid of the base spacing: the central samples of the base-grid member
+        base = cx.rs_base(d)
+        family = cx.rs_level(base, d, 2)
+        spec = GridSpec(d=d, n=128, half_width=4.0)
+        lo = (base.spec.n - spec.n) // 2
+        for i in range(2**d):
+            full = family.member(i).values
+            window = family.member(i, spec).values
+            assert window.tobytes() == full[(slice(lo, lo + spec.n),) * d].tobytes()
+        for bad in (GridSpec(d=d, n=64, half_width=2.0), GridSpec(d=d, n=128, half_width=8.0)):
+            with pytest.raises(ValueError, match="cannot hold"):
+                family.member(0, bad)
+
     def test_level_validation(self):
         base = cx.rs_base(2)
         with pytest.raises(ValueError):
@@ -282,6 +322,17 @@ class TestStorage:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * 2**20
+
+    def test_violated_check_peak_memory(self):
+        # beside the 2 MiB base grid, the norms touch only the level-k support grids
+        harness.cp_check(2, 8.0, 8.0, 0.1, 0.1)  # warm-up
+        tracemalloc.start()
+        try:
+            harness.cp_check(2, 8.0, 8.0, 0.1, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
 
 class TestEndpointMasses:

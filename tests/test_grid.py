@@ -251,12 +251,29 @@ class TestNorms:
         f = gaussian_grid_function(default_spec(1))
         assert grid_weighted_norm(f, math.inf) == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_weighted_sup_norm(self, d):
+        # the p -> inf limit of the weighted p-norm: max |x|^w |f(x)|
+        for f in (gaussian_grid_function(default_spec(d)), random_bump(default_spec(d), seed=d)):
+            for w in (0.1, 1.0):
+                expected = np.max(f.spec.radius() ** w * np.abs(f.values))
+                assert grid_weighted_norm(f, math.inf, w) == expected
+            assert grid_weighted_norm(f, math.inf, 0.0) == np.max(np.abs(f.values))
+
+    def test_weighted_sup_norm_of_gaussian(self):
+        # max x exp(-pi x^2) = (2 pi e)^{-1/2}, at x = (2 pi)^{-1/2}; the
+        # samples miss that point by at most half a spacing
+        f = gaussian_grid_function(GridSpec(d=1, n=1024, half_width=8.0))
+        assert grid_weighted_norm(f, math.inf, 1.0) == pytest.approx(
+            (2.0 * math.pi * math.e) ** -0.5, rel=1e-3
+        )
+
     def test_rejects_bad_exponents(self):
         f = gaussian_grid_function(default_spec(1))
-        with pytest.raises(ValueError):
-            grid_weighted_norm(f, 0.5)
-        with pytest.raises(ValueError):
-            grid_weighted_norm(f, 2.0, -1.0)
+        for p, w in [(0.5, 0.0), (2.0, -1.0), (math.inf, -1.0), (-math.inf, 0.0),
+                     (math.nan, 0.0), (2.0, math.nan)]:
+            with pytest.raises(ValueError):
+                grid_weighted_norm(f, p, w)
 
 
 class TestPrimaryUpDefect:

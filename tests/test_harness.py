@@ -13,6 +13,7 @@ import pytest
 
 from uplab import harness
 from uplab.grid import default_spec, gaussian_grid_function, random_bump
+from uplab.params import cp_feasible
 
 
 def _fake_row(d, ok):
@@ -148,6 +149,17 @@ class TestTrichotomy:
             harness.cp_classify(1, 2.0, 2.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             harness.cp_classify(1, 2.0, 2.0, -1.0, -1.0)
+
+    @pytest.mark.parametrize("p, q, theta, phi", [
+        (math.inf, math.inf, 1.0, 1.0),
+        (2.0, 2.0, math.inf, math.inf),
+        (math.nan, 2.0, 1.0, 1.0),
+        (2.0, 2.0, math.nan, math.nan),
+    ])
+    def test_rejects_nonfinite_parameters(self, p, q, theta, phi):
+        with pytest.raises(ValueError, match="< inf"):
+            harness.cp_classify(1, p, q, theta, phi)
+        assert not cp_feasible(1, p, q, theta, phi)
 
     def test_feasible_report(self):
         report = harness.cp_check(1, 2.0, 2.0, 1.0, 1.0)

@@ -98,8 +98,9 @@ class TestLpRegime:
         assert lp_regime(3, 3.0) == "critical"
 
     def test_rejects_bad_p(self):
-        with pytest.raises(ValueError):
-            lp_regime(2, 1.0)
+        for p in (1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                lp_regime(2, p)
 
 
 class TestLpParams:
