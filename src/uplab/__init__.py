@@ -8,7 +8,7 @@ Subsystems:
 * ``grid``            - sampled functions and the discrete continuous-Fourier
                         transform on centered cubes (d <= 3)
 * ``counterexamples`` - two-scale Gaussian family, signed-translate families,
-                        endpoint mass integrals
+                        measured endpoint masses
 * ``harness``         - dimension sweeps, chain checks, the trichotomy pipeline
 * ``cli``             - reproducible command-line experiments
 """
@@ -27,7 +27,7 @@ from .params import (
     primary_up_admissible,
 )
 from .radial import RadialProfile, gaussian_uncertainty_product, radial_integral, radial_weighted_norm
-from .specialfn import DimensionConstants, dimension_constants, log_gamma, stirling_ratio
+from .specialfn import DimensionConstants, dimension_constants, log_gamma
 
 __all__ = [
     "CowlingPriceParams",
@@ -48,5 +48,4 @@ __all__ = [
     "primary_up_admissible",
     "radial_integral",
     "radial_weighted_norm",
-    "stirling_ratio",
 ]

@@ -90,8 +90,10 @@ def _cmd_cowling_price(args) -> int:
         print(f"  predicted growth slope {report.predicted_slope:.4f} "
               f"(measured {report.measured_slope})")
     else:
-        print(f"  tail masses {['%.6f' % t for t in report.tail_masses]} (divergent)")
-        print(f"  endpoint weighted mass {report.weighted_mass:.6f} (finite)")
+        print(f"  tail masses {['%.6f' % t for t in report.tail_masses]} "
+              f"pass={report.tails_diverge}")
+        print(f"  endpoint weighted mass {report.weighted_mass:.6f} "
+              f"pass={report.weighted_mass_finite}")
     if args.out:
         harness.write_summary_json(
             {"classification": report.classification, "pass": report.passed}, args.out

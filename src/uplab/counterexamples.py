@@ -8,8 +8,8 @@ Three constructions live here:
 * the recursively signed translate families (Rudin-Shapiro style) with their
   2^d x 2^d parallelogram-law sign matrix, which defeat the strict-violation
   side of the Cowling-Price conditions,
-* closed-form radial mass integrals for the endpoint case, where the
-  obstruction is a |x|^{-d/2} log^{-1/2}(1/|x|) local singularity.
+* the endpoint singularity |x|^{-d/2} log^{-1/2}(1/|x|), whose L^2 tail masses
+  (divergent) and weighted mass (finite) are measured by radial quadrature.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import numpy as np
 
 from .grid import GridFunction, GridSpec, grid_weighted_norm
 from .params import lp_regime
-from .radial import RadialProfile, radial_weighted_norm
-from .specialfn import dimension_constants
+from .radial import RadialProfile, radial_integral, radial_weighted_norm
 
 MAX_SIGN_DIM = 12
 RS_SPACING = 1.0 / 16.0
@@ -38,9 +37,13 @@ def gc_profile(c: float, d: int) -> RadialProfile:
     """The two-scale mixture c^{-d/2} e^{-pi r^2/c^2} + c^{d/2} e^{-pi c^2 r^2}."""
     if not (c > 0 and 0 < c * c < math.inf):
         raise ValueError(f"c must be positive with a finite, nonzero square, got {c}")
-    return RadialProfile(
-        terms=((c ** (-0.5 * d), 1.0 / (c * c)), (c ** (0.5 * d), c * c))
-    )
+    try:
+        coefs = (c ** (-0.5 * d), c ** (0.5 * d))
+    except OverflowError:
+        coefs = (math.inf,)
+    if not all(0 < coef < math.inf for coef in coefs):
+        raise ValueError(f"c={c} gives g_c coefficients c^(-+d/2) outside the float range at d={d}")
+    return RadialProfile(terms=((coefs[0], 1.0 / (c * c)), (coefs[1], c * c)))
 
 
 def gc_uncertainty_ratio(c: float, d: int, p: float) -> float:
@@ -55,27 +58,6 @@ def gc_uncertainty_ratio(c: float, d: int, p: float) -> float:
     moment = radial_weighted_norm(profile, d, p, 1.0) ** p
     norm_p = radial_weighted_norm(profile, d, p, 0.0) ** p
     return moment / norm_p
-
-
-def h_bound(c: float, d: int, p: float) -> float:
-    """(c^{d+p-dp/2} + c^{-(d+p)+dp/2}) / (c^{d-dp/2} + c^{dp/2-d}), log domain."""
-    if p <= 2:
-        raise ValueError(f"h_bound degenerates at p <= 2, got p={p}")
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
-    lc = math.log(c)
-    top = d + p - 0.5 * d * p
-    bot = d - 0.5 * d * p
-    num = np.logaddexp(top * lc, -top * lc)
-    den = np.logaddexp(bot * lc, -bot * lc)
-    return float(math.exp(num - den))
-
-
-def alpha_exponent(d: int, p: float) -> float:
-    """|2 (d + p - dp/2) / ((p-2) d)|, the decay exponent of h after t = c^{dp/2-d}."""
-    if p <= 2:
-        raise ValueError(f"alpha_exponent degenerates at p <= 2, got p={p}")
-    return abs(2.0 * (d + p - 0.5 * d * p) / ((p - 2.0) * d))
 
 
 def gc_infimum_sweep(d: int, p: float, c_values) -> list[float]:
@@ -260,27 +242,20 @@ def rs_slope(families: list[RSFamily], p: float, theta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Endpoint-case closed-form mass integrals
+# Endpoint case: masses of the |x|^{-d/2} ln^{-1/2}(1/|x|) singularity, measured
 
 
 def endpoint_tail_mass(delta: float, d: int) -> float:
-    """omega_{d-1} (ln ln(1/delta) - ln ln 2): the L^2 mass of
-    |x|^{-d/2} log^{-1/2}(1/|x|) over the shell delta < |x| < 1/2.
-
-    Unbounded as delta -> 0, certifying that the endpoint profile is not L^2.
-    """
+    """The L^2 mass of |x|^{-d/2} ln^{-1/2}(1/|x|) over delta < |x| < 1/2, by radial
+    quadrature; it grows like omega_{d-1} ln ln(1/delta), so the profile is not L^2."""
     if not 0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-    omega = dimension_constants(d).sphere_area
-    return omega * (math.log(math.log(1.0 / delta)) - math.log(math.log(2.0)))
+    return radial_integral(RadialProfile(power_log=(-d, -1.0)), d, delta, 0.5)
 
 
 def endpoint_weighted_mass(d: int, p: float, theta: float) -> float:
-    """The finite weighted p-mass at the endpoint relation theta/d = 1/2 - 1/p.
-
-    Closed form of int_{|x|<1/2} dx / (|x|^d log^{p/2}(1/|x|)):
-    omega_{d-1} ln^{1 - p/2}(2) / (p/2 - 1); diverges for p <= 2.
-    """
+    """|| |x|^theta F ||_p^p for F = |x|^{-d/2} ln^{-1/2}(1/|x|) on |x| < 1/2 at the
+    endpoint theta/d = 1/2 - 1/p, by radial quadrature; finite exactly for p > 2."""
     if p <= 2:
         raise ValueError(f"the endpoint mass diverges for p <= 2, got p={p}")
     expected_theta = d * (0.5 - 1.0 / p)
@@ -288,5 +263,5 @@ def endpoint_weighted_mass(d: int, p: float, theta: float) -> float:
         raise ValueError(
             f"theta must equal d(1/2 - 1/p) = {expected_theta:.17g}, got {theta}"
         )
-    omega = dimension_constants(d).sphere_area
-    return omega * math.log(2.0) ** (1.0 - 0.5 * p) / (0.5 * p - 1.0)
+    profile = RadialProfile(power_log=(-0.5 * d, -0.5))
+    return radial_weighted_norm(profile, d, p, expected_theta) ** p

@@ -36,8 +36,8 @@ class GridSpec:
             raise ValueError(f"grid dimension must be 1..3, got {self.d}")
         if self.n < 16 or self.n & (self.n - 1) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        if not (0 < self.half_width < math.inf and 0 < 2.0 * self.half_width / self.n < math.inf):
+            raise ValueError(f"half_width L={self.half_width} must give a finite spacing 2L/n > 0")
 
     @property
     def spacing(self) -> float:

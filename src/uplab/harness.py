@@ -37,6 +37,7 @@ from .specialfn import LOG_2, dimension_constants
 
 SLACK_TOL = 1e-6
 SLOPE_RTOL = 0.1
+ENDPOINT_DELTAS = (1e-3, 1e-6, 1e-12, 1e-24)
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,20 @@ class CPReport:
                 # no translate-family measurement at d >= 3 yet
                 return self.predicted_slope is not None and self.predicted_slope > 0
             return _slope_agrees(self.measured_slope, self.predicted_slope)
-        return bool(self.tail_masses) and self.weighted_mass is not None
+        return self.tails_diverge and self.weighted_mass_finite
+
+    @property
+    def tails_diverge(self) -> bool:
+        """The tail masses at ENDPOINT_DELTAS, successive squares, grow by equal positive
+        steps (omega_{d-1} ln 2 each, within SLACK_TOL relative): ln ln(1/delta) diverges."""
+        steps = np.diff(self.tail_masses)
+        return bool(len(steps) == len(ENDPOINT_DELTAS) - 1
+                    and steps.min() > 0 and np.ptp(steps) <= SLACK_TOL * steps.max())
+
+    @property
+    def weighted_mass_finite(self) -> bool:
+        """The endpoint weighted mass was measured, finite and positive."""
+        return self.weighted_mass is not None and 0 < self.weighted_mass < math.inf
 
     @property
     def holds(self) -> bool:
@@ -371,8 +385,9 @@ def cp_check(
     violated  -> compare the predicted growth slope of the signed-translate
                  counterexample schedule with the one measured on grids
                  for d <= 2;
-    endpoint  -> report the divergent L^2 tail-mass sequence and the finite
-                 endpoint weighted mass.
+    endpoint  -> measure the endpoint singularity's L^2 tail masses at
+                 ENDPOINT_DELTAS and its weighted mass by radial quadrature
+                 (judged by CPReport.tails_diverge and weighted_mass_finite).
     """
     classification = cp_classify(d, p, q, theta, phi)
 
@@ -408,8 +423,7 @@ def cp_check(
             measured_slope=measured,
         )
 
-    deltas = (1e-3, 1e-6, 1e-12, 1e-24)
-    tails = tuple(cx.endpoint_tail_mass(delta, d) for delta in deltas)
+    tails = tuple(cx.endpoint_tail_mass(delta, d) for delta in ENDPOINT_DELTAS)
     weighted = cx.endpoint_weighted_mass(d, p, d * (0.5 - 1.0 / p))
     return CPReport(
         d=d, p=p, q=q, theta=theta, phi=phi,

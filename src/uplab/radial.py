@@ -12,6 +12,7 @@ else goes through adaptive quadrature at 1e-10 relative tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,13 +73,18 @@ def _gaussian_radial_moment(rate: float, k: int, lo: float, hi: float) -> float:
     return scale * (p_hi - p_lo)
 
 
-def _check_power_integrability(alpha: float, beta: float, d: int, lo: float, hi: float):
-    expo = alpha + d - 1  # integrand r^expo * ln(1/r)^beta
-    if lo == 0.0 and not (expo > -1 or (expo == -1 and beta < -1)):
-        raise ValueError(
-            f"non-integrable singularity at r=0: r^{alpha} ln^{beta}(1/r) against r^{d-1} dr"
-        )
-    if math.isinf(hi) and not (expo < -1 or (expo == -1 and beta < -1)):
+def _power_rate(*parts: float) -> float:
+    """rate = sum(parts) of an integrand r^{rate-1} ln^beta(1/r), where a sum within
+    rounding of 0 is the borderline 0 (the endpoint theta = d(1/2 - 1/p) lands there)."""
+    rate = sum(parts)
+    return 0.0 if abs(rate) <= 8 * sys.float_info.epsilon * sum(map(abs, parts)) else rate
+
+
+def _check_power_integrability(rate: float, beta: float, lo: float, hi: float):
+    # integrand r^{rate-1} ln^beta(1/r)
+    if lo == 0.0 and not (rate > 0 or (rate == 0 and beta < -1)):
+        raise ValueError(f"non-integrable singularity at r=0: r^{rate - 1} ln^{beta}(1/r)")
+    if math.isinf(hi) and not (rate < 0 or (rate == 0 and beta < -1)):
         raise ValueError("integrand is not integrable at infinity")
 
 
@@ -107,21 +113,21 @@ def radial_integral(profile: RadialProfile, d: int, lo: float, hi: float) -> flo
     alpha, beta = profile.power_log
     if beta != 0.0 and hi > 1.0:
         raise ValueError("log-power profiles are only defined for r < 1")
-    _check_power_integrability(alpha, beta, d, lo, hi)
+    rate = _power_rate(alpha, d)
+    _check_power_integrability(rate, beta, lo, hi)
     if beta == 0.0:
-        expo = alpha + d
-        if expo == 0.0:
+        if rate == 0.0:
             return omega * (math.log(hi) - math.log(lo))
-        return omega * (hi**expo - (0.0 if lo == 0.0 else lo**expo)) / expo
-    return omega * _log_substituted_integral(alpha + d, beta, lo, hi)
+        return omega * (hi**rate - (0.0 if lo == 0.0 else lo**rate)) / rate
+    return omega * _log_substituted_integral(rate, beta, lo, hi)
 
 
 def _log_substituted_integral(rate: float, beta: float, lo: float, hi: float) -> float:
-    """integral over (lo, hi) of r^{rate-1} ln^beta(1/r) dr via u = ln(1/r).
-
-    The substitution turns the r = 0 log-singularity into the smooth decaying
-    integrand e^{-rate u} u^beta on (ln(1/hi), ln(1/lo)), which adaptive
-    quadrature resolves to full tolerance.
+    """integral over (lo, hi) of r^{rate-1} ln^beta(1/r) dr via u = ln(1/r), which
+    turns the r = 0 log-singularity into the smooth e^{-rate u} u^beta on
+    (ln(1/hi), ln(1/lo)).  Down to r = 0 that range is infinite and, at rate 0,
+    holds its mass out at u ~ e^{1/|beta+1|}; so past u = 1 it goes on in
+    t = ln u, over pieces of doubling width until one adds nothing.
     """
     u_lo = 0.0 if hi >= 1.0 else math.log(1.0 / hi)
     u_hi = math.inf if lo == 0.0 else math.log(1.0 / lo)
@@ -129,7 +135,18 @@ def _log_substituted_integral(rate: float, beta: float, lo: float, hi: float) ->
     def integrand(u):
         return math.exp(-rate * u) * u**beta if u > 0 else 0.0
 
-    return _quad(integrand, u_lo, u_hi)
+    def log_integrand(t):
+        # e^t overflows past t = 709, where any rate > 0 has long underflowed the integrand
+        return math.exp((beta + 1.0) * t - rate * math.exp(min(t, 709.0)))
+
+    if u_hi < math.inf:
+        return _quad(integrand, u_lo, u_hi)
+    total, piece = _quad(integrand, u_lo, max(u_lo, 1.0)), math.inf
+    t, width = math.log(max(u_lo, 1.0)), 1.0
+    while piece > 1e-17 * total:
+        piece = _quad(log_integrand, t, t + width)
+        total, t, width = total + piece, t + width, 2.0 * width
+    return total
 
 
 def _gaussian_scales(profile: RadialProfile):
@@ -167,9 +184,10 @@ def radial_weighted_norm(
         total = _quad(integrand, 0.0, math.inf, points=_gaussian_scales(profile))
         return (omega * total) ** (1.0 / p)
     alpha, beta = profile.power_log
-    # F^p shifts the exponents; integrability against r^{k-1} dr near 0
-    _check_power_integrability(p * alpha + p * weight_exponent, p * beta, d, 0.0, 0.5)
-    total = _log_substituted_integral(k + p * alpha, p * beta, 0.0, 0.5)
+    # F^p shifts the exponents: the integrand is r^{k + p alpha - 1} ln^{p beta}(1/r)
+    rate = _power_rate(p * weight_exponent, d, p * alpha)
+    _check_power_integrability(rate, p * beta, 0.0, 0.5)
+    total = _log_substituted_integral(rate, p * beta, 0.0, 0.5)
     return (omega * total) ** (1.0 / p)
 
 

@@ -52,14 +52,3 @@ def dimension_constants(d: int) -> DimensionConstants:
     log_vol = half * LOG_PI - log_gamma(half + 1.0)
     return DimensionConstants(d=d, log_sphere_area=log_area, log_ball_volume=log_vol)
 
-
-def stirling_ratio(x: float) -> float:
-    """Gamma(x) divided by its Stirling approximation sqrt(2 pi / x) (x/e)^x.
-
-    Tends to 1 from above as x grows; evaluated in log domain so large x
-    never overflows.
-    """
-    if not x >= 1:
-        raise ValueError(f"stirling_ratio requires x >= 1, got {x}")
-    log_stirling = 0.5 * (math.log(2.0 * math.pi) - math.log(x)) + x * (math.log(x) - 1.0)
-    return math.exp(log_gamma(x) - log_stirling)

@@ -153,6 +153,16 @@ class TestCowlingPriceCommand:
         assert code == 1
         assert "violated" in out
 
+    def test_endpoint_exit_one_with_measured_verdict(self, capsys):
+        code, out, err = run(
+            capsys,
+            "cowling-price", "--d", "2", "--p", "4", "--q", "4",
+            "--theta", "0.5", "--phi", "0.5",
+        )
+        assert (code, err) == (1, "")
+        assert "classification: endpoint" in out
+        assert out.count("pass=True") == 2
+
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_nonpositive_dimension_usage_error(self, capsys, d):
         code, _, err = run(
@@ -225,6 +235,22 @@ class TestNonFiniteInputs:
         code, out, _ = run(capsys, "rudin-shapiro", "--d", "1", "--p", "inf", "--theta", "0.1")
         assert code == 0
         assert "predicted slope=0.4000 measured=0.3839 pass=True" in out
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
+class TestOutOfRangeInputs:
+    @pytest.mark.parametrize("argv, named", [
+        # c^{d/2} = 1e500 overflows although c^2 is finite
+        (["sharpness", "--d", "50", "--p", "3", "--c-list", "1,1e20"], "c=1e+20"),
+        (["chain", "--d", "1", "--L", "inf"], "L=inf"),
+        # finite, but the spacing 2L/n is not
+        (["chain", "--d", "1", "--L", "1e308"], "L=1e+308"),
+    ])
+    def test_usage_error(self, capsys, argv, named):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert named in err
 
 
 class TestUnwritableOutput:

@@ -2,8 +2,9 @@
 
 Oracles: the two-scale family reduces to the plain Gaussian at c = 1 and is
 self-dual on the grid; the sign matrices satisfy exact algebraic identities;
-the translate families have integer-power norm growth; the endpoint masses
-have independent quadrature values.
+the translate families have integer-power norm growth; the measured endpoint
+masses match their closed forms, scipy quadrature in r and u = ln(1/r), and
+40-digit mpmath quadrature.
 """
 
 import functools
@@ -70,25 +71,6 @@ class TestGcFamily:
             cx.gc_infimum_sweep(2, 5.0, [4, 2, 1])
         with pytest.raises(ValueError):
             cx.gc_infimum_sweep(2, 5.0, [0.5, 1.0])
-
-    def test_h_bound_symmetry_and_decay(self):
-        # h(c) = h(1/c) by construction, and h decays along the supercritical
-        # schedule with exponent alpha
-        d, p = 2, 5.0
-        assert cx.h_bound(2.0, d, p) == pytest.approx(cx.h_bound(0.5, d, p), rel=1e-12)
-        values = [cx.h_bound(c, d, p) for c in (2.0, 4.0, 8.0, 16.0)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-        alpha = cx.alpha_exponent(d, p)
-        # alpha governs the squared bound: h^2 ~ t^{-alpha} for t = c^{dp/2 - d}
-        t = [c ** (0.5 * d * p - d) for c in (8.0, 16.0)]
-        slope = (math.log(values[3] ** 2) - math.log(values[2] ** 2)) / (
-            math.log(t[1]) - math.log(t[0])
-        )
-        assert slope == pytest.approx(-alpha, rel=0.05)
-
-    def test_h_bound_rejects_small_p(self):
-        with pytest.raises(ValueError):
-            cx.h_bound(2.0, 1, 2.0)
 
 
 class TestSignMatrix:
@@ -335,7 +317,71 @@ class TestStorage:
         assert peak <= 6 * 2**20
 
 
+def _tail_closed_form(delta, d):
+    """omega_{d-1} (ln ln(1/delta) - ln ln 2)."""
+    omega = dimension_constants(d).sphere_area
+    return omega * (math.log(math.log(1.0 / delta)) - math.log(math.log(2.0)))
+
+
+def _weighted_closed_form(d, p):
+    """omega_{d-1} ln^{1 - p/2}(2) / (p/2 - 1)."""
+    omega = dimension_constants(d).sphere_area
+    return omega * math.log(2.0) ** (1.0 - 0.5 * p) / (0.5 * p - 1.0)
+
+
+ENDPOINT_DELTAS = harness.ENDPOINT_DELTAS
+ENDPOINT_PS = (2.5, 4.0, 8.0)
+
+
+@functools.cache
+def _mpmath_endpoint_integrals():
+    """The endpoint integrals without their omega_{d-1} factor, at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    tails = {}
+    for delta in ENDPOINT_DELTAS:
+        # the L^2 mass in r itself, split at every decade of (delta, 1/2)
+        edges = [mp.mpf(delta) * 10**j for j in range(round(-math.log10(delta)))]
+        tails[delta] = mp.quad(lambda r: 1 / (r * mp.log(1 / r)), edges + [mp.mpf(1) / 2])
+    weighted = {}
+    for p in ENDPOINT_PS:
+        # |x|^{p theta} F^p r^{d-1} = 1 / (r ln^{p/2}(1/r)); in s = ln ln(1/r) it
+        # is e^{(1 - p/2) s} on (ln ln 2, inf), a tail that tanh-sinh resolves
+        a = 1 - mp.mpf(p) / 2
+        weighted[p] = mp.quad(lambda s: mp.exp(a * s), [mp.log(mp.log(2)), mp.inf])
+    return mp, tails, weighted
+
+
 class TestEndpointMasses:
+    @pytest.mark.parametrize("d", [1, 2, 3, 9, 50, 440])
+    def test_against_closed_forms(self, d):
+        for delta in ENDPOINT_DELTAS:
+            assert cx.endpoint_tail_mass(delta, d) == pytest.approx(
+                _tail_closed_form(delta, d), rel=1e-10
+            )
+        # p near 2 puts the mass far out in u = ln(1/r); at d = 9, p = 5 the
+        # exponents of r sum to -1 only up to rounding
+        for p in ENDPOINT_PS + (2.0000001, 3.0, 5.0, 1000.0):
+            theta = d * (0.5 - 1.0 / p)
+            assert cx.endpoint_weighted_mass(d, p, theta) == pytest.approx(
+                _weighted_closed_form(d, p), rel=1e-10
+            )
+
+    @pytest.mark.parametrize("d", [1, 3, 50])
+    def test_against_mpmath(self, d):
+        mp, tails, weighted = _mpmath_endpoint_integrals()
+        omega = 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+        for delta in ENDPOINT_DELTAS:
+            assert cx.endpoint_tail_mass(delta, d) == pytest.approx(
+                float(omega * tails[delta]), rel=1e-10
+            )
+        for p in ENDPOINT_PS:
+            theta = d * (0.5 - 1.0 / p)
+            assert cx.endpoint_weighted_mass(d, p, theta) == pytest.approx(
+                float(omega * weighted[p]), rel=1e-10
+            )
+
     def test_tail_mass_against_quadrature(self):
         # L^2 mass of r^{-d/2} ln^{-1/2}(1/r) over delta < r < 1/2
         for d, delta in [(1, 1e-3), (2, 1e-2)]:

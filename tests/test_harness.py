@@ -14,6 +14,7 @@ import pytest
 from uplab import harness
 from uplab.grid import default_spec, gaussian_grid_function, random_bump
 from uplab.params import cp_feasible
+from uplab.specialfn import dimension_constants
 
 
 def _fake_row(d, ok):
@@ -215,3 +216,22 @@ class TestTrichotomy:
         )
         assert not report.passed
         assert dataclasses.replace(report, measured_slope=0.62).passed
+
+    def test_endpoint_verdict_rests_on_measurement(self):
+        # tail masses at successive squares of delta must grow by equal steps
+        # (omega ln 2 each) and the weighted mass must be finite and positive
+        step = dimension_constants(2).sphere_area * math.log(2.0)
+        report = harness.CPReport(
+            d=2, p=4.0, q=4.0, theta=0.5, phi=0.5,
+            classification="endpoint",
+            tail_masses=tuple(step * (2.0 + k) for k in range(4)),
+            weighted_mass=9.0,
+        )
+        assert report.passed is True  # a plain bool, as --out writes it to JSON
+        # what omega_{d-1} = 0 measures from d = 449 on
+        assert dataclasses.replace(report, tail_masses=(0.0,) * 4).passed is False
+        # converging masses: the steps halve
+        assert dataclasses.replace(report, tail_masses=(1.0, 2.0, 2.5, 2.75)).passed is False
+        assert dataclasses.replace(report, tail_masses=()).passed is False
+        for weighted in (None, 0.0, math.inf, math.nan):
+            assert dataclasses.replace(report, weighted_mass=weighted).passed is False

@@ -13,7 +13,6 @@ from uplab.specialfn import (
     DimensionConstants,
     dimension_constants,
     log_gamma,
-    stirling_ratio,
 )
 
 
@@ -85,21 +84,3 @@ class TestDimensionConstants:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             dimension_constants(0)
-
-
-class TestStirlingRatio:
-    def test_approaches_one_from_above(self):
-        values = [stirling_ratio(x) for x in (1.0, 10.0, 100.0, 1e4, 1e6)]
-        assert all(v > 1.0 for v in values)
-        assert values == sorted(values, reverse=True)
-        assert values[-1] == pytest.approx(1.0, abs=1e-7)
-
-    def test_known_value(self):
-        # Gamma(1) = 1 against sqrt(2 pi) / e
-        assert stirling_ratio(1.0) == pytest.approx(
-            math.e / math.sqrt(2.0 * math.pi), rel=1e-12
-        )
-
-    def test_rejects_below_one(self):
-        with pytest.raises(ValueError):
-            stirling_ratio(0.5)
