@@ -202,7 +202,7 @@ def rs_level(base: GridFunction, d: int, k: int) -> RSFamily:
     window = _support_grid(base.spec, 0)
     lo = (base.spec.n - window.n) // 2
     cell = GridFunction(spec=window, values=base.values[(slice(lo, lo + window.n),) * d])
-    base_l2_sq = grid_weighted_norm(cell, 2.0) ** 2
+    base_l2_sq = grid_weighted_norm(cell, [(2.0, 0.0)])[0] ** 2
     return RSFamily(d=d, k=k, signs=rs_signs(d, k), base=base, base_l2_sq=base_l2_sq)
 
 
@@ -225,7 +225,8 @@ def rs_growth_ratio(families: list[RSFamily], p: float, theta: float) -> list[fl
     for fam in families:
         # the 2^{dk} translates of the base are disjoint and carry signs +-1
         l2_sq = 2.0 ** (d * fam.k) * fam.base_l2_sq
-        weighted = grid_weighted_norm(fam.member(0, _support_grid(fam.base.spec, fam.k)), p, theta)
+        lead = fam.member(0, _support_grid(fam.base.spec, fam.k))
+        (weighted,) = grid_weighted_norm(lead, [(p, theta)])
         fourier_side = 2.0 ** (0.5 * d * fam.k + 0.5 * d)
         out.append(l2_sq / (weighted * fourier_side))
     return out

@@ -3,24 +3,38 @@ discrete approximation of the Fourier transform f^(xi) = int f e^{-2 pi i x.xi} 
 
 The sampling is centered (sample k -> -L + k*spacing per axis) and the
 transform returns samples on the dual grid (spacing 1/(2L), half-width
-n/(4L)).  Both grids put sample k at (k - n/2)*spacing, so the transform is
-the DFT with the origin rotated to index 0 and back, which is exact; for
-well-resolved inputs the output matches the continuous transform to near
-machine precision.
+n/(4L)).  Both grids put sample k at (k - n/2)*spacing with n/2 even, so the
+transform is the DFT between two (-1)^{k_1+...+k_d} sign flips, computed in
+place in its output array; for well-resolved inputs the output matches the
+continuous transform to near machine precision.
+
+Weighted norms read the grid in blocks of _BLOCK samples along the first
+axis, several norms per pass, and add the block sums pairwise, which is the
+order of numpy's pairwise summation over the whole power-of-two grid.  No
+grid-sized temporary is built by a norm, a transform or a sampler beyond the
+array it returns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+
+from .specialfn import LOG_MAX
 
 BOUNDARY_WARN = 1e-12
 BOUNDARY_ERROR = 1e-6
 
 DEFAULT_SPECS = {1: (256, 8.0), 2: (128, 6.0), 3: (64, 5.0)}
+
+# samples per block of a norm pass: 256 KiB of float64, so that the block
+# temporaries stay in the allocator's reused heap instead of fresh mappings
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -36,8 +50,14 @@ class GridSpec:
             raise ValueError(f"grid dimension must be 1..3, got {self.d}")
         if self.n < 16 or self.n & (self.n - 1) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
-        if not (0 < self.half_width < math.inf and 0 < 2.0 * self.half_width / self.n < math.inf):
-            raise ValueError(f"half_width L={self.half_width} must give a finite spacing 2L/n > 0")
+        spacing = 2.0 * self.half_width / self.n
+        if not (0 < self.half_width < math.inf and 0 < spacing < math.inf
+                and abs(self.d * math.log(spacing)) < LOG_MAX
+                and self.d * self.half_width * self.half_width < math.inf):
+            raise ValueError(
+                f"half_width L={self.half_width} must give a finite spacing 2L/n > 0, a cell "
+                "volume spacing^d inside the float range and a finite squared radius d*L^2"
+            )
 
     @property
     def spacing(self) -> float:
@@ -58,10 +78,6 @@ class GridSpec:
         """One open coordinate axis per dimension, shaped to broadcast to the grid shape."""
         ax = self.axis_coordinates()
         return list(np.meshgrid(*([ax] * self.d), indexing="ij", sparse=True))
-
-    def radius(self) -> np.ndarray:
-        mesh = self.meshgrid()
-        return np.sqrt(sum(m * m for m in mesh))
 
     def dual(self) -> "GridSpec":
         return GridSpec(d=self.d, n=self.n, half_width=self.dual_half_width)
@@ -92,6 +108,33 @@ class GridFunction:
         vals.setflags(write=False)
 
 
+def _squared_distance(mesh, center=None) -> np.ndarray:
+    """sum_i (x_i - center_i)^2 (center 0 by default) in axis order over open axes: the
+    partial sums stay small, and only the last axis is added into the full shape."""
+    if center is None:
+        return functools.reduce(np.add, [m * m for m in mesh])
+    return functools.reduce(np.add, [(m - c) ** 2 for m, c in zip(mesh, center)])
+
+
+def _row_blocks(spec: GridSpec):
+    """Index ranges along the first axis of _BLOCK samples each (one range when smaller)."""
+    rows = max(1, _BLOCK // spec.n ** (spec.d - 1))
+    return [slice(lo, lo + rows) for lo in range(0, spec.n, rows)]
+
+
+def _block_mesh(mesh, rows: slice):
+    """The coordinate axes restricted to a range of first-axis indices."""
+    return [m[rows] if m.shape[0] > 1 else m for m in mesh]
+
+
+def _pairwise(sums):
+    """Add equal-size block sums of a power-of-two grid as numpy's pairwise summation
+    adds the halves of the whole grid."""
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
 def sample(generator, spec: GridSpec) -> GridFunction:
     """Sample a pointwise function of d coordinate arrays onto the grid."""
     shape = (spec.n,) * spec.d
@@ -102,18 +145,29 @@ def sample(generator, spec: GridSpec) -> GridFunction:
 
 
 def _boundary_ratio(f: GridFunction) -> float:
-    vals = np.abs(f.values)
-    peak = vals.max()
+    vals = f.values
+    peak = max(np.abs(vals[rows]).max() for rows in _row_blocks(f.spec))
     if peak == 0.0:
         return 0.0
     edge = 0.0
     for axis in range(f.spec.d):
-        edge = max(edge, np.take(vals, 0, axis=axis).max(), np.take(vals, -1, axis=axis).max())
+        edge = max(edge, np.abs(np.take(vals, 0, axis=axis)).max(),
+                   np.abs(np.take(vals, -1, axis=axis)).max())
     return float(edge / peak)
 
 
-def fourier_transform(f: GridFunction) -> GridFunction:
-    """Samples of the continuous Fourier transform on the dual grid."""
+def _checkerboard(spec: GridSpec) -> np.ndarray:
+    """(-1)^{k_1+...+k_d} over the grid indices, as int8."""
+    alt = np.where(np.arange(spec.n) % 2 == 0, 1, -1).astype(np.int8)
+    return functools.reduce(np.multiply.outer, [alt] * spec.d)
+
+
+def fourier_transform(f: GridFunction, overwrite: bool = False) -> GridFunction:
+    """Samples of the continuous Fourier transform on the dual grid.
+
+    overwrite=True lets the transform take over the sample array of a complex f
+    that owns it, instead of allocating its own; f must not be read afterwards.
+    """
     ratio = _boundary_ratio(f)
     if ratio > BOUNDARY_ERROR:
         raise ValueError(
@@ -126,36 +180,74 @@ def fourier_transform(f: GridFunction) -> GridFunction:
             stacklevel=2,
         )
     spec = f.spec
-    # sample k sits at (k - n/2)*spacing on both grids: rotate x = 0 to index 0 and back
-    vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values))) * spec.spacing**spec.d
+    # sample k sits at (k - n/2)*spacing on both grids and n/2 is even, so rotating
+    # x = 0 to index 0 and back is a (-1)^{k_1+...+k_d} modulation on each side:
+    # exact sign flips around one DFT computed in the output array
+    signs = _checkerboard(spec)
+    if overwrite and f.values.dtype == complex and f.values.flags.owndata:
+        vals = f.values
+        vals.setflags(write=True)
+        vals *= signs
+    else:
+        vals = np.multiply(f.values, signs, dtype=complex)
+    np.fft.fftn(vals, out=vals)
+    vals *= signs
+    vals *= spec.spacing**spec.d
+    vals += 0.0  # a flipped exact zero is -0.0; the rotation left it +0.0
     return GridFunction(spec=spec.dual(), values=vals)
 
 
-def grid_weighted_norm(f: GridFunction, p: float, weight_exponent: float = 0.0) -> float:
-    """Riemann-sum norm (sum |x_k|^{p w} |f_k|^p spacing^d)^{1/p}; p=inf -> max |x_k|^w |f_k|."""
-    if not weight_exponent >= 0:
-        raise ValueError("weight_exponent must be nonnegative")
-    mags = np.abs(f.values)
-    if p == math.inf:
-        if weight_exponent > 0:
-            mags = f.spec.radius() ** weight_exponent * mags
-        return float(mags.max())
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    if weight_exponent > 0:
-        weights = f.spec.radius() ** (p * weight_exponent)
-        total = float(np.sum(weights * mags**p))
-    else:
-        total = float(np.sum(mags**p))
-    return (total * f.spec.spacing ** f.spec.d) ** (1.0 / p)
+def grid_weighted_norm(
+    f: GridFunction, terms: Iterable[tuple[float, float]], radius_floor: float | None = None
+) -> tuple[float, ...]:
+    """Riemann-sum norms (sum |x_k|^{p w} |f_k|^p spacing^d)^{1/p}, one per (p, w) in
+    terms; p = inf gives max |x_k|^w |f_k|.  With radius_floor, only the samples with
+    |x_k| > radius_floor count.  One blocked pass computes |f|, each distinct |f|^p
+    and each distinct weight once per block.
+    """
+    terms = list(terms)
+    for p, w in terms:
+        if not w >= 0:
+            raise ValueError("weight_exponent must be nonnegative")
+        if not p >= 1:
+            raise ValueError(f"p must be >= 1 or inf, got {p}")
+    spec = f.spec
+    with_radius = radius_floor is not None or any(w > 0 for _, w in terms)
+    mesh = spec.meshgrid() if with_radius else None
+    parts = [[] for _ in terms]
+    for rows in _row_blocks(spec):
+        mags = np.abs(f.values[rows])
+        if with_radius:
+            radius = _squared_distance(_block_mesh(mesh, rows))
+            np.sqrt(radius, out=radius)
+            if radius_floor is not None:
+                mags[radius <= radius_floor] = 0.0
+        powers, weights = {}, {}
+        for (p, w), part in zip(terms, parts):
+            if p == math.inf:
+                part.append((radius**w * mags if w > 0 else mags).max())
+                continue
+            if p not in powers:
+                powers[p] = mags**p
+            if w == 0:
+                part.append(powers[p].sum())
+                continue
+            if p * w not in weights:
+                weights[p * w] = radius ** (p * w)
+            part.append((weights[p * w] * powers[p]).sum())
+    cell = spec.spacing**spec.d
+    return tuple(
+        float(max(part)) if p == math.inf else (float(_pairwise(part)) * cell) ** (1.0 / p)
+        for (p, _), part in zip(terms, parts)
+    )
 
 
 def plancherel_defect(f: GridFunction) -> float:
     """| ||f||_2 - ||f^||_2 | / ||f||_2 on the grid."""
-    norm_f = grid_weighted_norm(f, 2.0)
+    (norm_f,) = grid_weighted_norm(f, [(2.0, 0.0)])
     if norm_f == 0.0:
         raise ValueError("plancherel_defect is undefined for the zero function")
-    norm_hat = grid_weighted_norm(fourier_transform(f), 2.0)
+    (norm_hat,) = grid_weighted_norm(fourier_transform(f), [(2.0, 0.0)])
     return abs(norm_f - norm_hat) / norm_f
 
 
@@ -166,9 +258,9 @@ def primary_up_defect(f: GridFunction, a: float, p: float) -> float:
     if not primary_up_admissible(a, p):
         raise ValueError(f"(a={a}, p={p}) violates 1 < a < p, 1/a + 1/p >= 1")
     fhat = fourier_transform(f)
-    num = grid_weighted_norm(f, a) * grid_weighted_norm(fhat, a)
-    den = grid_weighted_norm(f, p) * grid_weighted_norm(fhat, p)
-    return num / den
+    f_a, f_p = grid_weighted_norm(f, [(a, 0.0), (p, 0.0)])
+    hat_a, hat_p = grid_weighted_norm(fhat, [(a, 0.0), (p, 0.0)])
+    return (f_a * hat_a) / (f_p * hat_p)
 
 
 def write_grid_csv(f: GridFunction, path) -> None:
@@ -201,7 +293,14 @@ def read_grid_csv(path) -> GridFunction:
 
 def gaussian_grid_function(spec: GridSpec, rate: float = 1.0) -> GridFunction:
     """Samples of exp(-pi * rate * |x|^2); rate 1 is the self-dual Gaussian."""
-    return sample(lambda *mesh: np.exp(-math.pi * rate * sum(m * m for m in mesh)), spec)
+
+    def gen(*mesh):
+        vals = _squared_distance(mesh)
+        vals *= -math.pi * rate
+        return np.exp(vals, out=vals)
+
+    with np.errstate(over="ignore"):  # an exponent of -inf samples an exact 0
+        return sample(gen, spec)
 
 
 def random_bump(spec: GridSpec, seed: int, n_terms: int = 4) -> GridFunction:
@@ -217,10 +316,20 @@ def random_bump(spec: GridSpec, seed: int, n_terms: int = 4) -> GridFunction:
     coefs = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
 
     def gen(*mesh):
-        out = np.zeros(mesh[0].shape, dtype=complex)
-        for c, w, center in zip(coefs, widths, centers):
-            r2 = sum((m - center[i]) ** 2 for i, m in enumerate(mesh))
-            out = out + c * np.exp(-math.pi * r2 / (w * w))
+        out = np.zeros((spec.n,) * spec.d, dtype=complex)
+        for rows in _row_blocks(spec):
+            block_mesh = _block_mesh(mesh, rows)
+            block = out[rows]
+            re, im = block.real, block.imag
+            for c, w, center in zip(coefs, widths, centers):
+                term = _squared_distance(block_mesh, center)
+                term *= -math.pi
+                term /= w * w
+                np.exp(term, out=term)
+                # the real and imaginary parts of c * term
+                re += c.real * term
+                im += c.imag * term
         return out
 
-    return sample(gen, spec)
+    with np.errstate(over="ignore"):  # an exponent of -inf samples an exact 0
+        return sample(gen, spec)

@@ -232,18 +232,16 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
     geom = dimension_constants(d)
     log_omega = geom.log_sphere_area
 
-    norm_a = grid_weighted_norm(f, a)
-    norm_p = grid_weighted_norm(f, p)
+    norm_a, norm_p, moment_root = grid_weighted_norm(f, [(a, 0.0), (p, 0.0), (p, 1.0)])
     if norm_p == 0.0:
         raise ValueError("chain check is undefined for the zero function")
-    moment = grid_weighted_norm(f, p, 1.0) ** p  # V_p(f)
+    moment = moment_root**p  # V_p(f)
+    if moment == 0.0:
+        raise ValueError(
+            f"the grid does not resolve f: V_p(f) measures 0 at spacing {f.spec.spacing:g}"
+        )
     t_radius = compute_threshold(norm_a, norm_p, params)
-
-    radius = f.spec.radius()
-    tail_mask = radius > t_radius
-    tail_a = float(
-        np.sum(np.abs(f.values[tail_mask]) ** a) * f.spec.spacing ** d
-    )
+    tail_a = grid_weighted_norm(f, [(a, 0.0)], radius_floor=t_radius)[0] ** a
 
     links = []
     half_rhs = 0.5 * norm_a**a
@@ -266,12 +264,13 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
     per_fn_rhs = math.exp(log_per_fn_rhs)
     links.append(_at_least("per_function", per_fn_lhs, per_fn_rhs))
 
-    fhat = fourier_transform(f)
-    hat_p = grid_weighted_norm(fhat, p)
-    quotient = (norm_a * grid_weighted_norm(fhat, a)) / (norm_p * hat_p)
+    hat_a, hat_p, hat_moment_root = grid_weighted_norm(
+        fourier_transform(f), [(a, 0.0), (p, 0.0), (p, 1.0)]
+    )
+    quotient = (norm_a * hat_a) / (norm_p * hat_p)
     links.append(_at_least("primary_up", quotient, 1.0))
 
-    hat_ratio = grid_weighted_norm(fhat, p, 1.0) ** p / hat_p**p
+    hat_ratio = hat_moment_root**p / hat_p**p
     product = per_fn_lhs * hat_ratio
     bound = math.exp(params.log_bound)
     links.append(_at_least("certified_product", product, bound))
@@ -401,9 +400,12 @@ def cp_check(
         ]
         if d in DEFAULT_SPECS:  # the random bump needs a grid
             bump = random_bump(default_spec(d), seed=seed)
-            bump_hat = fourier_transform(bump)
-            lhs = grid_weighted_norm(bump, p, theta) * grid_weighted_norm(bump_hat, q, phi)
-            rhs = bound * grid_weighted_norm(bump, 2.0) ** 2
+            weighted, l2 = grid_weighted_norm(bump, [(p, theta), (2.0, 0.0)])
+            # the bump is read for the last time: its samples become the transform
+            hat = fourier_transform(bump, overwrite=True)
+            (hat_weighted,) = grid_weighted_norm(hat, [(q, phi)])
+            lhs = weighted * hat_weighted
+            rhs = bound * l2**2
             results.append(_at_least("random_bump", lhs, rhs))
         return CPReport(
             d=d, p=p, q=q, theta=theta, phi=phi,

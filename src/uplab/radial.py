@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, special
 
-from .specialfn import dimension_constants, log_gamma
+from .specialfn import LOG_MAX, dimension_constants, log_gamma
 
 QUAD_RTOL = 1e-10
 
@@ -50,8 +50,9 @@ class RadialProfile:
         r = np.asarray(r, dtype=float)
         if self.is_gaussian:
             out = np.zeros_like(r)
-            for coef, rate in self.terms:
-                out = out + coef * np.exp(-math.pi * rate * r * r)
+            with np.errstate(over="ignore"):  # an exponent of -inf is an exact 0
+                for coef, rate in self.terms:
+                    out = out + coef * np.exp(-math.pi * rate * r * r)
             return out
         alpha, beta = self.power_log
         if beta == 0.0:
@@ -119,33 +120,64 @@ def radial_integral(profile: RadialProfile, d: int, lo: float, hi: float) -> flo
         if rate == 0.0:
             return omega * (math.log(hi) - math.log(lo))
         return omega * (hi**rate - (0.0 if lo == 0.0 else lo**rate)) / rate
-    return omega * _log_substituted_integral(rate, beta, lo, hi)
+    return _log_substituted_integral(rate, beta, lo, hi, omega)
 
 
-def _log_substituted_integral(rate: float, beta: float, lo: float, hi: float) -> float:
-    """integral over (lo, hi) of r^{rate-1} ln^beta(1/r) dr via u = ln(1/r), which
-    turns the r = 0 log-singularity into the smooth e^{-rate u} u^beta on
+def _log_substituted_integral(
+    rate: float, beta: float, lo: float, hi: float, scale: float
+) -> float:
+    """scale times the integral over (lo, hi) of r^{rate-1} ln^beta(1/r) dr via u = ln(1/r),
+    which turns the r = 0 log-singularity into the smooth e^{-rate u} u^beta on
     (ln(1/hi), ln(1/lo)).  Down to r = 0 that range is infinite and, at rate 0,
     holds its mass out at u ~ e^{1/|beta+1|}; so past u = 1 it goes on in
     t = ln u, over pieces of doubling width until one adds nothing.
+
+    The integrand is exp(beta ln u - rate u - shift), where the shift (0 unless
+    the integrand's peak passes e^700) keeps it inside the float range; it is
+    added back in the log domain, and a result beyond the float range raises.
     """
     u_lo = 0.0 if hi >= 1.0 else math.log(1.0 / hi)
     u_hi = math.inf if lo == 0.0 else math.log(1.0 / lo)
+    overflow = ValueError(
+        f"the integral of r^{rate - 1:g} ln^{beta:g}(1/r) over ({lo:g}, {hi:g}) "
+        "exceeds the float range"
+    )
+    # the log-integrand beta ln u - rate u peaks at an end or at u = beta/rate
+    peaks = [u for u in (u_lo, u_hi, beta / rate if rate else 0.0)
+             if u_lo <= u <= u_hi and 0 < u < math.inf]
+    log_peak = max((beta * math.log(u) - rate * u for u in peaks), default=-math.inf)
+    shift = max(0.0, log_peak - 700.0)
+    if shift > 0.0 and beta <= 0.0 <= rate and u_lo > 0.0:
+        # convex and falling from its peak at u_lo, the log-integrand lies above its
+        # tangent there, so the integral is at least e^peak (1 - e^{-slope width}) / slope:
+        # past the float range, quadrature of so narrow a peak is skipped
+        slope = rate - beta / u_lo
+        log_lower = (log_peak + math.log(scale) - math.log(slope)
+                     + math.log1p(-math.exp(-slope * (u_hi - u_lo))))
+        if log_lower >= LOG_MAX:
+            raise overflow
 
     def integrand(u):
-        return math.exp(-rate * u) * u**beta if u > 0 else 0.0
+        return math.exp(beta * math.log(u) - rate * u - shift) if u > 0 else 0.0
 
     def log_integrand(t):
         # e^t overflows past t = 709, where any rate > 0 has long underflowed the integrand
-        return math.exp((beta + 1.0) * t - rate * math.exp(min(t, 709.0)))
+        return math.exp((beta + 1.0) * t - rate * math.exp(min(t, 709.0)) - shift)
 
     if u_hi < math.inf:
-        return _quad(integrand, u_lo, u_hi)
-    total, piece = _quad(integrand, u_lo, max(u_lo, 1.0)), math.inf
-    t, width = math.log(max(u_lo, 1.0)), 1.0
-    while piece > 1e-17 * total:
-        piece = _quad(log_integrand, t, t + width)
-        total, t, width = total + piece, t + width, 2.0 * width
+        total = _quad(integrand, u_lo, u_hi)
+    else:
+        total, piece = _quad(integrand, u_lo, max(u_lo, 1.0)), math.inf
+        t, width = math.log(max(u_lo, 1.0)), 1.0
+        while piece > 1e-17 * total:
+            piece = _quad(log_integrand, t, t + width)
+            total, t, width = total + piece, t + width, 2.0 * width
+    total *= scale
+    if shift > 0.0:
+        log_total = math.log(total) + shift
+        total = math.exp(log_total) if log_total < LOG_MAX else math.inf
+    if total == math.inf:
+        raise overflow
     return total
 
 
@@ -187,8 +219,7 @@ def radial_weighted_norm(
     # F^p shifts the exponents: the integrand is r^{k + p alpha - 1} ln^{p beta}(1/r)
     rate = _power_rate(p * weight_exponent, d, p * alpha)
     _check_power_integrability(rate, p * beta, 0.0, 0.5)
-    total = _log_substituted_integral(rate, p * beta, 0.0, 0.5)
-    return (omega * total) ** (1.0 / p)
+    return _log_substituted_integral(rate, p * beta, 0.0, 0.5, omega) ** (1.0 / p)
 
 
 def gaussian_log_product(d: int, p: float) -> float:

@@ -8,10 +8,12 @@ d ~ 170, so all quantities here are carried as natural logs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 LOG_PI = math.log(math.pi)
 LOG_2 = math.log(2.0)
+LOG_MAX = math.log(sys.float_info.max)
 
 
 def log_gamma(x: float) -> float:

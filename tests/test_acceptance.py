@@ -138,7 +138,7 @@ def test_criterion_06_grid_transform_fidelity(capsys):
             worst_pl = max(worst_pl, plancherel_defect(f))
             fhat = fourier_transform(f)
             # Hausdorff-Young: ||fhat||_{p'} <= ||f||_p at (p, p') = (1.5, 3)
-            hy = grid_weighted_norm(f, 1.5) / grid_weighted_norm(fhat, 3.0)
+            hy = grid_weighted_norm(f, [(1.5, 0.0)])[0] / grid_weighted_norm(fhat, [(3.0, 0.0)])[0]
             worst_hy = min(worst_hy, hy)
             worst_up = min(worst_up, primary_up_defect(f, 1.5, 2.0))
     elapsed = time.perf_counter() - t0
@@ -166,7 +166,7 @@ def test_criterion_07_translate_family_invariants(capsys):
 
     mass_ok = True
     for fam in families:
-        lead_sq = grid_weighted_norm(fam.member(0), 2.0) ** 2
+        lead_sq = grid_weighted_norm(fam.member(0), [(2.0, 0.0)])[0] ** 2
         if abs(lead_sq - 4.0**fam.k * base_sq) > 1e-6 * 4.0**fam.k * base_sq:
             mass_ok = False
 

@@ -245,6 +245,22 @@ class TestOutOfRangeInputs:
         (["chain", "--d", "1", "--L", "inf"], "L=inf"),
         # finite, but the spacing 2L/n is not
         (["chain", "--d", "1", "--L", "1e308"], "L=1e+308"),
+        # the spacing is finite, but the squared coordinates are not
+        (["chain", "--d", "1", "--L", "1e200"], "L=1e+200"),
+        # the spacing is finite, but the cell volume spacing^3 is not
+        (["chain", "--d", "3", "--L", "1e150"], "L=1e+150"),
+        # only the origin sample is nonzero, so V_p(f) = 0
+        (["chain", "--d", "1", "--L", "1e5"], "does not resolve f"),
+        # pi |x|^2 overflows to inf in the samplers: exact zeros, without warnings
+        (["chain", "--d", "1", "--L", "1e154"], "does not resolve f"),
+        (["chain", "--d", "1", "--function", "gc", "--L", "1e154"], "does not resolve f"),
+        (["chain", "--d", "1", "--function", "bump", "--L", "1e154"], "zero function"),
+        # the endpoint weighted mass (ln 2)^{-1999} / 1999 * 2 is beyond the float range
+        (["cowling-price", "--d", "1", "--p", "4000", "--q", "4000",
+          "--theta", "0.49975", "--phi", "0.49975"], "exceeds the float range"),
+        # so narrow a peak that quadrature would warn; its tangent bound already overflows
+        (["cowling-price", "--d", "1", "--p", "1e6", "--q", "1e6",
+          "--theta", "0.499999", "--phi", "0.499999"], "exceeds the float range"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)

@@ -154,7 +154,7 @@ class TestTranslateFamilies:
         # ||f_{1,k}||_2^2 = 2^{dk} ||f||_2^2
         base_sq = families_2d[0].base_l2_sq
         for fam in families_2d:
-            lead_sq = grid_weighted_norm(fam.member(0), 2.0) ** 2
+            lead_sq = grid_weighted_norm(fam.member(0), [(2.0, 0.0)])[0] ** 2
             assert lead_sq == pytest.approx(4.0**fam.k * base_sq, rel=1e-6)
 
     def test_sup_norm_flat(self, families_2d):
@@ -239,14 +239,15 @@ class TestTranslateFamilies:
         # (p, theta) = (4, 0.5), (5, 0.3), (8, 0.8) and (12, 0.05) at k = 0 or 1
         base = cx.rs_base(d)
         families = [cx.rs_level(base, d, k) for k in range(5)]
-        base_l2_sq = grid_weighted_norm(base, 2.0) ** 2
+        base_l2_sq = grid_weighted_norm(base, [(2.0, 0.0)])[0] ** 2
         assert all(fam.base_l2_sq == base_l2_sq for fam in families)
         leading = [fam.member(0) for fam in families]
         for p in (3.0, 4.0, 5.0, 8.0, 12.0, math.inf):
             for theta in (0.05, 0.3, 0.5, 0.8):
                 expected = [
                     2.0 ** (d * fam.k) * base_l2_sq
-                    / (grid_weighted_norm(lead, p, theta) * 2.0 ** (0.5 * d * fam.k + 0.5 * d))
+                    / (grid_weighted_norm(lead, [(p, theta)])[0]
+                       * 2.0 ** (0.5 * d * fam.k + 0.5 * d))
                     for fam, lead in zip(families, leading)
                 ]
                 assert cx.rs_growth_ratio(families, p, theta) == expected
@@ -381,6 +382,18 @@ class TestEndpointMasses:
             assert cx.endpoint_weighted_mass(d, p, theta) == pytest.approx(
                 float(omega * weighted[p]), rel=1e-10
             )
+
+    def test_weighted_mass_near_float_range(self):
+        # from p = 3874 on the integrand (ln 2)^{-p/2} at r = 1/2 overflows, but up to
+        # p = 3912 the mass 2 ln^{1 - p/2}(2) / (p/2 - 1) is finite; from 3913 it raises
+        for p in (3880.0, 3910.0):
+            log_closed = (math.log(2.0) + (1.0 - 0.5 * p) * math.log(math.log(2.0))
+                          - math.log(0.5 * p - 1.0))
+            assert cx.endpoint_weighted_mass(1, p, 0.5 - 1.0 / p) == pytest.approx(
+                math.exp(log_closed), rel=1e-10
+            )
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            cx.endpoint_weighted_mass(1, 4000.0, 0.5 - 1.0 / 4000.0)
 
     def test_tail_mass_against_quadrature(self):
         # L^2 mass of r^{-d/2} ln^{-1/2}(1/r) over delta < r < 1/2

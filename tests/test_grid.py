@@ -29,6 +29,7 @@ from uplab.grid import (
     sample,
     write_grid_csv,
 )
+from uplab.radial import gaussian_profile, radial_weighted_norm
 
 # the 512^2 grid of the translate families, beside the default grids
 SPECS = [default_spec(1), default_spec(2), default_spec(3), GridSpec(d=2, n=512, half_width=16.0)]
@@ -54,6 +55,33 @@ def phase_factor_transform(f):
     return vals * (f.spec.spacing**d * global_phase)
 
 
+def rotation_transform(f):
+    """Reference: fftn with x = 0 rotated to index 0 and back."""
+    vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
+    return vals * f.spec.spacing**f.spec.d
+
+
+def dense_radius(spec):
+    """Reference: |x| over a dense mesh."""
+    return np.sqrt(sum(m * m for m in dense_meshgrid(spec)))
+
+
+def dense_norms(f, terms, radius_floor=None):
+    """Reference: each norm from full-grid arrays over a dense mesh, one term at a time."""
+    radius = dense_radius(f.spec)
+    mags = np.abs(f.values)
+    if radius_floor is not None:
+        mags = np.where(radius > radius_floor, mags, 0.0)
+    norms = []
+    for p, w in terms:
+        if p == math.inf:
+            norms.append(float(np.max(radius**w * mags)))
+        else:
+            total = float(np.sum(radius ** (p * w) * mags**p))
+            norms.append((total * f.spec.spacing**f.spec.d) ** (1.0 / p))
+    return tuple(norms)
+
+
 def translate_member(d):
     """Member 1 of a signed-translate family; at d = 3 on a 64^3 grid of spacing 1/8."""
     if d < 3:
@@ -61,9 +89,8 @@ def translate_member(d):
     spec = GridSpec(d=3, n=64, half_width=4.0)
     bump = cx.rs_base_bump_1d(spec.axis_coordinates())
     base = GridFunction(spec=spec, values=functools.reduce(np.multiply.outer, [bump] * 3))
-    family = cx.RSFamily(
-        d=3, k=1, signs=cx.rs_signs(3, 1), base=base, base_l2_sq=grid_weighted_norm(base, 2.0) ** 2
-    )
+    (base_l2,) = grid_weighted_norm(base, [(2.0, 0.0)])
+    family = cx.RSFamily(d=3, k=1, signs=cx.rs_signs(3, 1), base=base, base_l2_sq=base_l2**2)
     return family.member(1)
 
 
@@ -113,7 +140,6 @@ class TestBroadcastAxes:
 
         def evaluate():
             return [
-                spec.radius(),
                 gaussian_grid_function(spec).values,
                 gaussian_grid_function(spec, rate=2.5).values,
                 random_bump(spec, seed=3).values,
@@ -121,8 +147,6 @@ class TestBroadcastAxes:
             ]
 
         built = evaluate()
-        dense_radius = np.sqrt(sum(m * m for m in dense_meshgrid(spec)))
-        assert built[0].tobytes() == dense_radius.tobytes()
         monkeypatch.setattr(GridSpec, "meshgrid", dense_meshgrid)
         for new, old in zip(built, evaluate(), strict=True):
             assert new.dtype == old.dtype
@@ -221,6 +245,29 @@ class TestFourierTransform:
         for f in (gaussian_grid_function(spec), random_bump(spec, seed=d), translate_member(d)):
             assert np.array_equal(fourier_transform(f).values, phase_factor_transform(f))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_bytes_as_rotation(self, d):
+        # the sign flips are exact; zeros keep the +0.0 the rotation leaves them
+        spec = default_spec(d)
+        for f in (gaussian_grid_function(spec), random_bump(spec, seed=d), translate_member(d)):
+            assert fourier_transform(f).values.tobytes() == rotation_transform(f).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_overwrite_takes_over_complex_samples(self, d):
+        spec = default_spec(d)
+        bump = random_bump(spec, seed=d)
+        expected = fourier_transform(bump).values.tobytes()
+        hat = fourier_transform(bump, overwrite=True)
+        assert np.shares_memory(hat.values, bump.values)
+        assert hat.values.tobytes() == expected
+        assert not hat.values.flags.writeable
+        # a real f cannot hold its transform: it is left as it was
+        gauss = gaussian_grid_function(spec)
+        before = gauss.values.tobytes()
+        hat = fourier_transform(gauss, overwrite=True)
+        assert gauss.values.tobytes() == before
+        assert hat.values.tobytes() == fourier_transform(gauss).values.tobytes()
+
     def test_rejects_nondecaying_function(self):
         spec = default_spec(1)
         ones = sample(lambda x: np.ones_like(x), spec)
@@ -239,41 +286,64 @@ class TestNorms:
     def test_gaussian_l2(self):
         # ||exp(-pi x^2)||_2 = 2^{-1/4} in one dimension
         f = gaussian_grid_function(default_spec(1))
-        assert grid_weighted_norm(f, 2.0) == pytest.approx(2.0**-0.25, rel=1e-12)
+        assert grid_weighted_norm(f, [(2.0, 0.0)])[0] == pytest.approx(2.0**-0.25, rel=1e-12)
 
     def test_gaussian_weighted(self):
         # int x^2 exp(-2 pi x^2) dx = 2^{-1/2} / (4 pi)
         f = gaussian_grid_function(default_spec(1))
-        moment = grid_weighted_norm(f, 2.0, 1.0) ** 2
+        moment = grid_weighted_norm(f, [(2.0, 1.0)])[0] ** 2
         assert moment == pytest.approx(2.0**-0.5 / (4.0 * math.pi), rel=1e-10)
 
     def test_sup_norm(self):
         f = gaussian_grid_function(default_spec(1))
-        assert grid_weighted_norm(f, math.inf) == pytest.approx(1.0, rel=1e-14)
+        assert grid_weighted_norm(f, [(math.inf, 0.0)])[0] == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_weighted_sup_norm(self, d):
         # the p -> inf limit of the weighted p-norm: max |x|^w |f(x)|
         for f in (gaussian_grid_function(default_spec(d)), random_bump(default_spec(d), seed=d)):
             for w in (0.1, 1.0):
-                expected = np.max(f.spec.radius() ** w * np.abs(f.values))
-                assert grid_weighted_norm(f, math.inf, w) == expected
-            assert grid_weighted_norm(f, math.inf, 0.0) == np.max(np.abs(f.values))
+                expected = np.max(dense_radius(f.spec) ** w * np.abs(f.values))
+                assert grid_weighted_norm(f, [(math.inf, w)])[0] == expected
+            assert grid_weighted_norm(f, [(math.inf, 0.0)])[0] == np.max(np.abs(f.values))
 
     def test_weighted_sup_norm_of_gaussian(self):
         # max x exp(-pi x^2) = (2 pi e)^{-1/2}, at x = (2 pi)^{-1/2}; the
         # samples miss that point by at most half a spacing
         f = gaussian_grid_function(GridSpec(d=1, n=1024, half_width=8.0))
-        assert grid_weighted_norm(f, math.inf, 1.0) == pytest.approx(
+        assert grid_weighted_norm(f, [(math.inf, 1.0)])[0] == pytest.approx(
             (2.0 * math.pi * math.e) ** -0.5, rel=1e-3
         )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_terms_and_tails_match_full_array_reference(self, d):
+        # blocks of 2^15 samples added pairwise are numpy's pairwise order over
+        # the whole power-of-two grid, so every norm keeps its bits
+        terms = [(2.0, 0.0), (1.5, 0.0), (2.0, 1.0), (1.5, 1.0), (3.0, 0.5),
+                 (math.inf, 0.0), (math.inf, 0.3)]
+        spec = default_spec(d)
+        for f in (gaussian_grid_function(spec), random_bump(spec, seed=d), translate_member(d)):
+            for floor in (None, 0.0, 1.0, 2.5):
+                assert grid_weighted_norm(f, terms, floor) == dense_norms(f, terms, floor)
+            for p, w in terms:
+                assert grid_weighted_norm(f, [(p, w)]) == dense_norms(f, [(p, w)])
+
+    def test_gaussian_against_radial_norm(self):
+        # smooth weights |x|^{pw} (pw in {0, 2}) keep the 64^3 Riemann sum spectrally accurate
+        terms = [(2.0, 0.0), (1.5, 0.0), (2.0, 1.0), (1.0, 2.0), (4.0, 0.5)]
+        norms = grid_weighted_norm(gaussian_grid_function(default_spec(3)), terms)
+        for (p, w), norm in zip(terms, norms, strict=True):
+            exact = radial_weighted_norm(gaussian_profile(), 3, p, w)
+            assert norm == pytest.approx(exact, rel=1e-10)
 
     def test_rejects_bad_exponents(self):
         f = gaussian_grid_function(default_spec(1))
         for p, w in [(0.5, 0.0), (2.0, -1.0), (math.inf, -1.0), (-math.inf, 0.0),
                      (math.nan, 0.0), (2.0, math.nan)]:
             with pytest.raises(ValueError):
-                grid_weighted_norm(f, p, w)
+                grid_weighted_norm(f, [(p, w)])
+            with pytest.raises(ValueError):
+                grid_weighted_norm(f, [(2.0, 0.0), (p, w)])
 
 
 class TestPrimaryUpDefect:

@@ -7,6 +7,7 @@ column are checked here; the full-scale sweeps live in the acceptance suite.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,12 @@ class TestFunctionChain:
         with pytest.raises(ValueError):
             harness.function_chain_check(f, 2, 2.0)
 
+    def test_unresolved_grid_rejected(self):
+        # at spacing 781 only the origin sample of the Gaussian is nonzero, so V_p(f) = 0
+        f = gaussian_grid_function(default_spec(1, half_width=1e5))
+        with pytest.raises(ValueError, match="does not resolve f"):
+            harness.function_chain_check(f, 1, 2.0)
+
     def test_zero_function_rejected(self):
         spec = default_spec(1)
         zero = gaussian_grid_function(spec)
@@ -137,6 +144,30 @@ class TestFunctionChain:
         zero = GridFunction(spec=spec, values=np.zeros_like(zero.values))
         with pytest.raises(ValueError):
             harness.function_chain_check(zero, 1, 2.0)
+
+
+def _traced_peak(run) -> int:
+    """tracemalloc peak of run() after a warm-up call."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    def test_chain_on_d3_bump(self):
+        # the 4 MiB transform plus block temporaries of 2^15 samples; 14.3 MiB
+        # with grid-sized temporaries for |f|, |f|^p, the radius and the FFT
+        f = random_bump(default_spec(3), seed=0)
+        assert _traced_peak(lambda: harness.function_chain_check(f, 3, 2.0)) <= 7 * 2**20
+
+    def test_feasible_check_at_d3(self):
+        # the bump's 4 MiB samples become its transform; 16.0 MiB with a
+        # separate transform and grid-sized temporaries
+        assert _traced_peak(lambda: harness.cp_check(3, 2.0, 2.0, 1.0, 1.0)) <= 7 * 2**20
 
 
 class TestTrichotomy:
