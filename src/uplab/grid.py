@@ -10,14 +10,19 @@ continuous transform to near machine precision.
 
 Weighted norms read the grid in blocks of _BLOCK samples along the first
 axis, several norms per pass, and add the block sums pairwise, which is the
-order of numpy's pairwise summation over the whole power-of-two grid.  No
-grid-sized temporary is built by a norm, a transform or a sampler beyond the
-array it returns.
+order of numpy's pairwise summation over the whole power-of-two grid.  A
+norm over the tail beyond a radius gathers the tail samples block by block and
+sums them in numpy's pairwise order over the gathered samples.  No grid-sized
+array is built by a norm, a transform or a sampler beyond the array it returns;
+a tail norm holds its gathered float64 samples, in block-sized pieces, until
+it sums them.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import warnings
 from collections.abc import Iterable
@@ -135,6 +140,31 @@ def _pairwise(sums):
     return sums[0]
 
 
+def _concatenated_sum(pieces) -> float:
+    """np.sum of the concatenated 1-D pieces, in numpy's pairwise order.  The recursion
+    is a module function: a recursive closure would be a reference cycle that keeps
+    the pieces alive until the next garbage collection."""
+    starts = list(itertools.accumulate((len(piece) for piece in pieces), initial=0))
+    return _pairwise_part(pieces, starts, 0, starts[-1]) if starts[-1] else 0.0
+
+
+def _pairwise_part(pieces, starts, lo: int, n: int) -> float:
+    """The pairwise sum of elements lo..lo+n of the concatenation: halves, cut to a
+    multiple of 8, down to 128 elements; a part inside one piece is that piece's own
+    np.sum of the part, and a leaf across pieces is joined first."""
+    i = bisect.bisect_right(starts, lo) - 1
+    if lo + n <= starts[i + 1]:
+        return float(np.add.reduce(pieces[i][lo - starts[i]:lo + n - starts[i]]))
+    if n <= 128:
+        j = bisect.bisect_left(starts, lo + n)
+        return float(np.add.reduce(np.concatenate(
+            [pieces[k][max(lo - starts[k], 0):lo + n - starts[k]] for k in range(i, j)]
+        )))
+    half = n // 2 - n // 2 % 8
+    return (_pairwise_part(pieces, starts, lo, half)
+            + _pairwise_part(pieces, starts, lo + half, n - half))
+
+
 def sample(generator, spec: GridSpec) -> GridFunction:
     """Sample a pointwise function of d coordinate arrays onto the grid."""
     shape = (spec.n,) * spec.d
@@ -144,13 +174,12 @@ def sample(generator, spec: GridSpec) -> GridFunction:
     return GridFunction(spec=spec, values=vals)
 
 
-def _boundary_ratio(f: GridFunction) -> float:
-    vals = f.values
-    peak = max(np.abs(vals[rows]).max() for rows in _row_blocks(f.spec))
+def _boundary_ratio(spec: GridSpec, vals: np.ndarray) -> float:
+    peak = max(np.abs(vals[rows]).max() for rows in _row_blocks(spec))
     if peak == 0.0:
         return 0.0
     edge = 0.0
-    for axis in range(f.spec.d):
+    for axis in range(spec.d):
         edge = max(edge, np.abs(np.take(vals, 0, axis=axis)).max(),
                    np.abs(np.take(vals, -1, axis=axis)).max())
     return float(edge / peak)
@@ -162,13 +191,16 @@ def _checkerboard(spec: GridSpec) -> np.ndarray:
     return functools.reduce(np.multiply.outer, [alt] * spec.d)
 
 
-def fourier_transform(f: GridFunction, overwrite: bool = False) -> GridFunction:
-    """Samples of the continuous Fourier transform on the dual grid.
+def fourier_transform(f: GridFunction) -> GridFunction:
+    """Samples of the continuous Fourier transform on the dual grid."""
+    return _transform(f.spec, f.values, np.empty(f.values.shape, dtype=complex))
 
-    overwrite=True lets the transform take over the sample array of a complex f
-    that owns it, instead of allocating its own; f must not be read afterwards.
-    """
-    ratio = _boundary_ratio(f)
+
+def _transform(spec: GridSpec, values: np.ndarray, out: np.ndarray) -> GridFunction:
+    """The transform of the samples values, computed in the complex array out.  out may
+    be values itself: a caller that owns its samples and reads them for the last time
+    transforms them without a second grid-sized array."""
+    ratio = _boundary_ratio(spec, values)
     if ratio > BOUNDARY_ERROR:
         raise ValueError(
             f"function does not decay at the domain boundary (ratio {ratio:.3e}); "
@@ -177,24 +209,18 @@ def fourier_transform(f: GridFunction, overwrite: bool = False) -> GridFunction:
     if ratio > BOUNDARY_WARN:
         warnings.warn(
             f"boundary samples at {ratio:.3e} of the peak; transform accuracy degrades",
-            stacklevel=2,
+            stacklevel=3,
         )
-    spec = f.spec
     # sample k sits at (k - n/2)*spacing on both grids and n/2 is even, so rotating
     # x = 0 to index 0 and back is a (-1)^{k_1+...+k_d} modulation on each side:
     # exact sign flips around one DFT computed in the output array
     signs = _checkerboard(spec)
-    if overwrite and f.values.dtype == complex and f.values.flags.owndata:
-        vals = f.values
-        vals.setflags(write=True)
-        vals *= signs
-    else:
-        vals = np.multiply(f.values, signs, dtype=complex)
-    np.fft.fftn(vals, out=vals)
-    vals *= signs
-    vals *= spec.spacing**spec.d
-    vals += 0.0  # a flipped exact zero is -0.0; the rotation left it +0.0
-    return GridFunction(spec=spec.dual(), values=vals)
+    np.multiply(values, signs, out=out, dtype=complex)
+    np.fft.fftn(out, out=out)
+    out *= signs
+    out *= spec.spacing**spec.d
+    out += 0.0  # a flipped exact zero is -0.0; the rotation left it +0.0
+    return GridFunction(spec=spec.dual(), values=out)
 
 
 def grid_weighted_norm(
@@ -202,8 +228,7 @@ def grid_weighted_norm(
 ) -> tuple[float, ...]:
     """Riemann-sum norms (sum |x_k|^{p w} |f_k|^p spacing^d)^{1/p}, one per (p, w) in
     terms; p = inf gives max |x_k|^w |f_k|.  With radius_floor, only the samples with
-    |x_k| > radius_floor count.  One blocked pass computes |f|, each distinct |f|^p
-    and each distinct weight once per block.
+    |x_k| > radius_floor count.
     """
     terms = list(terms)
     for p, w in terms:
@@ -211,6 +236,20 @@ def grid_weighted_norm(
             raise ValueError("weight_exponent must be nonnegative")
         if not p >= 1:
             raise ValueError(f"p must be >= 1 or inf, got {p}")
+    cell = f.spec.spacing**f.spec.d
+    return tuple(
+        total if p == math.inf else (total * cell) ** (1.0 / p)
+        for (p, _), total in zip(terms, _weighted_sums(f, terms, radius_floor))
+    )
+
+
+def _weighted_sums(f: GridFunction, terms, radius_floor: float | None = None) -> list[float]:
+    """The sums sum |x_k|^{p w} |f_k|^p (max |x_k|^w |f_k| for p = inf) behind
+    grid_weighted_norm, without the cell volume.  One blocked pass computes |f|,
+    each distinct |f|^p and each distinct weight once per block; with radius_floor
+    it gathers the samples beyond the floor, and each sum is np.sum's over the
+    gathered tail.
+    """
     spec = f.spec
     with_radius = radius_floor is not None or any(w > 0 for _, w in terms)
     mesh = spec.meshgrid() if with_radius else None
@@ -221,25 +260,26 @@ def grid_weighted_norm(
             radius = _squared_distance(_block_mesh(mesh, rows))
             np.sqrt(radius, out=radius)
             if radius_floor is not None:
-                mags[radius <= radius_floor] = 0.0
+                tail = radius > radius_floor
+                mags, radius = mags[tail], radius[tail]
         powers, weights = {}, {}
         for (p, w), part in zip(terms, parts):
             if p == math.inf:
-                part.append((radius**w * mags if w > 0 else mags).max())
+                part.append((radius**w * mags if w > 0 else mags).max(initial=0.0))
                 continue
             if p not in powers:
                 powers[p] = mags**p
             if w == 0:
-                part.append(powers[p].sum())
-                continue
-            if p * w not in weights:
-                weights[p * w] = radius ** (p * w)
-            part.append((weights[p * w] * powers[p]).sum())
-    cell = spec.spacing**spec.d
-    return tuple(
-        float(max(part)) if p == math.inf else (float(_pairwise(part)) * cell) ** (1.0 / p)
-        for (p, _), part in zip(terms, parts)
-    )
+                values = powers[p]
+            else:
+                if p * w not in weights:
+                    weights[p * w] = radius ** (p * w)
+                values = weights[p * w] * powers[p]
+            # the gathered tail is kept for its sum, a whole block is summed at once
+            part.append(values if radius_floor is not None else values.sum())
+    sum_parts = _pairwise if radius_floor is None else _concatenated_sum
+    return [float(max(part)) if p == math.inf else float(sum_parts(part))
+            for (p, _), part in zip(terms, parts)]
 
 
 def plancherel_defect(f: GridFunction) -> float:
@@ -309,14 +349,19 @@ def random_bump(spec: GridSpec, seed: int, n_terms: int = 4) -> GridFunction:
     Widths in [0.7, 1.1] and centers within 1/4 of the half-width keep the
     function resolved and decayed at the boundary for the default grids.
     """
+    return GridFunction(spec=spec, values=_bump_samples(spec, seed, n_terms))
+
+
+def _bump_samples(spec: GridSpec, seed: int, n_terms: int = 4) -> np.ndarray:
+    """The samples of random_bump(spec, seed, n_terms), as a new writable array."""
     rng = np.random.default_rng(seed)
     span = 0.25 * spec.half_width
     centers = rng.uniform(-span, span, size=(n_terms, spec.d))
     widths = rng.uniform(0.7, 1.1, size=n_terms)
     coefs = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
-
-    def gen(*mesh):
-        out = np.zeros((spec.n,) * spec.d, dtype=complex)
+    mesh = spec.meshgrid()
+    out = np.zeros((spec.n,) * spec.d, dtype=complex)
+    with np.errstate(over="ignore"):  # an exponent of -inf samples an exact 0
         for rows in _row_blocks(spec):
             block_mesh = _block_mesh(mesh, rows)
             block = out[rows]
@@ -329,7 +374,4 @@ def random_bump(spec: GridSpec, seed: int, n_terms: int = 4) -> GridFunction:
                 # the real and imaginary parts of c * term
                 re += c.real * term
                 im += c.imag * term
-        return out
-
-    with np.errstate(over="ignore"):  # an exponent of -inf samples an exact 0
-        return sample(gen, spec)
+    return out

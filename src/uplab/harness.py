@@ -20,10 +20,12 @@ from . import counterexamples as cx
 from .grid import (
     DEFAULT_SPECS,
     GridFunction,
+    _bump_samples,
+    _transform,
+    _weighted_sums,
     default_spec,
     fourier_transform,
     grid_weighted_norm,
-    random_bump,
 )
 from .params import (
     compute_threshold,
@@ -241,7 +243,8 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
             f"the grid does not resolve f: V_p(f) measures 0 at spacing {f.spec.spacing:g}"
         )
     t_radius = compute_threshold(norm_a, norm_p, params)
-    tail_a = grid_weighted_norm(f, [(a, 0.0)], radius_floor=t_radius)[0] ** a
+    (tail_sum,) = _weighted_sums(f, [(a, 0.0)], radius_floor=t_radius)
+    tail_a = tail_sum * f.spec.spacing**d
 
     links = []
     half_rhs = 0.5 * norm_a**a
@@ -399,11 +402,15 @@ def cp_check(
             _cp_radial_result("g_4", cx.gc_profile(4.0, d), d, p, q, theta, phi, bound),
         ]
         if d in DEFAULT_SPECS:  # the random bump needs a grid
-            bump = random_bump(default_spec(d), seed=seed)
-            weighted, l2 = grid_weighted_norm(bump, [(p, theta), (2.0, 0.0)])
-            # the bump is read for the last time: its samples become the transform
-            hat = fourier_transform(bump, overwrite=True)
-            (hat_weighted,) = grid_weighted_norm(hat, [(q, phi)])
+            spec = default_spec(d)
+            samples = _bump_samples(spec, seed)
+            # the norms read the bump through a read-only view that is gone before its
+            # samples become the transform: at d = 3 the check then frees one 4 MiB array
+            # instead of two, too little for glibc to trim the heap under the next check
+            weighted, l2 = grid_weighted_norm(
+                GridFunction(spec=spec, values=samples.view()), [(p, theta), (2.0, 0.0)]
+            )
+            (hat_weighted,) = grid_weighted_norm(_transform(spec, samples, samples), [(q, phi)])
             lhs = weighted * hat_weighted
             rhs = bound * l2**2
             results.append(_at_least("random_bump", lhs, rhs))

@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, special
 
-from .specialfn import LOG_MAX, dimension_constants, log_gamma
+from .specialfn import LOG_MAX, LOG_MIN, dimension_constants, log_gamma
 
 QUAD_RTOL = 1e-10
+# below this a (subnormal) float carries less than QUAD_RTOL relative precision
+LOG_TINY = math.log(2.0**-1074 / QUAD_RTOL)
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,8 @@ def radial_integral(profile: RadialProfile, d: int, lo: float, hi: float) -> flo
         raise ValueError(f"dimension must be >= 1, got {d}")
     if lo < 0 or hi <= lo:
         raise ValueError(f"invalid radial range ({lo}, {hi})")
-    omega = dimension_constants(d).sphere_area
+    geom = dimension_constants(d)
+    omega = geom.sphere_area
     if profile.is_gaussian:
         return omega * sum(
             coef * _gaussian_radial_moment(rate, d, lo, hi) for coef, rate in profile.terms
@@ -120,28 +123,27 @@ def radial_integral(profile: RadialProfile, d: int, lo: float, hi: float) -> flo
         if rate == 0.0:
             return omega * (math.log(hi) - math.log(lo))
         return omega * (hi**rate - (0.0 if lo == 0.0 else lo**rate)) / rate
-    return _log_substituted_integral(rate, beta, lo, hi, omega)
+    return _log_substituted_integral(rate, beta, lo, hi, geom.log_sphere_area)
 
 
 def _log_substituted_integral(
-    rate: float, beta: float, lo: float, hi: float, scale: float
+    rate: float, beta: float, lo: float, hi: float, log_scale: float
 ) -> float:
-    """scale times the integral over (lo, hi) of r^{rate-1} ln^beta(1/r) dr via u = ln(1/r),
+    """e^log_scale times the integral over (lo, hi) of r^{rate-1} ln^beta(1/r) dr via u = ln(1/r),
     which turns the r = 0 log-singularity into the smooth e^{-rate u} u^beta on
     (ln(1/hi), ln(1/lo)).  Down to r = 0 that range is infinite and, at rate 0,
     holds its mass out at u ~ e^{1/|beta+1|}; so past u = 1 it goes on in
     t = ln u, over pieces of doubling width until one adds nothing.
 
     The integrand is exp(beta ln u - rate u - shift), where the shift (0 unless
-    the integrand's peak passes e^700) keeps it inside the float range; it is
-    added back in the log domain, and a result beyond the float range raises.
+    the integrand's peak passes e^700) keeps it inside the float range; the shift
+    and log_scale are added back in the log domain whenever the shift or e^log_scale
+    leaves the normal float range, and a result beyond the largest float, or too
+    small for a subnormal float to carry QUAD_RTOL, raises.
     """
     u_lo = 0.0 if hi >= 1.0 else math.log(1.0 / hi)
     u_hi = math.inf if lo == 0.0 else math.log(1.0 / lo)
-    overflow = ValueError(
-        f"the integral of r^{rate - 1:g} ln^{beta:g}(1/r) over ({lo:g}, {hi:g}) "
-        "exceeds the float range"
-    )
+    integral = f"the integral of r^{rate - 1:g} ln^{beta:g}(1/r) over ({lo:g}, {hi:g})"
     # the log-integrand beta ln u - rate u peaks at an end or at u = beta/rate
     peaks = [u for u in (u_lo, u_hi, beta / rate if rate else 0.0)
              if u_lo <= u <= u_hi and 0 < u < math.inf]
@@ -152,10 +154,10 @@ def _log_substituted_integral(
         # tangent there, so the integral is at least e^peak (1 - e^{-slope width}) / slope:
         # past the float range, quadrature of so narrow a peak is skipped
         slope = rate - beta / u_lo
-        log_lower = (log_peak + math.log(scale) - math.log(slope)
+        log_lower = (log_peak + log_scale - math.log(slope)
                      + math.log1p(-math.exp(-slope * (u_hi - u_lo))))
         if log_lower >= LOG_MAX:
-            raise overflow
+            raise ValueError(f"{integral} exceeds the float range")
 
     def integrand(u):
         return math.exp(beta * math.log(u) - rate * u - shift) if u > 0 else 0.0
@@ -172,12 +174,17 @@ def _log_substituted_integral(
         while piece > 1e-17 * total:
             piece = _quad(log_integrand, t, t + width)
             total, t, width = total + piece, t + width, 2.0 * width
-    total *= scale
-    if shift > 0.0:
-        log_total = math.log(total) + shift
+    if shift == 0.0 and log_scale > LOG_MIN:
+        total *= math.exp(log_scale)
+    elif total > 0.0:
+        log_total = math.log(total) + shift + log_scale
         total = math.exp(log_total) if log_total < LOG_MAX else math.inf
     if total == math.inf:
-        raise overflow
+        raise ValueError(f"{integral} exceeds the float range")
+    if total == 0.0 or math.log(total) < LOG_TINY:
+        raise ValueError(
+            f"{integral} lies below the floats that carry {QUAD_RTOL:g} relative precision"
+        )
     return total
 
 
@@ -197,7 +204,8 @@ def radial_weighted_norm(
         raise ValueError(f"p must be >= 1, got {p}")
     if weight_exponent < 0:
         raise ValueError("weight_exponent must be nonnegative")
-    omega = dimension_constants(d).sphere_area
+    geom = dimension_constants(d)
+    omega = geom.sphere_area
     k = p * weight_exponent + d  # integrand behaves like r^{k-1} near 0
     if profile.is_gaussian:
         if len(profile.terms) == 1:
@@ -219,7 +227,7 @@ def radial_weighted_norm(
     # F^p shifts the exponents: the integrand is r^{k + p alpha - 1} ln^{p beta}(1/r)
     rate = _power_rate(p * weight_exponent, d, p * alpha)
     _check_power_integrability(rate, p * beta, 0.0, 0.5)
-    return _log_substituted_integral(rate, p * beta, 0.0, 0.5, omega) ** (1.0 / p)
+    return _log_substituted_integral(rate, p * beta, 0.0, 0.5, geom.log_sphere_area) ** (1.0 / p)
 
 
 def gaussian_log_product(d: int, p: float) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 LOG_PI = math.log(math.pi)
 LOG_2 = math.log(2.0)
 LOG_MAX = math.log(sys.float_info.max)
+LOG_MIN = math.log(sys.float_info.min)
 
 
 def log_gamma(x: float) -> float:

@@ -261,6 +261,9 @@ class TestOutOfRangeInputs:
         # so narrow a peak that quadrature would warn; its tangent bound already overflows
         (["cowling-price", "--d", "1", "--p", "1e6", "--q", "1e6",
           "--theta", "0.499999", "--phi", "0.499999"], "exceeds the float range"),
+        # omega_999 = e^{-2032}: every endpoint mass lies below the floats
+        (["cowling-price", "--d", "1000", "--p", "4000", "--q", "4000",
+          "--theta", "499.75", "--phi", "499.75"], "lies below the floats"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)

@@ -385,15 +385,21 @@ class TestEndpointMasses:
 
     def test_weighted_mass_near_float_range(self):
         # from p = 3874 on the integrand (ln 2)^{-p/2} at r = 1/2 overflows, but up to
-        # p = 3912 the mass 2 ln^{1 - p/2}(2) / (p/2 - 1) is finite; from 3913 it raises
-        for p in (3880.0, 3910.0):
-            log_closed = (math.log(2.0) + (1.0 - 0.5 * p) * math.log(math.log(2.0))
+        # p = 3912 the mass omega_0 ln^{1 - p/2}(2) / (p/2 - 1) is finite; from 3913 it
+        # raises.  omega_459 underflows to 0 on its own; carried as its log it brings
+        # the d = 460 mass back into the float range
+        for d, p in ((1, 3880.0), (1, 3910.0), (460, 4000.0)):
+            log_closed = (dimension_constants(d).log_sphere_area
+                          + (1.0 - 0.5 * p) * math.log(math.log(2.0))
                           - math.log(0.5 * p - 1.0))
-            assert cx.endpoint_weighted_mass(1, p, 0.5 - 1.0 / p) == pytest.approx(
+            assert cx.endpoint_weighted_mass(d, p, d * (0.5 - 1.0 / p)) == pytest.approx(
                 math.exp(log_closed), rel=1e-10
             )
         with pytest.raises(ValueError, match="exceeds the float range"):
             cx.endpoint_weighted_mass(1, 4000.0, 0.5 - 1.0 / 4000.0)
+        # at d = 1000 the mass is e^{-1307}, below every float
+        with pytest.raises(ValueError, match="lies below the floats"):
+            cx.endpoint_weighted_mass(1000, 4000.0, 1000 * (0.5 - 1.0 / 4000.0))
 
     def test_tail_mass_against_quadrature(self):
         # L^2 mass of r^{-d/2} ln^{-1/2}(1/r) over delta < r < 1/2
