@@ -200,12 +200,26 @@ class Check:
 
     @property
     def slack(self) -> float:
-        return self.lhs / self.rhs - 1.0 if self.rhs != 0 else math.inf
+        return self.lhs / self.rhs - 1.0  # the rules admit no bound of 0
+
+
+def _measured(name: str, lhs: float, rhs: float) -> None:
+    """A check passes or fails only on measured values: a NaN side, or a bound of 0
+    or infinity, which any lhs meets or misses by definition, raises instead."""
+    if math.isnan(lhs) or math.isnan(rhs) or rhs == 0.0 or math.isinf(rhs):
+        raise ValueError(f"check {name} has no measured value: lhs={lhs:g}, rhs={rhs:g}")
 
 
 def _at_least(name: str, lhs: float, rhs: float) -> Check:
     """lhs >= rhs, up to the relative slack tolerance SLACK_TOL."""
+    _measured(name, lhs, rhs)
     return Check(name, lhs, rhs, lhs >= rhs * (1.0 - SLACK_TOL))
+
+
+def _at_most(name: str, lhs: float, rhs: float) -> Check:
+    """lhs <= rhs, up to the relative slack tolerance SLACK_TOL."""
+    _measured(name, lhs, rhs)
+    return Check(name, lhs, rhs, lhs <= rhs * (1.0 + SLACK_TOL))
 
 
 @dataclass(frozen=True)
@@ -254,9 +268,7 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
         log_omega - math.log(eps) - eps * math.log(t_radius)
     ) + (1.0 / r) * math.log(moment)
     tail_rhs = math.exp(log_tail_rhs)
-    links.append(
-        Check("tail_hoelder", tail_a, tail_rhs, tail_a <= tail_rhs * (1.0 + SLACK_TOL))
-    )
+    links.append(_at_most("tail_hoelder", tail_a, tail_rhs))
 
     per_fn_lhs = moment / norm_p**p
     log_per_fn_rhs = (
@@ -406,11 +418,15 @@ def cp_check(
             samples = _bump_samples(spec, seed)
             # the norms read the bump through a read-only view that is gone before its
             # samples become the transform: at d = 3 the check then frees one 4 MiB array
-            # instead of two, too little for glibc to trim the heap under the next check
-            weighted, l2 = grid_weighted_norm(
-                GridFunction(spec=spec, values=samples.view()), [(p, theta), (2.0, 0.0)]
-            )
-            (hat_weighted,) = grid_weighted_norm(_transform(spec, samples, samples), [(q, phi)])
+            # instead of two, too little for glibc to trim the heap under the next check.
+            # A sum beyond the float range is caught by the check itself, not warned about.
+            with np.errstate(over="ignore", invalid="ignore"):
+                weighted, l2 = grid_weighted_norm(
+                    GridFunction(spec=spec, values=samples.view()), [(p, theta), (2.0, 0.0)]
+                )
+                (hat_weighted,) = grid_weighted_norm(
+                    _transform(spec, samples, samples), [(q, phi)]
+                )
             lhs = weighted * hat_weighted
             rhs = bound * l2**2
             results.append(_at_least("random_bump", lhs, rhs))

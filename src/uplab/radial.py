@@ -5,8 +5,14 @@ omega_{d-1} * integral of F(r) r^{d-1} dr, which is the only high-d
 integration strategy used here: the test functions are either radial or
 live on low-dimensional grids (module grid).
 
-Gaussian mixtures get a closed-form incomplete-Gamma fast path; everything
-else goes through adaptive quadrature at 1e-10 relative tolerance.
+Gaussian integrals have incomplete-Gamma closed forms.  The weighted norms of a
+Gaussian mixture F with positive coefficients need no adaptive quadrature: an
+integer power F^p expands multinomially into Gaussians with closed forms, and
+any other power takes a trapezoid rule in t = ln r on exp(k t + p ln F(e^t)),
+placed by the terms' analytic peaks and halved until it converges.  Norms come
+out as exp((ln omega_{d-1} + ln I) / p) when omega_{d-1} or the integral leaves
+the normal float range, so they stay finite at any dimension.  Power/log
+profiles go through adaptive quadrature at 1e-10 relative tolerance.
 """
 
 from __future__ import annotations
@@ -18,20 +24,25 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, special
 
-from .specialfn import LOG_MAX, LOG_MIN, dimension_constants, log_gamma
+from .specialfn import LOG_2, LOG_MAX, LOG_MIN, dimension_constants, log_gamma
 
 QUAD_RTOL = 1e-10
 # below this a (subnormal) float carries less than QUAD_RTOL relative precision
 LOG_TINY = math.log(2.0**-1074 / QUAD_RTOL)
+TRAPEZOID_RTOL = 1e-13
+# an integer power of a mixture is expanded while it has at most this many Gaussians
+_MAX_EXPANSION = 1024
+# the trapezoid rule's node budget at its finest step
+_MAX_NODES = 2**17
 
 
 @dataclass(frozen=True)
 class RadialProfile:
     """A radial function on (0, infinity).
 
-    Either a Gaussian mixture sum_i c_i exp(-pi rate_i r^2) (``terms``), or a
-    power/log profile r^alpha * ln(1/r)^beta supported on (0, 1/2]
-    (``power_log`` = (alpha, beta)).
+    Either a Gaussian mixture sum_i c_i exp(-pi rate_i r^2) (``terms``; one finite
+    nonzero c, or two or more positive ones), or a power/log profile
+    r^alpha * ln(1/r)^beta supported on (0, 1/2] (``power_log`` = (alpha, beta)).
     """
 
     terms: tuple[tuple[float, float], ...] = field(default=())
@@ -43,6 +54,12 @@ class RadialProfile:
         for _, rate in self.terms:
             if not rate > 0:
                 raise ValueError(f"gaussian_rate must be positive, got {rate}")
+        coefs = [coef for coef, _ in self.terms]
+        # the mixture norms' trapezoid rule converges geometrically only while F > 0
+        if len(coefs) > 1 and not all(0 < coef < math.inf for coef in coefs):
+            raise ValueError(f"a Gaussian mixture needs finite positive coefficients, got {coefs}")
+        if len(coefs) == 1 and not 0 < abs(coefs[0]) < math.inf:
+            raise ValueError(f"a Gaussian needs a finite nonzero coefficient, got {coefs[0]}")
 
     @property
     def is_gaussian(self) -> bool:
@@ -91,15 +108,10 @@ def _check_power_integrability(rate: float, beta: float, lo: float, hi: float):
         raise ValueError("integrand is not integrable at infinity")
 
 
-def _quad(fn, lo: float, hi: float, points=()) -> float:
+def _quad(fn, lo: float, hi: float) -> float:
     """Adaptive quadrature on (lo, hi), hi possibly infinite."""
-    pts = sorted({p for p in points if lo < p < hi})
-    edges = [lo, *pts, hi]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = integrate.quad(fn, a, b, epsabs=0.0, epsrel=QUAD_RTOL, limit=200)
-        total += val
-    return total
+    val, _ = integrate.quad(fn, lo, hi, epsabs=0.0, epsrel=QUAD_RTOL, limit=200)
+    return val
 
 
 def radial_integral(profile: RadialProfile, d: int, lo: float, hi: float) -> float:
@@ -188,8 +200,80 @@ def _log_substituted_integral(
     return total
 
 
-def _gaussian_scales(profile: RadialProfile):
-    return tuple(1.0 / math.sqrt(rate) for _, rate in profile.terms)
+def _logsumexp(x):
+    """ln sum_i exp(x_i) along the first axis."""
+    top = x.max(axis=0)
+    return top + np.log(np.exp(x - top).sum(axis=0))
+
+
+def _log_mixture_moment(terms, k: float, p: float) -> float:
+    """ln of the integral over (0, inf) of r^{k-1} F(r)^p dr, F = sum_i c_i exp(-pi a_i r^2)
+    with every c_i > 0, without adaptive quadrature.
+
+    An integer p expands F^p multinomially into Gaussians, each with the closed form
+    Gamma(k/2) / (2 (pi rate)^{k/2}), while that takes at most _MAX_EXPANSION terms; the
+    terms are positive, so their log-sum-exp cancels nothing.  Any other p takes the
+    trapezoid rule in t = ln r on exp(L(t)), L(t) = k t + p ln F(e^t) with ln F a
+    log-sum-exp over the terms.  L is analytic and falls off exponentially on both sides,
+    so the rule converges geometrically: its step starts at the single-term peak width
+    1/sqrt(-L'') = 1/sqrt(2k) over sqrt 2 and halves until two successive sums agree to
+    TRAPEZOID_RTOL, or to the rounding that L's own terms carry if that is larger.
+    """
+    log_c = np.log([coef for coef, _ in terms])
+    rates = np.array([rate for _, rate in terms])
+    half = 0.5 * k
+    if p == int(p) and (p + 1) ** (len(terms) - 1) <= _MAX_EXPANSION:
+        n = int(p)
+        # every (n_1, ..., n_m) >= 0 with sum n, the last one fixed by the others
+        head = np.indices((n + 1,) * (len(terms) - 1)).reshape(len(terms) - 1, -1).T
+        head = head[head.sum(axis=1) <= n]
+        powers = np.column_stack([head, n - head.sum(axis=1)])
+        log_terms = (
+            special.gammaln(n + 1.0) - special.gammaln(powers + 1.0).sum(axis=1)
+            + powers @ log_c - half * np.log(math.pi * (powers @ rates))
+        )
+        return float(_logsumexp(log_terms)) + log_gamma(half) - LOG_2
+
+    # Term i alone peaks at t_i = ln(k / (2 pi p a_i)) / 2.  The mixture has
+    # L'(t) = k - 2 pi p r^2 abar(r), with abar(r) a weighted mean of the rates, so L
+    # rises below min t_i and falls above max t_i at least as fast as a single term of
+    # the largest (smallest) rate: by (k/2) u^2 / (2 + u), u = 2 (min t_i - t), below
+    # and by k (t - max t_i)^2 above.  Past lo and hi it lies 75 under L(min t_i) and
+    # L(max t_i), so 75 under its peak.
+    peaks = 0.5 * np.log(k / (2.0 * math.pi * p * rates))
+    y = 150.0 / k
+    lo = float(peaks.min()) - 0.25 * (y + math.sqrt(y * (y + 8.0)))
+    hi = float(peaks.max()) + math.sqrt(0.5 * y)
+    step = 0.5 / math.sqrt(k)
+    count = math.ceil((hi - lo) / step) + 1
+    if count > _MAX_NODES // 4:
+        raise ValueError(
+            f"the integrand r^{k - 1:g} F(r)^{p:g} peaks too narrowly for the "
+            f"{_MAX_NODES}-node trapezoid rule"
+        )
+
+    def parts(t):
+        with np.errstate(over="ignore"):  # an exponent of -inf is an exact 0
+            return k * t, p * _logsumexp(log_c[:, None] - math.pi * rates[:, None] * np.exp(2.0 * t))
+
+    nodes = lo + step * np.arange(count)
+    power, log_mix = parts(nodes)
+    values = power + log_mix
+    shift = float(values.max())
+    rtol = max(TRAPEZOID_RTOL, sys.float_info.epsilon * float((abs(power) + abs(log_mix)).max()))
+    total = step * float(np.exp(values - shift).sum())
+    while True:
+        mids = nodes + 0.5 * step
+        power, log_mix = parts(mids)
+        refined = 0.5 * total + 0.5 * step * float(np.exp(power + log_mix - shift).sum())
+        if abs(refined - total) <= rtol * refined:
+            return shift + math.log(refined)
+        if 2 * nodes.size > _MAX_NODES:
+            raise ValueError(
+                f"the trapezoid rule for r^{k - 1:g} F(r)^{p:g} did not converge "
+                f"in {_MAX_NODES} nodes"
+            )
+        nodes, step, total = np.concatenate([nodes, mids]), 0.5 * step, refined
 
 
 def radial_weighted_norm(
@@ -200,29 +284,28 @@ def radial_weighted_norm(
     weight_exponent 0 gives ||f||_p; weight_exponent 1 with exponent p gives
     the p-th moment V_p(f)^{1/p}.
     """
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     if weight_exponent < 0:
         raise ValueError("weight_exponent must be nonnegative")
     geom = dimension_constants(d)
-    omega = geom.sphere_area
     k = p * weight_exponent + d  # integrand behaves like r^{k-1} near 0
     if profile.is_gaussian:
         if len(profile.terms) == 1:
             coef, rate = profile.terms[0]
             half = 0.5 * k
-            moment = math.exp(log_gamma(half) - half * math.log(math.pi * p * rate)) / 2.0
-            return (omega * abs(coef) ** p * moment) ** (1.0 / p)
-
-        def integrand(r):
-            # log domain: r^(k-1) alone overflows at large r and k
-            mix = sum(coef * math.exp(-math.pi * rate * r * r) for coef, rate in profile.terms)
-            if mix == 0.0:
-                return 0.0
-            return math.exp((k - 1.0) * math.log(r) + p * math.log(abs(mix)))
-
-        total = _quad(integrand, 0.0, math.inf, points=_gaussian_scales(profile))
-        return (omega * total) ** (1.0 / p)
+            log_integral = (
+                p * math.log(abs(coef)) + log_gamma(half)
+                - half * math.log(math.pi * p * rate) - LOG_2
+            )
+        else:
+            log_integral = _log_mixture_moment(profile.terms, k, p)
+        # (omega I)^{1/p} as a linear product while omega, I and omega I are normal
+        # floats, else in the log domain: omega_{d-1} is 0 from d = 456 on
+        log_total = geom.log_sphere_area + log_integral
+        if all(LOG_MIN < x < LOG_MAX for x in (geom.log_sphere_area, log_integral, log_total)):
+            return (geom.sphere_area * math.exp(log_integral)) ** (1.0 / p)
+        return math.exp(log_total / p)
     alpha, beta = profile.power_log
     # F^p shifts the exponents: the integrand is r^{k + p alpha - 1} ln^{p beta}(1/r)
     rate = _power_rate(p * weight_exponent, d, p * alpha)

@@ -12,6 +12,8 @@ from uplab import counterexamples as cx
 from uplab.cli import main
 from uplab.grid import read_grid_csv
 from uplab.harness import read_sweep_csv
+from uplab.params import cp_params
+from uplab.radial import gaussian_uncertainty_product
 
 
 def run(capsys, *argv):
@@ -264,12 +266,45 @@ class TestOutOfRangeInputs:
         # omega_999 = e^{-2032}: every endpoint mass lies below the floats
         (["cowling-price", "--d", "1000", "--p", "4000", "--q", "4000",
           "--theta", "499.75", "--phi", "499.75"], "lies below the floats"),
+        # the radial checks pass; the bump's |f|^p overflows and its weighted norm is
+        # NaN, which is no measurement and so no failed inequality
+        (["cowling-price", "--d", "3", "--p", "1e6", "--q", "1e6",
+          "--theta", "1.6", "--phi", "1.6"], "check random_bump has no measured value"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.count("\n") == 1
         assert named in err
+
+
+@pytest.mark.filterwarnings("error")
+class TestPastTheSphereAreaUnderflow:
+    """omega_{d-1} is 0 in double precision from d = 456 on.  The radial norms carry it
+    as a log, so these checks and products are measured: before, d = 456 passed every
+    check on 0 >= 0 (slack=inf), and the others raised OverflowError or ZeroDivisionError."""
+
+    @pytest.mark.parametrize("d", [456, 1000])
+    def test_cowling_price(self, capsys, d):
+        code, out, err = run(
+            capsys,
+            "cowling-price", "--d", str(d), "--p", "2", "--q", "2", "--theta", "1", "--phi", "1",
+        )
+        assert (code, err) == (0, "")
+        assert out.count("pass=True") == 3 and "inf" not in out
+        # the Gaussian's ||x g||_2^2 / ||g||_2^2 is d / (4 pi)
+        slack = float(out.split("gaussian     slack=")[1].split()[0])
+        exact = math.exp(math.log(d / (4.0 * math.pi)) - cp_params(d, 2, 2, 1, 1).log_bound) - 1
+        assert slack == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("d, p", [(456, 3.0), (1000, 2.01)])
+    def test_sharpness(self, capsys, d, p):
+        code, out, err = run(capsys, "sharpness", "--d", str(d), "--p", str(p), "--c-list", "1,2")
+        assert (code, err) == (0, "")
+        assert "decreasing=True" in out
+        # g_1 = 2 exp(-pi r^2) has the Gaussian's uncertainty product
+        first = float(out.split("product=")[1].split()[0])
+        assert first == pytest.approx(gaussian_uncertainty_product(d, p), rel=1e-10)
 
 
 class TestUnwritableOutput:

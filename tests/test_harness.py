@@ -146,6 +146,22 @@ class TestFunctionChain:
             harness.function_chain_check(zero, 1, 2.0)
 
 
+class TestCheckRules:
+    @pytest.mark.parametrize("lhs, rhs", [
+        (math.nan, 1.0), (1.0, math.nan), (1.0, 0.0), (0.0, 0.0), (1.0, math.inf),
+    ])
+    @pytest.mark.parametrize("rule", [harness._at_least, harness._at_most])
+    def test_no_verdict_without_a_measurement(self, rule, lhs, rhs):
+        # a NaN side, or a bound that every lhs meets or misses, is an error, not a verdict
+        with pytest.raises(ValueError, match="check probe has no measured value"):
+            rule("probe", lhs, rhs)
+
+    def test_measured_sides_give_a_verdict(self):
+        assert harness._at_least("probe", 0.0, 1.0).passed is False
+        assert harness._at_most("probe", 0.0, 1.0).passed is True
+        assert harness._at_least("probe", math.inf, 1.0).passed is True
+
+
 def _traced_peak(run) -> int:
     """tracemalloc peak of run() after a warm-up call."""
     run()

@@ -1,8 +1,9 @@
 """Tests for radial-reduction integrals.
 
 Closed-form Gaussian moments and power-law tails give exact oracles; the
-adaptive-quadrature paths are cross-checked against direct scipy.integrate
-calls written independently here.
+mixture norms and the adaptive-quadrature paths are cross-checked against
+direct scipy.integrate calls and a 40-digit mpmath quadrature written
+independently here.
 """
 
 import math
@@ -12,6 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from uplab import radial
+from uplab.counterexamples import gc_infimum_sweep, gc_profile
+from uplab.harness import cp_check
 from uplab.radial import (
     RadialProfile,
     gaussian_profile,
@@ -32,6 +36,23 @@ class TestRadialProfile:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             RadialProfile(terms=((1.0, -2.0),))
+
+    @pytest.mark.parametrize("coef", [0.0, -0.5, math.nan, math.inf])
+    def test_mixture_rejects_nonpositive_coefficient(self, coef):
+        # a sign change of F would break the trapezoid rule's geometric convergence
+        with pytest.raises(ValueError, match="positive coefficients"):
+            RadialProfile(terms=((1.0, 1.0), (coef, 2.0)))
+
+    @pytest.mark.parametrize("coef", [0.0, math.nan, math.inf])
+    def test_single_term_rejects_zero_or_nonfinite_coefficient(self, coef):
+        with pytest.raises(ValueError, match="finite nonzero coefficient"):
+            gaussian_profile(coefficient=coef)
+
+    def test_single_term_keeps_any_sign(self):
+        # its norm uses ln |c| in closed form
+        assert radial_weighted_norm(gaussian_profile(coefficient=-2.0), 2, 2.0, 0.0) == (
+            pytest.approx(radial_weighted_norm(gaussian_profile(coefficient=2.0), 2, 2.0, 0.0))
+        )
 
     def test_evaluation(self):
         prof = RadialProfile(terms=((2.0, 1.0), (1.0, 4.0)))
@@ -145,8 +166,8 @@ class TestRadialWeightedNorm:
 
     @pytest.mark.parametrize("d, weight", [(1, 0.0), (3, 1.0), (40, 30.0)])
     def test_equal_rate_mixture_matches_single_term(self, d, weight):
-        # the two-term path integrates by quadrature, the one-term path is closed
-        # form; at d = 40 the integrand's r^{k-1} alone exceeds the float range
+        # the two-term path expands F^2 binomially, the one-term path is one
+        # Gaussian moment; at d = 40 the integrand's r^{k-1} alone exceeds the float range
         mixture = RadialProfile(terms=((0.25, 1.0), (0.75, 1.0)))
         norm = radial_weighted_norm(mixture, d, 2.0, weight)
         assert norm == pytest.approx(
@@ -166,7 +187,109 @@ class TestRadialWeightedNorm:
         with pytest.raises(ValueError):
             radial_weighted_norm(gaussian_profile(), 1, 0.5, 0.0)
         with pytest.raises(ValueError):
+            radial_weighted_norm(gaussian_profile(), 1, math.inf, 0.0)
+        with pytest.raises(ValueError):
             radial_weighted_norm(gaussian_profile(), 1, 2.0, -1.0)
+
+    @pytest.mark.parametrize("d", [456, 1000, 100000])
+    def test_gaussian_norm_past_the_sphere_area_underflow(self, d):
+        # omega_{d-1} is 0 in double precision from d = 456 on; ||g||_2 = 2^{-d/4} is
+        # itself below the floats at d = 100000, where Gamma(k/2) is beyond them
+        norm = radial_weighted_norm(gaussian_profile(), d, 2.0, 0.0)
+        assert norm == pytest.approx(2.0 ** (-0.25 * d), rel=1e-12, abs=0.0)
+
+
+def _mpmath_mixture_norm(mp, profile, d, p, w):
+    """(omega_{d-1} * integral of r^{pw} F(r)^p r^{d-1} dr)^{1/p} at mp's precision.
+
+    In t = ln r the integrand is exp(k t + p ln F(e^t)), k = p w + d.  The quadrature
+    is split at each local peak of that exponent (found by a float scan, refined by
+    mp.findroot) and at 8 peak widths 1/sqrt(2k) on either side of it.  Every stationary
+    point lies between the single-term peaks ln(k / (2 pi p a_i)) / 2, and beyond them
+    the exponent falls by more than 300 within the outer edges used here.
+    """
+    log_c = np.log([c for c, _ in profile.terms])
+    rates = np.array([a for _, a in profile.terms])
+    k = p * w + d
+    peaks = 0.5 * np.log(k / (2 * math.pi * p * rates))
+    t = np.linspace(peaks.min() - 1, peaks.max() + 1, 4001)
+    x = log_c[:, None] - math.pi * rates[:, None] * np.exp(2 * t)
+    top = x.max(axis=0)
+    scan = k * t + p * (top + np.log(np.exp(x - top).sum(axis=0)))
+    local = (scan[1:-1] >= scan[:-2]) & (scan[1:-1] >= scan[2:]) & (scan[1:-1] > scan.max() - 100)
+    cs = [mp.mpf(c) for c, _ in profile.terms]
+    rs = [mp.mpf(a) for _, a in profile.terms]
+    p = mp.mpf(p)
+    k = p * mp.mpf(w) + d
+
+    def gaussians(s):
+        r2 = mp.exp(2 * s)
+        return r2, [c * mp.exp(-mp.pi * a * r2) for c, a in zip(cs, rs)]
+
+    def exponent(s):
+        return k * s + p * mp.log(mp.fsum(gaussians(s)[1]))
+
+    def slope(s):
+        r2, g = gaussians(s)
+        return k - 2 * mp.pi * p * r2 * mp.fdot(rs, g) / mp.fsum(g)
+
+    tops = [mp.findroot(slope, mp.mpf(float(s))) for s in t[1:-1][local]]
+    shift = max(exponent(s) for s in tops)
+    width = 1 / mp.sqrt(2 * k)
+    edges = {s + m * width for s in tops for m in (-8, 0, 8)}
+    edges |= {peaks.min() - 300 / k - 1, peaks.max() + mp.sqrt(300 / k) + 1}
+    integral = mp.quad(lambda s: mp.exp(exponent(s) - shift), sorted(edges))
+    omega = 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+    return mp.exp((mp.log(omega) + mp.log(integral) + shift) / p)
+
+
+# A cyclic walk through d x p x w x c that takes every value of each at least once,
+# plus p = 1e6 (the full 336-case grid, and p = 1e6 at every w and c, agrees to
+# 6.4e-13 but takes over a minute).
+_DS = (1, 2, 3, 10, 100, 1000)
+_PS = (1.0, 1.25, 1.5, 2.0, 2.5, 5.0, 8.0)
+_WS = (0.0, 0.5, 1.0, 3.0)
+_MIXTURE_CASES = [
+    (_DS[i % 6], _PS[i % 7], _WS[i % 4], (2.0, 4.0)[i // 3 % 2]) for i in range(8)
+] + [(3, 1e6, 1.6, 2.0)]
+
+
+class TestMixtureNorm:
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        for d, p, w, c in _MIXTURE_CASES:
+            profile = gc_profile(c, d)
+            exact = _mpmath_mixture_norm(mp, profile, d, p, w)
+            norm = radial_weighted_norm(profile, d, p, w)
+            assert norm == pytest.approx(float(exact), rel=radial.QUAD_RTOL), (d, p, w, c)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 2.5])
+    def test_three_terms_against_quadrature(self, p):
+        # integer p expands multinomially over three terms, 2.5 takes the trapezoid rule
+        d, w = 3, 1.0
+        profile = RadialProfile(terms=((1.0, 0.5), (2.0, 1.0), (0.5, 3.0)))
+        oracle, _ = integrate.quad(
+            lambda r: float(profile(r)) ** p * r ** (p * w + d - 1), 0.0, math.inf,
+            epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        omega = dimension_constants(d).sphere_area
+        assert radial_weighted_norm(profile, d, p, w) == pytest.approx(
+            (omega * oracle) ** (1.0 / p), rel=1e-11
+        )
+
+    def test_no_adaptive_quadrature(self, monkeypatch):
+        # every Gaussian-mixture norm is a closed form or the trapezoid rule in t = ln r
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy quad called on a Gaussian profile")
+
+        monkeypatch.setattr(radial.integrate, "quad", refuse)
+        for p, theta in [(2.0, 1.0), (2.5, 1.0)]:  # integer and non-integer p
+            report = cp_check(2, p, p, theta, theta)
+            assert report.classification == "feasible" and report.passed
+        for p in (5.0, 4.5):
+            assert all(0 < x < math.inf for x in gc_infimum_sweep(2, p, [1.0, 2.0, 4.0]))
 
 
 class TestGaussianUncertaintyProduct:
