@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .grid import GridFunction, GridSpec, grid_weighted_norm
 from .params import lp_regime
 from .radial import RadialProfile, radial_integral, radial_weighted_norm
+from .specialfn import LOG_MAX
 
 MAX_SIGN_DIM = 12
 RS_SPACING = 1.0 / 16.0
@@ -55,9 +57,25 @@ def gc_uncertainty_ratio(c: float, d: int, p: float) -> float:
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
     profile = gc_profile(c, d)
-    moment = radial_weighted_norm(profile, d, p, 1.0) ** p
-    norm_p = radial_weighted_norm(profile, d, p, 0.0) ** p
-    return moment / norm_p
+    moment_root = radial_weighted_norm(profile, d, p, 1.0)
+    norm_root = radial_weighted_norm(profile, d, p, 0.0)
+    try:
+        moment, norm_p = moment_root**p, norm_root**p
+    except OverflowError:  # a power beyond the floats: the ratio from the logs
+        moment = norm_p = 0.0
+    if min(moment, norm_p) >= sys.float_info.min:  # both powers are normal floats
+        ratio = moment / norm_p
+    else:
+        log_ratio = p * (math.log(moment_root) - math.log(norm_root))
+        ratio = math.exp(log_ratio) if log_ratio < LOG_MAX else math.inf
+    return _normal(ratio, f"the g_c uncertainty ratio at c={c:g}, d={d}, p={p:g}")
+
+
+def _normal(value: float, what: str) -> float:
+    """value, if it is a normal positive float; else a ValueError naming what."""
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(f"{what} is {value:g}, outside the normal float range")
+    return value
 
 
 def gc_infimum_sweep(d: int, p: float, c_values) -> list[float]:
@@ -70,7 +88,12 @@ def gc_infimum_sweep(d: int, p: float, c_values) -> list[float]:
     c_values = list(c_values)
     if any(c < 1 for c in c_values) or sorted(c_values) != c_values:
         raise ValueError("c_values must be increasing and >= 1")
-    return [gc_uncertainty_ratio(c, d, p) ** 2 for c in c_values]
+    products = []
+    for c in c_values:
+        ratio = gc_uncertainty_ratio(c, d, p)
+        square = ratio**2 if ratio < 1e154 else math.inf  # a larger square overflows
+        products.append(_normal(square, f"the g_c uncertainty product at c={c:g}"))
+    return products
 
 
 # ---------------------------------------------------------------------------

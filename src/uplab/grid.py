@@ -13,9 +13,11 @@ axis, several norms per pass, and add the block sums pairwise, which is the
 order of numpy's pairwise summation over the whole power-of-two grid.  A
 norm over the tail beyond a radius gathers the tail samples block by block and
 sums them in numpy's pairwise order over the gathered samples.  No grid-sized
-array is built by a norm, a transform or a sampler beyond the array it returns;
-a tail norm holds its gathered float64 samples, in block-sized pieces, until
-it sums them.
+array is built by a norm, a transform or a sampler beyond the array it returns,
+with one exception: |x_k| over the whole grid is built once per GridSpec and
+kept, read-only, in a small cache (_radius), from which the weighted and tail
+norms take their blocks.  A tail norm holds its gathered samples, in
+block-sized pieces, until it sums them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ DEFAULT_SPECS = {1: (256, 8.0), 2: (128, 6.0), 3: (64, 5.0)}
 # samples per block of a norm pass: 256 KiB of float64, so that the block
 # temporaries stay in the allocator's reused heap instead of fresh mappings
 _BLOCK = 1 << 15
+# GridSpecs whose radius arrays are kept (2 MiB for a 64^3 grid): the default grids,
+# their duals and the translate families' support grids, 4.9 MiB in all
+_RADIUS_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,17 @@ def _squared_distance(mesh, center=None) -> np.ndarray:
     return functools.reduce(np.add, [(m - c) ** 2 for m, c in zip(mesh, center)])
 
 
+@functools.lru_cache(maxsize=_RADIUS_CACHE_SIZE)
+def _radius(spec: GridSpec) -> np.ndarray:
+    """|x_k| over the whole grid as a read-only float64 array, built once per spec.
+    Each element is the square root of _squared_distance over the open axes, the
+    same operations in the same order as over any block of them."""
+    radius = _squared_distance(spec.meshgrid())
+    np.sqrt(radius, out=radius)
+    radius.setflags(write=False)
+    return radius
+
+
 def _row_blocks(spec: GridSpec):
     """Index ranges along the first axis of _BLOCK samples each (one range when smaller)."""
     rows = max(1, _BLOCK // spec.n ** (spec.d - 1))
@@ -175,13 +191,21 @@ def sample(generator, spec: GridSpec) -> GridFunction:
 
 
 def _boundary_ratio(spec: GridSpec, vals: np.ndarray) -> float:
-    peak = max(np.abs(vals[rows]).max() for rows in _row_blocks(spec))
-    if peak == 0.0:
-        return 0.0
+    """max |f| over the faces of the grid over max |f| over the grid, or, when that is
+    surely at most BOUNDARY_WARN, a bound between the two.  The faces are read first.
+    The peak over the central slice of axis 0 bounds the grid's peak from below, and
+    correctly rounded division is monotone, so faces at most BOUNDARY_WARN of that
+    slice's peak need no pass over the whole grid: every decision is the same."""
     edge = 0.0
     for axis in range(spec.d):
         edge = max(edge, np.abs(np.take(vals, 0, axis=axis)).max(),
                    np.abs(np.take(vals, -1, axis=axis)).max())
+    if edge == 0.0:
+        return 0.0
+    central = np.abs(vals[spec.n // 2]).max()
+    if central > 0.0 and edge / central <= BOUNDARY_WARN:
+        return float(edge / central)
+    peak = max(np.abs(vals[rows]).max() for rows in _row_blocks(spec))
     return float(edge / peak)
 
 
@@ -246,22 +270,23 @@ def grid_weighted_norm(
 def _weighted_sums(f: GridFunction, terms, radius_floor: float | None = None) -> list[float]:
     """The sums sum |x_k|^{p w} |f_k|^p (max |x_k|^w |f_k| for p = inf) behind
     grid_weighted_norm, without the cell volume.  One blocked pass computes |f|,
-    each distinct |f|^p and each distinct weight once per block; with radius_floor
-    it gathers the samples beyond the floor, and each sum is np.sum's over the
-    gathered tail.
+    each distinct |f|^p and each distinct weight once per block, the weights from
+    the spec's cached radius; with radius_floor it gathers the samples beyond the
+    floor, and the radius only for weighted terms, and each sum is np.sum's over
+    the gathered tail.
     """
     spec = f.spec
-    with_radius = radius_floor is not None or any(w > 0 for _, w in terms)
-    mesh = spec.meshgrid() if with_radius else None
+    weighted = any(w > 0 for _, w in terms)
+    radii = _radius(spec) if weighted or radius_floor is not None else None
     parts = [[] for _ in terms]
     for rows in _row_blocks(spec):
-        mags = np.abs(f.values[rows])
-        if with_radius:
-            radius = _squared_distance(_block_mesh(mesh, rows))
-            np.sqrt(radius, out=radius)
-            if radius_floor is not None:
-                tail = radius > radius_floor
-                mags, radius = mags[tail], radius[tail]
+        samples = f.values[rows]
+        radius = None if radii is None else radii[rows]
+        if radius_floor is not None:
+            tail = radius > radius_floor
+            samples = samples[tail]
+            radius = radius[tail] if weighted else None
+        mags = np.abs(samples)
         powers, weights = {}, {}
         for (p, w), part in zip(terms, parts):
             if p == math.inf:

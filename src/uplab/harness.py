@@ -35,7 +35,7 @@ from .params import (
     lp_params,
 )
 from .radial import RadialProfile, gaussian_log_product, gaussian_profile, radial_weighted_norm
-from .specialfn import LOG_2, dimension_constants
+from .specialfn import LOG_2, LOG_MAX, dimension_constants
 
 SLACK_TOL = 1e-6
 SLOPE_RTOL = 0.1
@@ -407,7 +407,8 @@ def cp_check(
 
     if classification == "feasible":
         bundle = cp_params(d, p, q, theta, phi)
-        bound = math.exp(bundle.log_bound)
+        # a bound beyond the float range is infinite, which no check takes as measured
+        bound = math.exp(bundle.log_bound) if bundle.log_bound < LOG_MAX else math.inf
         results = [
             _cp_radial_result("gaussian", gaussian_profile(), d, p, q, theta, phi, bound),
             _cp_radial_result("g_2", cx.gc_profile(2.0, d), d, p, q, theta, phi, bound),

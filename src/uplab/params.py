@@ -79,21 +79,15 @@ def _log_c_d(d: int, s: float) -> float:
     return (-s * LOG_2 - geom.log_ball_volume) / d
 
 
-def _ball_volume_linear(d: int) -> float:
-    # v_d = (2 pi / d) v_{d-2}; exact at v_1 = 2, stable until underflow
-    if d > 400:
-        return math.inf  # force the log path
-    v = 1.0 if d % 2 == 0 else 2.0
-    for k in range(2 if d % 2 == 0 else 3, d + 1, 2):
-        v *= 2.0 * math.pi / k
-    return v
+def _ball_volumes(d_max: int) -> list[float]:
+    # v_d = (2 pi / d) v_{d-2} from v_0 = 1 and v_1 = 2 (exact), stable until underflow
+    volumes = [1.0, 2.0]
+    for d in range(2, d_max + 1):
+        volumes.append(volumes[d - 2] * (2.0 * math.pi / d))
+    return volumes
 
 
-def _linear_c(d: int, s: float) -> float:
-    v = _ball_volume_linear(d)
-    if not math.isfinite(v) or v <= 0:
-        return math.nan
-    return (0.5**s / v) ** (1.0 / d)
+_BALL_VOLUMES = _ball_volumes(400)
 
 
 def l2_params(d: int) -> WigdersonParams:
@@ -106,11 +100,12 @@ def l2_params(d: int) -> WigdersonParams:
     geom = dimension_constants(d)
     log_c = _log_c_d(d, s)
     log_bound = math.log(1.0 / 16.0) + (2.0 / (d + 1)) * 2.0 * (log_c - geom.log_sphere_area)
-    c_lin = _linear_c(d, s)
+    v = _BALL_VOLUMES[d] if d < len(_BALL_VOLUMES) else math.inf  # inf: the log path
+    c_lin = (0.5**s / v) ** (1.0 / d) if 0 < v < math.inf else math.nan
     bound_lin = math.nan
     if math.isfinite(c_lin) and c_lin > 0:
         log_c = math.log(c_lin)
-        omega_sq = (d * _ball_volume_linear(d)) ** 2
+        omega_sq = (d * v) ** 2
         if omega_sq > 0 and math.isfinite(omega_sq):
             bound_lin = (1.0 / 16.0) * (c_lin * c_lin / omega_sq) ** (2.0 / (d + 1))
     else:

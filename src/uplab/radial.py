@@ -305,6 +305,11 @@ def radial_weighted_norm(
         log_total = geom.log_sphere_area + log_integral
         if all(LOG_MIN < x < LOG_MAX for x in (geom.log_sphere_area, log_integral, log_total)):
             return (geom.sphere_area * math.exp(log_integral)) ** (1.0 / p)
+        if log_total / p >= LOG_MAX:
+            raise ValueError(
+                f"the weighted L^{p:g} norm (weight exponent {weight_exponent:g}) at d={d} "
+                f"exceeds the float range: ln norm = {log_total / p:.6g}"
+            )
         return math.exp(log_total / p)
     alpha, beta = profile.power_log
     # F^p shifts the exponents: the integrand is r^{k + p alpha - 1} ln^{p beta}(1/r)

@@ -270,6 +270,15 @@ class TestOutOfRangeInputs:
         # NaN, which is no measurement and so no failed inequality
         (["cowling-price", "--d", "3", "--p", "1e6", "--q", "1e6",
           "--theta", "1.6", "--phi", "1.6"], "check random_bump has no measured value"),
+        # the certified bound e^2444 is beyond the float range, and so is ||x|^600 g||_2
+        (["cowling-price", "--d", "1000", "--p", "2", "--q", "2",
+          "--theta", "600", "--phi", "600"], "exceeds the float range"),
+        # the norms are finite, the bound e^1222 and the product of the norms are not
+        (["cowling-price", "--d", "1000", "--p", "2", "--q", "2",
+          "--theta", "300", "--phi", "300"], "check gaussian has no measured value"),
+        # m^p and n^p underflow, and so does their ratio: exp(-1.4e6)
+        (["sharpness", "--d", "3", "--p", "1e6", "--c-list", "1,2"],
+         "outside the normal float range"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)

@@ -40,6 +40,17 @@ class TestGcFamily:
                 gaussian_uncertainty_product(d, p), rel=1e-10
             )
 
+    @pytest.mark.parametrize("d, p", [(456, 50.0), (456, 400.0), (1000, 200.0)])
+    def test_ratio_beyond_normal_powers(self, d, p):
+        # m^p and n^p are below the normal floats (e^-847 to e^-2524), their ratio is not
+        ratio = cx.gc_uncertainty_ratio(1.0, d, p)
+        assert ratio**2 == pytest.approx(gaussian_uncertainty_product(d, p), rel=1e-10)
+
+    def test_ratio_outside_the_floats_is_a_usage_error(self):
+        # (m/n)^p = exp(-1.4e6) at c = 1
+        with pytest.raises(ValueError, match="outside the normal float range"):
+            cx.gc_uncertainty_ratio(1.0, 3, 1e6)
+
     def test_grid_self_duality(self):
         # g_c equals its own Fourier transform
         from uplab.grid import default_spec

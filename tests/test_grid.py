@@ -16,10 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from uplab import counterexamples as cx
 from uplab.grid import (
+    BOUNDARY_ERROR,
+    BOUNDARY_WARN,
     GridFunction,
     GridSpec,
+    _RADIUS_CACHE_SIZE,
     _bump_samples,
+    _radius,
     _transform,
+    _weighted_sums,
     default_spec,
     fourier_transform,
     gaussian_grid_function,
@@ -35,6 +40,14 @@ from uplab.radial import gaussian_profile, radial_weighted_norm
 
 # the 512^2 grid of the translate families, beside the default grids
 SPECS = [default_spec(1), default_spec(2), default_spec(3), GridSpec(d=2, n=512, half_width=16.0)]
+# the level-2 support grid of the d = 2 translate family: 256^2 at spacing 1/16
+SUPPORT_SPEC = cx._support_grid(cx.rs_base(2).spec, 2)
+# grids whose radius the norms take from the cache: the default grids, their duals,
+# a support grid and half-widths other than the default ones
+RADIUS_SPECS = (
+    [default_spec(d) for d in (1, 2, 3)] + [default_spec(d).dual() for d in (1, 2, 3)]
+    + [SUPPORT_SPEC, GridSpec(d=1, n=256, half_width=3.0)]
+)
 
 
 def dense_meshgrid(spec):
@@ -68,21 +81,31 @@ def dense_radius(spec):
     return np.sqrt(sum(m * m for m in dense_meshgrid(spec)))
 
 
-def dense_norms(f, terms, radius_floor=None):
-    """Reference: each norm from full-grid arrays over a dense mesh, one term at a time."""
+def dense_sums(f, terms, radius_floor=None):
+    """Reference: each sum behind a norm from full-grid arrays over a dense mesh, one
+    term at a time."""
     radius = dense_radius(f.spec)
     mags = np.abs(f.values)
     if radius_floor is not None:
         tail = radius > radius_floor
         radius, mags = radius[tail], mags[tail]
-    norms = []
-    for p, w in terms:
-        if p == math.inf:
-            norms.append(float(np.max(radius**w * mags, initial=0.0)))
-        else:
-            total = float(np.sum(radius ** (p * w) * mags**p))
-            norms.append((total * f.spec.spacing**f.spec.d) ** (1.0 / p))
-    return tuple(norms)
+    return [float(np.max(radius**w * mags, initial=0.0)) if p == math.inf
+            else float(np.sum(radius ** (p * w) * mags**p)) for p, w in terms]
+
+
+def dense_norms(f, terms, radius_floor=None):
+    """Reference: each norm from the dense sums."""
+    cell = f.spec.spacing**f.spec.d
+    return tuple(total if p == math.inf else (total * cell) ** (1.0 / p)
+                 for (p, _), total in zip(terms, dense_sums(f, terms, radius_floor)))
+
+
+def full_peak_ratio(f):
+    """Reference: max |f| over the faces of the grid over max |f| over the whole grid."""
+    mags = np.abs(f.values)
+    edge = max(np.take(mags, i, axis=axis).max() for axis in range(f.spec.d) for i in (0, -1))
+    peak = mags.max()
+    return 0.0 if peak == 0.0 else float(edge / peak)
 
 
 def translate_member(d):
@@ -95,6 +118,15 @@ def translate_member(d):
     (base_l2,) = grid_weighted_norm(base, [(2.0, 0.0)])
     family = cx.RSFamily(d=3, k=1, signs=cx.rs_signs(3, 1), base=base, base_l2_sq=base_l2**2)
     return family.member(1)
+
+
+@pytest.fixture
+def fresh_radius_cache():
+    """An empty radius cache, emptied again afterwards: a test that swaps how coordinates
+    are made must not read, or leave behind, radii made the other way."""
+    _radius.cache_clear()
+    yield
+    _radius.cache_clear()
 
 
 class TestGridSpec:
@@ -138,7 +170,7 @@ class TestBroadcastAxes:
         assert np.broadcast_shapes(*shapes) == (64, 64, 64)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"d{s.d}n{s.n}")
-    def test_same_bytes_as_dense_mesh(self, spec, monkeypatch):
+    def test_same_bytes_as_dense_mesh(self, spec, monkeypatch, fresh_radius_cache):
         profile = cx.gc_profile(2.0, spec.d)
 
         def evaluate():
@@ -324,6 +356,24 @@ class TestNorms:
             for p, w in terms:
                 assert grid_weighted_norm(f, [(p, w)]) == dense_norms(f, [(p, w)])
 
+    @pytest.mark.parametrize("spec", RADIUS_SPECS, ids=lambda s: f"d{s.d}n{s.n}L{s.half_width:g}")
+    def test_cached_radius_matches_dense_reference(self, spec):
+        # the weights and the tail mask read the spec's cached radius; a tail gathers f
+        # and takes |f| afterwards, and gathers the radius only for weighted terms
+        terms = [(2.0, 0.0), (4.0 / 3.0, 0.0), (2.0, 1.0), (1.5, 1.0), (math.inf, 0.3)]
+        rng = np.random.default_rng(spec.n)
+        noise = rng.normal(size=(spec.n,) * spec.d) + 1j * rng.normal(size=(spec.n,) * spec.d)
+        functions = [gaussian_grid_function(spec), GridFunction(spec, noise)]
+        if spec == SUPPORT_SPEC:
+            functions.append(cx.rs_level(cx.rs_base(2), 2, 2).member(1, spec))
+        for f in functions:
+            for floor in (None, 0.0, 1.0, 2.5):
+                assert grid_weighted_norm(f, terms, floor) == dense_norms(f, terms, floor)
+                for sums_terms in (terms, terms[:2]):
+                    sums = _weighted_sums(f, sums_terms, floor)
+                    assert (np.array(sums).tobytes()
+                            == np.array(dense_sums(f, sums_terms, floor)).tobytes())
+
     def test_gaussian_against_radial_norm(self):
         # smooth weights |x|^{pw} (pw in {0, 2}) keep the 64^3 Riemann sum spectrally accurate
         terms = [(2.0, 0.0), (1.5, 0.0), (2.0, 1.0), (1.0, 2.0), (4.0, 0.5)]
@@ -340,6 +390,106 @@ class TestNorms:
                 grid_weighted_norm(f, [(p, w)])
             with pytest.raises(ValueError):
                 grid_weighted_norm(f, [(2.0, 0.0), (p, w)])
+
+
+class TestRadiusCache:
+    def test_read_only_exact_and_shared(self):
+        for spec in RADIUS_SPECS:
+            radius = _radius(spec)
+            assert not radius.flags.writeable
+            with pytest.raises(ValueError):
+                radius[(0,) * spec.d] = 1.0
+            assert radius.dtype == np.float64
+            assert radius.tobytes() == dense_radius(spec).tobytes()
+            assert _radius(GridSpec(spec.d, spec.n, spec.half_width)) is radius
+
+    def test_bounded(self, fresh_radius_cache):
+        for i in range(_RADIUS_CACHE_SIZE + 3):
+            _radius(GridSpec(d=1, n=16, half_width=1.0 + i))
+        info = _radius.cache_info()
+        assert info.currsize == info.maxsize == _RADIUS_CACHE_SIZE
+        assert info.misses == _RADIUS_CACHE_SIZE + 3
+
+
+def guard_outcome(f):
+    """'raise', 'warn' or 'silent': what the transform's boundary guard does with f,
+    and the message it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fourier_transform(f)
+        except ValueError as exc:
+            return "raise", str(exc)
+    if caught:
+        (warning,) = caught
+        return "warn", str(warning.message)
+    return "silent", ""
+
+
+def with_face_sample(f, ratio):
+    """f with one sample on the last face of axis 0 set to ratio times its peak."""
+    values = np.array(f.values)
+    values[(-1,) + (f.spec.n // 3,) * (f.spec.d - 1)] = ratio * np.abs(values).max()
+    return GridFunction(f.spec, values)
+
+
+def shifted_gaussian(spec, shift):
+    """exp(-pi |x - (shift, 0, ..)|^2)."""
+    return sample(lambda *mesh: np.exp(-math.pi * ((mesh[0] - shift) ** 2
+                                                   + sum(m * m for m in mesh[1:]))), spec)
+
+
+class TestBoundaryGuard:
+    """The guard reads the faces, bounds the peak from below by the central slice of axis
+    0, and reads the whole grid only when that bound does not settle the case: it must
+    raise, warn and stay silent exactly where the full-peak ratio says."""
+
+    @staticmethod
+    def cases():
+        members = [translate_member(d) for d in (1, 2, 3)]
+        cases = {f"member d={m.spec.d}": m for m in members}
+        for m in members:  # the central slice is zero, the faces are not
+            for ratio in (1e-13, 1e-9, 1e-6, 1e-3):
+                cases[f"member d={m.spec.d} face {ratio:g}"] = with_face_sample(m, ratio)
+        for d in (1, 2, 3):
+            spec = default_spec(d)
+            cases[f"gaussian d={d}"] = gaussian_grid_function(spec)
+            cases[f"bump d={d}"] = random_bump(spec, seed=d)
+            # faces at 1.9e-9 (d = 1), 1.0e-5 and 1.5e-7 (d = 3) of the peak ...
+            cases[f"wide gaussian d={d}"] = gaussian_grid_function(spec, rate=[0.1, 0.1, 0.2][d - 1])
+            # ... and at 4.5e-5, 4.5e-5 and 3.9e-4
+            cases[f"wider gaussian d={d}"] = gaussian_grid_function(spec, rate=[0.05, 0.1, 0.1][d - 1])
+        for d, shift in ((2, 2.5), (3, 1.7)):
+            # faces far below the peak, but not below 1e-12 of the central slice
+            shifted = shifted_gaussian(default_spec(d), shift)
+            cases[f"shifted gaussian d={d}"] = shifted
+            cases[f"shifted face d={d}"] = with_face_sample(shifted, 1e-9)
+        return cases
+
+    def test_decisions_follow_full_peak_ratio(self):
+        seen = set()
+        for name, f in self.cases().items():
+            ratio = full_peak_ratio(f)
+            expected = ("raise" if ratio > BOUNDARY_ERROR
+                        else "warn" if ratio > BOUNDARY_WARN else "silent")
+            outcome, message = guard_outcome(f)
+            assert outcome == expected, (name, ratio)
+            if outcome != "silent":
+                assert f"{ratio:.3e}" in message, name
+            seen.add(expected)
+        assert seen == {"raise", "warn", "silent"}
+
+    def test_cases_need_the_full_grid(self):
+        # the cases above take the full pass: the central slice is zero, or the faces
+        # exceed 1e-12 of it while lying below 1e-12 of the peak
+        cases = self.cases()
+        for name in ("member d=2 face 1e-13", "shifted gaussian d=2", "shifted gaussian d=3"):
+            f = cases[name]
+            mags = np.abs(f.values)
+            central = mags[f.spec.n // 2].max()
+            edge = full_peak_ratio(f) * mags.max()
+            assert central == 0.0 or edge / central > BOUNDARY_WARN, name
+            assert full_peak_ratio(f) <= BOUNDARY_WARN, name
 
 
 class TestPrimaryUpDefect:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from uplab import harness
-from uplab.grid import default_spec, gaussian_grid_function, random_bump
+from uplab.grid import _radius, default_spec, gaussian_grid_function, random_bump
 from uplab.params import cp_feasible
 from uplab.specialfn import dimension_constants
 
@@ -162,9 +162,12 @@ class TestCheckRules:
         assert harness._at_least("probe", math.inf, 1.0).passed is True
 
 
-def _traced_peak(run) -> int:
-    """tracemalloc peak of run() after a warm-up call."""
+def _traced_peak(run, cold: bool = False) -> int:
+    """tracemalloc peak of run() after a warm-up call; cold empties the radius cache
+    after the warm-up, so that run() builds the radii it reads."""
     run()
+    if cold:
+        _radius.cache_clear()
     tracemalloc.start()
     try:
         run()
@@ -184,6 +187,17 @@ class TestPeakMemory:
         # the bump's 4 MiB samples and its 4 MiB transform plus block temporaries;
         # 16.0 MiB with grid-sized temporaries for |f|, |f|^p, the radius and the FFT
         assert _traced_peak(lambda: harness.cp_check(3, 2.0, 2.0, 1.0, 1.0)) <= 11 * 2**20
+
+    def test_cold_chain_on_d3_bump(self):
+        # 5.5 MiB warm, plus the 2 MiB radii of the 64^3 grid and its dual: 9.5 MiB
+        f = random_bump(default_spec(3), seed=0)
+        peak = _traced_peak(lambda: harness.function_chain_check(f, 3, 2.0), cold=True)
+        assert peak <= 10 * 2**20
+
+    def test_cold_feasible_check_at_d3(self):
+        # 5.3 MiB warm, plus the 2 MiB radii of the 64^3 grid and its dual: 9.3 MiB
+        peak = _traced_peak(lambda: harness.cp_check(3, 2.0, 2.0, 1.0, 1.0), cold=True)
+        assert peak <= 10 * 2**20
 
 
 class TestTrichotomy:

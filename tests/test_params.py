@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from uplab.params import (
+    _BALL_VOLUMES,
     EQ_TOL,
     compute_threshold,
     cp_classify,
@@ -79,6 +80,14 @@ class TestL2Params:
                 assert params.bound == pytest.approx(
                     math.exp(params.log_bound), rel=1e-12
                 )
+
+    def test_ball_volume_table_matches_product_loop(self):
+        # the table repeats the loop's multiplications in the loop's order
+        for d in range(1, 401):
+            v = 1.0 if d % 2 == 0 else 2.0
+            for k in range(2 if d % 2 == 0 else 3, d + 1, 2):
+                v *= 2.0 * math.pi / k
+            assert _BALL_VOLUMES[d].hex() == v.hex()
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):

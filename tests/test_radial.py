@@ -198,6 +198,12 @@ class TestRadialWeightedNorm:
         norm = radial_weighted_norm(gaussian_profile(), d, 2.0, 0.0)
         assert norm == pytest.approx(2.0 ** (-0.25 * d), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("profile", [gaussian_profile(), gc_profile(2.0, 1000)])
+    def test_norm_beyond_the_floats_is_a_usage_error(self, profile):
+        # ln ||x|^600 g||_2 = 1273 at d = 1000
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            radial_weighted_norm(profile, 1000, 2.0, 600.0)
+
 
 def _mpmath_mixture_norm(mp, profile, d, p, w):
     """(omega_{d-1} * integral of r^{pw} F(r)^p r^{d-1} dr)^{1/p} at mp's precision.
