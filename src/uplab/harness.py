@@ -484,11 +484,6 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
             )
 
 
-def read_sweep_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def write_summary_json(summary: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -68,11 +68,17 @@ class RadialProfile:
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         if self.is_gaussian:
-            out = np.zeros_like(r)
+            # each term in one scratch array, added into zeros: a term that underflows
+            # adds -0.0 or +0.0 to +0.0, which leaves +0.0
+            out, term = np.zeros_like(r), np.empty_like(r)
             with np.errstate(over="ignore"):  # an exponent of -inf is an exact 0
                 for coef, rate in self.terms:
-                    out = out + coef * np.exp(-math.pi * rate * r * r)
-            return out
+                    np.multiply(-math.pi * rate, r, out=term)
+                    term *= r
+                    np.exp(term, out=term)
+                    term *= coef
+                    out += term
+            return out[()]  # a scalar for a scalar r
         alpha, beta = self.power_log
         if beta == 0.0:
             return r**alpha

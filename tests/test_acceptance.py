@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from test_grid import plancherel_defect, primary_up_defect
 from uplab import counterexamples as cx
 from uplab import harness
 from uplab.grid import (
@@ -21,8 +22,6 @@ from uplab.grid import (
     fourier_transform,
     gaussian_grid_function,
     grid_weighted_norm,
-    plancherel_defect,
-    primary_up_defect,
     random_bump,
 )
 from uplab.params import cp_feasible, cp_params, l2_params

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_grid import read_grid_csv
+from test_harness import read_sweep_csv
 from uplab import counterexamples as cx
 from uplab.cli import main
-from uplab.grid import read_grid_csv
-from uplab.harness import read_sweep_csv
 from uplab.params import cp_params
 from uplab.radial import gaussian_uncertainty_product
 

@@ -7,13 +7,20 @@ analytic values.
 """
 
 import functools
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import uplab
 from uplab import counterexamples as cx
 from uplab.grid import (
     BOUNDARY_ERROR,
@@ -29,13 +36,11 @@ from uplab.grid import (
     fourier_transform,
     gaussian_grid_function,
     grid_weighted_norm,
-    plancherel_defect,
-    primary_up_defect,
     random_bump,
-    read_grid_csv,
     sample,
     write_grid_csv,
 )
+from uplab.params import primary_up_admissible
 from uplab.radial import gaussian_profile, radial_weighted_norm
 
 # the 512^2 grid of the translate families, beside the default grids
@@ -118,6 +123,70 @@ def translate_member(d):
     (base_l2,) = grid_weighted_norm(base, [(2.0, 0.0)])
     family = cx.RSFamily(d=3, k=1, signs=cx.rs_signs(3, 1), base=base, base_l2_sq=base_l2**2)
     return family.member(1)
+
+
+def plancherel_defect(f: GridFunction) -> float:
+    """| ||f||_2 - ||f^||_2 | / ||f||_2 on the grid."""
+    (norm_f,) = grid_weighted_norm(f, [(2.0, 0.0)])
+    if norm_f == 0.0:
+        raise ValueError("plancherel_defect is undefined for the zero function")
+    (norm_hat,) = grid_weighted_norm(fourier_transform(f), [(2.0, 0.0)])
+    return abs(norm_f - norm_hat) / norm_f
+
+
+def primary_up_defect(f: GridFunction, a: float, p: float) -> float:
+    """The quotient ||f||_a ||f^||_a / (||f||_p ||f^||_p); >= 1 - 1e-6 when resolved."""
+    if not primary_up_admissible(a, p):
+        raise ValueError(f"(a={a}, p={p}) violates 1 < a < p, 1/a + 1/p >= 1")
+    fhat = fourier_transform(f)
+    f_a, f_p = grid_weighted_norm(f, [(a, 0.0), (p, 0.0)])
+    hat_a, hat_p = grid_weighted_norm(fhat, [(a, 0.0), (p, 0.0)])
+    return (f_a * hat_a) / (f_p * hat_p)
+
+
+def read_grid_csv(path) -> GridFunction:
+    """The grid a write_grid_csv file holds: float64 when its im column is all zero."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if not header.startswith("#"):
+            raise ValueError("missing grid geometry header")
+        fields = dict(part.split("=") for part in header[1:].split())
+        spec = GridSpec(
+            d=int(fields["d"]), n=int(fields["n"]), half_width=float(fields["half_width"])
+        )
+        fh.readline()  # column header
+        data = np.loadtxt(fh, delimiter=",")
+    if data.ndim == 1:
+        data = data.reshape(1, -1)
+    vals = data[:, 1] + 1j * data[:, 2] if data[:, 2].any() else data[:, 1].copy()
+    return GridFunction(spec=spec, values=vals.reshape((spec.n,) * spec.d))
+
+
+def dense_bump(spec, seed, n_terms=4):
+    """Reference: the bump sum_t c_t g_t, g_t = exp(-A_t), A_t = pi |x - x_t|^2 / w_t^2,
+    from the same draws, each term one exp over a dense mesh; and the pointwise bound
+    4 eps sum_t |c_t| g_t (1 + A_t) on a sampler's distance from it, plus
+    (d + 1)(1 + |c_t|) 2^-1074 per term.  exp has condition number A_t, so every
+    rounding of the exponent, relative to its size, moves g_t by up to A_t times it;
+    the roundings of the exps, products and sums move it by a few eps.  The absolute
+    part covers the roundings that land among the subnormals, where no relative bound
+    holds."""
+    rng = np.random.default_rng(seed)
+    span = 0.25 * spec.half_width
+    centers = rng.uniform(-span, span, size=(n_terms, spec.d))
+    widths = rng.uniform(0.7, 1.1, size=n_terms)
+    coefs = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+    mesh = dense_meshgrid(spec)
+    total = np.zeros((spec.n,) * spec.d, dtype=complex)
+    relative = np.zeros((spec.n,) * spec.d)
+    absolute = 0.0
+    for c, w, center in zip(coefs, widths, centers, strict=True):
+        exponent = math.pi * sum((m - x) ** 2 for m, x in zip(mesh, center)) / (w * w)
+        g = np.exp(-exponent)
+        total += c * g
+        relative += abs(c) * g * (1.0 + exponent)
+        absolute += (spec.d + 1) * (1.0 + abs(c)) * 2.0**-1074
+    return total, 4.0 * np.finfo(float).eps * relative + absolute
 
 
 @pytest.fixture
@@ -551,3 +620,58 @@ class TestRandomBump:
                 fourier_transform(f)
             except UserWarning:
                 pytest.fail("default bump should decay below the warning threshold")
+
+    @pytest.mark.parametrize("spec", [
+        default_spec(1), default_spec(2), default_spec(3), GridSpec(d=1, n=64, half_width=3.0),
+        GridSpec(d=1, n=1024, half_width=30.0), GridSpec(d=2, n=32, half_width=3.0),
+        GridSpec(d=2, n=256, half_width=12.0), GridSpec(d=3, n=32, half_width=3.0),
+        GridSpec(d=3, n=16, half_width=12.0),
+    ], ids=lambda s: f"d{s.d}n{s.n}L{s.half_width:g}")
+    def test_matches_dense_sum_of_gaussians(self, spec):
+        # the off-default grids reach exponents beyond the underflow of exp; the
+        # samples sit at up to half of the bound on these grids
+        for seed in (0, 1, 7, 12345):
+            samples = _bump_samples(spec, seed)
+            assert samples.dtype == complex and samples.shape == (spec.n,) * spec.d
+            assert samples.flags.c_contiguous and samples.flags.writeable
+            reference, bound = dense_bump(spec, seed)
+            assert np.all(np.abs(samples - reference) <= bound), seed
+            assert samples.tobytes() == random_bump(spec, seed).values.tobytes()
+
+    def test_peak_memory_at_d3(self):
+        # the 4 MiB samples plus the (4, 64^2) complex array of coefficients times the
+        # factors of the last two axes; 4.64 MiB when each term's exponent was computed
+        # over blocks of the grid
+        spec = default_spec(3)
+        random_bump(spec, seed=0)  # warm-up
+        tracemalloc.start()
+        try:
+            random_bump(spec, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20
+
+    def test_same_bytes_for_any_blas_thread_count(self):
+        # the benchmark pins BLAS to one thread and the tests need not: a seed must name
+        # the same samples either way.  A child process runs pinned to one thread when
+        # this one is unpinned, and unpinned when this one is pinned.
+        specs = [default_spec(d) for d in (1, 2, 3)] + [GridSpec(d=3, n=128, half_width=6.0)]
+        code = (
+            "import hashlib\n"
+            "from uplab.grid import GridSpec, _bump_samples\n"
+            f"for spec in {specs!r}:\n"
+            "    for seed in (0, 1, 2):\n"
+            "        print(hashlib.sha256(_bump_samples(spec, seed).tobytes()).hexdigest())\n"
+        )
+        pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in pins}
+        if not any(pin in os.environ for pin in pins):
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        paths = [str(Path(uplab.__file__).resolve().parents[1]), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True, timeout=120).stdout
+        in_process = "".join(hashlib.sha256(_bump_samples(spec, seed).tobytes()).hexdigest()
+                             + "\n" for spec in specs for seed in (0, 1, 2))
+        assert child == in_process

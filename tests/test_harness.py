@@ -4,6 +4,7 @@ Determinism, flag logic, and the cross-sweep consistency of the Gaussian
 column are checked here; the full-scale sweeps live in the acceptance suite.
 """
 
+import csv
 import dataclasses
 import json
 import math
@@ -16,6 +17,12 @@ from uplab import harness
 from uplab.grid import _radius, default_spec, gaussian_grid_function, random_bump
 from uplab.params import cp_feasible
 from uplab.specialfn import dimension_constants
+
+
+def read_sweep_csv(path) -> list[dict]:
+    """The rows of a write_sweep_csv file, one dict of strings each."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def _fake_row(d, ok):
@@ -81,7 +88,7 @@ class TestSweeps:
         rows = harness.heisenberg_sweep(10)
         path = tmp_path / "sweep.csv"
         harness.write_sweep_csv(rows, path)
-        parsed = harness.read_sweep_csv(path)
+        parsed = read_sweep_csv(path)
         assert len(parsed) == 10
         for row, rec in zip(rows, parsed):
             assert int(rec["d"]) == row.d

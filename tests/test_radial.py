@@ -15,6 +15,7 @@ from scipy import integrate
 
 from uplab import radial
 from uplab.counterexamples import gc_infimum_sweep, gc_profile
+from uplab.grid import default_spec
 from uplab.harness import cp_check
 from uplab.radial import (
     RadialProfile,
@@ -59,6 +60,34 @@ class TestRadialProfile:
         r = 0.5
         expected = 2.0 * math.exp(-math.pi * 0.25) + math.exp(-math.pi)
         assert prof(r) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_array_evaluation_same_bytes_as_term_sum(self, d):
+        # reference: each term as a fresh array, added to a zeroed sum in term order
+        def term_sum(profile, r):
+            out = np.zeros_like(r)
+            with np.errstate(over="ignore"):
+                for coef, rate in profile.terms:
+                    out = out + coef * np.exp(-math.pi * rate * r * r)
+            return out
+
+        spec = default_spec(d)
+        mesh = np.meshgrid(*([spec.axis_coordinates()] * d), indexing="ij")
+        r = np.sqrt(sum(m * m for m in mesh))
+        # the last profile is negative with samples that underflow: c * 0.0 = -0.0
+        # there, and only a sum started from +0.0 turns them into +0.0
+        underflowing = gaussian_profile(rate=50.0, coefficient=-1.5)
+        assert np.signbit(-1.5 * np.exp(-math.pi * 50.0 * r * r)).any()
+        for profile in (gaussian_profile(), gc_profile(2.0, d), gc_profile(4.0, d),
+                        RadialProfile(terms=((2.0, 1.0), (1.0, 4.0), (0.5, 0.25))),
+                        underflowing):
+            values = profile(r)
+            expected = term_sum(profile, r)
+            assert values.dtype == expected.dtype and values.shape == expected.shape
+            assert values.tobytes() == expected.tobytes()
+            assert profile(0.75) == term_sum(profile, np.asarray(0.75))
+        zeros = underflowing(r)[r > 3.0]  # exp(-pi 50 r^2) < 1e-600
+        assert not zeros.any() and not np.signbit(zeros).any()
 
     def test_power_log_evaluation(self):
         prof = RadialProfile(power_log=(-0.5, -0.5))
