@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uplab
 from test_grid import read_grid_csv
 from test_harness import read_sweep_csv
 from uplab import counterexamples as cx
@@ -27,6 +31,13 @@ class TestGaussianCommand:
         code, out, _ = run(capsys, "gaussian", "--d", "3", "--p", "2")
         assert code == 0
         assert float(out.strip()) == pytest.approx(9.0 / (16.0 * math.pi**2), rel=1e-12)
+
+    def test_large_dimension(self, capsys):
+        # ln Gamma(d/2 + 1) - ln Gamma(d/2) = ln(d/2) is no difference of two 1e17-sized logs
+        d = 10**16
+        code, out, _ = run(capsys, "gaussian", "--d", str(d), "--p", "2")
+        assert code == 0
+        assert float(out.strip()) == pytest.approx(d * d / (16.0 * math.pi**2), rel=1e-12)
 
 
 class TestHeisenbergCommand:
@@ -279,6 +290,10 @@ class TestOutOfRangeInputs:
         # m^p and n^p underflow, and so does their ratio: exp(-1.4e6)
         (["sharpness", "--d", "3", "--p", "1e6", "--c-list", "1,2"],
          "outside the normal float range"),
+        # ln Gamma((p + 1)/2) and p ln(pi p) leave the floats; so does ln product, -2.8e308
+        (["gaussian", "--d", "1", "--p", "1e308"], "ln product = -inf"),
+        # the product exp(-2.8e100) underflows to 0
+        (["gaussian", "--d", "1", "--p", "1e100"], "ln product = -2.83788e+100"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)
@@ -367,3 +382,39 @@ class TestReadmeCommands:
             transcript.append(f"$ uplab {shlex.join(argv)}\n{out}")
         assert "".join(transcript) == (golden / "readme_stdout.txt").read_text()
         assert (tmp_path / "sweep.csv").read_bytes() == (golden / "sweep.csv").read_bytes()
+
+
+def _child(argv, **kwargs):
+    """A fresh interpreter that imports uplab from the tree under test."""
+    env = dict(os.environ)
+    paths = [str(Path(uplab.__file__).resolve().parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=300, **kwargs)
+
+
+def test_python_dash_m_runs_the_cli():
+    golden = (Path(__file__).resolve().parent / "golden" / "readme_stdout.txt").read_text()
+    expected = golden.split("$ uplab gaussian --d 3 --p 2\n", 1)[1].split("$", 1)[0]
+    child = _child(["-m", "uplab", "gaussian", "--d", "3", "--p", "2"])
+    assert (child.returncode, child.stdout, child.stderr) == (0, expected, "")
+
+
+def test_no_scipy_import(tmp_path):
+    # every README command and the three Cowling-Price classes, in one fresh interpreter
+    code = (
+        "import contextlib, io, json, sys, warnings\n"
+        "from uplab import cli, harness\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "with warnings.catch_warnings():\n"
+        "    warnings.simplefilter('ignore')\n"
+        "    classes = [harness.cp_check(*t).classification for t in\n"
+        "               [(1, 2.0, 2.0, 1.0, 1.0), (1, 4.0, 4.0, 0.1, 0.1), (1, 4.0, 4.0, 0.25, 0.25)]]\n"
+        "print(json.dumps([codes, classes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    child = _child(["-c", code, json.dumps(readme_commands())], cwd=tmp_path, check=True)
+    codes, classes, scipy_modules = json.loads(child.stdout)
+    assert codes == [0] * 7
+    assert classes == ["feasible", "violated", "endpoint"]
+    assert scipy_modules == []

@@ -1,12 +1,13 @@
 """Tests for radial-reduction integrals.
 
 Closed-form Gaussian moments and power-law tails give exact oracles; the
-mixture norms and the adaptive-quadrature paths are cross-checked against
-direct scipy.integrate calls and a 40-digit mpmath quadrature written
-independently here.
+mixture norms and the tanh-sinh paths are cross-checked against direct
+scipy.integrate calls, a 40-digit mpmath quadrature written independently
+here, and mpmath's incomplete Gamma function.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -317,14 +318,76 @@ class TestMixtureNorm:
     def test_no_adaptive_quadrature(self, monkeypatch):
         # every Gaussian-mixture norm is a closed form or the trapezoid rule in t = ln r
         def refuse(*args, **kwargs):
-            raise AssertionError("scipy quad called on a Gaussian profile")
+            raise AssertionError("quadrature called on a Gaussian profile")
 
-        monkeypatch.setattr(radial.integrate, "quad", refuse)
+        monkeypatch.setattr(radial, "_quad", refuse)
         for p, theta in [(2.0, 1.0), (2.5, 1.0)]:  # integer and non-integer p
             report = cp_check(2, p, p, theta, theta)
             assert report.classification == "feasible" and report.passed
         for p in (5.0, 4.5):
             assert all(0 < x < math.inf for x in gc_infimum_sweep(2, p, [1.0, 2.0, 4.0]))
+
+
+def _mpmath_power_log_integral(mp, rate, beta, lo, hi, d):
+    """omega_{d-1} * integral over (lo, hi) of r^{rate-1} ln^beta(1/r) dr at mp's precision:
+    in u = ln(1/r) it is the lower incomplete Gamma function, or a power at rate 0."""
+    u_lo = mp.log(1 / mp.mpf(hi))
+    u_hi = mp.inf if lo == 0 else mp.log(1 / mp.mpf(lo))
+    b1 = mp.mpf(beta) + 1
+    if rate == 0:
+        integral = (u_hi**b1 - u_lo**b1) / b1
+    else:
+        integral = mp.gammainc(b1, rate * u_lo, rate * u_hi) / mp.mpf(rate) ** b1
+    return 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2) * integral
+
+
+class TestTanhSinh:
+    @pytest.mark.parametrize("alpha, beta, d, lo, hi", [
+        # u^beta singular at u = 0 (r = 1): rate 1 over u in (0, inf), with the t = ln u tail
+        (0.0, -0.5, 1, 0.0, 1.0),
+        (0.0, -0.9, 1, 0.0, 1.0),
+        # rate 0 over the finite u in (0, ln 10)
+        (-1.0, -0.5, 1, 0.1, 1.0),
+        (-2.0, -0.9, 2, 0.1, 1.0),
+        # rate > 0, u in (ln 2, inf): the peak at the lower end, then the tail
+        (-1.0, -0.5, 2, 0.0, 0.5),
+        # rate 0.1, beta = 3: the peak at u = 30 lies in the t = ln u tail
+        (-0.9, 3.0, 1, 0.0, 0.5),
+        # rate 0, u in (ln 2, inf): the mass far out in t = ln u
+        (-1.0, -1.01, 1, 0.0, 0.5),
+        (-1.0, -2.5, 1, 0.0, 0.5),
+        # rate < 0: e^{2u} rising over the finite u in (ln 2, ln 10)
+        (-3.0, 1.0, 1, 0.1, 0.5),
+    ])
+    def test_against_mpmath(self, alpha, beta, d, lo, hi):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        exact = _mpmath_power_log_integral(mp, alpha + d, beta, lo, hi, d)
+        val = radial_integral(RadialProfile(power_log=(alpha, beta)), d, lo, hi)
+        assert val == pytest.approx(float(exact), rel=radial.QUAD_RTOL)
+
+    def test_singular_end_too_close_to_the_log_singularity(self):
+        # ln^-0.965(1/r) near r = 1: the mass within _TS_END of u = 0 exceeds QUAD_RTOL
+        with pytest.raises(ValueError, match="too close to the non-integrable"):
+            radial_integral(RadialProfile(power_log=(-1.0, -0.965)), 1, 0.1, 1.0)
+        with pytest.raises(ValueError, match="non-integrable singularity at r=1"):
+            radial_integral(RadialProfile(power_log=(-1.0, -1.0)), 1, 0.1, 1.0)
+
+    def test_rule_on_its_own(self):
+        # exact for u^-1/2 at the singular end and for a polynomial; no interval, no mass
+        assert radial._quad(lambda u: u**-0.5, 0.0, 4.0) == pytest.approx(4.0, rel=1e-15)
+        assert radial._quad(lambda u: 3 * u * u, -1.0, 2.0) == pytest.approx(9.0, rel=1e-15)
+        assert radial._quad(lambda u: u, 1.0, 1.0) == 0.0
+        # the nodes next to lo = 0 are distances, far below lo + length's rounding
+        seen = []
+        radial._quad(lambda u: seen.append(u.min()) or np.ones_like(u), 0.0, 1.0)
+        assert 0.0 < min(seen) <= 2.0 * radial._TS_END
+
+    def test_unresolved_integrand_raises(self):
+        # a jump inside the interval: the rule converges only algebraically
+        with pytest.raises(ValueError, match="did not converge"):
+            radial._quad(lambda u: (u > 0.3).astype(float), 0.0, 1.0)
 
 
 class TestGaussianUncertaintyProduct:
@@ -355,3 +418,23 @@ class TestGaussianUncertaintyProduct:
     def test_large_dimension_finite(self):
         val = gaussian_uncertainty_product(500, 2.0)
         assert math.isfinite(val) and val > 0
+
+    @pytest.mark.parametrize("d", [1, 3, 100, 500, 512, 1000, 10**4, 10**6, 10**10,
+                                   10**14, 10**16, 10**18])
+    def test_against_mpmath(self, d):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        x = mp.mpf(d) / 2
+        for p in (1.5, 2.0, 3.0, 7.5):
+            exact = mp.exp(-p * mp.log(mp.pi * p) + 2 * (mp.loggamma(x + mp.mpf(p) / 2)
+                                                         - mp.loggamma(x)))
+            assert gaussian_uncertainty_product(d, p) == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("p, log_product", [(300.0, "-850.671"), (1e100, "-2.83788e+100"),
+                                                (1e306, "-2.83788e+306"), (1e308, "-inf")])
+    def test_product_outside_the_floats_is_a_usage_error(self, p, log_product):
+        # ln product is -p (1 + ln 2 pi) to leading order; past p ~ 2.5e305 it is summed
+        # per unit p, and from 6.3e307 on it is itself beyond the floats
+        with pytest.raises(ValueError, match=f"ln product = {re.escape(log_product)}$"):
+            gaussian_uncertainty_product(1, p)

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from uplab.specialfn import (
     DimensionConstants,
+    _log_gamma_ratio,
     dimension_constants,
     log_gamma,
 )
@@ -45,6 +46,21 @@ class TestLogGamma:
     def test_rejects_nonpositive(self, x):
         with pytest.raises(ValueError):
             log_gamma(x)
+
+
+class TestLogGammaRatio:
+    @pytest.mark.parametrize("x", [0.5, 1.5, 10.0, 255.5, 256.0, 1e3, 1e6, 5e9, 5e13, 5e17])
+    def test_against_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        for a in (0.0, 0.5, 0.75, 1.0, 1.5, 50.0, 1e6):
+            exact = mp.loggamma(mp.mpf(x) + mp.mpf(a)) - mp.loggamma(mp.mpf(x))
+            assert _log_gamma_ratio(x, a) == pytest.approx(float(exact), rel=1e-13, abs=1e-12)
+
+    def test_beyond_the_floats_is_infinite(self):
+        assert _log_gamma_ratio(0.5, 1e306) == math.inf
+        assert _log_gamma_ratio(1e3, 1e306) == math.inf
 
 
 class TestDimensionConstants:
