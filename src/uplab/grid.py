@@ -10,25 +10,22 @@ continuous transform to near machine precision.
 
 Weighted norms read the grid in blocks of _BLOCK samples along the first
 axis, several norms per pass, and add the block sums pairwise, which is the
-order of numpy's pairwise summation over the whole power-of-two grid.  A
-norm over the tail beyond a radius gathers the tail samples block by block and
-sums them in numpy's pairwise order over the gathered samples.  No grid-sized
-array is built by a norm, a transform or a sampler beyond the array it returns,
-with one exception: |x_k| over the whole grid is built once per GridSpec and
-kept, read-only, in a small cache (_radius), from which the weighted and tail
-norms take their blocks.  A tail norm holds its gathered samples, in
-block-sized pieces, until it sums them.  The random bump, a mixture of shifted
-Gaussians, is sampled from each term's one-dimensional factors on the axis
-coordinates: one real matrix product sums the terms over the grid, beside an
-(n_terms, n^{d-1}) complex array of the coefficients times the factors of the
-last d - 1 axes.
+order of numpy's pairwise summation over the whole power-of-two grid.  A norm
+over the tail beyond a radius follows the same rule: each block's tail samples
+are gathered and summed at once, and no gathered piece outlives its block.  No
+grid-sized array is built by a norm, a transform or a sampler beyond the array
+it returns, with one exception: |x_k| over the whole grid is built once per
+GridSpec and kept, read-only, in a small cache (_radius), from which the
+weighted and tail norms take their blocks.  The random bump, a mixture of
+shifted Gaussians, is sampled from each term's one-dimensional factors on the
+axis coordinates: one real matrix product sums the terms over the grid, beside
+an (n_terms, n^{d-1}) complex array of the coefficients times the factors of
+the last d - 1 axes.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
 import warnings
 from collections.abc import Iterable
@@ -146,36 +143,11 @@ def _row_blocks(spec: GridSpec):
 
 
 def _pairwise(sums):
-    """Add equal-size block sums of a power-of-two grid as numpy's pairwise summation
-    adds the halves of the whole grid."""
+    """Add the block sums of a power-of-two grid pairwise.  For whole blocks, of equal
+    size, it is the order in which numpy's pairwise summation adds the grid's halves."""
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
     return sums[0]
-
-
-def _concatenated_sum(pieces) -> float:
-    """np.sum of the concatenated 1-D pieces, in numpy's pairwise order.  The recursion
-    is a module function: a recursive closure would be a reference cycle that keeps
-    the pieces alive until the next garbage collection."""
-    starts = list(itertools.accumulate((len(piece) for piece in pieces), initial=0))
-    return _pairwise_part(pieces, starts, 0, starts[-1]) if starts[-1] else 0.0
-
-
-def _pairwise_part(pieces, starts, lo: int, n: int) -> float:
-    """The pairwise sum of elements lo..lo+n of the concatenation: halves, cut to a
-    multiple of 8, down to 128 elements; a part inside one piece is that piece's own
-    np.sum of the part, and a leaf across pieces is joined first."""
-    i = bisect.bisect_right(starts, lo) - 1
-    if lo + n <= starts[i + 1]:
-        return float(np.add.reduce(pieces[i][lo - starts[i]:lo + n - starts[i]]))
-    if n <= 128:
-        j = bisect.bisect_left(starts, lo + n)
-        return float(np.add.reduce(np.concatenate(
-            [pieces[k][max(lo - starts[k], 0):lo + n - starts[k]] for k in range(i, j)]
-        )))
-    half = n // 2 - n // 2 % 8
-    return (_pairwise_part(pieces, starts, lo, half)
-            + _pairwise_part(pieces, starts, lo + half, n - half))
 
 
 def sample(generator, spec: GridSpec) -> GridFunction:
@@ -268,9 +240,10 @@ def _weighted_sums(f: GridFunction, terms, radius_floor: float | None = None) ->
     """The sums sum |x_k|^{p w} |f_k|^p (max |x_k|^w |f_k| for p = inf) behind
     grid_weighted_norm, without the cell volume.  One blocked pass computes |f|,
     each distinct |f|^p and each distinct weight once per block, the weights from
-    the spec's cached radius; with radius_floor it gathers the samples beyond the
-    floor, and the radius only for weighted terms, and each sum is np.sum's over
-    the gathered tail.
+    the spec's cached radius; with radius_floor it gathers each block's samples
+    beyond the floor, and the radius only for weighted terms.  Every block's values
+    are summed at once and the block sums added pairwise, with or without a floor,
+    so a tail holds no gathered piece beyond its block.
     """
     spec = f.spec
     weighted = any(w > 0 for _, w in terms)
@@ -297,10 +270,8 @@ def _weighted_sums(f: GridFunction, terms, radius_floor: float | None = None) ->
                 if p * w not in weights:
                     weights[p * w] = radius ** (p * w)
                 values = weights[p * w] * powers[p]
-            # the gathered tail is kept for its sum, a whole block is summed at once
-            part.append(values if radius_floor is not None else values.sum())
-    sum_parts = _pairwise if radius_floor is None else _concatenated_sum
-    return [float(max(part)) if p == math.inf else float(sum_parts(part))
+            part.append(values.sum())
+    return [float(max(part)) if p == math.inf else float(_pairwise(part))
             for (p, _), part in zip(terms, parts)]
 
 

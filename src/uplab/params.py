@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specialfn import LOG_2, dimension_constants
+from .specialfn import LOG_2, _check_dimension, dimension_constants
 
 EQ_TOL = 1e-12
 
@@ -92,8 +92,7 @@ _BALL_VOLUMES = _ball_volumes(400)
 
 def l2_params(d: int) -> WigdersonParams:
     """The L^2 parameter bundle for dimension d (epsilon = 1 implicitly)."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dimension(d)
     a = 2.0 * (d + 1) / (d + 3)
     r = (d + 3) / (d + 1)
     s = (d + 3) / 2.0
@@ -122,6 +121,7 @@ def l2_params(d: int) -> WigdersonParams:
 
 def lp_regime(d: int, p: float) -> str:
     """Classify p against the critical exponent 2d/(d-1)."""
+    _check_dimension(d)
     if not 1 < p < math.inf:
         raise ValueError(f"p must be finite and exceed 1, got {p}")
     if d == 1:
@@ -174,8 +174,7 @@ def primary_up_admissible(a: float, p: float) -> bool:
 def cp_classify(d: int, p: float, q: float, theta: float, phi: float) -> str:
     """feasible / endpoint / violated by theta/d against 1/2 - 1/p (phi follows by
     homogeneity); the tolerance is relative, so p <= 2 and theta > 0 is never endpoint."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dimension(d)
     if not (1 < p < math.inf and 1 < q < math.inf and 0 < theta < math.inf and 0 < phi < math.inf):
         raise ValueError("require 1 < p, q < inf and 0 < theta, phi < inf")
     if abs(1.0 / q + phi / d - 1.0 / p - theta / d) > EQ_TOL:

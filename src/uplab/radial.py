@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specialfn import (
-    LOG_2, LOG_MAX, LOG_MIN, _log_gamma_ratio, dimension_constants, log_gamma,
+    LOG_2, LOG_MAX, LOG_MIN, _check_dimension, _log_gamma_ratio, dimension_constants,
+    log_gamma,
 )
 
 QUAD_RTOL = 1e-10
@@ -193,8 +194,7 @@ def _quad(fn, lo: float, hi: float) -> float:
 
 def radial_integral(profile: RadialProfile, d: int, lo: float, hi: float) -> float:
     """omega_{d-1} * integral over (lo, hi) of F(r) r^{d-1} dr."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dimension(d)
     if lo < 0 or hi <= lo:
         raise ValueError(f"invalid radial range ({lo}, {hi})")
     geom = dimension_constants(d)
@@ -407,8 +407,7 @@ def gaussian_log_product(d: int, p: float) -> float:
     The standard Gaussian is self-dual, so the product is the square of one
     ratio: (pi p)^{-p} * (Gamma((p+d)/2) / Gamma(d/2))^2.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dimension(d)
     if not 1 < p < math.inf:
         raise ValueError(f"p must be finite and exceed 1, got {p}")
     x, a = 0.5 * d, 0.5 * p

@@ -76,10 +76,15 @@ class DimensionConstants:
         return math.exp(self.log_ball_volume)
 
 
+def _check_dimension(d: int) -> None:
+    """Reject a dimension below 1, or beyond the floats, where d / 2 raises OverflowError."""
+    if not 1 <= d <= sys.float_info.max:
+        raise ValueError(f"dimension must be >= 1 and at most {sys.float_info.max:.4g}, got {d}")
+
+
 def dimension_constants(d: int) -> DimensionConstants:
     """Sphere area and ball volume for dimension d >= 1."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dimension(d)
     half = 0.5 * d
     log_area = LOG_2 + half * LOG_PI - log_gamma(half)
     log_vol = half * LOG_PI - log_gamma(half + 1.0)

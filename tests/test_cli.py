@@ -301,6 +301,19 @@ class TestOutOfRangeInputs:
         assert err.count("\n") == 1
         assert named in err
 
+    # d / 2 of a dimension beyond the floats raised OverflowError: a traceback
+    @pytest.mark.parametrize("argv", [
+        ["gaussian", "--p", "2"],
+        ["cowling-price", "--p", "3", "--q", "3", "--theta", "1", "--phi", "1"],
+        ["sharpness", "--p", "3"],
+    ])
+    def test_dimension_beyond_the_floats(self, capsys, argv):
+        argv = [argv[0], "--d", "1" + "0" * 400, *argv[1:]]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "dimension must be >= 1" in err
+
 
 @pytest.mark.filterwarnings("error")
 class TestPastTheSphereAreaUnderflow:

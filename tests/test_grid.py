@@ -30,6 +30,7 @@ from uplab.grid import (
     _RADIUS_CACHE_SIZE,
     _bump_samples,
     _radius,
+    _row_blocks,
     _transform,
     _weighted_sums,
     default_spec,
@@ -86,23 +87,57 @@ def dense_radius(spec):
     return np.sqrt(sum(m * m for m in dense_meshgrid(spec)))
 
 
-def dense_sums(f, terms, radius_floor=None):
-    """Reference: each sum behind a norm from full-grid arrays over a dense mesh, one
-    term at a time."""
+def dense_summands(f, terms, radius_floor=None):
+    """Reference: for each (p, w) the terms |x_k|^{p w} |f_k|^p (|x_k|^w |f_k| for
+    p = inf) over the grid, or over its tail beyond radius_floor, from full-grid arrays
+    over a dense mesh."""
     radius = dense_radius(f.spec)
     mags = np.abs(f.values)
     if radius_floor is not None:
         tail = radius > radius_floor
         radius, mags = radius[tail], mags[tail]
-    return [float(np.max(radius**w * mags, initial=0.0)) if p == math.inf
-            else float(np.sum(radius ** (p * w) * mags**p)) for p, w in terms]
+    return [radius**w * mags if p == math.inf else radius ** (p * w) * mags**p
+            for p, w in terms]
 
 
-def dense_norms(f, terms, radius_floor=None):
+def dense_sums(f, terms):
+    """Reference: each sum behind a norm over the whole grid, np.sum (np.max for
+    p = inf) of its dense terms."""
+    return [float(np.max(summands, initial=0.0)) if p == math.inf else float(np.sum(summands))
+            for (p, _), summands in zip(terms, dense_summands(f, terms))]
+
+
+def dense_norms(f, terms):
     """Reference: each norm from the dense sums."""
     cell = f.spec.spacing**f.spec.d
     return tuple(total if p == math.inf else (total * cell) ** (1.0 / p)
-                 for (p, _), total in zip(terms, dense_sums(f, terms, radius_floor)))
+                 for (p, _), total in zip(terms, dense_sums(f, terms)))
+
+
+def assert_tail_sums(f, terms, radius_floor):
+    """The tail sums against math.fsum of the same dense terms, the correctly rounded
+    sum; a sup term is a maximum and exact.  Summing n nonnegative terms with at most
+    h rounded additions on any term's path errs by at most h u / (1 - h u) of the sum,
+    u = eps/2 (Higham, SIAM J. Sci. Comput. 14 (1993)).  numpy's pairwise sum of m
+    terms takes h <= ceil(log2 m) + 17: the halvings, then a leaf of up to 128 terms
+    in 8 accumulators, their 3 combining additions and up to 7 terms left over.  The
+    pairwise addition of the B block sums adds log2 B.  The norms are the sums'."""
+    sums = _weighted_sums(f, terms, radius_floor)
+    u = np.finfo(float).eps / 2
+    block_depth = int(math.log2(len(_row_blocks(f.spec))))
+    for (p, _), total, summands in zip(terms, sums, dense_summands(f, terms, radius_floor),
+                                       strict=True):
+        if p == math.inf:
+            assert total == np.max(summands, initial=0.0)
+            continue
+        h = math.ceil(math.log2(max(summands.size, 1))) + 17 + block_depth
+        exact = math.fsum(summands.tolist())
+        assert abs(total - exact) <= h * u / (1 - h * u) * exact, (p, summands.size)
+    cell = f.spec.spacing**f.spec.d
+    assert grid_weighted_norm(f, terms, radius_floor) == tuple(
+        total if p == math.inf else (total * cell) ** (1.0 / p)
+        for (p, _), total in zip(terms, sums)
+    )
 
 
 def full_peak_ratio(f):
@@ -411,24 +446,26 @@ class TestNorms:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_terms_and_tails_match_full_array_reference(self, d):
         # blocks of 2^15 samples added pairwise are numpy's pairwise order over
-        # the whole power-of-two grid, so every norm keeps its bits; a tail is summed
-        # in numpy's order over the gathered samples.  The noise is as large at the
-        # block ends, where the gathered pieces meet, as anywhere else
+        # the whole power-of-two grid, so every norm keeps its bits; a tail is its
+        # blocks' sums added pairwise, within the pairwise bound of the exact sum.  The
+        # noise is as large at the block ends as anywhere else
         terms = [(2.0, 0.0), (1.5, 0.0), (2.0, 1.0), (1.5, 1.0), (3.0, 0.5),
                  (math.inf, 0.0), (math.inf, 0.3)]
         spec = default_spec(d)
         noise = GridFunction(spec, np.random.default_rng(d).normal(size=(spec.n,) * d))
         for f in (gaussian_grid_function(spec), random_bump(spec, seed=d), translate_member(d),
                   noise):
-            for floor in (None, 0.0, 1.0, 2.5):
-                assert grid_weighted_norm(f, terms, floor) == dense_norms(f, terms, floor)
+            assert grid_weighted_norm(f, terms) == dense_norms(f, terms)
+            for floor in (0.0, 1.0, 2.5):
+                assert_tail_sums(f, terms, floor)
             for p, w in terms:
                 assert grid_weighted_norm(f, [(p, w)]) == dense_norms(f, [(p, w)])
 
     @pytest.mark.parametrize("spec", RADIUS_SPECS, ids=lambda s: f"d{s.d}n{s.n}L{s.half_width:g}")
     def test_cached_radius_matches_dense_reference(self, spec):
         # the weights and the tail mask read the spec's cached radius; a tail gathers f
-        # and takes |f| afterwards, and gathers the radius only for weighted terms
+        # and takes |f| afterwards, and gathers the radius only for weighted terms (the
+        # first two terms have none)
         terms = [(2.0, 0.0), (4.0 / 3.0, 0.0), (2.0, 1.0), (1.5, 1.0), (math.inf, 0.3)]
         rng = np.random.default_rng(spec.n)
         noise = rng.normal(size=(spec.n,) * spec.d) + 1j * rng.normal(size=(spec.n,) * spec.d)
@@ -436,12 +473,12 @@ class TestNorms:
         if spec == SUPPORT_SPEC:
             functions.append(cx.rs_level(cx.rs_base(2), 2, 2).member(1, spec))
         for f in functions:
-            for floor in (None, 0.0, 1.0, 2.5):
-                assert grid_weighted_norm(f, terms, floor) == dense_norms(f, terms, floor)
-                for sums_terms in (terms, terms[:2]):
-                    sums = _weighted_sums(f, sums_terms, floor)
-                    assert (np.array(sums).tobytes()
-                            == np.array(dense_sums(f, sums_terms, floor)).tobytes())
+            assert grid_weighted_norm(f, terms) == dense_norms(f, terms)
+            for sums_terms in (terms, terms[:2]):
+                sums = _weighted_sums(f, sums_terms)
+                assert np.array(sums).tobytes() == np.array(dense_sums(f, sums_terms)).tobytes()
+                for floor in (0.0, 1.0, 2.5):
+                    assert_tail_sums(f, sums_terms, floor)
 
     def test_gaussian_against_radial_norm(self):
         # smooth weights |x|^{pw} (pw in {0, 2}) keep the 64^3 Riemann sum spectrally accurate
@@ -450,6 +487,19 @@ class TestNorms:
         for (p, w), norm in zip(terms, norms, strict=True):
             exact = radial_weighted_norm(gaussian_profile(), 3, p, w)
             assert norm == pytest.approx(exact, rel=1e-10)
+
+    def test_tail_peak_memory_at_d3(self):
+        # each block's tail is summed before the next is gathered: 1.03 MiB, against
+        # 2.54 MiB when every gathered piece was held until one sum over all of them
+        f = gaussian_grid_function(default_spec(3))
+        _weighted_sums(f, [(1.5, 0.0)], radius_floor=0.45)  # warm-up
+        tracemalloc.start()
+        try:
+            _weighted_sums(f, [(1.5, 0.0)], radius_floor=0.45)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
 
     def test_rejects_bad_exponents(self):
         f = gaussian_grid_function(default_spec(1))
