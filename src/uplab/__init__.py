@@ -16,11 +16,11 @@ Subsystems:
 from .params import (
     CowlingPriceParams,
     WigdersonParams,
-    compute_threshold,
     cp_delta,
     cp_feasible,
     cp_params,
     l2_params,
+    log_threshold,
     lp_epsilon,
     lp_params,
     lp_regime,
@@ -34,7 +34,6 @@ __all__ = [
     "DimensionConstants",
     "RadialProfile",
     "WigdersonParams",
-    "compute_threshold",
     "cp_delta",
     "cp_feasible",
     "cp_params",
@@ -42,6 +41,7 @@ __all__ = [
     "gaussian_uncertainty_product",
     "l2_params",
     "log_gamma",
+    "log_threshold",
     "lp_epsilon",
     "lp_params",
     "lp_regime",

@@ -2,12 +2,14 @@
 
 Exit codes: 0 when every checked inequality holds, 1 when a check fails,
 2 on usage errors.  CSV output uses '.' decimals and 17 significant digits
-so runs are reproducible across platforms.
+so runs are reproducible across platforms.  A check's sides are held as logs
+and printed as numbers while they are normal floats, else as e^<ln>.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -16,12 +18,20 @@ from . import counterexamples as cx
 from . import harness
 from .grid import default_spec, gaussian_grid_function, random_bump, sample, write_grid_csv
 from .radial import gaussian_uncertainty_product
+from .specialfn import LOG_MAX, LOG_MIN
 
 USAGE_ERROR = 2
 
 
 def _slope_text(slope: float | None) -> str:
     return "None" if slope is None else f"{slope:.4f}"
+
+
+def _side_text(log_value: float) -> str:
+    """A check side from its log: the number while it is a normal float, else e^<ln>."""
+    if LOG_MIN <= log_value < LOG_MAX:
+        return f"{math.exp(log_value):.6e}"
+    return f"e^{log_value:.9g}"
 
 
 def _cmd_heisenberg(args) -> int:
@@ -118,14 +128,14 @@ def _cmd_chain(args) -> int:
         f = random_bump(spec, seed=args.seed)
     report = harness.function_chain_check(f, args.d, args.p)
     for link in report.links:
-        print(f"  {link.name:<18} lhs={link.lhs:.6e} rhs={link.rhs:.6e} "
+        print(f"  {link.name:<18} lhs={_side_text(link.log_lhs)} rhs={_side_text(link.log_rhs)} "
               f"slack={link.slack:+.3e} pass={link.passed}")
     if args.out:
         harness.write_summary_json(
             {
                 "d": args.d,
                 "p": args.p,
-                "threshold": report.threshold,
+                "log_threshold": report.log_threshold,
                 "links": [asdict(link) for link in report.links],
                 "pass": report.passed,
             },

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridFunction, GridSpec, grid_weighted_norm
-from .params import lp_regime
-from .radial import RadialProfile, radial_integral, radial_weighted_norm
-from .specialfn import LOG_MAX
+from .params import _critical_exponent, lp_regime
+from .radial import RadialProfile, _exp_in_range, radial_integral, radial_weighted_norm
+from .specialfn import LOG_MAX, LOG_MIN
 
 MAX_SIGN_DIM = 12
 RS_SPACING = 1.0 / 16.0
@@ -49,7 +48,7 @@ def gc_profile(c: float, d: int) -> RadialProfile:
 
 
 def gc_uncertainty_ratio(c: float, d: int, p: float) -> float:
-    """V_p(g_c) / ||g_c||_p^p by exact radial quadrature (cross terms included).
+    """ln of V_p(g_c) / ||g_c||_p^p by exact radial quadrature (cross terms included).
 
     g_c is its own Fourier transform, so the full uncertainty product is the
     square of this ratio.
@@ -57,31 +56,13 @@ def gc_uncertainty_ratio(c: float, d: int, p: float) -> float:
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
     profile = gc_profile(c, d)
-    moment_root = radial_weighted_norm(profile, d, p, 1.0)
-    norm_root = radial_weighted_norm(profile, d, p, 0.0)
-    try:
-        moment, norm_p = moment_root**p, norm_root**p
-    except OverflowError:  # a power beyond the floats: the ratio from the logs
-        moment = norm_p = 0.0
-    if min(moment, norm_p) >= sys.float_info.min:  # both powers are normal floats
-        ratio = moment / norm_p
-    else:
-        log_ratio = p * (math.log(moment_root) - math.log(norm_root))
-        ratio = math.exp(log_ratio) if log_ratio < LOG_MAX else math.inf
-    return _normal(ratio, f"the g_c uncertainty ratio at c={c:g}, d={d}, p={p:g}")
-
-
-def _normal(value: float, what: str) -> float:
-    """value, if it is a normal positive float; else a ValueError naming what."""
-    if not sys.float_info.min <= value < math.inf:
-        raise ValueError(f"{what} is {value:g}, outside the normal float range")
-    return value
+    return p * (radial_weighted_norm(profile, d, p, 1.0) - radial_weighted_norm(profile, d, p, 0.0))
 
 
 def gc_infimum_sweep(d: int, p: float, c_values) -> list[float]:
     """Squared g_c uncertainty ratios along increasing c; supercritical only."""
     if lp_regime(d, p) != "supercritical":
-        crit = 2.0 * d / (d - 1) if d > 1 else math.inf
+        crit = _critical_exponent(d) if d > 1 else math.inf
         raise ValueError(
             f"p must satisfy p > 2d/(d-1) = {crit:g} for d={d}, got p={p}"
         )
@@ -90,9 +71,11 @@ def gc_infimum_sweep(d: int, p: float, c_values) -> list[float]:
         raise ValueError("c_values must be increasing and >= 1")
     products = []
     for c in c_values:
-        ratio = gc_uncertainty_ratio(c, d, p)
-        square = ratio**2 if ratio < 1e154 else math.inf  # a larger square overflows
-        products.append(_normal(square, f"the g_c uncertainty product at c={c:g}"))
+        log_product = 2.0 * gc_uncertainty_ratio(c, d, p)
+        if not LOG_MIN <= log_product < LOG_MAX:
+            raise ValueError(f"the g_c uncertainty product at c={c:g} is outside the normal "
+                             f"float range: ln product = {log_product:.6g}")
+        products.append(math.exp(log_product))
     return products
 
 
@@ -288,4 +271,5 @@ def endpoint_weighted_mass(d: int, p: float, theta: float) -> float:
             f"theta must equal d(1/2 - 1/p) = {expected_theta:.17g}, got {theta}"
         )
     profile = RadialProfile(power_log=(-0.5 * d, -0.5))
-    return radial_weighted_norm(profile, d, p, expected_theta) ** p
+    log_mass = p * radial_weighted_norm(profile, d, p, expected_theta)
+    return _exp_in_range(log_mass, f"the endpoint weighted mass at d={d}, p={p:g}")

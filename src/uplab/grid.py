@@ -243,36 +243,44 @@ def _weighted_sums(f: GridFunction, terms, radius_floor: float | None = None) ->
     the spec's cached radius; with radius_floor it gathers each block's samples
     beyond the floor, and the radius only for weighted terms.  Every block's values
     are summed at once and the block sums added pairwise, with or without a floor,
-    so a tail holds no gathered piece beyond its block.
+    so a tail holds no gathered piece beyond its block.  A sum that is not finite
+    raises, naming its (p, w), without a floating-point warning.
     """
     spec = f.spec
     weighted = any(w > 0 for _, w in terms)
     radii = _radius(spec) if weighted or radius_floor is not None else None
     parts = [[] for _ in terms]
-    for rows in _row_blocks(spec):
-        samples = f.values[rows]
-        radius = None if radii is None else radii[rows]
-        if radius_floor is not None:
-            tail = radius > radius_floor
-            samples = samples[tail]
-            radius = radius[tail] if weighted else None
-        mags = np.abs(samples)
-        powers, weights = {}, {}
-        for (p, w), part in zip(terms, parts):
-            if p == math.inf:
-                part.append((radius**w * mags if w > 0 else mags).max(initial=0.0))
-                continue
-            if p not in powers:
-                powers[p] = mags**p
-            if w == 0:
-                values = powers[p]
-            else:
-                if p * w not in weights:
-                    weights[p * w] = radius ** (p * w)
-                values = weights[p * w] * powers[p]
-            part.append(values.sum())
-    return [float(max(part)) if p == math.inf else float(_pairwise(part))
-            for (p, _), part in zip(terms, parts)]
+    # a power or weight beyond the floats shows as a sum of inf or NaN, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(spec):
+            samples = f.values[rows]
+            radius = None if radii is None else radii[rows]
+            if radius_floor is not None:
+                tail = radius > radius_floor
+                samples = samples[tail]
+                radius = radius[tail] if weighted else None
+            mags = np.abs(samples)
+            powers, weights = {}, {}
+            for (p, w), part in zip(terms, parts):
+                if p == math.inf:
+                    part.append((radius**w * mags if w > 0 else mags).max(initial=0.0))
+                    continue
+                if p not in powers:
+                    powers[p] = mags**p
+                if w == 0:
+                    values = powers[p]
+                else:
+                    if p * w not in weights:
+                        weights[p * w] = radius ** (p * w)
+                    values = weights[p * w] * powers[p]
+                part.append(values.sum())
+        sums = [float(max(part)) if p == math.inf else float(_pairwise(part))
+                for (p, _), part in zip(terms, parts)]
+    for (p, w), total in zip(terms, sums):
+        if not math.isfinite(total):
+            raise ValueError(f"the grid sum of |x|^(p w) |f|^p at p={p:g}, w={w:g} is {total}: "
+                             "a power of |f| or |x| leaves the float range")
+    return sums
 
 
 def write_grid_csv(f: GridFunction, path) -> None:

@@ -28,10 +28,10 @@ from .grid import (
     grid_weighted_norm,
 )
 from .params import (
-    compute_threshold,
     cp_classify,
     cp_params,
     l2_params,
+    log_threshold,
     lp_params,
 )
 from .radial import RadialProfile, gaussian_log_product, gaussian_profile, radial_weighted_norm
@@ -191,42 +191,50 @@ def sharpness_summary(d: int, p: float, c_values: list[float]) -> dict:
 
 @dataclass(frozen=True)
 class Check:
-    """One inequality between a measured lhs and a bound rhs."""
+    """One inequality between a measured lhs and a bound rhs, both held as natural logs."""
 
     name: str
-    lhs: float
-    rhs: float
+    log_lhs: float
+    log_rhs: float
     passed: bool
 
     @property
     def slack(self) -> float:
-        return self.lhs / self.rhs - 1.0  # the rules admit no bound of 0
+        """lhs / rhs - 1, infinite where lhs / rhs leaves the floats."""
+        gap = self.log_lhs - self.log_rhs
+        return math.expm1(gap) if gap < LOG_MAX else math.inf
 
 
-def _measured(name: str, lhs: float, rhs: float) -> None:
+def _measured(name: str, log_lhs: float, log_rhs: float) -> None:
     """A check passes or fails only on measured values: a NaN side, or a bound of 0
     or infinity, which any lhs meets or misses by definition, raises instead."""
-    if math.isnan(lhs) or math.isnan(rhs) or rhs == 0.0 or math.isinf(rhs):
-        raise ValueError(f"check {name} has no measured value: lhs={lhs:g}, rhs={rhs:g}")
+    if math.isnan(log_lhs) or not math.isfinite(log_rhs):
+        raise ValueError(f"check {name} has no measured value: "
+                         f"ln lhs={log_lhs:g}, ln rhs={log_rhs:g}")
 
 
-def _at_least(name: str, lhs: float, rhs: float) -> Check:
+def _at_least(name: str, log_lhs: float, log_rhs: float) -> Check:
     """lhs >= rhs, up to the relative slack tolerance SLACK_TOL."""
-    _measured(name, lhs, rhs)
-    return Check(name, lhs, rhs, lhs >= rhs * (1.0 - SLACK_TOL))
+    _measured(name, log_lhs, log_rhs)
+    return Check(name, log_lhs, log_rhs, log_lhs >= log_rhs + math.log1p(-SLACK_TOL))
 
 
-def _at_most(name: str, lhs: float, rhs: float) -> Check:
+def _at_most(name: str, log_lhs: float, log_rhs: float) -> Check:
     """lhs <= rhs, up to the relative slack tolerance SLACK_TOL."""
-    _measured(name, lhs, rhs)
-    return Check(name, lhs, rhs, lhs <= rhs * (1.0 + SLACK_TOL))
+    _measured(name, log_lhs, log_rhs)
+    return Check(name, log_lhs, log_rhs, log_lhs <= log_rhs + math.log1p(SLACK_TOL))
+
+
+def _log(x: float) -> float:
+    """ln x of a measured norm or sum, -inf for 0."""
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 @dataclass(frozen=True)
 class ChainReport:
     d: int
     p: float
-    threshold: float
+    log_threshold: float
     links: tuple[Check, ...]
 
     @property
@@ -251,46 +259,42 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
     norm_a, norm_p, moment_root = grid_weighted_norm(f, [(a, 0.0), (p, 0.0), (p, 1.0)])
     if norm_p == 0.0:
         raise ValueError("chain check is undefined for the zero function")
-    moment = moment_root**p  # V_p(f)
-    if moment == 0.0:
+    if moment_root == 0.0:
         raise ValueError(
             f"the grid does not resolve f: V_p(f) measures 0 at spacing {f.spec.spacing:g}"
         )
-    t_radius = compute_threshold(norm_a, norm_p, params)
+    log_norm_a, log_norm_p = _log(norm_a), _log(norm_p)
+    log_moment = p * math.log(moment_root)  # ln V_p(f)
+    log_t = log_threshold(log_norm_a, log_norm_p, params)
+    # T itself is only the radius floor of the tail: no sample lies beyond a T past the floats
+    t_radius = math.exp(log_t) if log_t < LOG_MAX else math.inf
     (tail_sum,) = _weighted_sums(f, [(a, 0.0)], radius_floor=t_radius)
-    tail_a = tail_sum * f.spec.spacing**d
+    log_tail = _log(tail_sum) + d * math.log(f.spec.spacing)
 
-    links = []
-    half_rhs = 0.5 * norm_a**a
-    links.append(_at_least("half_mass", tail_a, half_rhs))
+    links = [_at_least("half_mass", log_tail, a * log_norm_a - LOG_2)]
 
-    log_tail_rhs = (1.0 / s) * (
-        log_omega - math.log(eps) - eps * math.log(t_radius)
-    ) + (1.0 / r) * math.log(moment)
-    tail_rhs = math.exp(log_tail_rhs)
-    links.append(_at_most("tail_hoelder", tail_a, tail_rhs))
+    log_tail_rhs = (1.0 / s) * (log_omega - math.log(eps) - eps * log_t) + log_moment / r
+    links.append(_at_most("tail_hoelder", log_tail, log_tail_rhs))
 
-    per_fn_lhs = moment / norm_p**p
+    log_per_fn = log_moment - p * log_norm_p
     log_per_fn_rhs = (
         -LOG_2
         + (r - 1.0) * (math.log(eps) + eps * params.log_c_d - LOG_2 - log_omega)
-        + p * (1.0 + eps / d) * (math.log(norm_a) - math.log(norm_p))
+        + p * (1.0 + eps / d) * (log_norm_a - log_norm_p)
     )
-    per_fn_rhs = math.exp(log_per_fn_rhs)
-    links.append(_at_least("per_function", per_fn_lhs, per_fn_rhs))
+    links.append(_at_least("per_function", log_per_fn, log_per_fn_rhs))
 
     hat_a, hat_p, hat_moment_root = grid_weighted_norm(
         fourier_transform(f), [(a, 0.0), (p, 0.0), (p, 1.0)]
     )
-    quotient = (norm_a * hat_a) / (norm_p * hat_p)
-    links.append(_at_least("primary_up", quotient, 1.0))
+    log_hat_a, log_hat_p = _log(hat_a), _log(hat_p)
+    log_quotient = log_norm_a + log_hat_a - log_norm_p - log_hat_p
+    links.append(_at_least("primary_up", log_quotient, 0.0))
 
-    hat_ratio = hat_moment_root**p / hat_p**p
-    product = per_fn_lhs * hat_ratio
-    bound = math.exp(params.log_bound)
-    links.append(_at_least("certified_product", product, bound))
+    log_product = log_per_fn + p * (_log(hat_moment_root) - log_hat_p)
+    links.append(_at_least("certified_product", log_product, params.log_bound))
 
-    return ChainReport(d=d, p=p, threshold=t_radius, links=tuple(links))
+    return ChainReport(d=d, p=p, log_threshold=log_t, links=tuple(links))
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +377,15 @@ class CPReport:
 
 
 def _cp_radial_result(
-    name: str, profile: RadialProfile, d, p, q, theta, phi, bound
+    name: str, profile: RadialProfile, d, p, q, theta, phi, log_bound
 ) -> Check:
     # self-dual profiles only: both sides of the product use the same profile
-    lhs = (
+    log_lhs = (
         radial_weighted_norm(profile, d, p, theta)
-        * radial_weighted_norm(profile, d, q, phi)
+        + radial_weighted_norm(profile, d, q, phi)
     )
-    rhs = bound * radial_weighted_norm(profile, d, 2.0, 0.0) ** 2
-    return _at_least(name, lhs, rhs)
+    log_rhs = log_bound + 2.0 * radial_weighted_norm(profile, d, 2.0, 0.0)
+    return _at_least(name, log_lhs, log_rhs)
 
 
 def cp_check(
@@ -407,35 +411,30 @@ def cp_check(
 
     if classification == "feasible":
         bundle = cp_params(d, p, q, theta, phi)
-        # a bound beyond the float range is infinite, which no check takes as measured
-        bound = math.exp(bundle.log_bound) if bundle.log_bound < LOG_MAX else math.inf
+        log_bound = bundle.log_bound
         results = [
-            _cp_radial_result("gaussian", gaussian_profile(), d, p, q, theta, phi, bound),
-            _cp_radial_result("g_2", cx.gc_profile(2.0, d), d, p, q, theta, phi, bound),
-            _cp_radial_result("g_4", cx.gc_profile(4.0, d), d, p, q, theta, phi, bound),
+            _cp_radial_result("gaussian", gaussian_profile(), d, p, q, theta, phi, log_bound),
+            _cp_radial_result("g_2", cx.gc_profile(2.0, d), d, p, q, theta, phi, log_bound),
+            _cp_radial_result("g_4", cx.gc_profile(4.0, d), d, p, q, theta, phi, log_bound),
         ]
         if d in DEFAULT_SPECS:  # the random bump needs a grid
             spec = default_spec(d)
             samples = _bump_samples(spec, seed)
             # the norms read the bump through a read-only view that is gone before its
             # samples become the transform: at d = 3 the check then frees one 4 MiB array
-            # instead of two, too little for glibc to trim the heap under the next check.
-            # A sum beyond the float range is caught by the check itself, not warned about.
-            with np.errstate(over="ignore", invalid="ignore"):
-                weighted, l2 = grid_weighted_norm(
-                    GridFunction(spec=spec, values=samples.view()), [(p, theta), (2.0, 0.0)]
-                )
-                (hat_weighted,) = grid_weighted_norm(
-                    _transform(spec, samples, samples), [(q, phi)]
-                )
-            lhs = weighted * hat_weighted
-            rhs = bound * l2**2
-            results.append(_at_least("random_bump", lhs, rhs))
+            # instead of two, too little for glibc to trim the heap under the next check
+            weighted, l2 = grid_weighted_norm(
+                GridFunction(spec=spec, values=samples.view()), [(p, theta), (2.0, 0.0)]
+            )
+            (hat_weighted,) = grid_weighted_norm(_transform(spec, samples, samples), [(q, phi)])
+            results.append(_at_least(
+                "random_bump", _log(weighted) + _log(hat_weighted), log_bound + 2.0 * _log(l2)
+            ))
         return CPReport(
             d=d, p=p, q=q, theta=theta, phi=phi,
             classification=classification,
             functions=tuple(results),
-            log_bound=bundle.log_bound,
+            log_bound=log_bound,
         )
 
     if classification == "violated":

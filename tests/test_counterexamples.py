@@ -27,29 +27,32 @@ from uplab.grid import (
     random_bump,
     sample,
 )
-from uplab.radial import gaussian_uncertainty_product
+from uplab.radial import gaussian_log_product
 from uplab.specialfn import dimension_constants
 
 
 class TestGcFamily:
+    """gc_uncertainty_ratio is a log: a relative tolerance on the ratio is an absolute
+    one on its log."""
+
     def test_reduces_to_gaussian_at_c_one(self):
         # g_1 = 2 exp(-pi r^2); ratios are scale-invariant in the coefficient
         for d, p in [(1, 3.0), (2, 5.0)]:
-            ratio = cx.gc_uncertainty_ratio(1.0, d, p)
-            assert ratio**2 == pytest.approx(
-                gaussian_uncertainty_product(d, p), rel=1e-10
-            )
+            log_ratio = cx.gc_uncertainty_ratio(1.0, d, p)
+            assert 2.0 * log_ratio == pytest.approx(gaussian_log_product(d, p), abs=1e-10)
 
     @pytest.mark.parametrize("d, p", [(456, 50.0), (456, 400.0), (1000, 200.0)])
     def test_ratio_beyond_normal_powers(self, d, p):
         # m^p and n^p are below the normal floats (e^-847 to e^-2524), their ratio is not
-        ratio = cx.gc_uncertainty_ratio(1.0, d, p)
-        assert ratio**2 == pytest.approx(gaussian_uncertainty_product(d, p), rel=1e-10)
+        log_ratio = cx.gc_uncertainty_ratio(1.0, d, p)
+        assert 2.0 * log_ratio == pytest.approx(gaussian_log_product(d, p), abs=1e-10)
 
-    def test_ratio_outside_the_floats_is_a_usage_error(self):
-        # (m/n)^p = exp(-1.4e6) at c = 1
+    def test_log_ratio_beyond_the_floats(self):
+        # (m/n)^p = exp(-1.4e6) at c = 1, carried as its log
+        log_ratio = cx.gc_uncertainty_ratio(1.0, 3, 1e6)
+        assert 2.0 * log_ratio == pytest.approx(gaussian_log_product(3, 1e6), rel=1e-12)
         with pytest.raises(ValueError, match="outside the normal float range"):
-            cx.gc_uncertainty_ratio(1.0, 3, 1e6)
+            cx.gc_infimum_sweep(3, 1e6, [1.0])
 
     def test_grid_self_duality(self):
         # g_c equals its own Fourier transform

@@ -129,8 +129,8 @@ class TestFunctionChain:
         f = gaussian_grid_function(default_spec(1))
         report = harness.function_chain_check(f, 1, 2.0)
         half = next(l for l in report.links if l.name == "half_mass")
-        assert half.lhs >= half.rhs
-        assert half.lhs <= 2.0 * half.rhs
+        assert half.log_lhs >= half.log_rhs
+        assert half.log_lhs <= half.log_rhs + math.log(2.0)
 
     def test_dimension_mismatch(self):
         f = gaussian_grid_function(default_spec(1))
@@ -153,6 +153,12 @@ class TestFunctionChain:
             harness.function_chain_check(zero, 1, 2.0)
 
 
+def _logs(*sides):
+    """The rules take the logs of the sides: ln 0 = -inf, ln inf = inf, ln nan = nan."""
+    with np.errstate(divide="ignore"):
+        return [float(x) for x in np.log(sides)]
+
+
 class TestCheckRules:
     @pytest.mark.parametrize("lhs, rhs", [
         (math.nan, 1.0), (1.0, math.nan), (1.0, 0.0), (0.0, 0.0), (1.0, math.inf),
@@ -161,12 +167,23 @@ class TestCheckRules:
     def test_no_verdict_without_a_measurement(self, rule, lhs, rhs):
         # a NaN side, or a bound that every lhs meets or misses, is an error, not a verdict
         with pytest.raises(ValueError, match="check probe has no measured value"):
-            rule("probe", lhs, rhs)
+            rule("probe", *_logs(lhs, rhs))
 
     def test_measured_sides_give_a_verdict(self):
-        assert harness._at_least("probe", 0.0, 1.0).passed is False
-        assert harness._at_most("probe", 0.0, 1.0).passed is True
-        assert harness._at_least("probe", math.inf, 1.0).passed is True
+        assert harness._at_least("probe", *_logs(0.0, 1.0)).passed is False
+        assert harness._at_most("probe", *_logs(0.0, 1.0)).passed is True
+        assert harness._at_least("probe", *_logs(math.inf, 1.0)).passed is True
+
+    def test_tolerance_and_slack(self):
+        # lhs = rhs (1 -+ SLACK_TOL / 2) passes both rules, lhs = rhs (1 -+ 2 SLACK_TOL)
+        # fails one; the slack is lhs / rhs - 1, inf where that leaves the floats
+        tol = harness.SLACK_TOL
+        for gap, rule in [(-0.5 * tol, harness._at_least), (0.5 * tol, harness._at_most)]:
+            assert rule("probe", 3.0 + math.log1p(gap), 3.0).passed is True
+        assert harness._at_least("probe", 3.0 + math.log1p(-2 * tol), 3.0).passed is False
+        assert harness._at_most("probe", 3.0 + math.log1p(2 * tol), 3.0).passed is False
+        assert harness._at_least("probe", 1e3 + math.log(1.5), 1e3).slack == pytest.approx(0.5)
+        assert harness._at_least("probe", 2000.0, -2000.0).slack == math.inf
 
 
 def _traced_peak(run, cold: bool = False) -> int:
@@ -270,8 +287,8 @@ class TestTrichotomy:
         bump1 = next(fr for fr in r1.functions if fr.name == "random_bump")
         bump2 = next(fr for fr in r2.functions if fr.name == "random_bump")
         bump3 = next(fr for fr in r3.functions if fr.name == "random_bump")
-        assert bump1.lhs == bump2.lhs
-        assert bump1.lhs != bump3.lhs
+        assert bump1.log_lhs == bump2.log_lhs
+        assert bump1.log_lhs != bump3.log_lhs
 
     def test_violated_verdict_rests_on_measurement(self):
         # the prediction alone is positive for every violated tuple; a

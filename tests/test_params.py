@@ -6,6 +6,7 @@ case has exact rational values.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,12 +14,13 @@ from hypothesis import assume, given, settings, strategies as st
 from uplab.params import (
     _BALL_VOLUMES,
     EQ_TOL,
-    compute_threshold,
+    _critical_exponent,
     cp_classify,
     cp_delta,
     cp_feasible,
     cp_params,
     l2_params,
+    log_threshold,
     lp_epsilon,
     lp_params,
     lp_regime,
@@ -110,6 +112,15 @@ class TestLpRegime:
         for p in (1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 lp_regime(2, p)
+
+    def test_critical_exponent_past_the_overflow_of_2d(self):
+        # 2d is inf from d ~ 9e307 on, 2 (d/(d-1)) is 2; p = 3 is then supercritical
+        assert lp_regime(10**308, 3.0) == "supercritical"
+        assert _critical_exponent(10**308) == 2.0
+        # scaling by 2 commutes with rounding: the bits of 2d/(d-1) below the overflow
+        rng = random.Random(5)
+        for d in list(range(2, 20001)) + [rng.randrange(2, 2**53) for _ in range(20000)]:
+            assert _critical_exponent(d) == 2.0 * d / (d - 1)
 
 
 class TestLpParams:
@@ -209,7 +220,6 @@ class TestCowlingPriceParams:
         assert 1.0 < bundle.a < min(p, q) + 1e-12
         assert bundle.r == pytest.approx(2.0 / bundle.a, rel=1e-13)
         assert math.isfinite(bundle.log_bound)
-        assert bundle.bound > 0
 
     @settings(max_examples=100)
     @given(feasible_tuples())
@@ -259,14 +269,17 @@ class TestCowlingPriceParams:
 
 
 class TestComputeThreshold:
+    """log_threshold takes and returns logs: a relative tolerance on T is an absolute
+    one on ln T."""
+
     def test_scaling_in_norm_ratio(self):
         params = l2_params(1)
-        base = compute_threshold(1.0, 1.0, params)
-        assert base == pytest.approx(params.c_d, rel=1e-13)
-        doubled = compute_threshold(2.0, 1.0, params)
+        base = log_threshold(0.0, 0.0, params)
+        assert base == pytest.approx(math.log(params.c_d), abs=1e-13)
+        doubled = log_threshold(math.log(2.0), 0.0, params)
         expo = (params.d + params.epsilon) / params.d
-        assert doubled == pytest.approx(base * 2.0**expo, rel=1e-13)
+        assert doubled == pytest.approx(base + expo * math.log(2.0), abs=1e-13)
 
     def test_rejects_zero_function(self):
         with pytest.raises(ValueError):
-            compute_threshold(0.0, 1.0, l2_params(1))
+            log_threshold(-math.inf, 0.0, l2_params(1))

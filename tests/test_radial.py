@@ -53,7 +53,7 @@ class TestRadialProfile:
     def test_single_term_keeps_any_sign(self):
         # its norm uses ln |c| in closed form
         assert radial_weighted_norm(gaussian_profile(coefficient=-2.0), 2, 2.0, 0.0) == (
-            pytest.approx(radial_weighted_norm(gaussian_profile(coefficient=2.0), 2, 2.0, 0.0))
+            radial_weighted_norm(gaussian_profile(coefficient=2.0), 2, 2.0, 0.0)
         )
 
     def test_evaluation(self):
@@ -156,25 +156,27 @@ class TestRadialIntegral:
 
 
 class TestRadialWeightedNorm:
+    """The norms are logs: a relative tolerance on a norm is an absolute one on its log."""
+
     @pytest.mark.parametrize("d", [1, 2, 3, 7])
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_gaussian_p_norm_closed_form(self, d, p):
         # ||g||_p^p = p^{-d/2} for g = exp(-pi |x|^2)
-        norm = radial_weighted_norm(gaussian_profile(), d, p, 0.0)
-        assert norm**p == pytest.approx(p ** (-0.5 * d), rel=1e-11)
+        log_norm = radial_weighted_norm(gaussian_profile(), d, p, 0.0)
+        assert p * log_norm == pytest.approx(-0.5 * d * math.log(p), abs=1e-11)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_gaussian_moment_closed_form(self, d):
         # V_p(g) = omega_{d-1} Gamma((p+d)/2) / (2 (pi p)^{(p+d)/2})
         p = 2.0
         geom = dimension_constants(d)
-        moment = radial_weighted_norm(gaussian_profile(), d, p, 1.0) ** p
+        log_moment = p * radial_weighted_norm(gaussian_profile(), d, p, 1.0)
         expected = (
             geom.sphere_area
             * math.gamma(0.5 * (p + d))
             / (2.0 * (math.pi * p) ** (0.5 * (p + d)))
         )
-        assert moment == pytest.approx(expected, rel=1e-11)
+        assert log_moment == pytest.approx(math.log(expected), abs=1e-11)
 
     @given(
         st.integers(min_value=1, max_value=4),
@@ -185,23 +187,23 @@ class TestRadialWeightedNorm:
     @settings(max_examples=40, deadline=None)
     def test_mixture_against_quadrature(self, d, p, rate1, rate2):
         profile = RadialProfile(terms=((1.0, rate1), (0.5, rate2)))
-        norm = radial_weighted_norm(profile, d, p, 0.0)
+        log_norm = radial_weighted_norm(profile, d, p, 0.0)
         omega = dimension_constants(d).sphere_area
 
         def integrand(r):
             return abs(float(profile(r))) ** p * r ** (d - 1)
 
         oracle, _ = integrate.quad(integrand, 0.0, math.inf, limit=200)
-        assert norm == pytest.approx((omega * oracle) ** (1.0 / p), rel=1e-8)
+        assert log_norm == pytest.approx(math.log(omega * oracle) / p, abs=1e-8)
 
     @pytest.mark.parametrize("d, weight", [(1, 0.0), (3, 1.0), (40, 30.0)])
     def test_equal_rate_mixture_matches_single_term(self, d, weight):
         # the two-term path expands F^2 binomially, the one-term path is one
         # Gaussian moment; at d = 40 the integrand's r^{k-1} alone exceeds the float range
         mixture = RadialProfile(terms=((0.25, 1.0), (0.75, 1.0)))
-        norm = radial_weighted_norm(mixture, d, 2.0, weight)
-        assert norm == pytest.approx(
-            radial_weighted_norm(gaussian_profile(), d, 2.0, weight), rel=1e-10
+        log_norm = radial_weighted_norm(mixture, d, 2.0, weight)
+        assert log_norm == pytest.approx(
+            radial_weighted_norm(gaussian_profile(), d, 2.0, weight), abs=1e-10
         )
 
     def test_power_log_norm_matches_closed_form(self):
@@ -209,9 +211,9 @@ class TestRadialWeightedNorm:
         # int_{ln 2}^inf u^{-2} du = 1 / ln 2 exactly
         d, p = 1, 4.0
         prof = RadialProfile(power_log=(-0.25, -0.5))
-        norm = radial_weighted_norm(prof, d, p, 0.0)
+        log_norm = radial_weighted_norm(prof, d, p, 0.0)
         omega = dimension_constants(d).sphere_area
-        assert norm == pytest.approx((omega / math.log(2.0)) ** (1.0 / p), rel=1e-10)
+        assert log_norm == pytest.approx(math.log(omega / math.log(2.0)) / p, abs=1e-10)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
@@ -225,14 +227,20 @@ class TestRadialWeightedNorm:
     def test_gaussian_norm_past_the_sphere_area_underflow(self, d):
         # omega_{d-1} is 0 in double precision from d = 456 on; ||g||_2 = 2^{-d/4} is
         # itself below the floats at d = 100000, where Gamma(k/2) is beyond them
-        norm = radial_weighted_norm(gaussian_profile(), d, 2.0, 0.0)
-        assert norm == pytest.approx(2.0 ** (-0.25 * d), rel=1e-12, abs=0.0)
+        log_norm = radial_weighted_norm(gaussian_profile(), d, 2.0, 0.0)
+        assert log_norm == pytest.approx(-0.25 * d * math.log(2.0), rel=1e-15, abs=1e-12)
 
     @pytest.mark.parametrize("profile", [gaussian_profile(), gc_profile(2.0, 1000)])
-    def test_norm_beyond_the_floats_is_a_usage_error(self, profile):
-        # ln ||x|^600 g||_2 = 1273 at d = 1000
-        with pytest.raises(ValueError, match="exceeds the float range"):
-            radial_weighted_norm(profile, 1000, 2.0, 600.0)
+    def test_norm_beyond_the_floats_is_a_log(self, profile):
+        # ln ||x|^600 g||_2 = 1273 at d = 1000, where the norm itself is beyond the floats
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        exact = mp.log(_mpmath_mixture_norm(mp, profile, 1000, 2.0, 600.0))
+        assert exact > 1000
+        assert radial_weighted_norm(profile, 1000, 2.0, 600.0) == pytest.approx(
+            float(exact), abs=radial.QUAD_RTOL
+        )
 
 
 def _mpmath_mixture_norm(mp, profile, d, p, w):
@@ -297,9 +305,9 @@ class TestMixtureNorm:
         mp.dps = 40
         for d, p, w, c in _MIXTURE_CASES:
             profile = gc_profile(c, d)
-            exact = _mpmath_mixture_norm(mp, profile, d, p, w)
-            norm = radial_weighted_norm(profile, d, p, w)
-            assert norm == pytest.approx(float(exact), rel=radial.QUAD_RTOL), (d, p, w, c)
+            exact = mp.log(_mpmath_mixture_norm(mp, profile, d, p, w))
+            log_norm = radial_weighted_norm(profile, d, p, w)
+            assert log_norm == pytest.approx(float(exact), abs=radial.QUAD_RTOL), (d, p, w, c)
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 2.5])
     def test_three_terms_against_quadrature(self, p):
@@ -312,7 +320,7 @@ class TestMixtureNorm:
         )
         omega = dimension_constants(d).sphere_area
         assert radial_weighted_norm(profile, d, p, w) == pytest.approx(
-            (omega * oracle) ** (1.0 / p), rel=1e-11
+            math.log(omega * oracle) / p, abs=1e-11
         )
 
     def test_no_adaptive_quadrature(self, monkeypatch):
@@ -401,13 +409,12 @@ class TestGaussianUncertaintyProduct:
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_matches_radial_quadrature(self, d, p):
-        # independent path: assemble the product from radial norms
+        # independent path: assemble the product from the radial norms' logs
         g = gaussian_profile()
-        ratio = (
-            radial_weighted_norm(g, d, p, 1.0) ** p
-            / radial_weighted_norm(g, d, p, 0.0) ** p
+        log_ratio = p * (radial_weighted_norm(g, d, p, 1.0) - radial_weighted_norm(g, d, p, 0.0))
+        assert math.log(gaussian_uncertainty_product(d, p)) == pytest.approx(
+            2.0 * log_ratio, abs=1e-10
         )
-        assert gaussian_uncertainty_product(d, p) == pytest.approx(ratio**2, rel=1e-10)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
