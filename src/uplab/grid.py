@@ -6,7 +6,9 @@ transform returns samples on the dual grid (spacing 1/(2L), half-width
 n/(4L)).  Both grids put sample k at (k - n/2)*spacing with n/2 even, so the
 transform is the DFT between two (-1)^{k_1+...+k_d} sign flips, computed in
 place in its output array; for well-resolved inputs the output matches the
-continuous transform to near machine precision.
+continuous transform to near machine precision.  That DFT is the tensor product
+of 1-D ones, so a sum of separable terms, such as the random bump, is
+transformed from its terms' transformed 1-D factors, without an n^d FFT.
 
 Weighted norms read the grid in blocks of _BLOCK samples along the first
 axis, several norms per pass, and add the block sums pairwise, which is the
@@ -16,11 +18,9 @@ are gathered and summed at once, and no gathered piece outlives its block.  No
 grid-sized array is built by a norm, a transform or a sampler beyond the array
 it returns, with one exception: |x_k| over the whole grid is built once per
 GridSpec and kept, read-only, in a small cache (_radius), from which the
-weighted and tail norms take their blocks.  The random bump, a mixture of
-shifted Gaussians, is sampled from each term's one-dimensional factors on the
-axis coordinates: one real matrix product sums the terms over the grid, beside
-an (n_terms, n^{d-1}) complex array of the coefficients times the factors of
-the last d - 1 axes.
+weighted and tail norms take their blocks.  A separable sum, on either grid, is
+one real matrix product of the first axis' factors against an (n_terms, n^{d-1})
+complex array of the coefficients times the factors of the last d - 1 axes.
 """
 
 from __future__ import annotations
@@ -178,21 +178,14 @@ def _boundary_ratio(spec: GridSpec, vals: np.ndarray) -> float:
     return float(edge / peak)
 
 
-def _checkerboard(spec: GridSpec) -> np.ndarray:
-    """(-1)^{k_1+...+k_d} over the grid indices, as int8."""
-    alt = np.where(np.arange(spec.n) % 2 == 0, 1, -1).astype(np.int8)
-    return functools.reduce(np.multiply.outer, [alt] * spec.d)
+def _checkerboard(n: int, d: int) -> np.ndarray:
+    """(-1)^{k_1+...+k_d} over the indices of an n^d grid, as int8."""
+    alt = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int8)
+    return functools.reduce(np.multiply.outer, [alt] * d)
 
 
-def fourier_transform(f: GridFunction) -> GridFunction:
-    """Samples of the continuous Fourier transform on the dual grid."""
-    return _transform(f.spec, f.values, np.empty(f.values.shape, dtype=complex))
-
-
-def _transform(spec: GridSpec, values: np.ndarray, out: np.ndarray) -> GridFunction:
-    """The transform of the samples values, computed in the complex array out.  out may
-    be values itself: a caller that owns its samples and reads them for the last time
-    transforms them without a second grid-sized array."""
+def _require_decay(spec: GridSpec, values: np.ndarray) -> None:
+    """The transform's boundary guard: raise above BOUNDARY_ERROR, warn above BOUNDARY_WARN."""
     ratio = _boundary_ratio(spec, values)
     if ratio > BOUNDARY_ERROR:
         raise ValueError(
@@ -204,11 +197,17 @@ def _transform(spec: GridSpec, values: np.ndarray, out: np.ndarray) -> GridFunct
             f"boundary samples at {ratio:.3e} of the peak; transform accuracy degrades",
             stacklevel=3,
         )
+
+
+def fourier_transform(f: GridFunction) -> GridFunction:
+    """Samples of the continuous Fourier transform on the dual grid."""
+    spec = f.spec
+    _require_decay(spec, f.values)
     # sample k sits at (k - n/2)*spacing on both grids and n/2 is even, so rotating
     # x = 0 to index 0 and back is a (-1)^{k_1+...+k_d} modulation on each side:
     # exact sign flips around one DFT computed in the output array
-    signs = _checkerboard(spec)
-    np.multiply(values, signs, out=out, dtype=complex)
+    signs = _checkerboard(spec.n, spec.d)
+    out = np.multiply(f.values, signs, dtype=complex)
     np.fft.fftn(out, out=out)
     out *= signs
     out *= spec.spacing**spec.d
@@ -320,13 +319,13 @@ def random_bump(spec: GridSpec, seed: int, n_terms: int = 4) -> GridFunction:
 
 
 def _bump_samples(spec: GridSpec, seed: int, n_terms: int = 4) -> np.ndarray:
-    """The samples of random_bump(spec, seed, n_terms), as a new writable C-contiguous
-    array.  The terms' 1-D factors are tabulated on the axis coordinates, and the
-    coefficients and the last d - 1 axes are multiplied out into a complex
-    (n_terms, n^{d-1}) array.  Read as real numbers, its real and imaginary parts
-    interleaved, it is summed against the first axis' factors by one real matrix
-    product, whose (n, 2 n^{d-1}) result is the complex grid.  (A complex product
-    with a small inner dimension ran 100 times slower in some processes.)"""
+    """The samples of random_bump(spec, seed, n_terms): a new writable C-contiguous array."""
+    return _separable_sum(spec, *_bump_terms(spec, seed, n_terms))
+
+
+def _bump_terms(spec: GridSpec, seed: int, n_terms: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients c_t of random_bump(spec, seed, n_terms) and its terms' 1-D
+    factors tabulated on the axis coordinates, as (n_terms, d, n) real factors."""
     rng = np.random.default_rng(seed)
     span = 0.25 * spec.half_width
     centers = rng.uniform(-span, span, size=(n_terms, spec.d))
@@ -339,8 +338,31 @@ def _bump_samples(spec: GridSpec, seed: int, n_terms: int = 4) -> np.ndarray:
         factors *= -math.pi
         factors /= (widths * widths)[:, None, None]
         np.exp(factors, out=factors)
+    return coefs, factors
+
+
+def _separable_sum(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """sum_t c_t prod_i factors[t, i, k_i] over the grid, a new C-contiguous complex array.
+    The coefficients times the last d - 1 axes' factors, a complex (n_terms, n^{d-1})
+    array R read as interleaved reals, are summed against the first axis' factors F by
+    one real matrix product; complex F enters as [Re F; Im F] against [R; iR].  (A
+    complex product with a small inner dimension ran 100 times slower in some processes.)"""
     right = coefs[:, None]
     for axis in range(1, spec.d):
-        right = (right[:, :, None] * factors[:, axis, None, :]).reshape(n_terms, -1)
-    product = factors[:, 0].T @ right.view(np.float64)
+        right = (right[:, :, None] * factors[:, axis, None, :]).reshape(len(coefs), -1)
+    left = factors[:, 0]
+    if np.iscomplexobj(left):
+        left = np.concatenate([left.real, left.imag])
+        right = np.concatenate([right, 1j * right])
+    product = left.T @ right.view(np.float64)
     return product.view(complex).reshape((spec.n,) * spec.d)
+
+
+def _separable_transform(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """fourier_transform's values on the samples _separable_sum(spec, coefs, factors), to a
+    few units in the last place of the peak, without its boundary guard: each 1-D factor
+    is transformed between (-1)^k sign flips and the transforms are summed on the dual grid."""
+    alt = _checkerboard(spec.n, 1)
+    hats = np.fft.fft(factors * alt, axis=-1)
+    hats *= alt * spec.spacing
+    return _separable_sum(spec.dual(), coefs, hats)

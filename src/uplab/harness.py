@@ -20,8 +20,10 @@ from . import counterexamples as cx
 from .grid import (
     DEFAULT_SPECS,
     GridFunction,
-    _bump_samples,
-    _transform,
+    _bump_terms,
+    _require_decay,
+    _separable_sum,
+    _separable_transform,
     _weighted_sums,
     default_spec,
     fourier_transform,
@@ -419,14 +421,15 @@ def cp_check(
         ]
         if d in DEFAULT_SPECS:  # the random bump needs a grid
             spec = default_spec(d)
-            samples = _bump_samples(spec, seed)
-            # the norms read the bump through a read-only view that is gone before its
-            # samples become the transform: at d = 3 the check then frees one 4 MiB array
-            # instead of two, too little for glibc to trim the heap under the next check
+            coefs, factors = _bump_terms(spec, seed)
+            samples = _separable_sum(spec, coefs, factors)
             weighted, l2 = grid_weighted_norm(
-                GridFunction(spec=spec, values=samples.view()), [(p, theta), (2.0, 0.0)]
+                GridFunction(spec=spec, values=samples), [(p, theta), (2.0, 0.0)]
             )
-            (hat_weighted,) = grid_weighted_norm(_transform(spec, samples, samples), [(q, phi)])
+            _require_decay(spec, samples)
+            del samples  # one grid-sized array at a time: the transform needs only the factors
+            hat = GridFunction(spec=spec.dual(), values=_separable_transform(spec, coefs, factors))
+            (hat_weighted,) = grid_weighted_norm(hat, [(q, phi)])
             results.append(_at_least(
                 "random_bump", _log(weighted) + _log(hat_weighted), log_bound + 2.0 * _log(l2)
             ))

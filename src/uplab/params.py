@@ -223,13 +223,13 @@ def cp_params(d: int, p: float, q: float, theta: float, phi: float) -> CowlingPr
     eps = d * delta * phi * q / (d + phi * q - delta * phi * q)
     eps_t = d * delta * theta * p / (d + theta * p - delta * theta * p)
     a = p / (1.0 + p * theta / (d + eps))
-    r = 2.0 / a
-    s = r / (r - 1.0)
-    r1 = p / a
-    s1 = r1 / (r1 - 1.0)
+    r, r1, r1_t = 2.0 / a, p / a, q / a
+    for name, value in (("r = 2/a", r), ("r1 = p/a", r1), ("r1_tilde = q/a", r1_t)):
+        if value == 1.0:
+            raise ValueError(f"the exponent {name} rounds to 1 at a={a!r}, so its conjugate "
+                             f"is 1/0: theta={theta:g} is too small against d + epsilon")
+    s, s1, s1_t = r / (r - 1.0), r1 / (r1 - 1.0), r1_t / (r1_t - 1.0)
     b = theta * p / r1
-    r1_t = q / a
-    s1_t = r1_t / (r1_t - 1.0)
     b_t = phi * q / r1_t
     geom = dimension_constants(d)
     log_c = _log_c_d(d, s)

@@ -293,6 +293,11 @@ class TestOutOfRangeInputs:
         (["gaussian", "--d", "1", "--p", "1e100"], "ln product = -2.83788e+100"),
         # the chain's moment V_p(f) weighs |f|^p = 0 by |x|^p = inf
         (["chain", "--d", "1", "--p", "1e300"], "p=1e+300, w=1"),
+        # a = p / (1 + p theta/(d + epsilon)) rounds to p: r = 2/a, then r1 = p/a, is 1
+        (["cowling-price", "--d", "1", "--p", "2", "--q", "2",
+          "--theta", "1e-300", "--phi", "1e-300"], "r = 2/a rounds to 1"),
+        (["cowling-price", "--d", "1" + "0" * 307, "--p", "3", "--q", "3",
+          "--theta", "1" + "0" * 307, "--phi", "1" + "0" * 307], "r1 = p/a rounds to 1"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)

@@ -29,9 +29,11 @@ from uplab.grid import (
     GridSpec,
     _RADIUS_CACHE_SIZE,
     _bump_samples,
+    _bump_terms,
     _radius,
+    _require_decay,
     _row_blocks,
-    _transform,
+    _separable_transform,
     _weighted_sums,
     default_spec,
     fourier_transform,
@@ -390,11 +392,6 @@ class TestFourierTransform:
         spec = default_spec(d)
         for f in (gaussian_grid_function(spec), random_bump(spec, seed=d), translate_member(d)):
             assert fourier_transform(f).values.tobytes() == rotation_transform(f).tobytes()
-        # the feasible check transforms its own bump samples in their memory
-        samples = _bump_samples(spec, seed=d)
-        hat = _transform(spec, samples, samples)
-        assert np.shares_memory(hat.values, samples)
-        assert hat.values.tobytes() == rotation_transform(random_bump(spec, seed=d)).tobytes()
 
     def test_rejects_nondecaying_function(self):
         spec = default_spec(1)
@@ -702,17 +699,45 @@ class TestRandomBump:
             tracemalloc.stop()
         assert peak <= 4.5 * 2**20
 
+    @pytest.mark.parametrize("spec", [
+        default_spec(1), default_spec(2), default_spec(3), GridSpec(d=3, n=32, half_width=3.0),
+        GridSpec(d=2, n=512, half_width=16.0),
+    ], ids=lambda s: f"d{s.d}n{s.n}L{s.half_width:g}")
+    def test_factored_transform_matches_fftn(self, spec):
+        # the rotation has fourier_transform's bytes (test_same_bytes_as_rotation) and
+        # no boundary guard, which some seeds trip on the 32^3 grid
+        eps = np.finfo(float).eps
+        for seed in range(8):
+            reference = rotation_transform(random_bump(spec, seed))
+            hat = _separable_transform(spec, *_bump_terms(spec, seed))
+            assert hat.shape == reference.shape and hat.flags.c_contiguous
+            peak = np.abs(reference).max()
+            assert np.abs(hat - reference).max() <= 8 * eps * peak, seed
+
+    def test_factored_path_guards_the_boundary(self):
+        # the feasible check guards its samples before it transforms their factors
+        spec = GridSpec(d=2, n=16, half_width=1.0)
+        samples = _bump_samples(spec, seed=0)
+        with pytest.raises(ValueError, match="does not decay") as direct:
+            fourier_transform(random_bump(spec, seed=0))
+        with pytest.raises(ValueError) as factored:
+            _require_decay(spec, samples)
+        assert str(factored.value) == str(direct.value)
+
     def test_same_bytes_for_any_blas_thread_count(self):
         # the benchmark pins BLAS to one thread and the tests need not: a seed must name
-        # the same samples either way.  A child process runs pinned to one thread when
+        # the same samples, and the same factored transform (a real product of inner
+        # dimension 8), either way.  A child process runs pinned to one thread when
         # this one is unpinned, and unpinned when this one is pinned.
         specs = [default_spec(d) for d in (1, 2, 3)] + [GridSpec(d=3, n=128, half_width=6.0)]
         code = (
             "import hashlib\n"
-            "from uplab.grid import GridSpec, _bump_samples\n"
+            "from uplab.grid import GridSpec, _bump_samples, _bump_terms, _separable_transform\n"
             f"for spec in {specs!r}:\n"
             "    for seed in (0, 1, 2):\n"
             "        print(hashlib.sha256(_bump_samples(spec, seed).tobytes()).hexdigest())\n"
+            "        hat = _separable_transform(spec, *_bump_terms(spec, seed))\n"
+            "        print(hashlib.sha256(hat.tobytes()).hexdigest())\n"
         )
         pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
         env = {k: v for k, v in os.environ.items() if k not in pins}
@@ -722,6 +747,10 @@ class TestRandomBump:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
         child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                text=True, check=True, timeout=120).stdout
-        in_process = "".join(hashlib.sha256(_bump_samples(spec, seed).tobytes()).hexdigest()
-                             + "\n" for spec in specs for seed in (0, 1, 2))
+        in_process = "".join(
+            hashlib.sha256(values.tobytes()).hexdigest() + "\n"
+            for spec in specs for seed in (0, 1, 2)
+            for values in (_bump_samples(spec, seed),
+                           _separable_transform(spec, *_bump_terms(spec, seed)))
+        )
         assert child == in_process

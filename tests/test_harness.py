@@ -208,9 +208,10 @@ class TestPeakMemory:
         assert _traced_peak(lambda: harness.function_chain_check(f, 3, 2.0)) <= 7 * 2**20
 
     def test_feasible_check_at_d3(self):
-        # the bump's 4 MiB samples and its 4 MiB transform plus block temporaries;
-        # 16.0 MiB with grid-sized temporaries for |f|, |f|^p, the radius and the FFT
-        assert _traced_peak(lambda: harness.cp_check(3, 2.0, 2.0, 1.0, 1.0)) <= 11 * 2**20
+        # one 4 MiB grid at a time, the bump's samples and then its transform, plus block
+        # temporaries: 5.25 MiB; two live grids would break the bound.  16.0 MiB with
+        # grid-sized temporaries for |f|, |f|^p, the radius and the FFT
+        assert _traced_peak(lambda: harness.cp_check(3, 2.0, 2.0, 1.0, 1.0)) <= 5.5 * 2**20
 
     def test_cold_chain_on_d3_bump(self):
         # 5.5 MiB warm, plus the 2 MiB radii of the 64^3 grid and its dual: 9.5 MiB
