@@ -16,7 +16,8 @@ from pathlib import Path
 
 from . import counterexamples as cx
 from . import harness
-from .grid import default_spec, gaussian_grid_function, random_bump, sample, write_grid_csv
+from .grid import (default_spec, gaussian_grid_function, gaussian_mixture_grid_function,
+                   random_bump, write_grid_csv)
 from .radial import gaussian_uncertainty_product
 from .specialfn import LOG_MAX, LOG_MIN
 
@@ -122,8 +123,7 @@ def _cmd_chain(args) -> int:
     if args.function == "gaussian":
         f = gaussian_grid_function(spec)
     elif args.function == "gc":
-        profile = cx.gc_profile(args.c, args.d)
-        f = sample(lambda *mesh: profile((sum(m * m for m in mesh)) ** 0.5), spec)
+        f = gaussian_mixture_grid_function(spec, cx.gc_profile(args.c, args.d).terms)
     else:
         f = random_bump(spec, seed=args.seed)
     report = harness.function_chain_check(f, args.d, args.p)

@@ -4,11 +4,12 @@ discrete approximation of the Fourier transform f^(xi) = int f e^{-2 pi i x.xi} 
 The sampling is centered (sample k -> -L + k*spacing per axis) and the
 transform returns samples on the dual grid (spacing 1/(2L), half-width
 n/(4L)).  Both grids put sample k at (k - n/2)*spacing with n/2 even, so the
-transform is the DFT between two (-1)^{k_1+...+k_d} sign flips, computed in
-place in its output array; for well-resolved inputs the output matches the
-continuous transform to near machine precision.  That DFT is the tensor product
-of 1-D ones, so a sum of separable terms, such as the random bump, is
-transformed from its terms' transformed 1-D factors, without an n^d FFT.
+transform is the DFT between two (-1)^{k_1+...+k_d} sign flips; for
+well-resolved inputs it matches the continuous transform to near machine
+precision.  That DFT is the tensor product of 1-D ones, so fourier_weighted_norm
+takes the norms of f^ of a sum of separable terms that carries its 1-D factors
+(the Gaussians, g_c, the random bump) from the transformed factors, block by
+block; fourier_transform, an n^d FFT in place in its output, serves bare samples.
 
 Weighted norms read the grid in blocks of _BLOCK samples along the first
 axis, several norms per pass, and add the block sums pairwise, which is the
@@ -19,8 +20,8 @@ grid-sized array is built by a norm, a transform or a sampler beyond the array
 it returns, with one exception: |x_k| over the whole grid is built once per
 GridSpec and kept, read-only, in a small cache (_radius), from which the
 weighted and tail norms take their blocks.  A separable sum, on either grid, is
-one real matrix product of the first axis' factors against an (n_terms, n^{d-1})
-complex array of the coefficients times the factors of the last d - 1 axes.
+one real matrix product per block of the first axis' factors against an
+(n_terms, n^{d-1}) array of the coefficients times the last d - 1 axes' factors.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import functools
 import math
 import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,10 +104,13 @@ def default_spec(d: int, n: int | None = None, half_width: float | None = None) 
 class GridFunction:
     """Real (float64) or complex (complex128) samples over a GridSpec, row-major;
     sample k sits at -L + k*spacing.  Stored read-only, uncopied if of that dtype.
+    A separable sum sampled here also carries, read-only, the coefficients and the
+    (n_terms, d, n) 1-D factors that its samples were built from.
     """
 
     spec: GridSpec
     values: np.ndarray
+    _terms: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
@@ -116,7 +120,8 @@ class GridFunction:
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
         object.__setattr__(self, "values", vals)
-        vals.setflags(write=False)
+        for array in (vals, *(self._terms or ())):
+            array.setflags(write=False)
 
 
 def _squared_distance(mesh) -> np.ndarray:
@@ -215,6 +220,15 @@ def fourier_transform(f: GridFunction) -> GridFunction:
     return GridFunction(spec=spec.dual(), values=out)
 
 
+def fourier_weighted_norm(f: GridFunction, terms) -> tuple[float, ...]:
+    """grid_weighted_norm(fourier_transform(f), terms), without building f^ when f carries
+    its factors: the samples get the boundary guard, and f^ is read from the factors."""
+    if f._terms is None:
+        return grid_weighted_norm(fourier_transform(f), terms)
+    _require_decay(f.spec, f.values)
+    return _weighted_norms(f.spec.dual(), _transform_rows(f.spec, *f._terms), terms)
+
+
 def grid_weighted_norm(
     f: GridFunction, terms: Iterable[tuple[float, float]], radius_floor: float | None = None
 ) -> tuple[float, ...]:
@@ -222,43 +236,48 @@ def grid_weighted_norm(
     terms; p = inf gives max |x_k|^w |f_k|.  With radius_floor, only the samples with
     |x_k| > radius_floor count.
     """
+    return _weighted_norms(f.spec, f.values, terms, radius_floor)
+
+
+def _weighted_norms(spec: GridSpec, samples, terms, radius_floor: float | None = None):
+    """grid_weighted_norm of samples, as in _weighted_sums."""
     terms = list(terms)
     for p, w in terms:
         if not w >= 0:
             raise ValueError("weight_exponent must be nonnegative")
         if not p >= 1:
             raise ValueError(f"p must be >= 1 or inf, got {p}")
-    cell = f.spec.spacing**f.spec.d
+    cell = spec.spacing**spec.d
     return tuple(
         total if p == math.inf else (total * cell) ** (1.0 / p)
-        for (p, _), total in zip(terms, _weighted_sums(f, terms, radius_floor))
+        for (p, _), total in zip(terms, _weighted_sums(spec, samples, terms, radius_floor))
     )
 
 
-def _weighted_sums(f: GridFunction, terms, radius_floor: float | None = None) -> list[float]:
+def _weighted_sums(spec: GridSpec, samples, terms, radius_floor: float | None = None):
     """The sums sum |x_k|^{p w} |f_k|^p (max |x_k|^w |f_k| for p = inf) behind
-    grid_weighted_norm, without the cell volume.  One blocked pass computes |f|,
-    each distinct |f|^p and each distinct weight once per block, the weights from
-    the spec's cached radius; with radius_floor it gathers each block's samples
-    beyond the floor, and the radius only for weighted terms.  Every block's values
-    are summed at once and the block sums added pairwise, with or without a floor,
-    so a tail holds no gathered piece beyond its block.  A sum that is not finite
-    raises, naming its (p, w), without a floating-point warning.
+    grid_weighted_norm, without the cell volume, over samples on spec or its _row_blocks.
+    One blocked pass computes |f|, each distinct |f|^p and each distinct weight once per
+    block, the weights from the spec's cached radius; with radius_floor it gathers each
+    block's samples beyond the floor, and the radius only for weighted terms.  Every
+    block's values are summed at once and the block sums added pairwise, so a tail holds
+    no gathered piece beyond its block.  A sum that is not finite raises, naming its
+    (p, w), without a floating-point warning.
     """
-    spec = f.spec
+    if isinstance(samples, np.ndarray):  # views of its blocks
+        samples = [samples[rows] for rows in _row_blocks(spec)]
     weighted = any(w > 0 for _, w in terms)
     radii = _radius(spec) if weighted or radius_floor is not None else None
     parts = [[] for _ in terms]
     # a power or weight beyond the floats shows as a sum of inf or NaN, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _row_blocks(spec):
-            samples = f.values[rows]
+        for rows, block in zip(_row_blocks(spec), samples, strict=True):
             radius = None if radii is None else radii[rows]
             if radius_floor is not None:
                 tail = radius > radius_floor
-                samples = samples[tail]
+                block = block[tail]
                 radius = radius[tail] if weighted else None
-            mags = np.abs(samples)
+            mags = np.abs(block)
             powers, weights = {}, {}
             for (p, w), part in zip(terms, parts):
                 if p == math.inf:
@@ -295,14 +314,18 @@ def write_grid_csv(f: GridFunction, path) -> None:
 
 def gaussian_grid_function(spec: GridSpec, rate: float = 1.0) -> GridFunction:
     """Samples of exp(-pi * rate * |x|^2); rate 1 is the self-dual Gaussian."""
+    return gaussian_mixture_grid_function(spec, [(1.0, rate)])
 
-    def gen(*mesh):
-        vals = _squared_distance(mesh)
-        vals *= -math.pi * rate
-        return np.exp(vals, out=vals)
 
+def gaussian_mixture_grid_function(spec: GridSpec, terms) -> GridFunction:
+    """Real samples of sum_t c_t exp(-pi rate_t |x|^2) over the (c_t, rate_t) in terms, such
+    as a Gaussian-mixture RadialProfile's: each term the product of d 1-D Gaussians."""
+    coefs, rates = np.array(terms, dtype=float).T
     with np.errstate(over="ignore"):  # an exponent of -inf samples an exact 0
-        return sample(gen, spec)
+        table = np.multiply.outer(-math.pi * rates, np.square(spec.axis_coordinates()))
+        np.exp(table, out=table)
+    factors = np.broadcast_to(table[:, None, :], (len(coefs), spec.d, spec.n))
+    return _separable_function(spec, coefs, factors)
 
 
 def random_bump(spec: GridSpec, seed: int, n_terms: int = 4) -> GridFunction:
@@ -315,12 +338,7 @@ def random_bump(spec: GridSpec, seed: int, n_terms: int = 4) -> GridFunction:
     samples differ from exp of the full exponent by a few units in the last place
     of each term (more where the exponent is large).
     """
-    return GridFunction(spec=spec, values=_bump_samples(spec, seed, n_terms))
-
-
-def _bump_samples(spec: GridSpec, seed: int, n_terms: int = 4) -> np.ndarray:
-    """The samples of random_bump(spec, seed, n_terms): a new writable C-contiguous array."""
-    return _separable_sum(spec, *_bump_terms(spec, seed, n_terms))
+    return _separable_function(spec, *_bump_terms(spec, seed, n_terms))
 
 
 def _bump_terms(spec: GridSpec, seed: int, n_terms: int = 4) -> tuple[np.ndarray, np.ndarray]:
@@ -341,12 +359,19 @@ def _bump_terms(spec: GridSpec, seed: int, n_terms: int = 4) -> tuple[np.ndarray
     return coefs, factors
 
 
-def _separable_sum(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """sum_t c_t prod_i factors[t, i, k_i] over the grid, a new C-contiguous complex array.
-    The coefficients times the last d - 1 axes' factors, a complex (n_terms, n^{d-1})
-    array R read as interleaved reals, are summed against the first axis' factors F by
-    one real matrix product; complex F enters as [Re F; Im F] against [R; iR].  (A
-    complex product with a small inner dimension ran 100 times slower in some processes.)"""
+def _separable_function(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray) -> GridFunction:
+    """The samples of sum_t c_t prod_i factors[t, i, k_i] in one block, carrying the terms."""
+    (values,) = _separable_rows(spec, coefs, factors, [slice(None)])
+    return GridFunction(spec=spec, values=values, _terms=(coefs, factors))
+
+
+def _separable_rows(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray, blocks):
+    """sum_t c_t prod_i factors[t, i, k_i] over each slice of first-axis rows in blocks: new
+    C-contiguous arrays, real for real terms.  The coefficients times the last d - 1 axes'
+    factors, an (n_terms, n^{d-1}) array R read as interleaved reals, are summed against F,
+    the block's first-axis factors, by one real matrix product; complex F enters as
+    [Re F; Im F] against [R; iR].  (A complex product with a small inner dimension ran 100
+    times slower in some processes.)"""
     right = coefs[:, None]
     for axis in range(1, spec.d):
         right = (right[:, :, None] * factors[:, axis, None, :]).reshape(len(coefs), -1)
@@ -354,15 +379,16 @@ def _separable_sum(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray) -> np
     if np.iscomplexobj(left):
         left = np.concatenate([left.real, left.imag])
         right = np.concatenate([right, 1j * right])
-    product = left.T @ right.view(np.float64)
-    return product.view(complex).reshape((spec.n,) * spec.d)
+    dtype, right = right.dtype, right.view(np.float64)
+    for rows in blocks:
+        yield (left[:, rows].T @ right).view(dtype).reshape((-1,) + (spec.n,) * (spec.d - 1))
 
 
-def _separable_transform(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """fourier_transform's values on the samples _separable_sum(spec, coefs, factors), to a
-    few units in the last place of the peak, without its boundary guard: each 1-D factor
-    is transformed between (-1)^k sign flips and the transforms are summed on the dual grid."""
+def _transform_rows(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray):
+    """fourier_transform's values on the separable sum of (coefs, factors), to a few ulps of
+    the peak, by _row_blocks of the dual grid and without the boundary guard: _separable_rows
+    of the 1-D factors' transforms, each taken between (-1)^k sign flips."""
     alt = _checkerboard(spec.n, 1)
     hats = np.fft.fft(factors * alt, axis=-1)
     hats *= alt * spec.spacing
-    return _separable_sum(spec.dual(), coefs, hats)
+    return _separable_rows(spec.dual(), coefs, hats, _row_blocks(spec))

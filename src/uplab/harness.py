@@ -20,14 +20,14 @@ from . import counterexamples as cx
 from .grid import (
     DEFAULT_SPECS,
     GridFunction,
-    _bump_terms,
     _require_decay,
-    _separable_sum,
-    _separable_transform,
+    _transform_rows,
+    _weighted_norms,
     _weighted_sums,
     default_spec,
-    fourier_transform,
+    fourier_weighted_norm,
     grid_weighted_norm,
+    random_bump,
 )
 from .params import (
     cp_classify,
@@ -249,7 +249,10 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
 
     Links: half-mass split at the threshold radius, the tail Hoelder step, the
     per-function moment inequality, the primary uncertainty quotient, and the
-    final certified product bound.
+    final certified product bound.  The last two take norms of f^ from
+    fourier_weighted_norm: for a Gaussian, g_c or random bump sampled by grid, which
+    carry their 1-D factors, they are streamed by blocks of the dual grid from the
+    factors' transforms; bare samples go through fourier_transform.
     """
     if f.spec.d != d:
         raise ValueError(f"grid dimension {f.spec.d} does not match d={d}")
@@ -270,7 +273,7 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
     log_t = log_threshold(log_norm_a, log_norm_p, params)
     # T itself is only the radius floor of the tail: no sample lies beyond a T past the floats
     t_radius = math.exp(log_t) if log_t < LOG_MAX else math.inf
-    (tail_sum,) = _weighted_sums(f, [(a, 0.0)], radius_floor=t_radius)
+    (tail_sum,) = _weighted_sums(f.spec, f.values, [(a, 0.0)], radius_floor=t_radius)
     log_tail = _log(tail_sum) + d * math.log(f.spec.spacing)
 
     links = [_at_least("half_mass", log_tail, a * log_norm_a - LOG_2)]
@@ -286,9 +289,7 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
     )
     links.append(_at_least("per_function", log_per_fn, log_per_fn_rhs))
 
-    hat_a, hat_p, hat_moment_root = grid_weighted_norm(
-        fourier_transform(f), [(a, 0.0), (p, 0.0), (p, 1.0)]
-    )
+    hat_a, hat_p, hat_moment_root = fourier_weighted_norm(f, [(a, 0.0), (p, 0.0), (p, 1.0)])
     log_hat_a, log_hat_p = _log(hat_a), _log(hat_p)
     log_quotient = log_norm_a + log_hat_a - log_norm_p - log_hat_p
     links.append(_at_least("primary_up", log_quotient, 0.0))
@@ -421,15 +422,12 @@ def cp_check(
         ]
         if d in DEFAULT_SPECS:  # the random bump needs a grid
             spec = default_spec(d)
-            coefs, factors = _bump_terms(spec, seed)
-            samples = _separable_sum(spec, coefs, factors)
-            weighted, l2 = grid_weighted_norm(
-                GridFunction(spec=spec, values=samples), [(p, theta), (2.0, 0.0)]
-            )
-            _require_decay(spec, samples)
-            del samples  # one grid-sized array at a time: the transform needs only the factors
-            hat = GridFunction(spec=spec.dual(), values=_separable_transform(spec, coefs, factors))
-            (hat_weighted,) = grid_weighted_norm(hat, [(q, phi)])
+            bump = random_bump(spec, seed)
+            weighted, l2 = grid_weighted_norm(bump, [(p, theta), (2.0, 0.0)])
+            # fourier_weighted_norm's steps, the samples freed first: one grid at a time
+            _require_decay(spec, bump.values)
+            pair, bump = bump._terms, None
+            (hat_weighted,) = _weighted_norms(spec.dual(), _transform_rows(spec, *pair), [(q, phi)])
             results.append(_at_least(
                 "random_bump", _log(weighted) + _log(hat_weighted), log_bound + 2.0 * _log(l2)
             ))

@@ -228,6 +228,10 @@ def cp_params(d: int, p: float, q: float, theta: float, phi: float) -> CowlingPr
         if value == 1.0:
             raise ValueError(f"the exponent {name} rounds to 1 at a={a!r}, so its conjugate "
                              f"is 1/0: theta={theta:g} is too small against d + epsilon")
+    if not all(math.isfinite(x) for x in (delta, eps, eps_t)):
+        raise ValueError(f"(d={d}, p={p}, q={q}, theta={theta}, phi={phi}) gives delta={delta:g}, "
+                         f"epsilon={eps:g}, epsilon_tilde={eps_t:g}: theta and phi are too small "
+                         "against d for finite parameters")
     s, s1, s1_t = r / (r - 1.0), r1 / (r1 - 1.0), r1_t / (r1_t - 1.0)
     b = theta * p / r1
     b_t = phi * q / r1_t

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,24 @@ class TestChainCommand:
         assert err.count("\n") == 1
 
 
+class TestNoFftn:
+    def test_commands_transform_from_factors(self, capsys, monkeypatch):
+        # every chain function and the feasible check's bump carry their 1-D factors
+        def fftn(*args, **kwargs):
+            raise AssertionError("np.fft.fftn called")
+
+        monkeypatch.setattr(np.fft, "fftn", fftn)
+        for d in ("1", "2", "3"):
+            for function in ("gaussian", "gc", "bump"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # g_2's faces at d = 3: 1.1e-9 of its peak
+                    code, _, err = run(capsys, "chain", "--d", d, "--function", function)
+                assert (code, err) == (0, ""), (d, function)
+        code, _, err = run(capsys, "cowling-price", "--d", "3", "--p", "2", "--q", "2",
+                           "--theta", "1", "--phi", "1")
+        assert (code, err) == (0, "")
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("argv", [
         ["cowling-price", "--d", "1", "--p", "inf", "--q", "inf", "--theta", "1", "--phi", "1"],
@@ -298,6 +317,11 @@ class TestOutOfRangeInputs:
           "--theta", "1e-300", "--phi", "1e-300"], "r = 2/a rounds to 1"),
         (["cowling-price", "--d", "1" + "0" * 307, "--p", "3", "--q", "3",
           "--theta", "1" + "0" * 307, "--phi", "1" + "0" * 307], "r1 = p/a rounds to 1"),
+        # d/(phi q) overflows, so delta is inf and epsilon NaN
+        (["cowling-price", "--d", "1", "--p", "2", "--q", "2",
+          "--theta", "1e-310", "--phi", "1e-310"], "theta=1e-310, phi=1e-310"),
+        (["cowling-price", "--d", "1", "--p", "2", "--q", "2",
+          "--theta", "5e-324", "--phi", "5e-324"], "theta=5e-324, phi=5e-324"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)

@@ -28,15 +28,14 @@ from uplab.grid import (
     GridFunction,
     GridSpec,
     _RADIUS_CACHE_SIZE,
-    _bump_samples,
     _bump_terms,
     _radius,
-    _require_decay,
     _row_blocks,
-    _separable_transform,
+    _transform_rows,
     _weighted_sums,
     default_spec,
     fourier_transform,
+    fourier_weighted_norm,
     gaussian_grid_function,
     grid_weighted_norm,
     random_bump,
@@ -124,7 +123,7 @@ def assert_tail_sums(f, terms, radius_floor):
     terms takes h <= ceil(log2 m) + 17: the halvings, then a leaf of up to 128 terms
     in 8 accumulators, their 3 combining additions and up to 7 terms left over.  The
     pairwise addition of the B block sums adds log2 B.  The norms are the sums'."""
-    sums = _weighted_sums(f, terms, radius_floor)
+    sums = _weighted_sums(f.spec, f.values, terms, radius_floor)
     u = np.finfo(float).eps / 2
     block_depth = int(math.log2(len(_row_blocks(f.spec))))
     for (p, _), total, summands in zip(terms, sums, dense_summands(f, terms, radius_floor),
@@ -472,7 +471,7 @@ class TestNorms:
         for f in functions:
             assert grid_weighted_norm(f, terms) == dense_norms(f, terms)
             for sums_terms in (terms, terms[:2]):
-                sums = _weighted_sums(f, sums_terms)
+                sums = _weighted_sums(f.spec, f.values, sums_terms)
                 assert np.array(sums).tobytes() == np.array(dense_sums(f, sums_terms)).tobytes()
                 for floor in (0.0, 1.0, 2.5):
                     assert_tail_sums(f, sums_terms, floor)
@@ -489,10 +488,10 @@ class TestNorms:
         # each block's tail is summed before the next is gathered: 1.03 MiB, against
         # 2.54 MiB when every gathered piece was held until one sum over all of them
         f = gaussian_grid_function(default_spec(3))
-        _weighted_sums(f, [(1.5, 0.0)], radius_floor=0.45)  # warm-up
+        _weighted_sums(f.spec, f.values, [(1.5, 0.0)], radius_floor=0.45)  # warm-up
         tracemalloc.start()
         try:
-            _weighted_sums(f, [(1.5, 0.0)], radius_floor=0.45)
+            _weighted_sums(f.spec, f.values, [(1.5, 0.0)], radius_floor=0.45)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -678,12 +677,11 @@ class TestRandomBump:
         # the off-default grids reach exponents beyond the underflow of exp; the
         # samples sit at up to half of the bound on these grids
         for seed in (0, 1, 7, 12345):
-            samples = _bump_samples(spec, seed)
+            samples = random_bump(spec, seed).values
             assert samples.dtype == complex and samples.shape == (spec.n,) * spec.d
-            assert samples.flags.c_contiguous and samples.flags.writeable
+            assert samples.flags.c_contiguous
             reference, bound = dense_bump(spec, seed)
             assert np.all(np.abs(samples - reference) <= bound), seed
-            assert samples.tobytes() == random_bump(spec, seed).values.tobytes()
 
     def test_peak_memory_at_d3(self):
         # the 4 MiB samples plus the (4, 64^2) complex array of coefficients times the
@@ -709,19 +707,18 @@ class TestRandomBump:
         eps = np.finfo(float).eps
         for seed in range(8):
             reference = rotation_transform(random_bump(spec, seed))
-            hat = _separable_transform(spec, *_bump_terms(spec, seed))
-            assert hat.shape == reference.shape and hat.flags.c_contiguous
+            hat = np.concatenate(list(_transform_rows(spec, *_bump_terms(spec, seed))))
+            assert hat.shape == reference.shape
             peak = np.abs(reference).max()
             assert np.abs(hat - reference).max() <= 8 * eps * peak, seed
 
     def test_factored_path_guards_the_boundary(self):
-        # the feasible check guards its samples before it transforms their factors
-        spec = GridSpec(d=2, n=16, half_width=1.0)
-        samples = _bump_samples(spec, seed=0)
+        # the norms of f^ guard the samples before they transform the factors
+        bump = random_bump(GridSpec(d=2, n=16, half_width=1.0), seed=0)
         with pytest.raises(ValueError, match="does not decay") as direct:
-            fourier_transform(random_bump(spec, seed=0))
+            fourier_transform(bump)
         with pytest.raises(ValueError) as factored:
-            _require_decay(spec, samples)
+            fourier_weighted_norm(bump, [(2.0, 0.0)])
         assert str(factored.value) == str(direct.value)
 
     def test_same_bytes_for_any_blas_thread_count(self):
@@ -732,12 +729,12 @@ class TestRandomBump:
         specs = [default_spec(d) for d in (1, 2, 3)] + [GridSpec(d=3, n=128, half_width=6.0)]
         code = (
             "import hashlib\n"
-            "from uplab.grid import GridSpec, _bump_samples, _bump_terms, _separable_transform\n"
+            "from uplab.grid import GridSpec, _bump_terms, _transform_rows, random_bump\n"
             f"for spec in {specs!r}:\n"
             "    for seed in (0, 1, 2):\n"
-            "        print(hashlib.sha256(_bump_samples(spec, seed).tobytes()).hexdigest())\n"
-            "        hat = _separable_transform(spec, *_bump_terms(spec, seed))\n"
-            "        print(hashlib.sha256(hat.tobytes()).hexdigest())\n"
+            "        print(hashlib.sha256(random_bump(spec, seed).values.tobytes()).hexdigest())\n"
+            "        hat = b''.join(r.tobytes() for r in _transform_rows(spec, *_bump_terms(spec, seed)))\n"
+            "        print(hashlib.sha256(hat).hexdigest())\n"
         )
         pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
         env = {k: v for k, v in os.environ.items() if k not in pins}
@@ -748,9 +745,10 @@ class TestRandomBump:
         child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                text=True, check=True, timeout=120).stdout
         in_process = "".join(
-            hashlib.sha256(values.tobytes()).hexdigest() + "\n"
+            hashlib.sha256(values).hexdigest() + "\n"
             for spec in specs for seed in (0, 1, 2)
-            for values in (_bump_samples(spec, seed),
-                           _separable_transform(spec, *_bump_terms(spec, seed)))
+            for values in (random_bump(spec, seed).values.tobytes(),
+                           b"".join(block.tobytes()
+                                    for block in _transform_rows(spec, *_bump_terms(spec, seed))))
         )
         assert child == in_process

@@ -9,12 +9,21 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from uplab import counterexamples as cx
 from uplab import harness
-from uplab.grid import _radius, default_spec, gaussian_grid_function, random_bump
+from uplab.grid import (
+    GridFunction,
+    _radius,
+    default_spec,
+    gaussian_grid_function,
+    gaussian_mixture_grid_function,
+    random_bump,
+)
 from uplab.params import cp_feasible
 from uplab.specialfn import dimension_constants
 
@@ -143,6 +152,27 @@ class TestFunctionChain:
         with pytest.raises(ValueError, match="does not resolve f"):
             harness.function_chain_check(f, 1, 2.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_factored_chain_agrees_with_fftn_chain(self, d, p):
+        # the norms of f^ from the 1-D factors against fourier_transform on the same
+        # samples with the factors dropped; the moved logs moved by at most 4.4e-16
+        spec = default_spec(d)
+        functions = [gaussian_grid_function(spec),
+                     gaussian_mixture_grid_function(spec, cx.gc_profile(2.0, d).terms)]
+        functions += [random_bump(spec, seed) for seed in (0, 1, 7)]
+        for f in functions:
+            assert f._terms is not None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # g_2's faces at d = 3: 1.1e-9 of its peak
+                factored = harness.function_chain_check(f, d, p)
+                bare = harness.function_chain_check(GridFunction(spec, f.values), d, p)
+            assert factored.log_threshold == bare.log_threshold
+            for link, reference in zip(factored.links, bare.links, strict=True):
+                assert (link.name, link.passed) == (reference.name, reference.passed)
+                assert abs(link.log_lhs - reference.log_lhs) <= 1e-13
+                assert abs(link.log_rhs - reference.log_rhs) <= 1e-13
+
     def test_zero_function_rejected(self):
         spec = default_spec(1)
         zero = gaussian_grid_function(spec)
@@ -202,10 +232,18 @@ def _traced_peak(run, cold: bool = False) -> int:
 
 class TestPeakMemory:
     def test_chain_on_d3_bump(self):
-        # the 4 MiB transform plus block temporaries of 2^15 samples; 14.3 MiB
-        # with grid-sized temporaries for |f|, |f|^p, the radius and the FFT
+        # f^ read block by block from the bump's factors: 2.8 MiB of block temporaries
+        # of 2^15 samples; 5.5 MiB with the 4 MiB transform, 14.3 MiB with grid-sized
+        # temporaries for |f|, |f|^p, the radius and the FFT
         f = random_bump(default_spec(3), seed=0)
         assert _traced_peak(lambda: harness.function_chain_check(f, 3, 2.0)) <= 7 * 2**20
+
+    def test_chain_on_d3_bump_built_inside(self):
+        # the bump's 4 MiB samples and then f^'s blocks: 6.8 MiB; 9.5 MiB when the
+        # chain transformed the samples into a second 4 MiB grid
+        spec = default_spec(3)
+        peak = _traced_peak(lambda: harness.function_chain_check(random_bump(spec, 0), 3, 2.0))
+        assert peak <= 7.5 * 2**20
 
     def test_feasible_check_at_d3(self):
         # one 4 MiB grid at a time, the bump's samples and then its transform, plus block
@@ -214,13 +252,14 @@ class TestPeakMemory:
         assert _traced_peak(lambda: harness.cp_check(3, 2.0, 2.0, 1.0, 1.0)) <= 5.5 * 2**20
 
     def test_cold_chain_on_d3_bump(self):
-        # 5.5 MiB warm, plus the 2 MiB radii of the 64^3 grid and its dual: 9.5 MiB
+        # 2.8 MiB warm, plus the 2 MiB radii of the 64^3 grid and its dual: 6.8 MiB
         f = random_bump(default_spec(3), seed=0)
         peak = _traced_peak(lambda: harness.function_chain_check(f, 3, 2.0), cold=True)
         assert peak <= 10 * 2**20
 
     def test_cold_feasible_check_at_d3(self):
-        # 5.3 MiB warm, plus the 2 MiB radii of the 64^3 grid and its dual: 9.3 MiB
+        # 5.3 MiB warm, plus the 2 MiB radius of the 64^3 grid: 7.3 MiB; the dual's
+        # radius is built while the samples are freed
         peak = _traced_peak(lambda: harness.cp_check(3, 2.0, 2.0, 1.0, 1.0), cold=True)
         assert peak <= 10 * 2**20
 
