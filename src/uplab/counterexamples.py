@@ -260,16 +260,11 @@ def endpoint_tail_mass(delta: float, d: int) -> float:
     return radial_integral(RadialProfile(power_log=(-d, -1.0)), d, delta, 0.5)
 
 
-def endpoint_weighted_mass(d: int, p: float, theta: float) -> float:
+def endpoint_weighted_mass(d: int, p: float) -> float:
     """|| |x|^theta F ||_p^p for F = |x|^{-d/2} ln^{-1/2}(1/|x|) on |x| < 1/2 at the
-    endpoint theta/d = 1/2 - 1/p, by radial quadrature; finite exactly for p > 2."""
+    endpoint theta = d(1/2 - 1/p), by radial quadrature; finite exactly for p > 2."""
     if p <= 2:
         raise ValueError(f"the endpoint mass diverges for p <= 2, got p={p}")
-    expected_theta = d * (0.5 - 1.0 / p)
-    if abs(theta - expected_theta) > 1e-12:
-        raise ValueError(
-            f"theta must equal d(1/2 - 1/p) = {expected_theta:.17g}, got {theta}"
-        )
     profile = RadialProfile(power_log=(-0.5 * d, -0.5))
-    log_mass = p * radial_weighted_norm(profile, d, p, expected_theta)
+    log_mass = p * radial_weighted_norm(profile, d, p, d * (0.5 - 1.0 / p))
     return _exp_in_range(log_mass, f"the endpoint weighted mass at d={d}, p={p:g}")

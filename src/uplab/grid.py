@@ -76,10 +76,6 @@ class GridSpec:
         return 2.0 * self.half_width / self.n
 
     @property
-    def dual_spacing(self) -> float:
-        return 1.0 / (2.0 * self.half_width)
-
-    @property
     def dual_half_width(self) -> float:
         return self.n / (4.0 * self.half_width)
 
@@ -229,17 +225,14 @@ def fourier_weighted_norm(f: GridFunction, terms) -> tuple[float, ...]:
     return _weighted_norms(f.spec.dual(), _transform_rows(f.spec, *f._terms), terms)
 
 
-def grid_weighted_norm(
-    f: GridFunction, terms: Iterable[tuple[float, float]], radius_floor: float | None = None
-) -> tuple[float, ...]:
+def grid_weighted_norm(f: GridFunction, terms: Iterable[tuple[float, float]]) -> tuple[float, ...]:
     """Riemann-sum norms (sum |x_k|^{p w} |f_k|^p spacing^d)^{1/p}, one per (p, w) in
-    terms; p = inf gives max |x_k|^w |f_k|.  With radius_floor, only the samples with
-    |x_k| > radius_floor count.
+    terms; p = inf gives max |x_k|^w |f_k|.
     """
-    return _weighted_norms(f.spec, f.values, terms, radius_floor)
+    return _weighted_norms(f.spec, f.values, terms)
 
 
-def _weighted_norms(spec: GridSpec, samples, terms, radius_floor: float | None = None):
+def _weighted_norms(spec: GridSpec, samples, terms):
     """grid_weighted_norm of samples, as in _weighted_sums."""
     terms = list(terms)
     for p, w in terms:
@@ -250,7 +243,7 @@ def _weighted_norms(spec: GridSpec, samples, terms, radius_floor: float | None =
     cell = spec.spacing**spec.d
     return tuple(
         total if p == math.inf else (total * cell) ** (1.0 / p)
-        for (p, _), total in zip(terms, _weighted_sums(spec, samples, terms, radius_floor))
+        for (p, _), total in zip(terms, _weighted_sums(spec, samples, terms))
     )
 
 

@@ -450,7 +450,7 @@ def cp_check(
         )
 
     tails = tuple(cx.endpoint_tail_mass(delta, d) for delta in ENDPOINT_DELTAS)
-    weighted = cx.endpoint_weighted_mass(d, p, d * (0.5 - 1.0 / p))
+    weighted = cx.endpoint_weighted_mass(d, p)
     return CPReport(
         d=d, p=p, q=q, theta=theta, phi=phi,
         classification=classification,

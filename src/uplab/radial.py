@@ -5,17 +5,16 @@ omega_{d-1} * integral of F(r) r^{d-1} dr, which is the only high-d
 integration strategy used here: the test functions are either radial or
 live on low-dimensional grids (module grid).
 
-Gaussian integrals have incomplete-Gamma closed forms.  The weighted norms of a
-Gaussian mixture F with positive coefficients need no adaptive quadrature: an
-integer power F^p expands multinomially into Gaussians with closed forms, and
-any other power takes a trapezoid rule in t = ln r on exp(k t + p ln F(e^t)),
-placed by the terms' analytic peaks and halved until it converges.  A weighted
-norm is returned as its log, (ln omega_{d-1} + ln I) / p, so it is finite at any
-dimension and for norms beyond the largest float.  Power/log
-profiles are integrated in u = ln(1/r) by the tanh-sinh (double-exponential)
-rule of Takahasi & Mori in numpy, its step halved until two sums agree to
-1e-10.  Only a Gaussian integrated over a finite range imports scipy (for
-gammainc); no command does.
+The weighted norms of a Gaussian mixture F with positive coefficients need no
+adaptive quadrature: an integer power F^p expands multinomially into Gaussians
+with closed forms, and any other power takes a trapezoid rule in t = ln r on
+exp(k t + p ln F(e^t)), placed by the terms' analytic peaks and halved until it
+converges.  A weighted norm is returned as its log, (ln omega_{d-1} + ln I) / p,
+so it is finite at any dimension and for norms beyond the largest float.
+Power/log profiles are integrated in u = ln(1/r) by the tanh-sinh
+(double-exponential) rule of Takahasi & Mori, its step halved until two sums
+agree to 1e-10.  A Gaussian has no integral over a finite range here: its
+integrals over R^d are the p = 1 norms.  Everything here needs numpy alone.
 """
 
 from __future__ import annotations
@@ -102,17 +101,6 @@ def gaussian_profile(rate: float = 1.0, coefficient: float = 1.0) -> RadialProfi
     return RadialProfile(terms=((coefficient, rate),))
 
 
-def _gaussian_radial_moment(rate: float, k: int, lo: float, hi: float) -> float:
-    """integral over (lo, hi) of exp(-pi*rate*r^2) r^{k-1} dr, closed form."""
-    from scipy import special  # only here: no command integrates a Gaussian over a range
-
-    half = 0.5 * k
-    scale = math.exp(log_gamma(half) - half * math.log(math.pi * rate)) / 2.0
-    p_hi = 1.0 if math.isinf(hi) else special.gammainc(half, math.pi * rate * hi * hi)
-    p_lo = special.gammainc(half, math.pi * rate * lo * lo)
-    return scale * (p_hi - p_lo)
-
-
 def _power_rate(*parts: float) -> float:
     """rate = sum(parts) of an integrand r^{rate-1} ln^beta(1/r), where a sum within
     rounding of 0 is the borderline 0 (the endpoint theta = d(1/2 - 1/p) lands there)."""
@@ -193,16 +181,15 @@ def _quad(fn, lo: float, hi: float) -> float:
 
 
 def radial_integral(profile: RadialProfile, d: int, lo: float, hi: float) -> float:
-    """omega_{d-1} * integral over (lo, hi) of F(r) r^{d-1} dr."""
+    """omega_{d-1} * integral over (lo, hi) of F(r) r^{d-1} dr for a power/log profile F."""
+    if profile.is_gaussian:
+        raise ValueError("radial_integral takes a power/log profile; a Gaussian's "
+                         "integrals over R^d are radial_weighted_norm")
     _check_dimension(d)
     if lo < 0 or hi <= lo:
         raise ValueError(f"invalid radial range ({lo}, {hi})")
     geom = dimension_constants(d)
     omega = geom.sphere_area
-    if profile.is_gaussian:
-        return omega * sum(
-            coef * _gaussian_radial_moment(rate, d, lo, hi) for coef, rate in profile.terms
-        )
     alpha, beta = profile.power_log
     if beta != 0.0 and hi > 1.0:
         raise ValueError("log-power profiles are only defined for r < 1")

@@ -71,10 +71,6 @@ class DimensionConstants:
     def sphere_area(self) -> float:
         return math.exp(self.log_sphere_area)
 
-    @property
-    def ball_volume(self) -> float:
-        return math.exp(self.log_ball_volume)
-
 
 def _check_dimension(d: int) -> None:
     """Reject a dimension below 1, or beyond the floats, where d / 2 raises OverflowError."""

@@ -492,20 +492,31 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_no_scipy_import(tmp_path):
-    # every README command and the three Cowling-Price classes, in one fresh interpreter
+    # every README command, the three Cowling-Price classes and the radial quadrature, in
+    # one fresh interpreter where any scipy import fails
     code = (
-        "import contextlib, io, json, sys, warnings\n"
-        "from uplab import cli, harness\n"
+        "import contextlib, io, json, math, sys, warnings\n"
+        "sys.modules['scipy'] = None\n"
+        "from uplab import cli, harness, counterexamples as cx\n"
+        "from uplab.radial import RadialProfile, gaussian_profile, radial_integral\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
         "with warnings.catch_warnings():\n"
         "    warnings.simplefilter('ignore')\n"
         "    classes = [harness.cp_check(*t).classification for t in\n"
         "               [(1, 2.0, 2.0, 1.0, 1.0), (1, 4.0, 4.0, 0.1, 0.1), (1, 4.0, 4.0, 0.25, 0.25)]]\n"
-        "print(json.dumps([codes, classes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        "masses = [cx.endpoint_tail_mass(1e-3, 2), cx.endpoint_weighted_mass(2, 4.0),\n"
+        "          radial_integral(RadialProfile(power_log=(-0.5, 0.0)), 1, 0.0, 1.0)]\n"
+        "try:\n"
+        "    radial_integral(gaussian_profile(), 1, 0.0, math.inf)\n"
+        "except ValueError as exc:\n"
+        "    gaussian = str(exc)\n"
+        "print(json.dumps([codes, classes, masses, gaussian]))\n"
     )
     child = _child(["-c", code, json.dumps(readme_commands())], cwd=tmp_path, check=True)
-    codes, classes, scipy_modules = json.loads(child.stdout)
+    codes, classes, masses, gaussian = json.loads(child.stdout)
     assert codes == [0] * 7
     assert classes == ["feasible", "violated", "endpoint"]
-    assert scipy_modules == []
+    assert masses[:2] == [cx.endpoint_tail_mass(1e-3, 2), cx.endpoint_weighted_mass(2, 4.0)]
+    assert masses[2] == pytest.approx(4.0, rel=1e-13)  # omega_0 * int_0^1 r^-1/2 dr
+    assert "radial_weighted_norm" in gaussian and "\n" not in gaussian

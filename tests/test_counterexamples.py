@@ -378,8 +378,7 @@ class TestEndpointMasses:
         # p near 2 puts the mass far out in u = ln(1/r); at d = 9, p = 5 the
         # exponents of r sum to -1 only up to rounding
         for p in ENDPOINT_PS + (2.0000001, 3.0, 5.0, 1000.0):
-            theta = d * (0.5 - 1.0 / p)
-            assert cx.endpoint_weighted_mass(d, p, theta) == pytest.approx(
+            assert cx.endpoint_weighted_mass(d, p) == pytest.approx(
                 _weighted_closed_form(d, p), rel=1e-10
             )
 
@@ -392,8 +391,7 @@ class TestEndpointMasses:
                 float(omega * tails[delta]), rel=1e-10
             )
         for p in ENDPOINT_PS:
-            theta = d * (0.5 - 1.0 / p)
-            assert cx.endpoint_weighted_mass(d, p, theta) == pytest.approx(
+            assert cx.endpoint_weighted_mass(d, p) == pytest.approx(
                 float(omega * weighted[p]), rel=1e-10
             )
 
@@ -406,14 +404,14 @@ class TestEndpointMasses:
             log_closed = (dimension_constants(d).log_sphere_area
                           + (1.0 - 0.5 * p) * math.log(math.log(2.0))
                           - math.log(0.5 * p - 1.0))
-            assert cx.endpoint_weighted_mass(d, p, d * (0.5 - 1.0 / p)) == pytest.approx(
+            assert cx.endpoint_weighted_mass(d, p) == pytest.approx(
                 math.exp(log_closed), rel=1e-10
             )
         with pytest.raises(ValueError, match="exceeds the float range"):
-            cx.endpoint_weighted_mass(1, 4000.0, 0.5 - 1.0 / 4000.0)
+            cx.endpoint_weighted_mass(1, 4000.0)
         # at d = 1000 the mass is e^{-1307}, below every float
         with pytest.raises(ValueError, match="lies below the floats"):
-            cx.endpoint_weighted_mass(1000, 4000.0, 1000 * (0.5 - 1.0 / 4000.0))
+            cx.endpoint_weighted_mass(1000, 4000.0)
 
     def test_tail_mass_against_quadrature(self):
         # L^2 mass of r^{-d/2} ln^{-1/2}(1/r) over delta < r < 1/2
@@ -434,20 +432,17 @@ class TestEndpointMasses:
         # substitute u = ln(1/r): the mass becomes int_{ln 2}^inf u^{-p/2} du,
         # which quadrature handles without the r = 0 singularity
         d, p = 1, 4.0
-        theta = d * (0.5 - 1.0 / p)
         omega = dimension_constants(d).sphere_area
         oracle, _ = integrate.quad(
             lambda u: u ** (-0.5 * p), math.log(2.0), math.inf
         )
-        assert cx.endpoint_weighted_mass(d, p, theta) == pytest.approx(
+        assert cx.endpoint_weighted_mass(d, p) == pytest.approx(
             omega * oracle, rel=1e-10
         )
 
     def test_weighted_mass_validation(self):
         with pytest.raises(ValueError):
-            cx.endpoint_weighted_mass(1, 2.0, 0.0)  # diverges at p = 2
-        with pytest.raises(ValueError):
-            cx.endpoint_weighted_mass(1, 4.0, 0.3)  # off the endpoint relation
+            cx.endpoint_weighted_mass(1, 2.0)  # diverges at p = 2
 
     def test_tail_mass_validation(self):
         with pytest.raises(ValueError):
