@@ -96,7 +96,10 @@ def _cmd_cowling_price(args) -> int:
     print(f"classification: {report.classification}")
     if report.classification == "feasible":
         for fr in report.functions:
-            print(f"  {fr.name:<12} slack={fr.slack:.6e} pass={fr.passed}")
+            # lhs / rhs itself where lhs / rhs - 1 is beyond the floats
+            slack = (f"{fr.slack:.6e}" if math.isfinite(fr.slack)
+                     else _side_text(fr.log_lhs - fr.log_rhs))
+            print(f"  {fr.name:<12} slack={slack} pass={fr.passed}")
     elif report.classification == "violated":
         print(f"  predicted growth slope {report.predicted_slope:.4f} "
               f"(measured {report.measured_slope})")

@@ -35,16 +35,12 @@ RS_HALF_WIDTH = 16.0
 
 
 def gc_profile(c: float, d: int) -> RadialProfile:
-    """The two-scale mixture c^{-d/2} e^{-pi r^2/c^2} + c^{d/2} e^{-pi c^2 r^2}."""
+    """The two-scale mixture c^{-d/2} e^{-pi r^2/c^2} + c^{d/2} e^{-pi c^2 r^2}, its
+    coefficients held as their logs -+(d/2) ln c."""
     if not (c > 0 and 0 < c * c < math.inf):
         raise ValueError(f"c must be positive with a finite, nonzero square, got {c}")
-    try:
-        coefs = (c ** (-0.5 * d), c ** (0.5 * d))
-    except OverflowError:
-        coefs = (math.inf,)
-    if not all(0 < coef < math.inf for coef in coefs):
-        raise ValueError(f"c={c} gives g_c coefficients c^(-+d/2) outside the float range at d={d}")
-    return RadialProfile(terms=((coefs[0], 1.0 / (c * c)), (coefs[1], c * c)))
+    log_c = 0.5 * d * math.log(c)
+    return RadialProfile(terms=((-log_c, 1.0 / (c * c)), (log_c, c * c)))
 
 
 def gc_uncertainty_ratio(c: float, d: int, p: float) -> float:

@@ -307,13 +307,14 @@ def write_grid_csv(f: GridFunction, path) -> None:
 
 def gaussian_grid_function(spec: GridSpec, rate: float = 1.0) -> GridFunction:
     """Samples of exp(-pi * rate * |x|^2); rate 1 is the self-dual Gaussian."""
-    return gaussian_mixture_grid_function(spec, [(1.0, rate)])
+    return gaussian_mixture_grid_function(spec, [(0.0, rate)])
 
 
 def gaussian_mixture_grid_function(spec: GridSpec, terms) -> GridFunction:
-    """Real samples of sum_t c_t exp(-pi rate_t |x|^2) over the (c_t, rate_t) in terms, such
-    as a Gaussian-mixture RadialProfile's: each term the product of d 1-D Gaussians."""
-    coefs, rates = np.array(terms, dtype=float).T
+    """Real samples of sum_t c_t exp(-pi rate_t |x|^2) over the (ln c_t, rate_t) in terms,
+    such as a Gaussian-mixture RadialProfile's: each term the product of d 1-D Gaussians."""
+    log_coefs, rates = np.array(terms, dtype=float).T
+    coefs = np.exp(log_coefs)
     with np.errstate(over="ignore"):  # an exponent of -inf samples an exact 0
         table = np.multiply.outer(-math.pi * rates, np.square(spec.axis_coordinates()))
         np.exp(table, out=table)

@@ -5,11 +5,12 @@ omega_{d-1} * integral of F(r) r^{d-1} dr, which is the only high-d
 integration strategy used here: the test functions are either radial or
 live on low-dimensional grids (module grid).
 
-The weighted norms of a Gaussian mixture F with positive coefficients need no
-adaptive quadrature: an integer power F^p expands multinomially into Gaussians
-with closed forms, and any other power takes a trapezoid rule in t = ln r on
-exp(k t + p ln F(e^t)), placed by the terms' analytic peaks and halved until it
-converges.  A weighted norm is returned as its log, (ln omega_{d-1} + ln I) / p,
+A Gaussian mixture F holds each term's coefficient as its log, so the
+coefficients are positive and may lie beyond the floats (g_c's c^{-+d/2} at
+large d).  Its weighted norms need no adaptive quadrature: an integer power F^p
+expands multinomially into Gaussians with closed forms, and any other power takes
+a trapezoid rule in t = ln r on exp(k t + p ln F(e^t)), placed by the terms'
+analytic peaks and halved until it converges.  A weighted norm is returned as its log, (ln omega_{d-1} + ln I) / p,
 so it is finite at any dimension and for norms beyond the largest float.
 Power/log profiles are integrated in u = ln(1/r) by the tanh-sinh
 (double-exponential) rule of Takahasi & Mori, its step halved until two sums
@@ -51,9 +52,10 @@ _LOG_FACTORIAL = np.array([
 class RadialProfile:
     """A radial function on (0, infinity).
 
-    Either a Gaussian mixture sum_i c_i exp(-pi rate_i r^2) (``terms``; one finite
-    nonzero c, or two or more positive ones), or a power/log profile
-    r^alpha * ln(1/r)^beta supported on (0, 1/2] (``power_log`` = (alpha, beta)).
+    Either a Gaussian mixture sum_i exp(ln c_i - pi rate_i r^2) (``terms``, the pairs
+    (ln c_i, rate_i), so each coefficient c_i is positive and may lie beyond the
+    floats), or a power/log profile r^alpha * ln(1/r)^beta supported on (0, 1/2]
+    (``power_log`` = (alpha, beta)).
     """
 
     terms: tuple[tuple[float, float], ...] = field(default=())
@@ -62,15 +64,11 @@ class RadialProfile:
     def __post_init__(self):
         if bool(self.terms) == (self.power_log is not None):
             raise ValueError("profile must have either Gaussian terms or a power_log term")
-        for _, rate in self.terms:
-            if not rate > 0:
-                raise ValueError(f"gaussian_rate must be positive, got {rate}")
-        coefs = [coef for coef, _ in self.terms]
-        # the mixture norms' trapezoid rule converges geometrically only while F > 0
-        if len(coefs) > 1 and not all(0 < coef < math.inf for coef in coefs):
-            raise ValueError(f"a Gaussian mixture needs finite positive coefficients, got {coefs}")
-        if len(coefs) == 1 and not 0 < abs(coefs[0]) < math.inf:
-            raise ValueError(f"a Gaussian needs a finite nonzero coefficient, got {coefs[0]}")
+        for log_c, rate in self.terms:
+            if not (math.isfinite(log_c) and rate > 0):
+                raise ValueError(
+                    f"a Gaussian term needs a finite ln c and a positive rate, got {(log_c, rate)}"
+                )
 
     @property
     def is_gaussian(self) -> bool:
@@ -79,15 +77,15 @@ class RadialProfile:
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         if self.is_gaussian:
-            # each term in one scratch array, added into zeros: a term that underflows
-            # adds -0.0 or +0.0 to +0.0, which leaves +0.0
+            # each term in one scratch array, added into zeros
             out, term = np.zeros_like(r), np.empty_like(r)
-            with np.errstate(over="ignore"):  # an exponent of -inf is an exact 0
-                for coef, rate in self.terms:
+            # an exponent of -inf is an exact 0, and a sample beyond the floats inf
+            with np.errstate(over="ignore"):
+                for log_c, rate in self.terms:
                     np.multiply(-math.pi * rate, r, out=term)
                     term *= r
+                    term += log_c
                     np.exp(term, out=term)
-                    term *= coef
                     out += term
             return out[()]  # a scalar for a scalar r
         alpha, beta = self.power_log
@@ -97,8 +95,8 @@ class RadialProfile:
             return r**alpha * np.log(1.0 / r) ** beta
 
 
-def gaussian_profile(rate: float = 1.0, coefficient: float = 1.0) -> RadialProfile:
-    return RadialProfile(terms=((coefficient, rate),))
+def gaussian_profile(rate: float = 1.0) -> RadialProfile:
+    return RadialProfile(terms=((0.0, rate),))
 
 
 def _power_rate(*parts: float) -> float:
@@ -279,7 +277,8 @@ def _logsumexp(x):
 
 def _log_mixture_moment(terms, k: float, p: float) -> float:
     """ln of the integral over (0, inf) of r^{k-1} F(r)^p dr, F = sum_i c_i exp(-pi a_i r^2)
-    with every c_i > 0, without adaptive quadrature.
+    given as the terms (ln c_i, a_i), without adaptive quadrature: every c_i is positive,
+    and only its log enters, so c_i itself may lie beyond the floats.
 
     An integer p expands F^p multinomially into Gaussians, each with the closed form
     Gamma(k/2) / (2 (pi rate)^{k/2}), while that takes at most _MAX_EXPANSION terms; the
@@ -290,7 +289,7 @@ def _log_mixture_moment(terms, k: float, p: float) -> float:
     1/sqrt(-L'') = 1/sqrt(2k) over sqrt 2 and halves until two successive sums agree to
     TRAPEZOID_RTOL, or to the rounding that L's own terms carry if that is larger.
     """
-    log_c = np.log([coef for coef, _ in terms])
+    log_c = np.array([lc for lc, _ in terms])
     rates = np.array([rate for _, rate in terms])
     half = 0.5 * k
     if p == int(p) and (p + 1) ** (len(terms) - 1) <= _MAX_EXPANSION:
@@ -363,10 +362,10 @@ def radial_weighted_norm(
     k = p * weight_exponent + d  # integrand behaves like r^{k-1} near 0
     if profile.is_gaussian:
         if len(profile.terms) == 1:
-            coef, rate = profile.terms[0]
+            log_c, rate = profile.terms[0]
             half = 0.5 * k
             log_integral = (
-                p * math.log(abs(coef)) + log_gamma(half)
+                p * log_c + log_gamma(half)
                 - half * math.log(math.pi * p * rate) - LOG_2
             )
         else:

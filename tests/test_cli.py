@@ -272,8 +272,8 @@ class TestNonFiniteInputs:
 
 class TestOutOfRangeInputs:
     @pytest.mark.parametrize("argv, named", [
-        # c^{d/2} = 1e500 overflows although c^2 is finite
-        (["sharpness", "--d", "50", "--p", "3", "--c-list", "1,1e20"], "c=1e+20"),
+        # c^2 = 1e400 overflows, so g_c has no rates
+        (["sharpness", "--d", "50", "--p", "3", "--c-list", "1,1e200"], "finite, nonzero square"),
         (["chain", "--d", "1", "--L", "inf"], "L=inf"),
         # finite, but the spacing 2L/n is not
         (["chain", "--d", "1", "--L", "1e308"], "L=1e+308"),
@@ -370,6 +370,40 @@ class TestLogDomainVerdicts:
         assert code in (0, 1) and err == ""
         assert out.count("pass=") == (3 if argv[0] == "cowling-price" else 6)
 
+    @pytest.mark.parametrize("argv", [
+        # g_2's coefficients 2^{-+d/2} are beyond the floats from d = 2048 on, g_4's from 1024
+        ["--d", "3000", "--p", "2", "--q", "2", "--theta", "1", "--phi", "1"],
+        ["--d", "100000", "--p", "2", "--q", "2", "--theta", "1", "--phi", "1"],
+        ["--d", "1024", "--p", "4", "--q", "4", "--theta", "512", "--phi", "512"],
+    ])
+    def test_gc_coefficients_beyond_the_floats(self, capsys, argv):
+        code, out, err = run(capsys, "cowling-price", *argv)
+        assert (code, err) == (0, "")
+        assert [line.split()[0] for line in out.splitlines()[1:]] == ["gaussian", "g_2", "g_4"]
+        assert out.count("pass=True") == 3
+
+    def test_slack_beyond_the_floats_prints_as_a_power_of_e(self, capsys):
+        # g_4's lhs / rhs is e^821.5; the finite slacks keep their digits
+        argv = ["--d", "1000", "--p", "4", "--q", "4", "--theta", "500", "--phi", "500"]
+        code, out, err = run(capsys, "cowling-price", *argv)
+        assert (code, err) == (0, "")
+        report = harness.cp_check(1000, 4.0, 4.0, 500.0, 500.0)
+        for fr, line in zip(report.functions, out.splitlines()[1:], strict=True):
+            slack = line.split("slack=")[1].split()[0]
+            if fr.name == "g_4":
+                assert slack == f"e^{fr.log_lhs - fr.log_rhs:.9g}" and fr.slack == math.inf
+            else:
+                assert slack == f"{fr.slack:.6e}"
+        assert "inf" not in out
+
+    def test_sharpness_where_c_to_the_d_leaves_the_floats(self, capsys):
+        # 1e20^{25} = 1e500: g_c's coefficients are carried as logs
+        code, out, err = run(capsys, "sharpness", "--d", "50", "--p", "3", "--c-list", "1,1e20")
+        assert (code, err) == (0, "")
+        products = [float(line.split("product=")[1]) for line in out.splitlines()[:2]]
+        assert products[0] > products[1] > 0
+        assert "collapsed=True" in out
+
     def test_sides_outside_the_floats_print_as_powers_of_e(self, capsys):
         code, out, _ = run(capsys, "chain", "--d", "1", "--p", "1.000001")
         assert code == 0
@@ -444,16 +478,28 @@ class TestParserContract:
         assert exc.value.code == 2
 
 
+def bash_commands(markdown: str) -> list[list[str]]:
+    """The arguments of each line that starts with `uplab ` inside a fenced bash block."""
+    commands, in_bash = [], False
+    for line in markdown.splitlines():
+        if line.startswith("```"):
+            in_bash = line == "```bash"
+        elif in_bash and line.startswith("uplab "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
 def readme_commands():
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    return [
-        shlex.split(line, comments=True)[1:]
-        for line in readme.read_text().splitlines()
-        if line.startswith("uplab ")
-    ]
+    return bash_commands(readme.read_text())
 
 
 class TestReadmeCommands:
+    def test_only_lines_in_bash_blocks_are_commands(self):
+        markdown = ("uplab needs numpy alone.\n\n```bash\nuplab gaussian --d 3  # reference\n"
+                    "```\nuplab lp --p 2\n\n```\nuplab heisenberg\n```\n")
+        assert bash_commands(markdown) == [["gaussian", "--d", "3"]]
+
     def test_every_readme_command_exits_zero(self, capsys, tmp_path, monkeypatch):
         commands = readme_commands()
         assert len(commands) == 7

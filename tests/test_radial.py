@@ -28,6 +28,12 @@ from uplab.radial import (
 from uplab.specialfn import dimension_constants
 
 
+def _log(coef):
+    """ln of a coefficient as numpy takes it: -inf at 0, NaN below."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.log(coef))
+
+
 class TestRadialProfile:
     def test_requires_exactly_one_kind(self):
         with pytest.raises(ValueError):
@@ -41,23 +47,18 @@ class TestRadialProfile:
 
     @pytest.mark.parametrize("coef", [0.0, -0.5, math.nan, math.inf])
     def test_mixture_rejects_nonpositive_coefficient(self, coef):
-        # a sign change of F would break the trapezoid rule's geometric convergence
-        with pytest.raises(ValueError, match="positive coefficients"):
-            RadialProfile(terms=((1.0, 1.0), (coef, 2.0)))
+        # a term holds ln c, which such a c does not have as a finite float; a sign
+        # change of F would break the trapezoid rule's geometric convergence
+        with pytest.raises(ValueError, match="finite ln c"):
+            RadialProfile(terms=((1.0, 1.0), (_log(coef), 2.0)))
 
     @pytest.mark.parametrize("coef", [0.0, math.nan, math.inf])
     def test_single_term_rejects_zero_or_nonfinite_coefficient(self, coef):
-        with pytest.raises(ValueError, match="finite nonzero coefficient"):
-            gaussian_profile(coefficient=coef)
-
-    def test_single_term_keeps_any_sign(self):
-        # its norm uses ln |c| in closed form
-        assert radial_weighted_norm(gaussian_profile(coefficient=-2.0), 2, 2.0, 0.0) == (
-            radial_weighted_norm(gaussian_profile(coefficient=2.0), 2, 2.0, 0.0)
-        )
+        with pytest.raises(ValueError, match="finite ln c"):
+            RadialProfile(terms=((_log(coef), 1.0),))
 
     def test_evaluation(self):
-        prof = RadialProfile(terms=((2.0, 1.0), (1.0, 4.0)))
+        prof = RadialProfile(terms=((math.log(2.0), 1.0), (0.0, 4.0)))
         r = 0.5
         expected = 2.0 * math.exp(-math.pi * 0.25) + math.exp(-math.pi)
         assert prof(r) == pytest.approx(expected, rel=1e-14)
@@ -68,19 +69,17 @@ class TestRadialProfile:
         def term_sum(profile, r):
             out = np.zeros_like(r)
             with np.errstate(over="ignore"):
-                for coef, rate in profile.terms:
-                    out = out + coef * np.exp(-math.pi * rate * r * r)
+                for log_c, rate in profile.terms:
+                    out = out + np.exp(log_c - math.pi * rate * r * r)
             return out
 
         spec = default_spec(d)
         mesh = np.meshgrid(*([spec.axis_coordinates()] * d), indexing="ij")
         r = np.sqrt(sum(m * m for m in mesh))
-        # the last profile is negative with samples that underflow: c * 0.0 = -0.0
-        # there, and only a sum started from +0.0 turns them into +0.0
-        underflowing = gaussian_profile(rate=50.0, coefficient=-1.5)
-        assert np.signbit(-1.5 * np.exp(-math.pi * 50.0 * r * r)).any()
-        for profile in (gaussian_profile(), gc_profile(2.0, d), gc_profile(4.0, d),
-                        RadialProfile(terms=((2.0, 1.0), (1.0, 4.0), (0.5, 0.25))),
+        # the last profile has samples that underflow to exact zeros
+        underflowing = gaussian_profile(rate=50.0)
+        three = RadialProfile(terms=((math.log(2.0), 1.0), (0.0, 4.0), (math.log(0.5), 0.25)))
+        for profile in (gaussian_profile(), gc_profile(2.0, d), gc_profile(4.0, d), three,
                         underflowing):
             values = profile(r)
             expected = term_sum(profile, r)
@@ -173,7 +172,7 @@ class TestRadialWeightedNorm:
     )
     @settings(max_examples=40, deadline=None)
     def test_mixture_against_quadrature(self, d, p, rate1, rate2):
-        profile = RadialProfile(terms=((1.0, rate1), (0.5, rate2)))
+        profile = RadialProfile(terms=((0.0, rate1), (math.log(0.5), rate2)))
         log_norm = radial_weighted_norm(profile, d, p, 0.0)
         omega = dimension_constants(d).sphere_area
 
@@ -187,7 +186,7 @@ class TestRadialWeightedNorm:
     def test_equal_rate_mixture_matches_single_term(self, d, weight):
         # the two-term path expands F^2 binomially, the one-term path is one
         # Gaussian moment; at d = 40 the integrand's r^{k-1} alone exceeds the float range
-        mixture = RadialProfile(terms=((0.25, 1.0), (0.75, 1.0)))
+        mixture = RadialProfile(terms=((math.log(0.25), 1.0), (math.log(0.75), 1.0)))
         log_norm = radial_weighted_norm(mixture, d, 2.0, weight)
         assert log_norm == pytest.approx(
             radial_weighted_norm(gaussian_profile(), d, 2.0, weight), abs=1e-10
@@ -239,7 +238,7 @@ def _mpmath_mixture_norm(mp, profile, d, p, w):
     point lies between the single-term peaks ln(k / (2 pi p a_i)) / 2, and beyond them
     the exponent falls by more than 300 within the outer edges used here.
     """
-    log_c = np.log([c for c, _ in profile.terms])
+    log_c = np.array([lc for lc, _ in profile.terms])
     rates = np.array([a for _, a in profile.terms])
     k = p * w + d
     peaks = 0.5 * np.log(k / (2 * math.pi * p * rates))
@@ -248,7 +247,7 @@ def _mpmath_mixture_norm(mp, profile, d, p, w):
     top = x.max(axis=0)
     scan = k * t + p * (top + np.log(np.exp(x - top).sum(axis=0)))
     local = (scan[1:-1] >= scan[:-2]) & (scan[1:-1] >= scan[2:]) & (scan[1:-1] > scan.max() - 100)
-    cs = [mp.mpf(c) for c, _ in profile.terms]
+    cs = [mp.exp(lc) for lc, _ in profile.terms]
     rs = [mp.mpf(a) for _, a in profile.terms]
     p = mp.mpf(p)
     k = p * mp.mpf(w) + d
@@ -296,11 +295,27 @@ class TestMixtureNorm:
             log_norm = radial_weighted_norm(profile, d, p, w)
             assert log_norm == pytest.approx(float(exact), abs=radial.QUAD_RTOL), (d, p, w, c)
 
+    @pytest.mark.parametrize("d", [3000, 100000])
+    def test_coefficients_beyond_the_floats_against_mpmath(self, d):
+        # c^{-+d/2} is beyond the floats for both c (4^1500 = e^2079): the terms carry
+        # ln c.  p = 2 expands the square, 2.5 takes the trapezoid rule.  The logs reach
+        # 1.7e4, and their parts, such as ln Gamma(k/2) = 4.9e5 at d = 1e5, each round
+        # to a few units of 1e-16 relative; the largest error seen is 2.9e-15 of the log
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        for c in (2.0, 4.0):
+            profile = gc_profile(c, d)
+            for p in (2.0, 2.5):
+                exact = mp.log(_mpmath_mixture_norm(mp, profile, d, p, 1.0))
+                log_norm = radial_weighted_norm(profile, d, p, 1.0)
+                assert log_norm == pytest.approx(float(exact), rel=1e-14), (c, p)
+
     @pytest.mark.parametrize("p", [2.0, 3.0, 2.5])
     def test_three_terms_against_quadrature(self, p):
         # integer p expands multinomially over three terms, 2.5 takes the trapezoid rule
         d, w = 3, 1.0
-        profile = RadialProfile(terms=((1.0, 0.5), (2.0, 1.0), (0.5, 3.0)))
+        profile = RadialProfile(terms=((0.0, 0.5), (math.log(2.0), 1.0), (math.log(0.5), 3.0)))
         oracle, _ = integrate.quad(
             lambda r: float(profile(r)) ** p * r ** (p * w + d - 1), 0.0, math.inf,
             epsabs=0.0, epsrel=1e-13, limit=200,

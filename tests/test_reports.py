@@ -6,8 +6,12 @@ same double, so a report keeps its bits exactly when its line is unchanged.
 A change that moves digits on purpose re-records the file:
 
     PYTHONPATH=src:tests python -c "import test_reports; test_reports.record()"
+
+A failure lists every moved line with the largest change among its printed floats.
 """
 
+import math
+import re
 import warnings
 from pathlib import Path
 
@@ -19,6 +23,8 @@ from uplab import harness
 from uplab.grid import default_spec, gaussian_grid_function, random_bump, sample
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.txt"
+# a float as repr prints it: digits with a point or an exponent, inf or nan
+_FLOAT = re.compile(r"-?(?:\d+\.\d*(?:e[-+]\d+)?|\d+e[-+]\d+|inf)|nan")
 
 
 def _g2(d):
@@ -54,5 +60,20 @@ def test_reports_match_golden_file():
     expected = GOLDEN.read_text().splitlines()
     actual = transcript().splitlines()
     assert len(actual) == len(expected) == 68
-    moved = [(old, new) for old, new in zip(expected, actual) if old != new]
-    assert not moved, f"{len(moved)} reports moved, first: {moved[0]}"
+    moved = moved_lines(expected, actual)
+    assert not moved, f"{len(moved)} reports moved:\n" + "\n".join(moved)
+
+
+def moved_lines(expected, actual) -> list[str]:
+    """One entry per line that differs: its number, its largest |delta| among the printed
+    floats (inf where the text around them differs) and its start."""
+    moved = []
+    for number, (old, new) in enumerate(zip(expected, actual), 1):
+        if old == new:
+            continue
+        delta = math.inf
+        if _FLOAT.sub("#", old) == _FLOAT.sub("#", new):
+            delta = max(0.0 if a == b else abs(float(a) - float(b))
+                        for a, b in zip(_FLOAT.findall(old), _FLOAT.findall(new)))
+        moved.append(f"line {number}: max |delta| = {delta:.2g}  {old[:72]}")
+    return moved
