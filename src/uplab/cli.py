@@ -2,8 +2,10 @@
 
 Exit codes: 0 when every checked inequality holds, 1 when a check fails,
 2 on usage errors.  CSV output uses '.' decimals and 17 significant digits
-so runs are reproducible across platforms.  A check's sides are held as logs
-and printed as numbers while they are normal floats, else as e^<ln>.
+so runs are reproducible across platforms.  A check's sides and the endpoint
+masses are held as logs and printed as numbers while they are normal floats,
+else as e^<ln>; a slack beyond the floats prints as lhs / rhs, e^<ln lhs - ln rhs>.
+stderr holds one line: the usage error, else one line per warning raised.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -33,6 +36,14 @@ def _side_text(log_value: float) -> str:
     if LOG_MIN <= log_value < LOG_MAX:
         return f"{math.exp(log_value):.6e}"
     return f"e^{log_value:.9g}"
+
+
+def _slack_text(check: harness.Check, spec: str) -> str:
+    """The slack lhs / rhs - 1 in spec, or lhs / rhs itself where the slack is beyond
+    the floats."""
+    if math.isfinite(check.slack):
+        return format(check.slack, spec)
+    return _side_text(check.log_lhs - check.log_rhs)
 
 
 def _cmd_heisenberg(args) -> int:
@@ -96,17 +107,14 @@ def _cmd_cowling_price(args) -> int:
     print(f"classification: {report.classification}")
     if report.classification == "feasible":
         for fr in report.functions:
-            # lhs / rhs itself where lhs / rhs - 1 is beyond the floats
-            slack = (f"{fr.slack:.6e}" if math.isfinite(fr.slack)
-                     else _side_text(fr.log_lhs - fr.log_rhs))
-            print(f"  {fr.name:<12} slack={slack} pass={fr.passed}")
+            print(f"  {fr.name:<12} slack={_slack_text(fr, '.6e')} pass={fr.passed}")
     elif report.classification == "violated":
         print(f"  predicted growth slope {report.predicted_slope:.4f} "
               f"(measured {report.measured_slope})")
     else:
-        print(f"  tail masses {['%.6f' % t for t in report.tail_masses]} "
-              f"pass={report.tails_diverge}")
-        print(f"  endpoint weighted mass {report.weighted_mass:.6f} "
+        masses = ", ".join(map(_side_text, report.log_tail_masses))
+        print(f"  tail masses [{masses}] pass={report.tails_diverge}")
+        print(f"  endpoint weighted mass {_side_text(report.log_weighted_mass)} "
               f"pass={report.weighted_mass_finite}")
     if args.out:
         harness.write_summary_json(
@@ -132,7 +140,7 @@ def _cmd_chain(args) -> int:
     report = harness.function_chain_check(f, args.d, args.p)
     for link in report.links:
         print(f"  {link.name:<18} lhs={_side_text(link.log_lhs)} rhs={_side_text(link.log_rhs)} "
-              f"slack={link.slack:+.3e} pass={link.passed}")
+              f"slack={_slack_text(link, '+.3e')} pass={link.passed}")
     if args.out:
         harness.write_summary_json(
             {
@@ -234,11 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except (ValueError, OSError) as exc:
+            # the error is the outcome; the warnings on the way to it are not printed
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

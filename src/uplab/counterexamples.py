@@ -9,7 +9,8 @@ Three constructions live here:
   2^d x 2^d parallelogram-law sign matrix, which defeat the strict-violation
   side of the Cowling-Price conditions,
 * the endpoint singularity |x|^{-d/2} log^{-1/2}(1/|x|), whose L^2 tail masses
-  (divergent) and weighted mass (finite) are measured by radial quadrature.
+  (divergent) and weighted mass (finite) are measured by radial quadrature and
+  returned as their logs, so they get a verdict at any d and p.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .grid import GridFunction, GridSpec, grid_weighted_norm
 from .params import _critical_exponent, lp_regime
-from .radial import RadialProfile, _exp_in_range, radial_integral, radial_weighted_norm
+from .radial import RadialProfile, radial_integral, radial_weighted_norm
 from .specialfn import LOG_MAX, LOG_MIN
 
 MAX_SIGN_DIM = 12
@@ -249,18 +250,18 @@ def rs_slope(families: list[RSFamily], p: float, theta: float) -> float:
 
 
 def endpoint_tail_mass(delta: float, d: int) -> float:
-    """The L^2 mass of |x|^{-d/2} ln^{-1/2}(1/|x|) over delta < |x| < 1/2, by radial
-    quadrature; it grows like omega_{d-1} ln ln(1/delta), so the profile is not L^2."""
+    """ln of the L^2 mass of |x|^{-d/2} ln^{-1/2}(1/|x|) over delta < |x| < 1/2, by
+    radial quadrature; the mass grows like omega_{d-1} ln ln(1/delta), so the profile is
+    not L^2."""
     if not 0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     return radial_integral(RadialProfile(power_log=(-d, -1.0)), d, delta, 0.5)
 
 
 def endpoint_weighted_mass(d: int, p: float) -> float:
-    """|| |x|^theta F ||_p^p for F = |x|^{-d/2} ln^{-1/2}(1/|x|) on |x| < 1/2 at the
-    endpoint theta = d(1/2 - 1/p), by radial quadrature; finite exactly for p > 2."""
+    """ln || |x|^theta F ||_p^p for F = |x|^{-d/2} ln^{-1/2}(1/|x|) on |x| < 1/2 at the
+    endpoint theta = d(1/2 - 1/p), by radial quadrature of |x|^{p theta} F^p =
+    |x|^{-d} ln^{-p/2}(1/|x|); the mass is finite exactly for p > 2."""
     if p <= 2:
         raise ValueError(f"the endpoint mass diverges for p <= 2, got p={p}")
-    profile = RadialProfile(power_log=(-0.5 * d, -0.5))
-    log_mass = p * radial_weighted_norm(profile, d, p, d * (0.5 - 1.0 / p))
-    return _exp_in_range(log_mass, f"the endpoint weighted mass at d={d}, p={p:g}")
+    return radial_integral(RadialProfile(power_log=(-d, -0.5 * p)), d, 0.0, 0.5)

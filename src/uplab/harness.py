@@ -345,8 +345,8 @@ class CPReport:
     functions: tuple[Check, ...] = ()
     predicted_slope: float | None = None
     measured_slope: float | None = None
-    tail_masses: tuple[float, ...] = ()
-    weighted_mass: float | None = None
+    log_tail_masses: tuple[float, ...] = ()
+    log_weighted_mass: float | None = None
     log_bound: float | None = None
 
     @property
@@ -361,17 +361,26 @@ class CPReport:
         return self.tails_diverge and self.weighted_mass_finite
 
     @property
+    def tail_masses(self) -> tuple[float, ...]:
+        return tuple(math.exp(log_mass) for log_mass in self.log_tail_masses)
+
+    @property
     def tails_diverge(self) -> bool:
         """The tail masses at ENDPOINT_DELTAS, successive squares, grow by equal positive
-        steps (omega_{d-1} ln 2 each, within SLACK_TOL relative): ln ln(1/delta) diverges."""
-        steps = np.diff(self.tail_masses)
-        return bool(len(steps) == len(ENDPOINT_DELTAS) - 1
-                    and steps.min() > 0 and np.ptp(steps) <= SLACK_TOL * steps.max())
+        steps (omega_{d-1} ln 2 each, within SLACK_TOL relative): ln ln(1/delta) diverges.
+        The steps are taken as logs, ln m_{j+1} + ln(1 - m_j / m_{j+1})."""
+        logs = np.array(self.log_tail_masses, dtype=float)
+        if len(logs) != len(ENDPOINT_DELTAS):
+            return False
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN or -inf steps fail below
+            rises = np.diff(logs)
+            log_steps = logs[1:] + np.log1p(-np.exp(-rises))
+        return bool(rises.min() > 0 and np.ptp(log_steps) <= -math.log1p(-SLACK_TOL))
 
     @property
     def weighted_mass_finite(self) -> bool:
         """The endpoint weighted mass was measured, finite and positive."""
-        return self.weighted_mass is not None and 0 < self.weighted_mass < math.inf
+        return self.log_weighted_mass is not None and math.isfinite(self.log_weighted_mass)
 
     @property
     def holds(self) -> bool:
@@ -406,9 +415,10 @@ def cp_check(
     violated  -> compare the predicted growth slope of the signed-translate
                  counterexample schedule with the one measured on grids
                  for d <= 2;
-    endpoint  -> measure the endpoint singularity's L^2 tail masses at
-                 ENDPOINT_DELTAS and its weighted mass by radial quadrature
-                 (judged by CPReport.tails_diverge and weighted_mass_finite).
+    endpoint  -> measure the logs of the endpoint singularity's L^2 tail masses
+                 at ENDPOINT_DELTAS and of its weighted mass by radial quadrature,
+                 finite at any d and p (judged by CPReport.tails_diverge and
+                 weighted_mass_finite).
     """
     classification = cp_classify(d, p, q, theta, phi)
 
@@ -449,13 +459,11 @@ def cp_check(
             measured_slope=measured,
         )
 
-    tails = tuple(cx.endpoint_tail_mass(delta, d) for delta in ENDPOINT_DELTAS)
-    weighted = cx.endpoint_weighted_mass(d, p)
     return CPReport(
         d=d, p=p, q=q, theta=theta, phi=phi,
         classification=classification,
-        tail_masses=tails,
-        weighted_mass=weighted,
+        log_tail_masses=tuple(cx.endpoint_tail_mass(delta, d) for delta in ENDPOINT_DELTAS),
+        log_weighted_mass=cx.endpoint_weighted_mass(d, p),
     )
 
 

@@ -7,15 +7,16 @@ live on low-dimensional grids (module grid).
 
 A Gaussian mixture F holds each term's coefficient as its log, so the
 coefficients are positive and may lie beyond the floats (g_c's c^{-+d/2} at
-large d).  Its weighted norms need no adaptive quadrature: an integer power F^p
-expands multinomially into Gaussians with closed forms, and any other power takes
-a trapezoid rule in t = ln r on exp(k t + p ln F(e^t)), placed by the terms'
-analytic peaks and halved until it converges.  A weighted norm is returned as its log, (ln omega_{d-1} + ln I) / p,
-so it is finite at any dimension and for norms beyond the largest float.
-Power/log profiles are integrated in u = ln(1/r) by the tanh-sinh
+large d).  Its weighted norms, radial_weighted_norm, need no adaptive
+quadrature: an integer power F^p expands multinomially into Gaussians with
+closed forms, and any other power takes a trapezoid rule in t = ln r on
+exp(k t + p ln F(e^t)), placed by the terms' analytic peaks and halved until it
+converges.  A power/log profile r^alpha ln^beta(1/r) has one entry point,
+radial_integral, over a range inside [0, 1]: in u = ln(1/r) the tanh-sinh
 (double-exponential) rule of Takahasi & Mori, its step halved until two sums
-agree to 1e-10.  A Gaussian has no integral over a finite range here: its
-integrals over R^d are the p = 1 norms.  Everything here needs numpy alone.
+agree to 1e-10.  Both return logs, (ln omega_{d-1} + ln I) / p and
+ln omega_{d-1} + ln I, finite at any dimension and for integrals beyond the
+floats either way.  Everything here needs numpy alone.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .specialfn import (
 )
 
 QUAD_RTOL = 1e-10
-# below this a (subnormal) float carries less than QUAD_RTOL relative precision
-LOG_TINY = math.log(2.0**-1074 / QUAD_RTOL)
 TRAPEZOID_RTOL = 1e-13
 # an integer power of a mixture is expanded while it has at most this many Gaussians
 _MAX_EXPANSION = 1024
@@ -54,8 +53,8 @@ class RadialProfile:
 
     Either a Gaussian mixture sum_i exp(ln c_i - pi rate_i r^2) (``terms``, the pairs
     (ln c_i, rate_i), so each coefficient c_i is positive and may lie beyond the
-    floats), or a power/log profile r^alpha * ln(1/r)^beta supported on (0, 1/2]
-    (``power_log`` = (alpha, beta)).
+    floats), or a power/log profile r^alpha * ln(1/r)^beta on (0, 1) (``power_log`` =
+    (alpha, beta)), which only radial_integral takes.
     """
 
     terms: tuple[tuple[float, float], ...] = field(default=())
@@ -75,45 +74,25 @@ class RadialProfile:
         return bool(self.terms)
 
     def __call__(self, r):
+        """The mixture's samples at r; a power/log profile is only integrated."""
+        if not self.is_gaussian:
+            raise ValueError("a power/log profile is integrated by radial_integral, not sampled")
         r = np.asarray(r, dtype=float)
-        if self.is_gaussian:
-            # each term in one scratch array, added into zeros
-            out, term = np.zeros_like(r), np.empty_like(r)
-            # an exponent of -inf is an exact 0, and a sample beyond the floats inf
-            with np.errstate(over="ignore"):
-                for log_c, rate in self.terms:
-                    np.multiply(-math.pi * rate, r, out=term)
-                    term *= r
-                    term += log_c
-                    np.exp(term, out=term)
-                    out += term
-            return out[()]  # a scalar for a scalar r
-        alpha, beta = self.power_log
-        if beta == 0.0:
-            return r**alpha
-        with np.errstate(divide="ignore"):
-            return r**alpha * np.log(1.0 / r) ** beta
+        # each term in one scratch array, added into zeros
+        out, term = np.zeros_like(r), np.empty_like(r)
+        # an exponent of -inf is an exact 0, and a sample beyond the floats inf
+        with np.errstate(over="ignore"):
+            for log_c, rate in self.terms:
+                np.multiply(-math.pi * rate, r, out=term)
+                term *= r
+                term += log_c
+                np.exp(term, out=term)
+                out += term
+        return out[()]  # a scalar for a scalar r
 
 
 def gaussian_profile(rate: float = 1.0) -> RadialProfile:
     return RadialProfile(terms=((0.0, rate),))
-
-
-def _power_rate(*parts: float) -> float:
-    """rate = sum(parts) of an integrand r^{rate-1} ln^beta(1/r), where a sum within
-    rounding of 0 is the borderline 0 (the endpoint theta = d(1/2 - 1/p) lands there)."""
-    rate = sum(parts)
-    return 0.0 if abs(rate) <= 8 * sys.float_info.epsilon * sum(map(abs, parts)) else rate
-
-
-def _check_power_integrability(rate: float, beta: float, lo: float, hi: float):
-    # integrand r^{rate-1} ln^beta(1/r)
-    if lo == 0.0 and not (rate > 0 or (rate == 0 and beta < -1)):
-        raise ValueError(f"non-integrable singularity at r=0: r^{rate - 1} ln^{beta}(1/r)")
-    if math.isinf(hi) and not (rate < 0 or (rate == 0 and beta < -1)):
-        raise ValueError("integrand is not integrable at infinity")
-    if hi == 1.0 and beta <= -1:
-        raise ValueError(f"non-integrable singularity at r=1: ln^{beta}(1/r)")
 
 
 # The tanh-sinh rule of Takahasi & Mori, Publ. RIMS 9 (1974) 721-741, on |t| <= _TS_WINDOW:
@@ -179,71 +158,35 @@ def _quad(fn, lo: float, hi: float) -> float:
 
 
 def radial_integral(profile: RadialProfile, d: int, lo: float, hi: float) -> float:
-    """omega_{d-1} * integral over (lo, hi) of F(r) r^{d-1} dr for a power/log profile F."""
+    """ln of omega_{d-1} * integral over (lo, hi) of F(r) r^{d-1} dr for a power/log
+    profile F = r^alpha ln^beta(1/r), over a range inside [0, 1].
+
+    u = ln(1/r) turns the integrand into the smooth e^{-rate u} u^beta, rate = alpha + d,
+    on (ln(1/hi), ln(1/lo)), for the tanh-sinh rule.  Down to r = 0 that range is
+    infinite and, at rate 0, holds its mass out at u ~ e^{1/|beta+1|}; so past u = 1 it
+    goes on in t = ln u, over pieces of doubling width until one adds nothing.  The
+    integrand is exp(beta ln u - rate u - shift), where the shift (0 unless its peak
+    passes e^700) keeps it inside the floats and is added back to the log.
+    """
     if profile.is_gaussian:
         raise ValueError("radial_integral takes a power/log profile; a Gaussian's "
                          "integrals over R^d are radial_weighted_norm")
-    _check_dimension(d)
-    if lo < 0 or hi <= lo:
-        raise ValueError(f"invalid radial range ({lo}, {hi})")
-    geom = dimension_constants(d)
-    omega = geom.sphere_area
+    if not 0 <= lo < hi <= 1:
+        raise ValueError(f"invalid radial range ({lo}, {hi}): it must lie inside [0, 1]")
+    log_scale = dimension_constants(d).log_sphere_area
     alpha, beta = profile.power_log
-    if beta != 0.0 and hi > 1.0:
-        raise ValueError("log-power profiles are only defined for r < 1")
-    rate = _power_rate(alpha, d)
-    _check_power_integrability(rate, beta, lo, hi)
-    if beta == 0.0:
-        if rate == 0.0:
-            return omega * (math.log(hi) - math.log(lo))
-        return omega * (hi**rate - (0.0 if lo == 0.0 else lo**rate)) / rate
-    log_integral = _log_substituted_integral(rate, beta, lo, hi, geom.log_sphere_area)
-    what = f"the integral of r^{rate - 1:g} ln^{beta:g}(1/r) over ({lo:g}, {hi:g})"
-    return _exp_in_range(log_integral, what)
-
-
-def _exp_in_range(log_value: float, what: str) -> float:
-    """e^log_value, if that is a float carrying QUAD_RTOL relative precision; else a
-    ValueError naming what."""
-    if log_value >= LOG_MAX:
-        raise ValueError(f"{what} exceeds the float range")
-    if log_value < LOG_TINY:
-        raise ValueError(
-            f"{what} lies below the floats that carry {QUAD_RTOL:g} relative precision"
-        )
-    return math.exp(log_value)
-
-
-def _log_substituted_integral(
-    rate: float, beta: float, lo: float, hi: float, log_scale: float
-) -> float:
-    """log_scale plus ln of the integral over (lo, hi) of r^{rate-1} ln^beta(1/r) dr via
-    u = ln(1/r), which turns the r = 0 log-singularity into the smooth e^{-rate u} u^beta
-    on (ln(1/hi), ln(1/lo)).  Down to r = 0 that range is infinite and, at rate 0,
-    holds its mass out at u ~ e^{1/|beta+1|}; so past u = 1 it goes on in
-    t = ln u, over pieces of doubling width until one adds nothing.
-
-    The integrand is exp(beta ln u - rate u - shift), where the shift (0 unless
-    the integrand's peak passes e^700) keeps it inside the float range and is
-    added back to the log.
-    """
-    u_lo = 0.0 if hi >= 1.0 else math.log(1.0 / hi)
+    rate = alpha + d
+    if lo == 0.0 and not (rate > 0 or (rate == 0 and beta < -1)):
+        raise ValueError(f"non-integrable singularity at r=0: r^{rate - 1:g} ln^{beta:g}(1/r)")
+    if hi == 1.0 and beta <= -1:
+        raise ValueError(f"non-integrable singularity at r=1: ln^{beta:g}(1/r)")
+    u_lo = 0.0 if hi == 1.0 else math.log(1.0 / hi)
     u_hi = math.inf if lo == 0.0 else math.log(1.0 / lo)
-    integral = f"the integral of r^{rate - 1:g} ln^{beta:g}(1/r) over ({lo:g}, {hi:g})"
     # the log-integrand beta ln u - rate u peaks at an end or at u = beta/rate
     peaks = [u for u in (u_lo, u_hi, beta / rate if rate else 0.0)
              if u_lo <= u <= u_hi and 0 < u < math.inf]
     log_peak = max((beta * math.log(u) - rate * u for u in peaks), default=-math.inf)
     shift = max(0.0, log_peak - 700.0)
-    if shift > 0.0 and beta <= 0.0 <= rate and u_lo > 0.0:
-        # convex and falling from its peak at u_lo, the log-integrand lies above its
-        # tangent there, so the integral is at least e^peak (1 - e^{-slope width}) / slope:
-        # past the float range, quadrature of so narrow a peak is skipped
-        slope = rate - beta / u_lo
-        log_lower = (log_peak + log_scale - math.log(slope)
-                     + math.log1p(-math.exp(-slope * (u_hi - u_lo))))
-        if log_lower >= LOG_MAX:
-            raise ValueError(f"{integral} exceeds the float range")
 
     def integrand(u):
         return np.exp(beta * np.log(u) - rate * u - shift)
@@ -265,7 +208,9 @@ def _log_substituted_integral(
         # the mass below that, u^{beta+1} / (beta+1) e^{-shift}, it leaves out
         edge = _TS_END * min(u_hi, 1.0)
         if edge ** (beta + 1.0) / (beta + 1.0) * math.exp(-shift) > QUAD_RTOL * total:
-            raise ValueError(f"{integral} is too close to the non-integrable ln^-1(1/r) at r=1")
+            raise ValueError(f"the integral of r^{rate - 1:g} ln^{beta:g}(1/r) over "
+                             f"({lo:g}, {hi:g}) is too close to the non-integrable "
+                             "ln^-1(1/r) at r=1")
     return (math.log(total) if total > 0.0 else -math.inf) + shift + log_scale
 
 
@@ -310,7 +255,7 @@ def _log_mixture_moment(terms, k: float, p: float) -> float:
     # the largest (smallest) rate: by (k/2) u^2 / (2 + u), u = 2 (min t_i - t), below
     # and by k (t - max t_i)^2 above.  Past lo and hi it lies 75 under L(min t_i) and
     # L(max t_i), so 75 under its peak.
-    peaks = 0.5 * np.log(k / (2.0 * math.pi * p * rates))
+    peaks = 0.5 * (math.log(k) - math.log(2.0 * math.pi) - math.log(p) - np.log(rates))
     y = 150.0 / k
     lo = float(peaks.min()) - 0.25 * (y + math.sqrt(y * (y + 8.0)))
     hi = float(peaks.max()) + math.sqrt(0.5 * y)
@@ -349,33 +294,33 @@ def _log_mixture_moment(terms, k: float, p: float) -> float:
 def radial_weighted_norm(
     profile: RadialProfile, d: int, p: float, weight_exponent: float
 ) -> float:
-    """ln of (omega_{d-1} * integral of r^{p*w} F(r)^p r^{d-1} dr)^{1/p}.
+    """ln of (omega_{d-1} * integral of r^{p*w} F(r)^p r^{d-1} dr)^{1/p} for a Gaussian
+    mixture F.
 
     weight_exponent 0 gives ln ||f||_p; weight_exponent 1 with exponent p gives
-    ln V_p(f)^{1/p}.
+    ln V_p(f)^{1/p}.  A weight p*w that k = p*w + d loses to rounding raises.
     """
+    if not profile.is_gaussian:
+        raise ValueError("radial_weighted_norm takes a Gaussian mixture; a power/log "
+                         "profile's integrals are radial_integral")
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
     if weight_exponent < 0:
         raise ValueError("weight_exponent must be nonnegative")
     geom = dimension_constants(d)
-    k = p * weight_exponent + d  # integrand behaves like r^{k-1} near 0
-    if profile.is_gaussian:
-        if len(profile.terms) == 1:
-            log_c, rate = profile.terms[0]
-            half = 0.5 * k
-            log_integral = (
-                p * log_c + log_gamma(half)
-                - half * math.log(math.pi * p * rate) - LOG_2
-            )
-        else:
-            log_integral = _log_mixture_moment(profile.terms, k, p)
-        return (geom.log_sphere_area + log_integral) / p
-    alpha, beta = profile.power_log
-    # F^p shifts the exponents: the integrand is r^{k + p alpha - 1} ln^{p beta}(1/r)
-    rate = _power_rate(p * weight_exponent, d, p * alpha)
-    _check_power_integrability(rate, p * beta, 0.0, 0.5)
-    return _log_substituted_integral(rate, p * beta, 0.0, 0.5, geom.log_sphere_area) / p
+    weight = p * weight_exponent
+    k = weight + d  # the integrand behaves like r^{k-1} near 0
+    # an error e in k moves ln I by about e ln(k) / 2: refuse one above 1e-6 of the
+    # weight, or of 1 for a weight below 1, where it no longer matters
+    if abs((k - d) - weight) > 1e-6 * max(weight, 1.0):
+        raise ValueError(f"the weight p*w={weight:g} is lost to rounding in p*w + d at d={d:.6g}")
+    if len(profile.terms) == 1:
+        log_c, rate = profile.terms[0]
+        half = 0.5 * k
+        log_integral = p * log_c + log_gamma(half) - half * math.log(math.pi * p * rate) - LOG_2
+    else:
+        log_integral = _log_mixture_moment(profile.terms, k, p)
+    return (geom.log_sphere_area + log_integral) / p
 
 
 def gaussian_log_product(d: int, p: float) -> float:

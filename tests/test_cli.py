@@ -1,5 +1,7 @@
 """Tests for the command-line surface: exit codes, file outputs, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uplab
 from test_grid import read_grid_csv
@@ -18,6 +21,7 @@ from test_harness import read_sweep_csv
 from uplab import counterexamples as cx
 from uplab import harness
 from uplab.cli import main
+from uplab.grid import default_spec, gaussian_grid_function
 from uplab.params import cp_params
 from uplab.radial import gaussian_uncertainty_product
 
@@ -287,15 +291,12 @@ class TestOutOfRangeInputs:
         (["chain", "--d", "1", "--L", "1e154"], "does not resolve f"),
         (["chain", "--d", "1", "--function", "gc", "--L", "1e154"], "does not resolve f"),
         (["chain", "--d", "1", "--function", "bump", "--L", "1e154"], "zero function"),
-        # the endpoint weighted mass (ln 2)^{-1999} / 1999 * 2 is beyond the float range
-        (["cowling-price", "--d", "1", "--p", "4000", "--q", "4000",
-          "--theta", "0.49975", "--phi", "0.49975"], "exceeds the float range"),
-        # so narrow a peak that quadrature would warn; its tangent bound already overflows
-        (["cowling-price", "--d", "1", "--p", "1e6", "--q", "1e6",
-          "--theta", "0.499999", "--phi", "0.499999"], "exceeds the float range"),
-        # omega_999 = e^{-2032}: every endpoint mass lies below the floats
-        (["cowling-price", "--d", "1000", "--p", "4000", "--q", "4000",
-          "--theta", "499.75", "--phi", "499.75"], "lies below the floats"),
+        # k = p w + d rounds to d: the weight of V_p(g_c) is lost, and with it the collapse
+        (["sharpness", "--d", "1" + "0" * 100, "--p", "3", "--c-list", "1,2"],
+         "p*w=3 is lost to rounding in p*w + d at d=1e+100"),
+        (["sharpness", "--d", "1" + "0" * 17, "--p", "3", "--c-list", "1,2"], "p*w=3"),
+        # 2 pi p a overflowed in the trapezoid rule's peaks: a NaN node count, and a warning
+        (["sharpness", "--d", "17", "--p", "1e308", "--c-list", "1,2"], "ln product = -inf"),
         # the radial checks pass; the bump's |f|^p overflows in its grid sum, which
         # raises naming (p, w) rather than measure a NaN norm
         (["cowling-price", "--d", "3", "--p", "1e6", "--q", "1e6",
@@ -410,6 +411,51 @@ class TestLogDomainVerdicts:
         tail = next(line for line in out.splitlines() if "tail_hoelder" in line)
         assert "lhs=9.375000e-01 rhs=e^693146.9" in tail
         assert "inf" not in tail and "e^" not in tail.split("rhs=")[0]
+
+    @pytest.mark.parametrize("argv", [
+        # omega_444 = e^{-723}: every mass lies below the floats
+        ["--d", "445", "--p", "4", "--q", "4", "--theta", "111.25", "--phi", "111.25"],
+        ["--d", "100000", "--p", "4", "--q", "4", "--theta", "25000", "--phi", "25000"],
+        ["--d", "1000", "--p", "4000", "--q", "4000", "--theta", "499.75", "--phi", "499.75"],
+        # the weighted mass (ln 2)^{-1999} / 1999 * 2 = e^726 is beyond the floats
+        ["--d", "1", "--p", "4000", "--q", "4000", "--theta", "0.49975", "--phi", "0.49975"],
+        # its integrand peaks at e^{1.8e5} within 1e-6 of u = ln 2
+        ["--d", "1", "--p", "1e6", "--q", "1e6", "--theta", "0.499999", "--phi", "0.499999"],
+    ])
+    def test_endpoint_masses_beyond_the_floats(self, capsys, argv):
+        code, out, err = run(capsys, "cowling-price", *argv)
+        assert (code, err) == (1, "")
+        assert out.count("pass=True") == 2 and "e^" in out
+
+    def test_endpoint_masses_near_the_float_floor_keep_their_digits(self, capsys):
+        # omega_443 = e^{-720}: the masses are subnormal, once printed as 0.000000
+        argv = ["--d", "444", "--p", "4", "--q", "4", "--theta", "111", "--phi", "111"]
+        code, out, err = run(capsys, "cowling-price", *argv)
+        assert (code, err) == (1, "")
+        assert "0.000000" not in out and out.count("pass=True") == 2
+        report = harness.cp_check(444, 4.0, 4.0, 111.0, 111.0)
+        masses = ", ".join(f"e^{m:.9g}" for m in report.log_tail_masses)
+        assert f"tail masses [{masses}] pass=True" in out
+
+    @pytest.mark.parametrize("d", ["3000", "100000", "1000000000"])
+    def test_weight_kept_at_large_d(self, capsys, d):
+        # k = 3 + d is exact, so the weight of V_p(g_c) survives and the products collapse
+        code, out, err = run(capsys, "sharpness", "--d", d, "--p", "3", "--c-list", "1,2")
+        assert (code, err) == (0, "")
+        assert "decreasing=True collapsed=True" in out
+
+    def test_chain_slack_beyond_the_floats_prints_as_a_power_of_e(self, capsys):
+        code, out, err = run(capsys, "chain", "--d", "1", "--p", "1.00001")
+        assert (code, err) == (0, "")
+        report = harness.function_chain_check(
+            gaussian_grid_function(default_spec(1)), 1, 1.00001)
+        for link, line in zip(report.links, out.splitlines()[:-1], strict=True):
+            slack = line.split("slack=")[1].split()[0]
+            if link.name in ("per_function", "certified_product"):
+                assert slack == f"e^{link.log_lhs - link.log_rhs:.9g}" and link.slack == math.inf
+            else:
+                assert slack == f"{link.slack:+.3e}"
+        assert "inf" not in out
 
     @pytest.mark.parametrize("d, theta", [(1, 1.0), (3, 0.5), (456, 1.0), (1000, 300.0),
                                           (1000, 600.0)])
@@ -537,6 +583,23 @@ def test_python_dash_m_runs_the_cli():
     assert (child.returncode, child.stdout, child.stderr) == (0, expected, "")
 
 
+def test_huge_p_is_one_line_without_warnings():
+    # 2 pi p a overflowed: a divide-by-zero warning, then a NaN node count
+    child = _child(["-W", "error", "-m", "uplab", "sharpness", "--d", "17", "--p", "1e308",
+                    "--c-list", "1,2"])
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == ("error: the g_c uncertainty product at c=1 is outside the normal "
+                            "float range: ln product = -inf\n")
+
+
+def test_warning_is_one_line():
+    # g_2's wide term sits at e^{-19.6} on the default d = 3 grid's faces
+    child = _child(["-m", "uplab", "chain", "--d", "3", "--function", "gc"])
+    assert child.returncode == 0 and "pass=True" in child.stdout
+    assert child.stderr == ("warning: boundary samples at 1.104e-09 of the peak; "
+                            "transform accuracy degrades\n")
+
+
 def test_no_scipy_import(tmp_path):
     # every README command, the three Cowling-Price classes and the radial quadrature, in
     # one fresh interpreter where any scipy import fails
@@ -551,18 +614,85 @@ def test_no_scipy_import(tmp_path):
         "    warnings.simplefilter('ignore')\n"
         "    classes = [harness.cp_check(*t).classification for t in\n"
         "               [(1, 2.0, 2.0, 1.0, 1.0), (1, 4.0, 4.0, 0.1, 0.1), (1, 4.0, 4.0, 0.25, 0.25)]]\n"
-        "masses = [cx.endpoint_tail_mass(1e-3, 2), cx.endpoint_weighted_mass(2, 4.0),\n"
-        "          radial_integral(RadialProfile(power_log=(-0.5, 0.0)), 1, 0.0, 1.0)]\n"
+        "log_masses = [cx.endpoint_tail_mass(1e-3, 2), cx.endpoint_weighted_mass(2, 4.0),\n"
+        "              radial_integral(RadialProfile(power_log=(-0.5, 0.0)), 1, 0.0, 1.0)]\n"
         "try:\n"
         "    radial_integral(gaussian_profile(), 1, 0.0, math.inf)\n"
         "except ValueError as exc:\n"
         "    gaussian = str(exc)\n"
-        "print(json.dumps([codes, classes, masses, gaussian]))\n"
+        "print(json.dumps([codes, classes, log_masses, gaussian]))\n"
     )
     child = _child(["-c", code, json.dumps(readme_commands())], cwd=tmp_path, check=True)
-    codes, classes, masses, gaussian = json.loads(child.stdout)
+    codes, classes, log_masses, gaussian = json.loads(child.stdout)
     assert codes == [0] * 7
     assert classes == ["feasible", "violated", "endpoint"]
-    assert masses[:2] == [cx.endpoint_tail_mass(1e-3, 2), cx.endpoint_weighted_mass(2, 4.0)]
-    assert masses[2] == pytest.approx(4.0, rel=1e-13)  # omega_0 * int_0^1 r^-1/2 dr
+    assert log_masses[:2] == [cx.endpoint_tail_mass(1e-3, 2), cx.endpoint_weighted_mass(2, 4.0)]
+    # ln of omega_0 * int_0^1 r^-1/2 dr = 4
+    assert log_masses[2] == pytest.approx(math.log(4.0), abs=1e-13)
     assert "radial_weighted_norm" in gaussian and "\n" not in gaussian
+
+
+# Values from every edge of the floats for the float flags, integers out to 10^100 for the
+# integer flags, every grid with n^d <= 2^21 (and sizes that are no grid) for --n
+_EDGE_FLOATS = (0.0, -0.0, -1.0, 5e-324, 1e-310, 1e-13, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0,
+                8.0, 1e6, 1e300, 1e308, -1e308, math.inf, -math.inf, math.nan)
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-10.0, 10.0), st.floats())
+_INTS = st.one_of(st.integers(-2, 1100), st.sampled_from((10**9, 10**17, 10**100)),
+                  st.integers(-10**100, 10**100))
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand with every required flag and a random subset of the optional ones."""
+    def value(kind, d=None):
+        if kind == "grid_n":
+            sizes = [n for n in (-16, 0, 15, 16, 17, 32, 64, 128, 256, 1024) if n**d <= 2**21]
+            return draw(st.sampled_from(sizes))
+        if kind == "c_list":
+            return ",".join(map(repr, draw(st.lists(_FLOATS, min_size=1, max_size=3))))
+        if isinstance(kind, tuple):
+            return draw(st.sampled_from(kind))
+        return draw(_FLOATS if kind is float else _INTS)
+
+    command, required, optional = draw(st.sampled_from([
+        ("heisenberg", {}, {"d-max": int}),
+        ("lp", {"p": float}, {"d-max": int}),
+        ("sharpness", {"d": int, "p": float}, {"c-list": "c_list"}),
+        ("rudin-shapiro", {}, {"d": (1, 2), "k-max": int, "p": float, "theta": float}),
+        ("cowling-price", {"d": int, "p": float, "q": float, "theta": float, "phi": float},
+         {"seed": int}),
+        ("gaussian", {"d": int}, {"p": float}),
+        ("chain", {"d": (1, 2, 3)}, {"p": float, "function": ("gaussian", "gc", "bump"),
+                                     "c": float, "seed": int, "n": "grid_n", "L": float}),
+    ]))
+    flags = dict(required)
+    flags.update({name: kind for name, kind in optional.items() if draw(st.booleans())})
+    values = {name: value(kind) for name, kind in flags.items() if kind != "grid_n"}
+    if "n" in flags:
+        values["n"] = value("grid_n", values["d"])
+    if command == "cowling-price":
+        # homogeneity holds for (q, phi) = (p, theta); theta = d(1/2 - 1/p) is the endpoint
+        tuple_kind = draw(st.sampled_from(("any", "symmetric", "endpoint")))
+        if tuple_kind == "endpoint":
+            with contextlib.suppress(ArithmeticError):
+                values["theta"] = values["d"] * (0.5 - 1.0 / values["p"])
+        if tuple_kind != "any":
+            values["q"], values["phi"] = values["p"], values["theta"]
+    return [command, *(f"--{name}={val!r}" if isinstance(val, float) else f"--{name}={val}"
+                       for name, val in values.items())]
+
+
+class TestCliFuzz:
+    @given(_cli_argv())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_every_argv_gets_a_verdict_or_one_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # the CLI prints each warning as one line
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), argv
+        assert err.count("\n") <= 1 and (err == "" or err.endswith("\n")), (argv, err)
+        assert (code == 2) == err.startswith("error: "), (argv, code, err)
+        assert "nan" not in out, (argv, out)

@@ -332,16 +332,16 @@ class TestStorage:
         assert peak <= 6 * 2**20
 
 
-def _tail_closed_form(delta, d):
-    """omega_{d-1} (ln ln(1/delta) - ln ln 2)."""
-    omega = dimension_constants(d).sphere_area
-    return omega * (math.log(math.log(1.0 / delta)) - math.log(math.log(2.0)))
+def _log_tail_closed_form(delta, d):
+    """ln omega_{d-1} + ln(ln ln(1/delta) - ln ln 2)."""
+    return (dimension_constants(d).log_sphere_area
+            + math.log(math.log(math.log(1.0 / delta)) - math.log(math.log(2.0))))
 
 
-def _weighted_closed_form(d, p):
-    """omega_{d-1} ln^{1 - p/2}(2) / (p/2 - 1)."""
-    omega = dimension_constants(d).sphere_area
-    return omega * math.log(2.0) ** (1.0 - 0.5 * p) / (0.5 * p - 1.0)
+def _log_weighted_closed_form(d, p):
+    """ln omega_{d-1} + (1 - p/2) ln ln 2 - ln(p/2 - 1)."""
+    return (dimension_constants(d).log_sphere_area
+            + (1.0 - 0.5 * p) * math.log(math.log(2.0)) - math.log(0.5 * p - 1.0))
 
 
 ENDPOINT_DELTAS = harness.ENDPOINT_DELTAS
@@ -369,17 +369,18 @@ def _mpmath_endpoint_integrals():
 
 
 class TestEndpointMasses:
+    """The masses are logs: a relative tolerance on a mass is an absolute one on its log."""
+
     @pytest.mark.parametrize("d", [1, 2, 3, 9, 50, 440])
     def test_against_closed_forms(self, d):
         for delta in ENDPOINT_DELTAS:
             assert cx.endpoint_tail_mass(delta, d) == pytest.approx(
-                _tail_closed_form(delta, d), rel=1e-10
+                _log_tail_closed_form(delta, d), abs=1e-10
             )
-        # p near 2 puts the mass far out in u = ln(1/r); at d = 9, p = 5 the
-        # exponents of r sum to -1 only up to rounding
+        # p near 2 puts the mass far out in u = ln(1/r)
         for p in ENDPOINT_PS + (2.0000001, 3.0, 5.0, 1000.0):
             assert cx.endpoint_weighted_mass(d, p) == pytest.approx(
-                _weighted_closed_form(d, p), rel=1e-10
+                _log_weighted_closed_form(d, p), abs=1e-10
             )
 
     @pytest.mark.parametrize("d", [1, 3, 50])
@@ -388,30 +389,45 @@ class TestEndpointMasses:
         omega = 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
         for delta in ENDPOINT_DELTAS:
             assert cx.endpoint_tail_mass(delta, d) == pytest.approx(
-                float(omega * tails[delta]), rel=1e-10
+                float(mp.log(omega * tails[delta])), abs=1e-10
             )
         for p in ENDPOINT_PS:
             assert cx.endpoint_weighted_mass(d, p) == pytest.approx(
-                float(omega * weighted[p]), rel=1e-10
+                float(mp.log(omega * weighted[p])), abs=1e-10
+            )
+
+    @pytest.mark.parametrize("d", [1, 445, 10**5])
+    def test_logs_beyond_the_floats_against_mpmath(self, d):
+        # from d = 445 on every mass lies below the floats (omega_444 = e^{-723}), and at
+        # p = 4000 the weighted mass (ln 2)^{-1999} / 1999 * omega_{d-1} exceeds them at
+        # d = 1: the closed forms at 40 digits, ln omega_{d-1} included
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        half = mp.mpf(d) / 2
+        log_omega = mp.log(2) + half * mp.log(mp.pi) - mp.loggamma(half)
+        log_ln2 = mp.log(mp.log(2))
+        for delta in ENDPOINT_DELTAS:
+            exact = log_omega + mp.log(mp.log(mp.log(1 / mp.mpf(delta))) - log_ln2)
+            assert cx.endpoint_tail_mass(delta, d) == pytest.approx(float(exact), abs=1e-10)
+        for p in (3, 4, 4000):
+            exact = log_omega + (1 - mp.mpf(p) / 2) * log_ln2 - mp.log(mp.mpf(p) / 2 - 1)
+            assert cx.endpoint_weighted_mass(d, float(p)) == pytest.approx(
+                float(exact), abs=1e-10
             )
 
     def test_weighted_mass_near_float_range(self):
-        # from p = 3874 on the integrand (ln 2)^{-p/2} at r = 1/2 overflows, but up to
-        # p = 3912 the mass omega_0 ln^{1 - p/2}(2) / (p/2 - 1) is finite; from 3913 it
-        # raises.  omega_459 underflows to 0 on its own; carried as its log it brings
-        # the d = 460 mass back into the float range
-        for d, p in ((1, 3880.0), (1, 3910.0), (460, 4000.0)):
-            log_closed = (dimension_constants(d).log_sphere_area
-                          + (1.0 - 0.5 * p) * math.log(math.log(2.0))
-                          - math.log(0.5 * p - 1.0))
+        # from p = 3874 on the integrand (ln 2)^{-p/2} at r = 1/2 overflows, and from
+        # p = 3913 the mass omega_0 ln^{1 - p/2}(2) / (p/2 - 1) does; omega_459 underflows
+        # to 0 on its own, and at d = 1000 the mass is e^{-1307}.  As logs they all are
+        # floats, out to p = 1e8 (e^{1.8e7}), where the log carries 1e-16 relative
+        for d, p in ((1, 3880.0), (1, 3910.0), (1, 4000.0), (460, 4000.0), (1000, 4000.0)):
             assert cx.endpoint_weighted_mass(d, p) == pytest.approx(
-                math.exp(log_closed), rel=1e-10
+                _log_weighted_closed_form(d, p), abs=1e-10
             )
-        with pytest.raises(ValueError, match="exceeds the float range"):
-            cx.endpoint_weighted_mass(1, 4000.0)
-        # at d = 1000 the mass is e^{-1307}, below every float
-        with pytest.raises(ValueError, match="lies below the floats"):
-            cx.endpoint_weighted_mass(1000, 4000.0)
+        assert cx.endpoint_weighted_mass(1, 1e8) == pytest.approx(
+            _log_weighted_closed_form(1, 1e8), rel=1e-15
+        )
 
     def test_tail_mass_against_quadrature(self):
         # L^2 mass of r^{-d/2} ln^{-1/2}(1/r) over delta < r < 1/2
@@ -421,7 +437,7 @@ class TestEndpointMasses:
                 lambda r: 1.0 / (r * math.log(1.0 / r)), delta, 0.5
             )
             assert cx.endpoint_tail_mass(delta, d) == pytest.approx(
-                omega * oracle, rel=1e-9
+                math.log(omega * oracle), abs=1e-9
             )
 
     def test_tail_mass_diverges(self):
@@ -437,7 +453,7 @@ class TestEndpointMasses:
             lambda u: u ** (-0.5 * p), math.log(2.0), math.inf
         )
         assert cx.endpoint_weighted_mass(d, p) == pytest.approx(
-            omega * oracle, rel=1e-10
+            math.log(omega * oracle), abs=1e-10
         )
 
     def test_weighted_mass_validation(self):

@@ -317,7 +317,8 @@ class TestTrichotomy:
         assert report.classification == "endpoint"
         masses = report.tail_masses
         assert all(b > a for a, b in zip(masses, masses[1:]))
-        assert math.isfinite(report.weighted_mass)
+        assert masses == tuple(map(math.exp, report.log_tail_masses))
+        assert math.isfinite(report.log_weighted_mass)
         assert report.passed
 
     def test_seed_controls_bump(self):
@@ -349,14 +350,29 @@ class TestTrichotomy:
         report = harness.CPReport(
             d=2, p=4.0, q=4.0, theta=0.5, phi=0.5,
             classification="endpoint",
-            tail_masses=tuple(step * (2.0 + k) for k in range(4)),
-            weighted_mass=9.0,
+            log_tail_masses=tuple(math.log(step * (2.0 + k)) for k in range(4)),
+            log_weighted_mass=math.log(9.0),
         )
         assert report.passed is True  # a plain bool, as --out writes it to JSON
-        # what omega_{d-1} = 0 measures from d = 449 on
-        assert dataclasses.replace(report, tail_masses=(0.0,) * 4).passed is False
+        # masses of 0, what omega_{d-1} = 0 measured from d = 449 on as floats
+        assert dataclasses.replace(report, log_tail_masses=(-math.inf,) * 4).passed is False
         # converging masses: the steps halve
-        assert dataclasses.replace(report, tail_masses=(1.0, 2.0, 2.5, 2.75)).passed is False
-        assert dataclasses.replace(report, tail_masses=()).passed is False
-        for weighted in (None, 0.0, math.inf, math.nan):
-            assert dataclasses.replace(report, weighted_mass=weighted).passed is False
+        halving = tuple(map(math.log, (1.0, 2.0, 2.5, 2.75)))
+        assert dataclasses.replace(report, log_tail_masses=halving).passed is False
+        # equal masses, shrinking masses, NaN, too few
+        for logs in ((0.0,) * 4, (3.0, 2.0, 1.0, 0.0), (0.0, 1.0, math.nan, 2.0), ()):
+            assert dataclasses.replace(report, log_tail_masses=logs).passed is False
+        for log_weighted in (None, -math.inf, math.inf, math.nan):
+            assert dataclasses.replace(report, log_weighted_mass=log_weighted).passed is False
+
+    def test_endpoint_steps_beyond_the_floats(self):
+        # steps of omega ln 2 with omega = e^{-800} or e^{800}, and one step 1e-5 short
+        for log_omega in (-800.0, 800.0):
+            logs = [log_omega + math.log(math.log(2.0) * (2.0 + k)) for k in range(4)]
+            report = harness.CPReport(
+                d=500, p=4.0, q=4.0, theta=125.0, phi=125.0, classification="endpoint",
+                log_tail_masses=tuple(logs), log_weighted_mass=log_omega,
+            )
+            assert report.tails_diverge and report.passed
+            logs[3] = log_omega + math.log(math.log(2.0) * (5.0 - 1e-5))
+            assert not dataclasses.replace(report, log_tail_masses=tuple(logs)).tails_diverge

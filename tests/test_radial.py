@@ -1,6 +1,6 @@
 """Tests for radial-reduction integrals.
 
-Closed-form Gaussian moments and power-law tails give exact oracles; the
+Closed-form Gaussian moments and power-law integrals give exact oracles; the
 mixture norms and the tanh-sinh paths are cross-checked against direct
 scipy.integrate calls, a 40-digit mpmath quadrature written independently
 here, and mpmath's incomplete Gamma function.
@@ -90,11 +90,9 @@ class TestRadialProfile:
         assert not zeros.any() and not np.signbit(zeros).any()
 
     def test_power_log_evaluation(self):
-        prof = RadialProfile(power_log=(-0.5, -0.5))
-        r = 0.25
-        assert float(prof(r)) == pytest.approx(
-            0.25**-0.5 * math.log(4.0) ** -0.5, rel=1e-14
-        )
+        # a power/log profile is only integrated, by radial_integral
+        with pytest.raises(ValueError, match="not sampled"):
+            RadialProfile(power_log=(-0.5, -0.5))(0.25)
 
 
 class TestRadialIntegral:
@@ -107,38 +105,40 @@ class TestRadialIntegral:
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_power_tail_closed_forms(self, d):
-        omega = dimension_constants(d).sphere_area
-        # int_{|x|>1} |x|^{-(d+1)} dx = omega_{d-1}
-        tail = radial_integral(RadialProfile(power_log=(-(d + 1.0), 0.0)), d, 1.0, math.inf)
-        assert tail == pytest.approx(omega, rel=1e-13)
-        # int_{|x|>1} |x|^{-(d+eps)} dx = omega_{d-1} / eps
+        # the tails at the origin, as logs: int_{|x|<1} |x|^{1-d} dx = omega_{d-1}
+        log_omega = dimension_constants(d).log_sphere_area
+        tail = radial_integral(RadialProfile(power_log=(1.0 - d, 0.0)), d, 0.0, 1.0)
+        assert tail == pytest.approx(log_omega, abs=1e-13)
+        # int_{|x|<1} |x|^{-(d-eps)} dx = omega_{d-1} / eps
         for eps in (0.5, 1.0, 3.0):
-            tail = radial_integral(
-                RadialProfile(power_log=(-(d + eps), 0.0)), d, 1.0, math.inf
-            )
-            assert tail == pytest.approx(omega / eps, rel=1e-13)
+            tail = radial_integral(RadialProfile(power_log=(eps - d, 0.0)), d, 0.0, 1.0)
+            assert tail == pytest.approx(log_omega - math.log(eps), abs=1e-13)
 
     def test_log_power_against_quadrature(self):
         d = 2
         omega = dimension_constants(d).sphere_area
         prof = RadialProfile(power_log=(-1.0, -0.5))
-        val = radial_integral(prof, d, 0.0, 0.5)
+        log_val = radial_integral(prof, d, 0.0, 0.5)
         oracle, _ = integrate.quad(
             lambda r: r ** (d - 2.0) * math.log(1.0 / r) ** -0.5, 0.0, 0.5
         )
-        assert val == pytest.approx(omega * oracle, rel=1e-8)
+        assert log_val == pytest.approx(math.log(omega * oracle), abs=1e-8)
 
     def test_rejects_nonintegrable(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at r=0"):
             # r^{-d} at the origin against r^{d-1} dr diverges
             radial_integral(RadialProfile(power_log=(-2.0, 0.0)), 2, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            # too slow a decay at infinity
-            radial_integral(RadialProfile(power_log=(-1.0, 0.0)), 2, 1.0, math.inf)
+        with pytest.raises(ValueError, match="at r=0"):
+            # so does r^{-d} ln^{-1}(1/r): ln ln(1/r) grows without bound
+            radial_integral(RadialProfile(power_log=(-2.0, -1.0)), 2, 0.0, 0.5)
+        with pytest.raises(ValueError, match="at r=1"):
+            radial_integral(RadialProfile(power_log=(0.0, -1.0)), 2, 0.5, 1.0)
 
     def test_rejects_bad_range(self):
-        with pytest.raises(ValueError, match="invalid radial range"):
-            radial_integral(RadialProfile(power_log=(-0.5, 0.0)), 1, 1.0, 0.5)
+        # the range lies inside [0, 1], where ln(1/r) is real and nonnegative
+        for lo, hi in [(1.0, 0.5), (-0.5, 0.5), (0.5, 2.0), (1.0, math.inf), (math.nan, 0.5)]:
+            with pytest.raises(ValueError, match="invalid radial range"):
+                radial_integral(RadialProfile(power_log=(-0.5, 0.0)), 1, lo, hi)
 
 
 class TestRadialWeightedNorm:
@@ -193,13 +193,14 @@ class TestRadialWeightedNorm:
         )
 
     def test_power_log_norm_matches_closed_form(self):
-        # |f|^p = r^{-1} ln^{-2}(1/r); substituting u = ln(1/r) gives
-        # int_{ln 2}^inf u^{-2} du = 1 / ln 2 exactly
-        d, p = 1, 4.0
-        prof = RadialProfile(power_log=(-0.25, -0.5))
-        log_norm = radial_weighted_norm(prof, d, p, 0.0)
-        omega = dimension_constants(d).sphere_area
-        assert log_norm == pytest.approx(math.log(omega / math.log(2.0)) / p, abs=1e-10)
+        # the norm takes Gaussian mixtures; the p-th power of f = r^{-1/4} ln^{-1/2}(1/r)
+        # at d = 1, r^{-1} ln^{-2}(1/r), is radial_integral's: substituting u = ln(1/r)
+        # gives int_{ln 2}^inf u^{-2} du = 1 / ln 2 exactly
+        with pytest.raises(ValueError, match="Gaussian mixture"):
+            radial_weighted_norm(RadialProfile(power_log=(-0.25, -0.5)), 1, 4.0, 0.0)
+        log_mass = radial_integral(RadialProfile(power_log=(-1.0, -2.0)), 1, 0.0, 0.5)
+        omega = dimension_constants(1).sphere_area
+        assert log_mass == pytest.approx(math.log(omega / math.log(2.0)), abs=1e-10)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
@@ -374,8 +375,8 @@ class TestTanhSinh:
         mp = mpmath.mp.clone()
         mp.dps = 40
         exact = _mpmath_power_log_integral(mp, alpha + d, beta, lo, hi, d)
-        val = radial_integral(RadialProfile(power_log=(alpha, beta)), d, lo, hi)
-        assert val == pytest.approx(float(exact), rel=radial.QUAD_RTOL)
+        log_val = radial_integral(RadialProfile(power_log=(alpha, beta)), d, lo, hi)
+        assert log_val == pytest.approx(float(mp.log(exact)), abs=radial.QUAD_RTOL)
 
     def test_singular_end_too_close_to_the_log_singularity(self):
         # ln^-0.965(1/r) near r = 1: the mass within _TS_END of u = 0 exceeds QUAD_RTOL
