@@ -74,7 +74,10 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    c_values = [float(c) for c in args.c_list.split(",")]
+    try:
+        c_values = [float(c) for c in args.c_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--c-list takes comma-separated numbers, got {args.c_list!r}") from None
     summary = harness.sharpness_summary(args.d, args.p, c_values)
     if args.out:
         harness.write_summary_json(summary, args.out)

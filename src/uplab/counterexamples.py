@@ -255,7 +255,7 @@ def endpoint_tail_mass(delta: float, d: int) -> float:
     not L^2."""
     if not 0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-    return radial_integral(RadialProfile(power_log=(-d, -1.0)), d, delta, 0.5)
+    return radial_integral(-1.0, d, delta, 0.5)
 
 
 def endpoint_weighted_mass(d: int, p: float) -> float:
@@ -264,4 +264,4 @@ def endpoint_weighted_mass(d: int, p: float) -> float:
     |x|^{-d} ln^{-p/2}(1/|x|); the mass is finite exactly for p > 2."""
     if p <= 2:
         raise ValueError(f"the endpoint mass diverges for p <= 2, got p={p}")
-    return radial_integral(RadialProfile(power_log=(-d, -0.5 * p)), d, 0.0, 0.5)
+    return radial_integral(-0.5 * p, d, 0.0, 0.5)

@@ -338,6 +338,8 @@ def random_bump(spec: GridSpec, seed: int, n_terms: int = 4) -> GridFunction:
 def _bump_terms(spec: GridSpec, seed: int, n_terms: int = 4) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients c_t of random_bump(spec, seed, n_terms) and its terms' 1-D
     factors tabulated on the axis coordinates, as (n_terms, d, n) real factors."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     span = 0.25 * spec.half_width
     centers = rng.uniform(-span, span, size=(n_terms, spec.d))

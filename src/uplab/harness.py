@@ -316,8 +316,8 @@ def _slope_agrees(measured: float, predicted: float) -> bool:
 
 def rs_check(d: int, k_max: int, p: float, theta: float) -> tuple[dict, cx.RSFamily]:
     """Slope summary of the translate families of levels 0..k_max, and the top family."""
-    if not 1 <= k_max <= 4:
-        raise ValueError(f"k-max must be 1..4, got {k_max}")
+    if not 2 <= k_max <= 4:  # the slope fit needs levels 0..2
+        raise ValueError(f"k-max must be 2..4, got {k_max}")
     base = cx.rs_base(d)
     families = [cx.rs_level(base, d, k) for k in range(k_max + 1)]
     measured = cx.rs_slope(families, p, theta)

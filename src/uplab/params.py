@@ -197,7 +197,8 @@ def cp_feasible(d: int, p: float, q: float, theta: float, phi: float) -> bool:
 
 
 def cp_delta(d: int, p: float, q: float, theta: float, phi: float) -> float:
-    """The window-midpoint delta for a feasible Cowling-Price tuple."""
+    """The window-midpoint delta for a feasible Cowling-Price tuple, whose window is
+    empty only where rounding closes it."""
     base = 1.0 + d / (phi * q)
     lower = base - (1.0 - 1.0 / p) * base * d / theta
     candidates = [base, 1.0 + d / (theta * p)]
@@ -207,8 +208,8 @@ def cp_delta(d: int, p: float, q: float, theta: float, phi: float) -> float:
     lower = max(0.0, lower)
     if not upper > lower:
         raise ValueError(
-            f"empty delta window for (d={d}, p={p}, q={q}, theta={theta}, phi={phi}); "
-            "tuple is not feasible"
+            f"the delta window for (d={d}, p={p}, q={q}, theta={theta}, phi={phi}) is lost "
+            "to rounding: theta and phi are too large against d"
         )
     return 0.5 * (lower + upper)
 

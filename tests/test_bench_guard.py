@@ -1,0 +1,45 @@
+"""What the benchmark in bench/ reads of uplab, in tier-1.
+
+bench/tracing.py notes each call's arguments (a mixture's ``is_gaussian`` and
+``terms``, a translate family's ``d`` and ``k``, a grid function's ``values``)
+and bench/workloads.py checks each verdict against closed forms.  A few
+operations of the trichotomy and grid_chain workloads run here under the
+tracer, so a change in src/ that breaks either fails this test, not only the
+benchmark.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+# one feasible, one violated and one endpoint tuple, and one chain check
+OPERATIONS = [
+    "cp d=1 p=2 q=3 theta=0.4 phi=0.566667",
+    "cp d=1 p=3 q=3 theta=0.05 phi=0.05",
+    "cp d=1 p=4 q=4 theta=0.25 phi=0.25",
+    "chain d=1 p=2 gaussian",
+]
+
+
+def test_traced_operations_pass_their_checks(tmp_path):
+    ops = {op.name: op for op in workloads.trichotomy(1, tmp_path) + workloads.grid_chain(1, tmp_path)}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for i, name in enumerate(OPERATIONS):
+            with tracer.operation(i, name):
+                result = ops[name].run()
+            assert ops[name].check(result) is None, name
+    finally:
+        tracer.uninstall()
+    values = tracing.pass_layer_values(tracer.spans, tracing.self_times(tracer.spans))
+    # every note was taken: the mixtures' terms, the families' (d, k), the grids' sizes
+    assert values["radial.quadrature_share"] > 0
+    assert values["counterexamples.rs_level.distinct_ratio"] > 0
+    assert values["grid.norm.points"] > 0
+    assert values["counterexamples.endpoint.calls"] == 5

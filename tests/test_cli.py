@@ -124,9 +124,11 @@ class TestRudinShapiroCommand:
             assert np.array_equal(exported.values, member.values)
 
     def test_bad_level_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "rudin-shapiro", "--d", "2", "--k-max", "9")
-        assert code == 2
-        assert "k-max" in err
+        # k-max 1 leaves the slope fit, which takes levels 0..2, too few levels
+        for k_max in ("9", "1"):
+            code, _, err = run(capsys, "rudin-shapiro", "--d", "2", "--k-max", k_max)
+            assert code == 2
+            assert err.count("\n") == 1 and "k-max" in err
 
 
 class TestCowlingPriceCommand:
@@ -323,6 +325,13 @@ class TestOutOfRangeInputs:
           "--theta", "1e-310", "--phi", "1e-310"], "theta=1e-310, phi=1e-310"),
         (["cowling-price", "--d", "1", "--p", "2", "--q", "2",
           "--theta", "5e-324", "--phi", "5e-324"], "theta=5e-324, phi=5e-324"),
+        # feasible, but 1 + d/(phi q) rounds to 1 and the delta window with it
+        (["cowling-price", "--d", "4", "--p", "3", "--q", "3",
+          "--theta", "1e17", "--phi", "1e17"], "lost to rounding: theta and phi are too large"),
+        (["chain", "--d", "1", "--function", "bump", "--seed", "-1"], "seed must be nonnegative"),
+        (["cowling-price", "--d", "1", "--p", "2", "--q", "2", "--theta", "1", "--phi", "1",
+          "--seed", "-1"], "seed must be nonnegative"),
+        (["sharpness", "--d", "2", "--p", "5", "--c-list", ","], "--c-list"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)
@@ -604,10 +613,10 @@ def test_no_scipy_import(tmp_path):
     # every README command, the three Cowling-Price classes and the radial quadrature, in
     # one fresh interpreter where any scipy import fails
     code = (
-        "import contextlib, io, json, math, sys, warnings\n"
+        "import contextlib, io, json, sys, warnings\n"
         "sys.modules['scipy'] = None\n"
         "from uplab import cli, harness, counterexamples as cx\n"
-        "from uplab.radial import RadialProfile, gaussian_profile, radial_integral\n"
+        "from uplab.radial import radial_integral\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
         "with warnings.catch_warnings():\n"
@@ -615,21 +624,16 @@ def test_no_scipy_import(tmp_path):
         "    classes = [harness.cp_check(*t).classification for t in\n"
         "               [(1, 2.0, 2.0, 1.0, 1.0), (1, 4.0, 4.0, 0.1, 0.1), (1, 4.0, 4.0, 0.25, 0.25)]]\n"
         "log_masses = [cx.endpoint_tail_mass(1e-3, 2), cx.endpoint_weighted_mass(2, 4.0),\n"
-        "              radial_integral(RadialProfile(power_log=(-0.5, 0.0)), 1, 0.0, 1.0)]\n"
-        "try:\n"
-        "    radial_integral(gaussian_profile(), 1, 0.0, math.inf)\n"
-        "except ValueError as exc:\n"
-        "    gaussian = str(exc)\n"
-        "print(json.dumps([codes, classes, log_masses, gaussian]))\n"
+        "              radial_integral(-2.0, 1, 0.0, 0.5)]\n"
+        "print(json.dumps([codes, classes, log_masses]))\n"
     )
     child = _child(["-c", code, json.dumps(readme_commands())], cwd=tmp_path, check=True)
-    codes, classes, log_masses, gaussian = json.loads(child.stdout)
+    codes, classes, log_masses = json.loads(child.stdout)
     assert codes == [0] * 7
     assert classes == ["feasible", "violated", "endpoint"]
     assert log_masses[:2] == [cx.endpoint_tail_mass(1e-3, 2), cx.endpoint_weighted_mass(2, 4.0)]
-    # ln of omega_0 * int_0^1 r^-1/2 dr = 4
-    assert log_masses[2] == pytest.approx(math.log(4.0), abs=1e-13)
-    assert "radial_weighted_norm" in gaussian and "\n" not in gaussian
+    # ln of omega_0 * int_0^{1/2} r^-1 ln^-2(1/r) dr = 2 / ln 2
+    assert log_masses[2] == pytest.approx(math.log(2.0 / math.log(2.0)), abs=1e-13)
 
 
 # Values from every edge of the floats for the float flags, integers out to 10^100 for the

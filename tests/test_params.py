@@ -231,8 +231,14 @@ class TestCowlingPriceParams:
         assert delta < 1.0 + d / (theta * p)
 
     def test_rejects_infeasible(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not feasible"):
             cp_params(2, 8.0, 8.0, 0.1, 0.1)
+
+    def test_window_lost_to_rounding(self):
+        # feasible, but d/(phi q) ~ 1e-17 leaves 1 + d/(phi q) and the window's ends at 1
+        assert cp_feasible(4, 3.0, 3.0, 1e17, 1e17)
+        with pytest.raises(ValueError, match="lost to rounding: theta and phi are too large"):
+            cp_params(4, 3.0, 3.0, 1e17, 1e17)
 
     def test_homogeneity_forces_equal_margins(self):
         # under homogeneity, theta-margin == phi-margin, so one margin decides
