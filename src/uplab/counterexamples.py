@@ -114,7 +114,7 @@ class RSFamily:
     def member(self, i: int, spec: GridSpec | None = None) -> GridFunction:
         """Member i, signs[i] times the tile (the base bump on the unit cell [0, 1)^d),
         sampled on spec: a centered grid of the base's spacing that holds the
-        support [0, 2^k)^d (default: the base grid).
+        support [0, 2^k)^d (default: the base grid), which is its _support box.
         """
         base = self.base.spec
         spec = base if spec is None else spec
@@ -127,7 +127,7 @@ class RSFamily:
         support = (slice(origin, origin + cells * 2**self.k),) * self.d
         # adding onto +0.0 turns the -1 * 0.0 products outside the bump into +0.0
         values[support] += np.kron(self.signs[i], tile)
-        return GridFunction(spec=spec, values=values)
+        return GridFunction(spec=spec, values=values, _support=support)
 
 
 def _support_grid(spec: GridSpec, k: int) -> GridSpec:
@@ -152,13 +152,16 @@ def rs_base_bump_1d(t: np.ndarray) -> np.ndarray:
 
 
 def rs_base(d: int) -> GridFunction:
-    """The level-0 bump on the lattice-exact grid (spacing 1/16)."""
+    """The level-0 bump on the lattice-exact grid (spacing 1/16), 0 outside its unit cell."""
     if d not in (1, 2):
         raise ValueError(f"translate families are built on grids only for d <= 2, got {d}")
     n = int(round(2.0 * RS_HALF_WIDTH / RS_SPACING))
     spec = GridSpec(d=d, n=n, half_width=RS_HALF_WIDTH)
     bump = rs_base_bump_1d(spec.axis_coordinates())
-    return GridFunction(spec=spec, values=functools.reduce(np.multiply.outer, [bump] * d))
+    cell = (slice(n // 2, n // 2 + round(1.0 / RS_SPACING)),) * d
+    values = np.zeros((n,) * d)
+    values[cell] = functools.reduce(np.multiply.outer, [bump[cell[0]]] * d)  # +0.0 elsewhere too
+    return GridFunction(spec=spec, values=values, _support=cell)
 
 
 def rs_signs(d: int, k: int) -> np.ndarray:
@@ -177,11 +180,15 @@ def rs_signs(d: int, k: int) -> np.ndarray:
         side = 2**level
         doubled = np.empty((m,) + (2 * side,) * d, dtype=np.int8)
         for j in range(m):
-            block = tuple(slice(side, 2 * side) if (j >> b) & 1 else slice(0, side) for b in range(d))
-            doubled[(slice(None),) + block] = s[:, j].reshape((m,) + (1,) * d) * signs[j]
+            doubled[(slice(None),) + _corner(j, side, d)] = s[:, j].reshape((m,) + (1,) * d) * signs[j]
         signs = doubled
     signs.setflags(write=False)
     return signs
+
+
+def _corner(j: int, side: int, d: int) -> tuple[slice, ...]:
+    """Corner block j of a cube of side 2 * side: bit b of j selects the upper half on axis b."""
+    return tuple(slice(side, 2 * side) if (j >> b) & 1 else slice(0, side) for b in range(d))
 
 
 def rs_level(base: GridFunction, d: int, k: int) -> RSFamily:
@@ -204,9 +211,20 @@ def rs_level(base: GridFunction, d: int, k: int) -> RSFamily:
         raise ValueError(f"grid cannot hold the level-{k} support [0, {2**k}]^{d}")
     window = _support_grid(base.spec, 0)
     lo = (base.spec.n - window.n) // 2
-    cell = GridFunction(spec=window, values=base.values[(slice(lo, lo + window.n),) * d])
+    box = base._support and tuple(slice(s.start - lo, s.stop - lo) for s in base._support)
+    cell = GridFunction(window, base.values[(slice(lo, lo + window.n),) * d], _support=box)
     base_l2_sq = grid_weighted_norm(cell, [(2.0, 0.0)])[0] ** 2
     return RSFamily(d=d, k=k, signs=rs_signs(d, k), base=base, base_l2_sq=base_l2_sq)
+
+
+def rs_levels(base: GridFunction, d: int, k_max: int) -> list[RSFamily]:
+    """rs_level(base, d, k) for k = 0..k_max from one rs_level call: row 0 of sign_matrix(d)
+    is +1, so member j of level k is corner block j of the top level's member 0."""
+    top = rs_level(base, d, k_max)
+    lower = [np.stack([top.signs[0][_corner(j, 2**k, d)] for j in range(2**d)]) for k in range(k_max)]
+    for signs in lower:
+        signs.setflags(write=False)
+    return [RSFamily(d, k, signs, base, top.base_l2_sq) for k, signs in enumerate(lower)] + [top]
 
 
 def rs_growth_ratio(families: list[RSFamily], p: float, theta: float) -> list[float]:

@@ -19,9 +19,11 @@ are gathered and summed at once, and no gathered piece outlives its block.  No
 grid-sized array is built by a norm, a transform or a sampler beyond the array
 it returns, with one exception: |x_k| over the whole grid is built once per
 GridSpec and kept, read-only, in a small cache (_radius), from which the
-weighted and tail norms take their blocks.  A separable sum, on either grid, is
-one real matrix product per block of the first axis' factors against an
-(n_terms, n^{d-1}) array of the coefficients times the last d - 1 axes' factors.
+weighted and tail norms take their blocks.  A function 0 outside a box of samples
+(a translate-family member) gets its terms on the box only, zero-padded to the same
+block sums.  A separable sum, on either grid, is one real matrix product per block of
+the first axis' factors against an (n_terms, n^{d-1}) array of the coefficients
+times the last d - 1 axes' factors.
 """
 
 from __future__ import annotations
@@ -98,15 +100,16 @@ def default_spec(d: int, n: int | None = None, half_width: float | None = None) 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real (float64) or complex (complex128) samples over a GridSpec, row-major;
-    sample k sits at -L + k*spacing.  Stored read-only, uncopied if of that dtype.
-    A separable sum sampled here also carries, read-only, the coefficients and the
-    (n_terms, d, n) 1-D factors that its samples were built from.
+    """Real (float64) or complex (complex128) samples over a GridSpec, row-major; sample k
+    sits at -L + k*spacing, stored read-only, uncopied if of that dtype.  A separable sum
+    sampled here also carries, read-only, the coefficients and (n_terms, d, n) 1-D factors
+    of its samples; _support, if set, is a box of start:stop slices, 0 outside.
     """
 
     spec: GridSpec
     values: np.ndarray
     _terms: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    _support: tuple[slice, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
@@ -115,6 +118,9 @@ class GridFunction:
             raise ValueError(f"values shape {vals.shape} != grid shape {expected}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
+        box = self._support  # counting a comparison's nonzeros is faster than counting floats
+        if box is not None and np.count_nonzero(vals[box] != 0) != np.count_nonzero(vals != 0):
+            raise ValueError("grid values must vanish outside their support box")
         object.__setattr__(self, "values", vals)
         for array in (vals, *(self._terms or ())):
             array.setflags(write=False)
@@ -229,10 +235,10 @@ def grid_weighted_norm(f: GridFunction, terms: Iterable[tuple[float, float]]) ->
     """Riemann-sum norms (sum |x_k|^{p w} |f_k|^p spacing^d)^{1/p}, one per (p, w) in
     terms; p = inf gives max |x_k|^w |f_k|.
     """
-    return _weighted_norms(f.spec, f.values, terms)
+    return _weighted_norms(f.spec, f.values, terms, f._support)
 
 
-def _weighted_norms(spec: GridSpec, samples, terms):
+def _weighted_norms(spec: GridSpec, samples, terms, support=None):
     """grid_weighted_norm of samples, as in _weighted_sums."""
     terms = list(terms)
     for p, w in terms:
@@ -243,19 +249,20 @@ def _weighted_norms(spec: GridSpec, samples, terms):
     cell = spec.spacing**spec.d
     return tuple(
         total if p == math.inf else (total * cell) ** (1.0 / p)
-        for (p, _), total in zip(terms, _weighted_sums(spec, samples, terms))
+        for (p, _), total in zip(terms, _weighted_sums(spec, samples, terms, support=support))
     )
 
 
-def _weighted_sums(spec: GridSpec, samples, terms, radius_floor: float | None = None):
+def _weighted_sums(spec: GridSpec, samples, terms, radius_floor: float | None = None, support=None):
     """The sums sum |x_k|^{p w} |f_k|^p (max |x_k|^w |f_k| for p = inf) behind
     grid_weighted_norm, without the cell volume, over samples on spec or its _row_blocks.
     One blocked pass computes |f|, each distinct |f|^p and each distinct weight once per
     block, the weights from the spec's cached radius; with radius_floor it gathers each
-    block's samples beyond the floor, and the radius only for weighted terms.  Every
-    block's values are summed at once and the block sums added pairwise, so a tail holds
-    no gathered piece beyond its block.  A sum that is not finite raises, naming its
-    (p, w), without a floating-point warning.
+    block's samples beyond the floor, and the radius only for weighted terms.  Each block's
+    values are summed at once, the block sums pairwise, so a tail holds no gathered piece
+    beyond its block.  Samples 0 outside the box support (no floor) get their terms on the
+    box only, zero-padded to the same block sums, unless |x|^{pw} is inf at the far corner
+    (inf * 0 is NaN).  A non-finite sum raises, naming its (p, w), without a floating-point warning.
     """
     if isinstance(samples, np.ndarray):  # views of its blocks
         samples = [samples[rows] for rows in _row_blocks(spec)]
@@ -264,12 +271,19 @@ def _weighted_sums(spec: GridSpec, samples, terms, radius_floor: float | None = 
     parts = [[] for _ in terms]
     # a power or weight beyond the floats shows as a sum of inf or NaN, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
+        if support is not None and not all(np.isfinite(radii[(0,) * spec.d] ** (
+                w if p == math.inf else p * w)) for p, w in terms if w > 0):
+            support = None
         for rows, block in zip(_row_blocks(spec), samples, strict=True):
             radius = None if radii is None else radii[rows]
             if radius_floor is not None:
                 tail = radius > radius_floor
                 block = block[tail]
                 radius = radius[tail] if weighted else None
+            if support is not None:
+                box = (slice(max(support[0].start - rows.start, 0),
+                             max(support[0].stop - rows.start, 0)),) + support[1:]
+                padded, block, radius = np.zeros(block.shape), block[box], weighted and radius[box]
             mags = np.abs(block)
             powers, weights = {}, {}
             for (p, w), part in zip(terms, parts):
@@ -284,6 +298,8 @@ def _weighted_sums(spec: GridSpec, samples, terms, radius_floor: float | None = 
                     if p * w not in weights:
                         weights[p * w] = radius ** (p * w)
                     values = weights[p * w] * powers[p]
+                if support is not None:  # the box's terms in a zero block
+                    padded[box], values = values, padded
                 part.append(values.sum())
         sums = [float(max(part)) if p == math.inf else float(_pairwise(part))
                 for (p, _), part in zip(terms, parts)]

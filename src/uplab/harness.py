@@ -318,8 +318,7 @@ def rs_check(d: int, k_max: int, p: float, theta: float) -> tuple[dict, cx.RSFam
     """Slope summary of the translate families of levels 0..k_max, and the top family."""
     if not 2 <= k_max <= 4:  # the slope fit needs levels 0..2
         raise ValueError(f"k-max must be 2..4, got {k_max}")
-    base = cx.rs_base(d)
-    families = [cx.rs_level(base, d, k) for k in range(k_max + 1)]
+    families = cx.rs_levels(cx.rs_base(d), d, k_max)
     measured = cx.rs_slope(families, p, theta)
     predicted = rs_predicted_slope(d, p, theta)
     summary = {

@@ -161,8 +161,8 @@ def radial_integral(beta: float, d: int, lo: float, hi: float) -> float:
     if lo == 0.0 and not beta < -1:
         raise ValueError(f"non-integrable singularity at r=0: r^-1 ln^{beta:g}(1/r)")
     log_scale = dimension_constants(d).log_sphere_area
-    u_lo = math.log(1.0 / hi)
-    u_hi = math.inf if lo == 0.0 else math.log(1.0 / lo)
+    u_lo = -math.log(hi)  # not ln(1/hi): 1/r is inf for a subnormal r
+    u_hi = math.inf if lo == 0.0 else -math.log(lo)
     # the log-integrand beta ln u peaks at an end
     log_peak = max(beta * math.log(u) for u in (u_lo, u_hi) if u < math.inf)
     shift = max(0.0, log_peak - 700.0)

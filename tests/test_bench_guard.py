@@ -17,17 +17,21 @@ sys.path.insert(0, str(BENCH))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-# one feasible, one violated and one endpoint tuple, and one chain check
+# one feasible, two violated (d = 1, 2) and one endpoint tuple, one chain check, and
+# the README's rudin-shapiro command: the violated ones build translate families
 OPERATIONS = [
     "cp d=1 p=2 q=3 theta=0.4 phi=0.566667",
     "cp d=1 p=3 q=3 theta=0.05 phi=0.05",
+    "cp d=2 p=8 q=8 theta=0.1 phi=0.1",
     "cp d=1 p=4 q=4 theta=0.25 phi=0.25",
     "chain d=1 p=2 gaussian",
+    "rudin-shapiro",
 ]
 
 
 def test_traced_operations_pass_their_checks(tmp_path):
-    ops = {op.name: op for op in workloads.trichotomy(1, tmp_path) + workloads.grid_chain(1, tmp_path)}
+    ops = {op.name: op for workload in (workloads.trichotomy, workloads.grid_chain,
+                                        workloads.cli_readme) for op in workload(1, tmp_path)}
     tracer = tracing.Tracer()
     tracer.install()
     try:

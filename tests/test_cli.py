@@ -332,6 +332,11 @@ class TestOutOfRangeInputs:
         (["cowling-price", "--d", "1", "--p", "2", "--q", "2", "--theta", "1", "--phi", "1",
           "--seed", "-1"], "seed must be nonnegative"),
         (["sharpness", "--d", "2", "--p", "5", "--c-list", ","], "--c-list"),
+        # the translate members vanish outside a box of samples; beyond it the weight
+        # |x|^(p w) is inf, so inf * 0 = NaN raises as it does without the box
+        (["rudin-shapiro", "--d", "2", "--p", "1e308", "--theta", "0.1"], "p=1e+308, w=0.1"),
+        (["cowling-price", "--d", "2", "--p", "1e308", "--q", "1e308",
+          "--theta", "0.1", "--phi", "0.1"], "p=1e+308, w=0.1"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)

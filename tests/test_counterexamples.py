@@ -281,6 +281,31 @@ class TestTranslateFamilies:
             with pytest.raises(ValueError, match="cannot hold"):
                 family.member(0, bad)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k_max", [2, 3, 4])
+    def test_levels_from_one_level_call(self, d, k_max, monkeypatch):
+        # one L^2 norm of the base window and one doubling run of the signs
+        base = cx.rs_base(d)
+        calls = {"norm": 0, "signs": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cx, "grid_weighted_norm", counted("norm", cx.grid_weighted_norm))
+        monkeypatch.setattr(cx, "sign_matrix", counted("signs", cx.sign_matrix))
+        families = cx.rs_levels(base, d, k_max)
+        assert calls == {"norm": 1, "signs": 1}
+        monkeypatch.undo()
+        assert [fam.k for fam in families] == list(range(k_max + 1))
+        for fam in families:
+            level = cx.rs_level(base, d, fam.k)
+            assert fam.base is base and fam.base_l2_sq == level.base_l2_sq
+            assert fam.signs.dtype == np.int8 and not fam.signs.flags.writeable
+            assert np.array_equal(fam.signs, level.signs)
+
     def test_level_validation(self):
         base = cx.rs_base(2)
         with pytest.raises(ValueError):

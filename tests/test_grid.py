@@ -10,6 +10,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -500,6 +501,89 @@ class TestNorms:
                 grid_weighted_norm(f, [(p, w)])
             with pytest.raises(ValueError):
                 grid_weighted_norm(f, [(2.0, 0.0), (p, w)])
+
+
+SUPPORT_TERMS = [(p, w) for p in (1.5, 2.0, 8.0, math.inf) for w in (0.0, 0.3, 1.0, 2.5)]
+
+
+class TestSupportBox:
+    """A GridFunction with a _support box computes its terms on the box only; every
+    norm keeps the bits of the dense whole-grid reference."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k", range(5))
+    def test_members_keep_bits(self, d, k):
+        base = cx.rs_base(d)
+        family = cx.rs_level(base, d, k)
+        last = len(family.signs) - 1  # mixed signs from level 1 on
+        for spec in (cx._support_grid(base.spec, k), base.spec):
+            member = family.member(last, spec)
+            assert member._support is not None
+            expected = dense_norms(member, SUPPORT_TERMS)
+            # |i x| = hypot(+-0, x) = |x| exactly, so the complex member has the same reference
+            rotated = GridFunction(spec, 1j * member.values, _support=member._support)
+            assert np.abs(rotated.values).tobytes() == np.abs(member.values).tobytes()
+            for f in (member, rotated):
+                assert grid_weighted_norm(f, SUPPORT_TERMS) == expected
+
+    def test_blocks_that_miss_the_box(self):
+        # the level-3 support grid at d = 2 is 256^2 in two blocks, and the box fills
+        # the upper one; single terms take the same path as several
+        family = cx.rs_level(cx.rs_base(2), 2, 3)
+        spec = cx._support_grid(family.base.spec, 3)
+        f = family.member(3, spec)
+        assert any(rows.stop <= f._support[0].start for rows in _row_blocks(spec))
+        for term in SUPPORT_TERMS:
+            assert grid_weighted_norm(f, [term]) == dense_norms(f, [term])
+
+    @pytest.mark.parametrize("spec, box", [
+        (GridSpec(d=1, n=256, half_width=8.0), (slice(3, 200),)),
+        (GridSpec(d=2, n=256, half_width=8.0), (slice(100, 201), slice(30, 77))),
+        (default_spec(3), (slice(5, 30), slice(0, 64), slice(17, 18))),
+    ], ids=["d1", "d2", "d3"])
+    def test_noise_in_boxes_across_blocks(self, spec, box):
+        # nonzero samples on every face of the box, which starts and ends inside blocks
+        rng = np.random.default_rng(spec.d)
+        values = np.zeros((spec.n,) * spec.d, dtype=complex)
+        shape = values[box].shape
+        values[box] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        f = GridFunction(spec, values, _support=box)
+        assert grid_weighted_norm(f, SUPPORT_TERMS) == dense_norms(f, SUPPORT_TERMS)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_base_and_window_keep_bits(self, d):
+        base = cx.rs_base(d)
+        bare = GridFunction(base.spec, base.values)
+        assert grid_weighted_norm(base, SUPPORT_TERMS) == grid_weighted_norm(bare, SUPPORT_TERMS)
+        assert cx.rs_level(base, d, 0).base_l2_sq == grid_weighted_norm(bare, [(2.0, 0.0)])[0] ** 2
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_weight_beyond_the_floats_still_raises(self, d):
+        # |x|^(p w) is inf at the far corners, where the member is 0: the whole-block
+        # path makes inf * 0 = NaN there, and the sum raises naming (p, w).  At d = 1 the
+        # level-0 box lies inside |x| < 1, where every weight is finite
+        base = cx.rs_base(d)
+        member = cx.rs_level(base, d, 0).member(0, cx._support_grid(base.spec, 0))
+        for p, w in [(1e308, 0.1), (8.0, 1e308), (math.inf, 1e308)]:
+            with pytest.raises(ValueError, match=re.escape(f"p={p:g}, w={w:g}")):
+                grid_weighted_norm(member, [(2.0, 0.0), (p, w)])
+
+    def test_refuses_a_box_that_misses_a_sample(self):
+        member = cx.rs_level(cx.rs_base(2), 2, 1).member(1)
+        rows, cols = member._support
+        GridFunction(member.spec, member.values, _support=member._support)
+        half = (rows.stop - rows.start) // 2
+        for box in [(slice(rows.start, rows.stop - half), cols),
+                    (rows, slice(cols.start + half, cols.stop))]:
+            with pytest.raises(ValueError, match="vanish outside their support box"):
+                GridFunction(member.spec, member.values, _support=box)
+
+    def test_box_stays_out_of_repr_and_eq(self):
+        member = cx.rs_level(cx.rs_base(1), 1, 2).member(1)
+        bare = GridFunction(member.spec, member.values)
+        assert member._support is not None and bare._support is None
+        assert repr(member) == repr(bare)
+        assert member == bare
 
 
 class TestRadiusCache:

@@ -112,6 +112,15 @@ class TestRadialIntegral:
             mass = radial_integral(-1.0, d, delta, 0.5)
             assert mass == pytest.approx(log_omega + math.log(ln_ln), abs=1e-13)
 
+    @pytest.mark.parametrize("lo, hi", [(5e-324, 0.5), (1e-310, 0.5), (1e-300, 0.5),
+                                        (5e-324, 1e-310)])
+    def test_subnormal_ends(self, lo, hi):
+        # 1/r is inf for a subnormal r; ln(1/r) = -ln r is finite, so the range is finite
+        # and the r = 0 rule does not apply.  omega_0 = 2
+        ln_ln = math.log(-math.log(lo)) - math.log(-math.log(hi))
+        mass = radial_integral(-1.0, 1, lo, hi)
+        assert mass == pytest.approx(math.log(2.0 * ln_ln), abs=1e-10)
+
     def test_log_power_against_quadrature(self):
         d = 2
         omega = dimension_constants(d).sphere_area
