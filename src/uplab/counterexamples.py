@@ -125,8 +125,11 @@ class RSFamily:
         values = np.zeros((spec.n,) * self.d)
         origin = spec.n // 2  # sample index of x = 0
         support = (slice(origin, origin + cells * 2**self.k),) * self.d
+        # np.kron(signs[i], tile) by broadcasting: axes (side, 1)*d times (1, cells)*d;
         # adding onto +0.0 turns the -1 * 0.0 products outside the bump into +0.0
-        values[support] += np.kron(self.signs[i], tile)
+        side = 2**self.k
+        values[support] += (self.signs[i].reshape((side, 1) * self.d)
+                            * tile.reshape((1, cells) * self.d)).reshape((side * cells,) * self.d)
         return GridFunction(spec=spec, values=values, _support=support)
 
 

@@ -9,7 +9,6 @@ ln(bound) against ln(d) (window start 50 avoids small-d transients).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from .params import (
     lp_params,
 )
 from .radial import RadialProfile, gaussian_log_product, gaussian_profile, radial_weighted_norm
-from .specialfn import LOG_2, LOG_MAX, dimension_constants
+from .specialfn import LOG_2, LOG_MAX
 
 SLACK_TOL = 1e-6
 SLOPE_RTOL = 0.1
@@ -86,9 +85,7 @@ def heisenberg_sweep(d_max: int) -> list[SweepRow]:
         params = l2_params(d)
         gauss_log = gaussian_log_product(d, 2.0)
         floor_log = 2.0 * math.log(d) - 10.0 * math.log(10.0)
-        quotient_log = (2.0 / (d + 1)) * (
-            params.log_c_d - dimension_constants(d).log_sphere_area
-        )
+        quotient_log = (2.0 / (d + 1)) * (params.log_c_d - params.log_sphere_area)
         flags = {
             "floor": params.log_bound >= floor_log,
             "below_sharp": params.log_bound <= gauss_log,
@@ -258,8 +255,7 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
         raise ValueError(f"grid dimension {f.spec.d} does not match d={d}")
     params = l2_params(d) if p == 2.0 else lp_params(d, p)
     a, eps, r, s = params.a, params.epsilon, params.r, params.s
-    geom = dimension_constants(d)
-    log_omega = geom.log_sphere_area
+    log_omega = params.log_sphere_area
 
     norm_a, norm_p, moment_root = grid_weighted_norm(f, [(a, 0.0), (p, 0.0), (p, 1.0)])
     if norm_p == 0.0:
@@ -391,12 +387,10 @@ def _cp_radial_result(
     name: str, profile: RadialProfile, d, p, q, theta, phi, log_bound
 ) -> Check:
     # self-dual profiles only: both sides of the product use the same profile
-    log_lhs = (
-        radial_weighted_norm(profile, d, p, theta)
-        + radial_weighted_norm(profile, d, q, phi)
-    )
+    log_x = radial_weighted_norm(profile, d, p, theta)
+    log_xi = log_x if (q, phi) == (p, theta) else radial_weighted_norm(profile, d, q, phi)
     log_rhs = log_bound + 2.0 * radial_weighted_norm(profile, d, 2.0, 0.0)
-    return _at_least(name, log_lhs, log_rhs)
+    return _at_least(name, log_x + log_xi, log_rhs)
 
 
 def cp_check(
@@ -471,24 +465,19 @@ def cp_check(
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
+    """One line a row, as csv.writer writes it: no cell (ints, .17g floats, True/False or
+    empty) needs quoting, and lines end in CRLF."""
     flag_names = sorted({name for row in rows for name in row.flags})
+    lines = [",".join(["d", "p", "method_log_bound", "gaussian_log_product", "claimed_floor_log"]
+                      + flag_names)]
+    for row in rows:
+        lines.append(",".join(
+            [str(row.d), f"{row.p:.17g}", f"{row.method_log_bound:.17g}",
+             f"{row.gaussian_log_product:.17g}", f"{row.claimed_floor_log:.17g}"]
+            + [str(row.flags.get(name, "")) for name in flag_names]
+        ))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["d", "p", "method_log_bound", "gaussian_log_product", "claimed_floor_log"]
-            + flag_names
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.d,
-                    f"{row.p:.17g}",
-                    f"{row.method_log_bound:.17g}",
-                    f"{row.gaussian_log_product:.17g}",
-                    f"{row.claimed_floor_log:.17g}",
-                ]
-                + [str(row.flags.get(name, "")) for name in flag_names]
-            )
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_summary_json(summary: dict, path) -> None:

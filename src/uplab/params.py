@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specialfn import LOG_2, _check_dimension, dimension_constants
+from .specialfn import LOG_2, DimensionConstants, _check_dimension, dimension_constants
 
 EQ_TOL = 1e-12
 
@@ -30,6 +30,7 @@ class WigdersonParams:
     c_d and bound duplicate log_c_d / log_bound in linear scale; for small d
     they are computed by direct arithmetic (exact for the power-of-two values
     of the one-dimensional case), for large d by exponentiating the logs.
+    log_sphere_area is ln omega_{d-1}, from the same constants as log_c_d.
     """
 
     d: int
@@ -42,6 +43,7 @@ class WigdersonParams:
     log_bound: float
     c_d: float
     bound: float
+    log_sphere_area: float
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,9 @@ class CowlingPriceParams:
     log_bound: float
 
 
-def _log_c_d(d: int, s: float) -> float:
+def _log_c_d(geom: DimensionConstants, s: float) -> float:
     # half-mass normalization (c_d^d v_d)^{1/s} = 1/2
-    geom = dimension_constants(d)
-    return (-s * LOG_2 - geom.log_ball_volume) / d
+    return (-s * LOG_2 - geom.log_ball_volume) / geom.d
 
 
 def _ball_volumes(d_max: int) -> list[float]:
@@ -93,7 +94,7 @@ def l2_params(d: int) -> WigdersonParams:
     r = (d + 3) / (d + 1)
     s = (d + 3) / 2.0
     geom = dimension_constants(d)
-    log_c = _log_c_d(d, s)
+    log_c = _log_c_d(geom, s)
     log_bound = math.log(1.0 / 16.0) + (2.0 / (d + 1)) * 2.0 * (log_c - geom.log_sphere_area)
     v = _BALL_VOLUMES[d] if d < len(_BALL_VOLUMES) else math.inf  # inf: the log path
     c_lin = (0.5**s / v) ** (1.0 / d) if 0 < v < math.inf else math.nan
@@ -112,6 +113,7 @@ def l2_params(d: int) -> WigdersonParams:
     return WigdersonParams(
         d=d, p=2.0, epsilon=1.0, a=a, r=r, s=s,
         log_c_d=log_c, log_bound=log_bound, c_d=c_lin, bound=bound_lin,
+        log_sphere_area=geom.log_sphere_area,
     )
 
 
@@ -156,7 +158,7 @@ def lp_params(d: int, p: float) -> WigdersonParams:
     r = p / a
     s = (d + eps + p) / p
     geom = dimension_constants(d)
-    log_c = _log_c_d(d, s)
+    log_c = _log_c_d(geom, s)
     log_bound = math.log(0.25) + 2.0 * (r - 1.0) * (
         math.log(eps) + eps * log_c - LOG_2 - geom.log_sphere_area
     )
@@ -164,6 +166,7 @@ def lp_params(d: int, p: float) -> WigdersonParams:
         d=d, p=p, epsilon=eps, a=a, r=r, s=s,
         log_c_d=log_c, log_bound=log_bound,
         c_d=math.exp(log_c), bound=math.exp(log_bound),
+        log_sphere_area=geom.log_sphere_area,
     )
 
 
@@ -237,7 +240,7 @@ def cp_params(d: int, p: float, q: float, theta: float, phi: float) -> CowlingPr
     b = theta * p / r1
     b_t = phi * q / r1_t
     geom = dimension_constants(d)
-    log_c = _log_c_d(d, s)
+    log_c = _log_c_d(geom, s)
     log_omega = geom.log_sphere_area
     log_bound = (1.0 / (a * s1)) * (
         math.log(eps) + eps * log_c - s1 * LOG_2 - log_omega

@@ -18,7 +18,8 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 # one feasible, two violated (d = 1, 2) and one endpoint tuple, one chain check, and
-# the README's rudin-shapiro command: the violated ones build translate families
+# the README's rudin-shapiro, heisenberg and lp commands: the violated ones build
+# translate families, the sweeps read each row's constants from its parameter bundle
 OPERATIONS = [
     "cp d=1 p=2 q=3 theta=0.4 phi=0.566667",
     "cp d=1 p=3 q=3 theta=0.05 phi=0.05",
@@ -26,6 +27,8 @@ OPERATIONS = [
     "cp d=1 p=4 q=4 theta=0.25 phi=0.25",
     "chain d=1 p=2 gaussian",
     "rudin-shapiro",
+    "heisenberg",
+    "lp",
 ]
 
 
@@ -47,3 +50,7 @@ def test_traced_operations_pass_their_checks(tmp_path):
     assert values["counterexamples.rs_level.distinct_ratio"] > 0
     assert values["grid.norm.points"] > 0
     assert values["counterexamples.endpoint.calls"] == 5
+    # one sphere/ball constants build a sweep row, and the lp floor's calibration row
+    builds = {name: sum(span.name == "specialfn.dimension_constants" and span.op == i
+                        for span in tracer.spans) for i, name in enumerate(OPERATIONS)}
+    assert (builds["heisenberg"], builds["lp"]) == (workloads.HEISENBERG_ROWS, 500 + 1)

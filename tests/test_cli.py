@@ -69,6 +69,19 @@ class TestHeisenbergCommand:
         assert summary["pass"] is True
         assert summary["d0"] <= 10
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["heisenberg", "--d-max", "60"], {"d0": 1, "pass": True, "slope": 2.085421913704878}),
+        (["lp", "--p", "1.5", "--d-max", "60"],
+         {"p": 1.5, "pass": True, "slope_gaussian": 1.5068069103923762,
+          "slope_method": 1.5910263278611732}),
+    ])
+    def test_json_summary_bytes(self, capsys, tmp_path, argv, expected):
+        # the summaries' bytes, pinned: --format json writes no CSV but the same sweep
+        out_path = tmp_path / "summary.json"
+        code, _, _ = run(capsys, *argv, "--out", str(out_path), "--format", "json")
+        assert code == 0
+        assert out_path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
 
 class TestLpCommand:
     def test_pass(self, capsys):

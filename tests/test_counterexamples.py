@@ -247,6 +247,22 @@ class TestTranslateFamilies:
                 assert family.member(i).values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2])
+    def test_same_bytes_as_kron(self, d):
+        # reference: the Kronecker product of the sign tensor and the tile, added onto
+        # +0.0 over the support box
+        base = cx.rs_base(d)
+        n, cells = base.spec.n, round(1.0 / base.spec.spacing)
+        tile = base.values[(slice(n // 2, n // 2 + cells),) * d]
+        for k in range(5):
+            family = cx.rs_level(base, d, k)
+            for i in range(2**d):
+                expected = np.zeros((n,) * d)
+                expected[(slice(n // 2, n // 2 + cells * 2**k),) * d] += np.kron(family.signs[i], tile)
+                built = family.member(i).values
+                assert built.dtype == expected.dtype and built.shape == expected.shape
+                assert built.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
     def test_support_grid_norms_keep_bits(self, d):
         # reference: the same ratios from norms over the 512^d base grid; at
         # d = 2, rows shorter than 128 samples move the last bit of

@@ -93,6 +93,29 @@ class TestSweeps:
         harness.write_sweep_csv(harness.heisenberg_sweep(20), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("sweep, args", [
+        (harness.heisenberg_sweep, (1,)),
+        (harness.heisenberg_sweep, (60,)),
+        (harness.heisenberg_sweep, (1000,)),
+        # d-max 30: floor -inf and no floor flag; 500: empty floor cells up to d = 50
+        *[(harness.lp_sweep, (p, n)) for p in (1.2, 1.5, 2.0) for n in (30, 500)],
+    ])
+    def test_sweep_csv_same_bytes_as_csv_writer(self, tmp_path, sweep, args):
+        rows = sweep(*args)
+        flag_names = sorted({name for row in rows for name in row.flags})
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["d", "p", "method_log_bound", "gaussian_log_product",
+                             "claimed_floor_log"] + flag_names)
+            for row in rows:
+                writer.writerow(
+                    [row.d, f"{row.p:.17g}", f"{row.method_log_bound:.17g}",
+                     f"{row.gaussian_log_product:.17g}", f"{row.claimed_floor_log:.17g}"]
+                    + [str(row.flags.get(name, "")) for name in flag_names]
+                )
+        harness.write_sweep_csv(rows, tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_sweep_csv_round_trip(self, tmp_path):
         rows = harness.heisenberg_sweep(10)
         path = tmp_path / "sweep.csv"

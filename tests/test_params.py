@@ -11,6 +11,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from uplab import harness
+from uplab import params as params_module
 from uplab.params import (
     _BALL_VOLUMES,
     EQ_TOL,
@@ -289,3 +291,38 @@ class TestComputeThreshold:
     def test_rejects_zero_function(self):
         with pytest.raises(ValueError):
             log_threshold(-math.inf, 0.0, l2_params(1))
+
+
+class TestDimensionConstantsOnce:
+    """Each bundle builds its sphere/ball constants once and carries ln omega_{d-1}, so a
+    sweep row builds them once too."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+
+        def counting(d):
+            counted.append(d)
+            return dimension_constants(d)
+
+        monkeypatch.setattr(params_module, "dimension_constants", counting)
+        return counted
+
+    def test_one_call_per_bundle(self, calls):
+        l2_params(7)
+        lp_params(7, 1.5)
+        cp_params(1, 2.0, 3.0, 0.4, 0.4 + 1.0 / 2.0 - 1.0 / 3.0)
+        assert calls == [7, 7, 1]
+
+    def test_one_call_per_sweep_row(self, calls):
+        harness.heisenberg_sweep(60)
+        assert calls == list(range(1, 61))
+        calls.clear()
+        harness.lp_sweep(1.5, 60)
+        assert calls == [50] + list(range(1, 61))  # the floor's calibration at d = 50
+
+    @pytest.mark.parametrize("d", [1, 2, 399, 400, 10**6])
+    def test_carries_sphere_area_bits(self, d):
+        expected = dimension_constants(d).log_sphere_area
+        assert l2_params(d).log_sphere_area == expected
+        assert lp_params(d, 1.5).log_sphere_area == expected
