@@ -1,16 +1,20 @@
 """Command-line surface for the uncertainty-principle experiments.
 
 Exit codes: 0 when every checked inequality holds, 1 when a check fails,
-2 on usage errors.  CSV output uses '.' decimals and 17 significant digits
-so runs are reproducible across platforms.  A check's sides and the endpoint
-masses are held as logs and printed as numbers while they are normal floats,
-else as e^<ln>; a slack beyond the floats prints as lhs / rhs, e^<ln lhs - ln rhs>.
-stderr holds one line: the usage error, else one line per warning raised.
+2 on usage errors, argparse's among them.  CSV output uses '.' decimals and 17
+significant digits so runs are reproducible across platforms.  A check's sides and
+the endpoint masses are held as logs and printed as numbers while they are normal
+floats, else as e^<ln>; a slack beyond the floats prints as lhs / rhs,
+e^<ln lhs - ln rhs>.  stderr holds one line: the usage error (error: ...), else one
+line per warning raised; -h prints help and exits 0.  main(argv) returns the exit
+code and may be called repeatedly in one process: it builds its parser once, on the
+first call, and each call parses into a new namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -159,8 +163,17 @@ def _cmd_chain(args) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so that main prints them
+    as its one error line and returns 2; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """A new parser for the uplab command line."""
+    parser = _Parser(
         prog="uplab",
         description="Numerical experiments on Heisenberg-type uncertainty principles",
     )
@@ -242,11 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: parse_args neither changes it nor keeps state between calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
+            args = _parser().parse_args(argv)
             code = args.func(args)
         except (ValueError, OSError) as exc:
             # the error is the outcome; the warnings on the way to it are not printed

@@ -3,9 +3,9 @@
 bench/tracing.py notes each call's arguments (a mixture's ``is_gaussian`` and
 ``terms``, a translate family's ``d`` and ``k``, a grid function's ``values``)
 and bench/workloads.py checks each verdict against closed forms.  A few
-operations of the trichotomy and grid_chain workloads run here under the
-tracer, so a change in src/ that breaks either fails this test, not only the
-benchmark.
+operations of the trichotomy and grid_chain workloads, and every operation of
+cli_readme, run here under the tracer, so a change in src/ that breaks one
+fails this test, not only the benchmark.
 """
 
 import sys
@@ -18,17 +18,17 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 # one feasible, two violated (d = 1, 2) and one endpoint tuple, one chain check, and
-# the README's rudin-shapiro, heisenberg and lp commands: the violated ones build
-# translate families, the sweeps read each row's constants from its parameter bundle
+# the seven README commands: the violated ones build translate families, the sweeps
+# read each row's constants from its parameter bundle
+README_OPERATIONS = ["heisenberg", "lp", "sharpness", "rudin-shapiro", "cowling-price",
+                     "gaussian", "chain"]
 OPERATIONS = [
     "cp d=1 p=2 q=3 theta=0.4 phi=0.566667",
     "cp d=1 p=3 q=3 theta=0.05 phi=0.05",
     "cp d=2 p=8 q=8 theta=0.1 phi=0.1",
     "cp d=1 p=4 q=4 theta=0.25 phi=0.25",
     "chain d=1 p=2 gaussian",
-    "rudin-shapiro",
-    "heisenberg",
-    "lp",
+    *README_OPERATIONS,
 ]
 
 
@@ -54,3 +54,6 @@ def test_traced_operations_pass_their_checks(tmp_path):
     builds = {name: sum(span.name == "specialfn.dimension_constants" and span.op == i
                         for span in tracer.spans) for i, name in enumerate(OPERATIONS)}
     assert (builds["heisenberg"], builds["lp"]) == (workloads.HEISENBERG_ROWS, 500 + 1)
+    # the CLI parses every command with one parser, built at most once per process
+    assert sum(span.name == "cli.build_parser" for span in tracer.spans) <= 1
+    assert sum(span.name == "cli.main" for span in tracer.spans) == len(README_OPERATIONS)

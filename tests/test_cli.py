@@ -1,5 +1,6 @@
 """Tests for the command-line surface: exit codes, file outputs, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 import uplab
 from test_grid import read_grid_csv
 from test_harness import read_sweep_csv
+from uplab import cli, harness
 from uplab import counterexamples as cx
-from uplab import harness
 from uplab.cli import main
 from uplab.grid import default_spec, gaussian_grid_function
 from uplab.params import cp_params
@@ -540,15 +541,71 @@ class TestUnwritableOutput:
 
 
 class TestParserContract:
-    def test_unknown_command_exits_two(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["no-such-command"])
-        assert exc.value.code == 2
+    def test_unknown_command_exits_two(self, capsys):
+        code, out, err = run(capsys, "no-such-command")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: uplab: argument command: invalid choice: 'no-such-command'")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
-    def test_missing_required_flag_exits_two(self):
+    def test_missing_required_flag_exits_two(self, capsys):
+        assert run(capsys, "sharpness", "--p", "5") == (
+            2, "", "error: uplab sharpness: the following arguments are required: --d\n")
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["sharpness", "--p", "5"])
-        assert exc.value.code == 2
+            main(["gaussian", "-h"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: uplab gaussian [-h] --d D [--p P]\n") and err == ""
+
+    def test_console_exit_code_is_two(self):
+        child = _child(["-m", "uplab", "lp"])
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == "error: uplab lp: the following arguments are required: --p\n"
+
+
+class TestOneParserPerProcess:
+    def test_readme_commands_build_one_parser(self, capsys, tmp_path, monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.chdir(tmp_path)
+        cli._parser.cache_clear()  # so that this process builds it here
+        for argv in readme_commands():
+            assert run(capsys, *argv)[0] == 0, argv
+        # one tree: the root parser and one subparser per subcommand
+        assert progs.count("uplab") == 1
+        assert len(progs) == 1 + len(_COMMANDS)
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
+
+    def test_output_format_does_not_carry_over(self, capsys, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        sweep = ["heisenberg", "--d-max", "20"]
+        assert run(capsys, *sweep, "--format", "json", "--out", str(a))[0] == 0
+        assert run(capsys, *sweep, "--out", str(b))[0] == 0
+        assert json.loads(a.read_text())["pass"] is True
+        assert len(read_sweep_csv(b)) == 20
+
+    def test_seed_does_not_carry_over(self, capsys):
+        default = ["chain", "--d", "1", "--function", "bump"]
+        first = run(capsys, *default)
+        seeded = run(capsys, *default, "--seed", "5")
+        assert seeded[0] == 0 and seeded[1] != first[1]
+        assert run(capsys, *default) == first
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        golden = (Path(__file__).resolve().parent / "golden" / "readme_stdout.txt").read_text()
+        assert run(capsys, "gaussian", "--d", "x")[0] == 2
+        code, out, err = run(capsys, "gaussian", "--d", "3", "--p", "2")
+        assert (code, err) == (0, "") and f"$ uplab gaussian --d 3 --p 2\n{out}$" in golden
 
 
 def bash_commands(markdown: str) -> list[list[str]]:
@@ -663,6 +720,20 @@ _INTS = st.one_of(st.integers(-2, 1100), st.sampled_from((10**9, 10**17, 10**100
                   st.integers(-10**100, 10**100))
 
 
+# each subcommand's required and optional flags, and the kind of value each takes
+_COMMANDS = {
+    "heisenberg": ({}, {"d-max": int}),
+    "lp": ({"p": float}, {"d-max": int}),
+    "sharpness": ({"d": int, "p": float}, {"c-list": "c_list"}),
+    "rudin-shapiro": ({}, {"d": (1, 2), "k-max": int, "p": float, "theta": float}),
+    "cowling-price": ({"d": int, "p": float, "q": float, "theta": float, "phi": float},
+                      {"seed": int}),
+    "gaussian": ({"d": int}, {"p": float}),
+    "chain": ({"d": (1, 2, 3)}, {"p": float, "function": ("gaussian", "gc", "bump"),
+                                 "c": float, "seed": int, "n": "grid_n", "L": float}),
+}
+
+
 @st.composite
 def _cli_argv(draw):
     """A subcommand with every required flag and a random subset of the optional ones."""
@@ -676,17 +747,8 @@ def _cli_argv(draw):
             return draw(st.sampled_from(kind))
         return draw(_FLOATS if kind is float else _INTS)
 
-    command, required, optional = draw(st.sampled_from([
-        ("heisenberg", {}, {"d-max": int}),
-        ("lp", {"p": float}, {"d-max": int}),
-        ("sharpness", {"d": int, "p": float}, {"c-list": "c_list"}),
-        ("rudin-shapiro", {}, {"d": (1, 2), "k-max": int, "p": float, "theta": float}),
-        ("cowling-price", {"d": int, "p": float, "q": float, "theta": float, "phi": float},
-         {"seed": int}),
-        ("gaussian", {"d": int}, {"p": float}),
-        ("chain", {"d": (1, 2, 3)}, {"p": float, "function": ("gaussian", "gc", "bump"),
-                                     "c": float, "seed": int, "n": "grid_n", "L": float}),
-    ]))
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    required, optional = _COMMANDS[command]
     flags = dict(required)
     flags.update({name: kind for name, kind in optional.items() if draw(st.booleans())})
     values = {name: value(kind) for name, kind in flags.items() if kind != "grid_n"}
@@ -704,8 +766,33 @@ def _cli_argv(draw):
                        for name, val in values.items())]
 
 
+@st.composite
+def _refused_argv(draw):
+    """An argv of _cli_argv broken one way that argparse refuses: a required flag
+    dropped, a value that is no integer for an integer flag, an unknown flag or an
+    unknown subcommand."""
+    argv = draw(_cli_argv())
+    required, optional = _COMMANDS[argv[0]]
+    int_flags = [name for name, kind in {**required, **optional}.items()
+                 if kind in (int, "grid_n") or kind in ((1, 2), (1, 2, 3))]
+    how = draw(st.sampled_from(["int", "flag", "command"] + ["drop"] * bool(required)))
+    if how == "drop":
+        name = draw(st.sampled_from(sorted(required)))
+        return [arg for arg in argv if not arg.startswith(f"--{name}=")]
+    if how == "int":
+        bad = draw(st.sampled_from(("1.5", "2.0", "1e3", "x", "", "0x10", "inf", "nan")))
+        return [*argv, f"--{draw(st.sampled_from(int_flags))}={bad}"]
+    if how == "flag":
+        # no prefix of a known flag, which argparse would take for it
+        flag = draw(st.sampled_from(("--no-such-flag", "--x=1", "--verbose", "-v", "extra")))
+        at = draw(st.integers(1, len(argv)))
+        return [*argv[:at], flag, *argv[at:]]
+    command = draw(st.sampled_from(("no-such-command", "Gaussian", "cowling_price", "", "-")))
+    return [command, *argv[1:]]
+
+
 class TestCliFuzz:
-    @given(_cli_argv())
+    @given(st.one_of(_cli_argv(), _refused_argv()))
     @settings(derandomize=True, max_examples=150, deadline=None)
     def test_every_argv_gets_a_verdict_or_one_line(self, argv):
         out, err = io.StringIO(), io.StringIO()
