@@ -7,14 +7,13 @@ the endpoint masses are held as logs and printed as numbers while they are norma
 floats, else as e^<ln>; a slack beyond the floats prints as lhs / rhs,
 e^<ln lhs - ln rhs>.  stderr holds one line: the usage error (error: ...), else one
 line per warning raised; -h prints help and exits 0.  main(argv) returns the exit
-code and may be called repeatedly in one process: it builds its parser once, on the
-first call, and each call parses into a new namespace.
+code; it parses an argv that starts with a subcommand's name with a parser that
+holds that subcommand only.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 import warnings
@@ -171,14 +170,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the uplab command line."""
-    parser = _Parser(
-        prog="uplab",
-        description="Numerical experiments on Heisenberg-type uncertainty principles",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_heisenberg(sub) -> None:
     p_h = sub.add_parser(
         "heisenberg",
         help="dimension sweep of the certified quadratic lower bound (sharp value d^2/(16 pi^2))",
@@ -188,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_h.add_argument("--format", choices=["csv", "json"], default="csv")
     p_h.set_defaults(func=_cmd_heisenberg)
 
+
+def _add_lp(sub) -> None:
     p_lp = sub.add_parser(
         "lp", help="growth sweep of the p-th moment bound (growth d^p for fixed 1 < p <= 2)"
     )
@@ -197,6 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_lp.set_defaults(func=_cmd_lp)
 
+
+def _add_sharpness(sub) -> None:
     p_sh = sub.add_parser(
         "sharpness",
         help="supercritical collapse of the uncertainty product along the two-scale family",
@@ -207,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sh.add_argument("--out", type=str, default=None)
     p_sh.set_defaults(func=_cmd_sharpness)
 
+
+def _add_rudin_shapiro(sub) -> None:
     p_rs = sub.add_parser(
         "rudin-shapiro",
         help="signed-translate counterexample growth for strict condition violations",
@@ -219,6 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rs.add_argument("--export-dir", type=str, default=None)
     p_rs.set_defaults(func=_cmd_rudin_shapiro)
 
+
+def _add_cowling_price(sub) -> None:
     p_cp = sub.add_parser(
         "cowling-price",
         help="weighted-norm product trichotomy: feasible / endpoint / violated",
@@ -232,6 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cp.add_argument("--out", type=str, default=None)
     p_cp.set_defaults(func=_cmd_cowling_price)
 
+
+def _add_gaussian(sub) -> None:
     p_g = sub.add_parser(
         "gaussian", help="closed-form Gaussian uncertainty product (the sharp reference)"
     )
@@ -239,6 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_g.add_argument("--p", type=float, default=2.0)
     p_g.set_defaults(func=_cmd_gaussian)
 
+
+def _add_chain(sub) -> None:
     p_ch = sub.add_parser(
         "chain", help="verify every inequality link of the method on one test function"
     )
@@ -252,17 +256,44 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("--out", type=str, default=None)
     p_ch.set_defaults(func=_cmd_chain)
 
+
+# each subcommand and what adds its parser, in the order -h lists them
+_SUBCOMMANDS = {
+    "heisenberg": _add_heisenberg,
+    "lp": _add_lp,
+    "sharpness": _add_sharpness,
+    "rudin-shapiro": _add_rudin_shapiro,
+    "cowling-price": _add_cowling_price,
+    "gaussian": _add_gaussian,
+    "chain": _add_chain,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A new parser for the uplab command line.  Given a subcommand's name, the parser
+    knows that subcommand only; it parses an argv that starts with the name as the
+    full parser does, and builds one subparser instead of all of them."""
+    parser = _Parser(
+        prog="uplab",
+        description="Numerical experiments on Heisenberg-type uncertainty principles",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
-# main's parser: parse_args neither changes it nor keeps state between calls
-_parser = functools.cache(build_parser)
+def _named_command(argv) -> str | None:
+    """The subcommand argv starts with, or None (-h, an unknown name, no argument)."""
+    argv = sys.argv[1:] if argv is None else argv
+    return argv[0] if argv and argv[0] in _SUBCOMMANDS else None
 
 
 def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
-            args = _parser().parse_args(argv)
+            args = build_parser(_named_command(argv)).parse_args(argv)
             code = args.func(args)
         except (ValueError, OSError) as exc:
             # the error is the outcome; the warnings on the way to it are not printed

@@ -17,13 +17,13 @@ order of numpy's pairwise summation over the whole power-of-two grid.  A norm
 over the tail beyond a radius follows the same rule: each block's tail samples
 are gathered and summed at once, and no gathered piece outlives its block.  No
 grid-sized array is built by a norm, a transform or a sampler beyond the array
-it returns, with one exception: |x_k| over the whole grid, from which the weighted
-and tail norms take their blocks.  It is built once per GridSpec of at most 2^18
-samples and kept, read-only, in a small cache (_radius), and once per norm pass on a
-larger grid.  A function 0 outside a box of samples (a translate-family member) gets
-its terms on the box only, zero-padded to the same block sums.  A separable sum, on
-either grid, is one real matrix product per block of the first axis' factors against
-an (n_terms, n^{d-1}) array of the coefficients times the last d - 1 axes' factors.
+it returns, with one exception: |x_k| over the whole grid is built once per
+GridSpec and kept, read-only, in a small cache (_radius), from which the
+weighted and tail norms take their blocks.  A function 0 outside a box of samples
+(a translate-family member) gets its terms on the box only, zero-padded to the same
+block sums.  A separable sum, on either grid, is one real matrix product per block of
+the first axis' factors against an (n_terms, n^{d-1}) array of the coefficients
+times the last d - 1 axes' factors.
 """
 
 from __future__ import annotations
@@ -47,10 +47,8 @@ DEFAULT_SPECS = {1: (256, 8.0), 2: (128, 6.0), 3: (64, 5.0)}
 # temporaries stay in the allocator's reused heap instead of fresh mappings
 _BLOCK = 1 << 15
 # GridSpecs whose radius arrays are kept (2 MiB for a 64^3 grid): the default grids,
-# their duals and the translate families' support grids, 4.9 MiB in all.  Only grids of
-# at most _RADIUS_CACHE_SAMPLES samples are kept, so the cache never holds over 16 MiB
+# their duals and the translate families' support grids, 4.9 MiB in all
 _RADIUS_CACHE_SIZE = 8
-_RADIUS_CACHE_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -134,29 +132,15 @@ def _squared_distance(mesh) -> np.ndarray:
     return functools.reduce(np.add, [m * m for m in mesh])
 
 
-def _build_radius(spec: GridSpec) -> np.ndarray:
-    """|x_k| over the whole grid as a read-only float64 array.  Each element is the
-    square root of _squared_distance over the open axes, the same operations in the
-    same order as over any block of them."""
+@functools.lru_cache(maxsize=_RADIUS_CACHE_SIZE)
+def _radius(spec: GridSpec) -> np.ndarray:
+    """|x_k| over the whole grid as a read-only float64 array, built once per spec.
+    Each element is the square root of _squared_distance over the open axes, the
+    same operations in the same order as over any block of them."""
     radius = _squared_distance(spec.meshgrid())
     np.sqrt(radius, out=radius)
     radius.setflags(write=False)
     return radius
-
-
-_cached_radius = functools.lru_cache(maxsize=_RADIUS_CACHE_SIZE)(_build_radius)
-
-
-def _radius(spec: GridSpec) -> np.ndarray:
-    """_build_radius(spec), built once per spec of at most _RADIUS_CACHE_SAMPLES samples
-    and on every call for a larger one."""
-    if spec.n**spec.d > _RADIUS_CACHE_SAMPLES:
-        return _build_radius(spec)
-    return _cached_radius(spec)
-
-
-_radius.cache_clear = _cached_radius.cache_clear
-_radius.cache_info = _cached_radius.cache_info
 
 
 def _row_blocks(spec: GridSpec):

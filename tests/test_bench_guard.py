@@ -54,6 +54,6 @@ def test_traced_operations_pass_their_checks(tmp_path):
     builds = {name: sum(span.name == "specialfn.dimension_constants" and span.op == i
                         for span in tracer.spans) for i, name in enumerate(OPERATIONS)}
     assert (builds["heisenberg"], builds["lp"]) == (workloads.HEISENBERG_ROWS, 500 + 1)
-    # the CLI parses every command with one parser, built at most once per process
-    assert sum(span.name == "cli.build_parser" for span in tracer.spans) <= 1
-    assert sum(span.name == "cli.main" for span in tracer.spans) == len(README_OPERATIONS)
+    # each README command builds its parser through the traced cli.build_parser
+    for name in ("cli.main", "cli.build_parser"):
+        assert sum(span.name == name for span in tracer.spans) == len(README_OPERATIONS)

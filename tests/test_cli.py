@@ -564,8 +564,9 @@ class TestParserContract:
         assert child.stderr == "error: uplab lp: the following arguments are required: --p\n"
 
 
-class TestOneParserPerProcess:
-    def test_readme_commands_build_one_parser(self, capsys, tmp_path, monkeypatch):
+class TestParserPerCommand:
+    def test_readme_commands_build_their_own_subparser_only(self, capsys, tmp_path,
+                                                            monkeypatch):
         progs = []
         init = argparse.ArgumentParser.__init__
 
@@ -575,16 +576,32 @@ class TestOneParserPerProcess:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         monkeypatch.chdir(tmp_path)
-        cli._parser.cache_clear()  # so that this process builds it here
-        for argv in readme_commands():
+        commands = readme_commands()
+        for argv in commands:
             assert run(capsys, *argv)[0] == 0, argv
-        # one tree: the root parser and one subparser per subcommand
-        assert progs.count("uplab") == 1
-        assert len(progs) == 1 + len(_COMMANDS)
+        # each command: the root parser and its own subparser, not the other six
+        assert progs == [prog for argv in commands for prog in ("uplab", f"uplab {argv[0]}")]
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
-        assert cli.build_parser() is not cli._parser()
+        assert cli.build_parser("lp") is not cli.build_parser("lp")
+
+    def test_full_parser_knows_every_subcommand(self, capsys):
+        assert set(cli._SUBCOMMANDS) == set(_COMMANDS)
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: uplab [-h]") and "{" + ",".join(cli._SUBCOMMANDS) + "}" in out
+
+    @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+    def test_subcommand_help_is_the_full_parsers(self, capsys, command):
+        helps = []
+        for parser in (cli.build_parser(), cli.build_parser(command)):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "-h"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and helps[0].startswith(f"usage: uplab {command} [-h]")
 
     def test_output_format_does_not_carry_over(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -792,6 +809,18 @@ def _refused_argv(draw):
 
 
 class TestCliFuzz:
+    @given(st.one_of(_cli_argv(), _refused_argv()))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_one_subcommand_parser_parses_as_the_full_one(self, argv):
+        def outcome(parser):  # repr, so that a nan value compares equal to itself
+            try:
+                return repr(parser.parse_args(argv))
+            except ValueError as exc:
+                return str(exc)
+
+        if argv[0] in _COMMANDS:
+            assert outcome(cli.build_parser(argv[0])) == outcome(cli.build_parser()), argv
+
     @given(st.one_of(_cli_argv(), _refused_argv()))
     @settings(derandomize=True, max_examples=150, deadline=None)
     def test_every_argv_gets_a_verdict_or_one_line(self, argv):

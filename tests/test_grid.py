@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 import uplab
 from uplab import counterexamples as cx
-from uplab import harness
 from uplab.grid import (
     BOUNDARY_ERROR,
     BOUNDARY_WARN,
@@ -604,34 +603,6 @@ class TestRadiusCache:
         info = _radius.cache_info()
         assert info.currsize == info.maxsize == _RADIUS_CACHE_SIZE
         assert info.misses == _RADIUS_CACHE_SIZE + 3
-
-    def test_large_grids_are_built_per_call(self, fresh_radius_cache):
-        # the chain on a 128^3 grid read 16 MiB of radii on it and 16 MiB on its dual,
-        # and kept both; it keeps none now, and the report has the same bits
-        spec = default_spec(3, n=128)
-        tracemalloc.start()
-        try:
-            report = harness.function_chain_check(gaussian_grid_function(spec), 3, 2.0)
-            kept = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert _radius.cache_info().currsize == 0 and kept < 2**20
-        assert repr(report) == (
-            "ChainReport(d=3, p=2.0, log_threshold=-0.9089937614447315, links=("
-            "Check(name='half_mass', log_lhs=-0.7732698845196913, log_rhs=-1.1246702892376166, "
-            "passed=True), "
-            "Check(name='tail_hoelder', log_lhs=-0.7732698845196913, "
-            "log_rhs=-0.5014158166227252, passed=True), "
-            "Check(name='per_function', log_lhs=-1.4324119583011807, "
-            "log_rhs=-2.3672936672235183, passed=True), "
-            "Check(name='primary_up', log_lhs=0.3924361078234111, log_rhs=0.0, passed=True), "
-            "Check(name='certified_product', log_lhs=-2.864823916602362, "
-            "log_rhs=-6.474230802536078, passed=True)))"
-        )
-        # 2^18 samples, 2 MiB, is the largest grid whose radius is kept
-        assert _radius(spec) is not _radius(spec)
-        assert _radius(default_spec(3)) is _radius(default_spec(3))
-        assert _radius.cache_info().currsize == 1
 
 
 def guard_outcome(f):
