@@ -11,19 +11,16 @@ takes the norms of f^ of a sum of separable terms that carries its 1-D factors
 (the Gaussians, g_c, the random bump) from the transformed factors, block by
 block; fourier_transform, an n^d FFT in place in its output, serves bare samples.
 
-Weighted norms read the grid in blocks of _BLOCK samples along the first
-axis, several norms per pass, and add the block sums pairwise, which is the
-order of numpy's pairwise summation over the whole power-of-two grid.  A norm
-over the tail beyond a radius follows the same rule: each block's tail samples
-are gathered and summed at once, and no gathered piece outlives its block.  No
-grid-sized array is built by a norm, a transform or a sampler beyond the array
-it returns, with one exception: |x_k| over the whole grid is built once per
-GridSpec and kept, read-only, in a small cache (_radius), from which the
-weighted and tail norms take their blocks.  A function 0 outside a box of samples
-(a translate-family member) gets its terms on the box only, zero-padded to the same
-block sums.  A separable sum, on either grid, is one real matrix product per block of
-the first axis' factors against an (n_terms, n^{d-1}) array of the coefficients
-times the last d - 1 axes' factors.
+Weighted norms read the grid in blocks of _BLOCK samples along the first axis, several
+norms per pass, and add the block sums pairwise, which is the order of numpy's pairwise
+summation over the whole power-of-two grid; a sum over a ball |x| <= T reads only its
+index box, by blocks.  No grid-sized array is built by a norm, a transform or a sampler
+beyond the array it returns, with one exception: |x_k| over the whole grid is built once
+per GridSpec and kept, read-only, in a small cache (_radius), from which the weighted
+norms take their blocks.  A function 0 outside a box of samples (a translate-family
+member) gets its terms on the box only, zero-padded to the same block sums.  A separable
+sum, on either grid, is one real matrix product per block of the first axis' factors
+against an (n_terms, n^{d-1}) array of the coefficients times the last d - 1 axes' factors.
 """
 
 from __future__ import annotations
@@ -253,21 +250,18 @@ def _weighted_norms(spec: GridSpec, samples, terms, support=None):
     )
 
 
-def _weighted_sums(spec: GridSpec, samples, terms, radius_floor: float | None = None, support=None):
+def _weighted_sums(spec: GridSpec, samples, terms, support=None):
     """The sums sum |x_k|^{p w} |f_k|^p (max |x_k|^w |f_k| for p = inf) behind
     grid_weighted_norm, without the cell volume, over samples on spec or its _row_blocks.
-    One blocked pass computes |f|, each distinct |f|^p and each distinct weight once per
-    block, the weights from the spec's cached radius; with radius_floor it gathers each
-    block's samples beyond the floor, and the radius only for weighted terms.  Each block's
-    values are summed at once, the block sums pairwise, so a tail holds no gathered piece
-    beyond its block.  Samples 0 outside the box support (no floor) get their terms on the
-    box only, zero-padded to the same block sums, unless |x|^{pw} is inf at the far corner
-    (inf * 0 is NaN).  A non-finite sum raises, naming its (p, w), without a floating-point warning.
-    """
+    One blocked pass computes |f|, each distinct |f|^p and each distinct weight (from the
+    spec's cached radius) once per block, and adds the block sums pairwise.  Samples 0
+    outside the box support get their terms on the box only, zero-padded to the same block
+    sums, unless |x|^{pw} is inf at the far corner (inf * 0 is NaN).  A non-finite sum
+    raises, naming its (p, w), without a floating-point warning."""
     if isinstance(samples, np.ndarray):  # views of its blocks
         samples = [samples[rows] for rows in _row_blocks(spec)]
     weighted = any(w > 0 for _, w in terms)
-    radii = _radius(spec) if weighted or radius_floor is not None else None
+    radii = _radius(spec) if weighted else None
     parts = [[] for _ in terms]
     # a power or weight beyond the floats shows as a sum of inf or NaN, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -276,10 +270,6 @@ def _weighted_sums(spec: GridSpec, samples, terms, radius_floor: float | None = 
             support = None
         for rows, block in zip(_row_blocks(spec), samples, strict=True):
             radius = None if radii is None else radii[rows]
-            if radius_floor is not None:
-                tail = radius > radius_floor
-                block = block[tail]
-                radius = radius[tail] if weighted else None
             if support is not None:
                 box = (slice(max(support[0].start - rows.start, 0),
                              max(support[0].stop - rows.start, 0)),) + support[1:]
@@ -308,6 +298,19 @@ def _weighted_sums(spec: GridSpec, samples, terms, radius_floor: float | None = 
             raise ValueError(f"the grid sum of |x|^(p w) |f|^p at p={p:g}, w={w:g} is {total}: "
                              "a power of |f| or |x| leaves the float range")
     return sums
+
+
+def _ball_sum(spec: GridSpec, samples: np.ndarray, p: float, radius: float) -> float:
+    """sum |f_k|^p over |x_k| <= radius, from blocks of _BLOCK samples of the box within radius
+    on each axis (|x_k| >= each sqrt(x_i^2)), whose |x_k| have _radius's operations and bits."""
+    ax = spec.axis_coordinates()
+    near = np.flatnonzero(np.sqrt(ax * ax) <= radius)
+    rows, sums = max(1, _BLOCK // max(near.size, 1) ** (spec.d - 1)), []
+    for lo in range(0, near.size, rows):
+        axes = [near[lo:lo + rows]] + [near] * (spec.d - 1)
+        inside = np.sqrt(_squared_distance(np.ix_(*(ax[i] for i in axes)))) <= radius
+        sums.append(np.sum(np.abs(samples[np.ix_(*axes)][inside]) ** p))
+    return math.fsum(sums)
 
 
 def write_grid_csv(f: GridFunction, path) -> None:

@@ -19,10 +19,10 @@ from . import counterexamples as cx
 from .grid import (
     DEFAULT_SPECS,
     GridFunction,
+    _ball_sum,
     _require_decay,
     _transform_rows,
     _weighted_norms,
-    _weighted_sums,
     default_spec,
     fourier_weighted_norm,
     grid_weighted_norm,
@@ -246,10 +246,12 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
 
     Links: half-mass split at the threshold radius, the tail Hoelder step, the
     per-function moment inequality, the primary uncertainty quotient, and the
-    final certified product bound.  The last two take norms of f^ from
-    fourier_weighted_norm: for a Gaussian, g_c or random bump sampled by grid, which
-    carry their 1-D factors, they are streamed by blocks of the dual grid from the
-    factors' transforms; bare samples go through fourier_transform.
+    final certified product bound.  The first two read the tail's a-mass as the
+    grid's less the ball |x| <= T; by Hoelder T <= 2 c_d L < sqrt(d) L (c_d < 0.4),
+    so no ball holds the grid.  The last two take norms of f^ from fourier_weighted_norm:
+    for a Gaussian, g_c or random bump sampled by grid, which carry their 1-D factors,
+    they are streamed by blocks of the dual grid from the factors' transforms; bare
+    samples go through fourier_transform.
     """
     if f.spec.d != d:
         raise ValueError(f"grid dimension {f.spec.d} does not match d={d}")
@@ -267,10 +269,10 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
     log_norm_a, log_norm_p = _log(norm_a), _log(norm_p)
     log_moment = p * math.log(moment_root)  # ln V_p(f)
     log_t = log_threshold(log_norm_a, log_norm_p, params)
-    # T itself is only the radius floor of the tail: no sample lies beyond a T past the floats
-    t_radius = math.exp(log_t) if log_t < LOG_MAX else math.inf
-    (tail_sum,) = _weighted_sums(f.spec, f.values, [(a, 0.0)], radius_floor=t_radius)
-    log_tail = _log(tail_sum) + d * math.log(f.spec.spacing)
+    # the tail |x| > T is the a-mass less the ball |x| <= T; a share rounded to 1 leaves none
+    log_ball = _log(_ball_sum(f.spec, f.values, a, math.exp(log_t))) + d * math.log(f.spec.spacing)
+    share = math.exp(log_ball - a * log_norm_a)  # the ball's share of the a-mass, formed in logs
+    log_tail = a * log_norm_a + math.log1p(-share) if share < 1.0 else -math.inf
 
     links = [_at_least("half_mass", log_tail, a * log_norm_a - LOG_2)]
 

@@ -17,9 +17,11 @@ sys.path.insert(0, str(BENCH))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-# one feasible, two violated (d = 1, 2) and one endpoint tuple, one chain check, and
-# the seven README commands: the violated ones build translate families, the sweeps
-# read each row's constants from its parameter bundle
+from uplab import grid  # noqa: E402
+
+# one feasible, two violated (d = 1, 2) and one endpoint tuple, a d = 1 and a d = 3 chain
+# check, and the seven README commands: the violated ones build translate families, the
+# sweeps read each row's constants from its parameter bundle
 README_OPERATIONS = ["heisenberg", "lp", "sharpness", "rudin-shapiro", "cowling-price",
                      "gaussian", "chain"]
 OPERATIONS = [
@@ -28,13 +30,19 @@ OPERATIONS = [
     "cp d=2 p=8 q=8 theta=0.1 phi=0.1",
     "cp d=1 p=4 q=4 theta=0.25 phi=0.25",
     "chain d=1 p=2 gaussian",
+    "chain d=3 p=1.5 bump",
     *README_OPERATIONS,
 ]
+CHAIN_OPERATIONS = ["chain d=1 p=2 gaussian", "chain d=3 p=1.5 bump"]
+
+
+def _operations(tmp_path):
+    return {op.name: op for workload in (workloads.trichotomy, workloads.grid_chain,
+                                         workloads.cli_readme) for op in workload(1, tmp_path)}
 
 
 def test_traced_operations_pass_their_checks(tmp_path):
-    ops = {op.name: op for workload in (workloads.trichotomy, workloads.grid_chain,
-                                        workloads.cli_readme) for op in workload(1, tmp_path)}
+    ops = _operations(tmp_path)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -57,3 +65,24 @@ def test_traced_operations_pass_their_checks(tmp_path):
     # each README command builds its parser through the traced cli.build_parser
     for name in ("cli.main", "cli.build_parser"):
         assert sum(span.name == name for span in tracer.spans) == len(README_OPERATIONS)
+    # the chain's x-side norms stay a traced grid_weighted_norm call under it
+    chains = {i for i, span in enumerate(tracer.spans)
+              if span.name == "harness.function_chain_check"}
+    assert any(span.name == "grid.grid_weighted_norm" and span.parent in chains
+               for span in tracer.spans)
+
+
+def test_chain_makes_one_blocked_pass_per_side(tmp_path, monkeypatch):
+    # the x-side norms and the norms of f^; the ball reads its box, not the grid
+    calls, sums = [], grid._weighted_sums
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return sums(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "_weighted_sums", counted)
+    ops = _operations(tmp_path)
+    for name in CHAIN_OPERATIONS:
+        calls.clear()
+        assert ops[name].check(ops[name].run()) is None, name
+        assert len(calls) == 2, name

@@ -29,6 +29,7 @@ from uplab.grid import (
     GridFunction,
     GridSpec,
     _RADIUS_CACHE_SIZE,
+    _ball_sum,
     _bump_terms,
     _radius,
     _row_blocks,
@@ -89,15 +90,11 @@ def dense_radius(spec):
     return np.sqrt(sum(m * m for m in dense_meshgrid(spec)))
 
 
-def dense_summands(f, terms, radius_floor=None):
+def dense_summands(f, terms):
     """Reference: for each (p, w) the terms |x_k|^{p w} |f_k|^p (|x_k|^w |f_k| for
-    p = inf) over the grid, or over its tail beyond radius_floor, from full-grid arrays
-    over a dense mesh."""
+    p = inf) over the grid, from full-grid arrays over a dense mesh."""
     radius = dense_radius(f.spec)
     mags = np.abs(f.values)
-    if radius_floor is not None:
-        tail = radius > radius_floor
-        radius, mags = radius[tail], mags[tail]
     return [radius**w * mags if p == math.inf else radius ** (p * w) * mags**p
             for p, w in terms]
 
@@ -116,25 +113,20 @@ def dense_norms(f, terms):
                  for (p, _), total in zip(terms, dense_sums(f, terms)))
 
 
-def assert_tail_sums(f, terms, radius_floor):
-    """The tail sums against math.fsum of the same dense terms, the correctly rounded
-    sum; a sup term is a maximum and exact.  Summing n nonnegative terms with at most
-    h rounded additions on any term's path errs by at most h u / (1 - h u) of the sum,
-    u = eps/2 (Higham, SIAM J. Sci. Comput. 14 (1993)).  numpy's pairwise sum of m
-    terms takes h <= ceil(log2 m) + 17: the halvings, then a leaf of up to 128 terms
-    in 8 accumulators, their 3 combining additions and up to 7 terms left over.  The
-    pairwise addition of the B block sums adds log2 B."""
-    sums = _weighted_sums(f.spec, f.values, terms, radius_floor)
+def assert_ball_sum(f, p, radius):
+    """_ball_sum against math.fsum of the same dense terms |f_k|^p over |x_k| <= radius,
+    the correctly rounded sum.  Summing n nonnegative terms with at most h rounded
+    additions on any term's path errs by at most h u / (1 - h u) of the sum, u = eps/2
+    (Higham, SIAM J. Sci. Comput. 14 (1993)).  numpy's pairwise sum of m terms takes
+    h <= ceil(log2 m) + 17: the halvings, then a leaf of up to 128 terms in 8
+    accumulators, their 3 combining additions and up to 7 terms left over.  math.fsum of
+    the block sums adds one rounding."""
+    summands = np.abs(f.values[dense_radius(f.spec) <= radius]) ** p
+    total = _ball_sum(f.spec, f.values, p, radius)
     u = np.finfo(float).eps / 2
-    block_depth = int(math.log2(len(_row_blocks(f.spec))))
-    for (p, _), total, summands in zip(terms, sums, dense_summands(f, terms, radius_floor),
-                                       strict=True):
-        if p == math.inf:
-            assert total == np.max(summands, initial=0.0)
-            continue
-        h = math.ceil(math.log2(max(summands.size, 1))) + 17 + block_depth
-        exact = math.fsum(summands.tolist())
-        assert abs(total - exact) <= h * u / (1 - h * u) * exact, (p, summands.size)
+    h = math.ceil(math.log2(max(summands.size, 1))) + 18
+    exact = math.fsum(summands.tolist())
+    assert abs(total - exact) <= h * u / (1 - h * u) * exact, (p, radius, summands.size)
 
 
 def full_peak_ratio(f):
@@ -438,9 +430,9 @@ class TestNorms:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_terms_and_tails_match_full_array_reference(self, d):
         # blocks of 2^15 samples added pairwise are numpy's pairwise order over
-        # the whole power-of-two grid, so every norm keeps its bits; a tail is its
-        # blocks' sums added pairwise, within the pairwise bound of the exact sum.  The
-        # noise is as large at the block ends as anywhere else
+        # the whole power-of-two grid, so every norm keeps its bits; a ball, whose
+        # complement is the chain's tail, is within the pairwise bound of the exact sum.
+        # The noise is as large at the block ends as anywhere else
         terms = [(2.0, 0.0), (1.5, 0.0), (2.0, 1.0), (1.5, 1.0), (3.0, 0.5),
                  (math.inf, 0.0), (math.inf, 0.3)]
         spec = default_spec(d)
@@ -448,16 +440,16 @@ class TestNorms:
         for f in (gaussian_grid_function(spec), random_bump(spec, seed=d), translate_member(d),
                   noise):
             assert grid_weighted_norm(f, terms) == dense_norms(f, terms)
-            for floor in (0.0, 1.0, 2.5):
-                assert_tail_sums(f, terms, floor)
+            for radius in (0.0, 1.0, 2.5):
+                for p in (2.0, 1.5, 3.0):
+                    assert_ball_sum(f, p, radius)
             for p, w in terms:
                 assert grid_weighted_norm(f, [(p, w)]) == dense_norms(f, [(p, w)])
 
     @pytest.mark.parametrize("spec", RADIUS_SPECS, ids=lambda s: f"d{s.d}n{s.n}L{s.half_width:g}")
     def test_cached_radius_matches_dense_reference(self, spec):
-        # the weights and the tail mask read the spec's cached radius; a tail gathers f
-        # and takes |f| afterwards, and gathers the radius only for weighted terms (the
-        # first two terms have none)
+        # the weights read the spec's cached radius (the first two terms have none); a
+        # ball builds |x| on its box, with the cached radius' bits
         terms = [(2.0, 0.0), (4.0 / 3.0, 0.0), (2.0, 1.0), (1.5, 1.0), (math.inf, 0.3)]
         rng = np.random.default_rng(spec.n)
         noise = rng.normal(size=(spec.n,) * spec.d) + 1j * rng.normal(size=(spec.n,) * spec.d)
@@ -469,8 +461,8 @@ class TestNorms:
             for sums_terms in (terms, terms[:2]):
                 sums = _weighted_sums(f.spec, f.values, sums_terms)
                 assert np.array(sums).tobytes() == np.array(dense_sums(f, sums_terms)).tobytes()
-                for floor in (0.0, 1.0, 2.5):
-                    assert_tail_sums(f, sums_terms, floor)
+            for radius in (0.0, 1.0, 2.5):
+                assert_ball_sum(f, 4.0 / 3.0, radius)
 
     def test_gaussian_against_radial_norm(self):
         # smooth weights |x|^{pw} (pw in {0, 2}) keep the 64^3 Riemann sum spectrally accurate
@@ -480,18 +472,19 @@ class TestNorms:
             log_exact = radial_weighted_norm(gaussian_profile(), 3, p, w)
             assert math.log(norm) == pytest.approx(log_exact, abs=1e-10)
 
-    def test_tail_peak_memory_at_d3(self):
-        # each block's tail is summed before the next is gathered: 1.03 MiB, against
-        # 2.54 MiB when every gathered piece was held until one sum over all of them
-        f = gaussian_grid_function(default_spec(3))
-        _weighted_sums(f.spec, f.values, [(1.5, 0.0)], radius_floor=0.45)  # warm-up
-        tracemalloc.start()
-        try:
-            _weighted_sums(f.spec, f.values, [(1.5, 0.0)], radius_floor=0.45)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * 2**20
+    def test_ball_sum_peak_memory_at_d3(self):
+        # the ball reads its box by blocks of at most 2^15 samples: 0.01 MiB at T = 0.45
+        # (a 5^3 box), 1.03 MiB for the complex bump when the box is the whole grid
+        for f in (gaussian_grid_function(default_spec(3)), random_bump(default_spec(3), 0)):
+            for radius in (0.45, math.inf):
+                _ball_sum(f.spec, f.values, 1.5, radius)  # warm-up
+                tracemalloc.start()
+                try:
+                    _ball_sum(f.spec, f.values, 1.5, radius)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 1.5 * 2**20, (f.values.dtype, radius)
 
     def test_rejects_bad_exponents(self):
         f = gaussian_grid_function(default_spec(1))
@@ -504,6 +497,45 @@ class TestNorms:
 
 
 SUPPORT_TERMS = [(p, w) for p in (1.5, 2.0, 8.0, math.inf) for w in (0.0, 0.3, 1.0, 2.5)]
+
+
+class TestBallSum:
+    """_ball_sum reads the index box within its radius on each axis and sums the samples
+    whose |x_k|, with the cached radius' bits, is at most the radius."""
+
+    @staticmethod
+    def radii(spec):
+        """0, one sample's |x| and the float just below it, a radius between two samples'
+        |x|, the far corner sqrt(d) L, the grid's largest |x|, one beyond it, and inf."""
+        distinct = np.unique(dense_radius(spec))
+        sample = distinct[len(distinct) // 3]
+        return [0.0, sample, np.nextafter(sample, 0.0), 0.5 * (distinct[7] + distinct[8]),
+                math.sqrt(spec.d) * spec.half_width, distinct[-1], 2.0 * distinct[-1], math.inf]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_counts_the_samples_of_the_dense_ball(self, d):
+        # |f|^p = 1 sums exactly: the number of samples with |x_k| <= radius, a sample
+        # at the radius counted and one a float beyond it not
+        spec = default_spec(d)
+        ones = np.ones((spec.n,) * d)
+        radius = dense_radius(spec)
+        distinct = np.unique(radius)
+        boundaries = distinct if d == 1 else distinct[::len(distinct) // 50]
+        for r in [*self.radii(spec), *boundaries, *np.nextafter(boundaries, 0.0)]:
+            assert _ball_sum(spec, ones, 1.5, r) == np.count_nonzero(radius <= r), r
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_against_dense_fsum(self, d):
+        # the balls are nested, so a count names one; the whole grid is summed once
+        spec = default_spec(d)
+        radius = dense_radius(spec)
+        balls = {np.count_nonzero(radius <= r): r for r in self.radii(spec)}
+        rng = np.random.default_rng(d)
+        noise = rng.normal(size=(spec.n,) * d) + 1j * rng.normal(size=(spec.n,) * d)
+        for f in (gaussian_grid_function(spec), random_bump(spec, seed=d),
+                  GridFunction(spec, noise)):
+            for r in balls.values():
+                assert_ball_sum(f, 1.2, r)
 
 
 class TestSupportBox:

@@ -18,13 +18,14 @@ from uplab import counterexamples as cx
 from uplab import harness
 from uplab.grid import (
     GridFunction,
+    GridSpec,
     _radius,
     default_spec,
     gaussian_grid_function,
     gaussian_mixture_grid_function,
     random_bump,
 )
-from uplab.params import cp_feasible
+from uplab.params import cp_feasible, l2_params, lp_params
 from uplab.specialfn import dimension_constants
 
 
@@ -204,6 +205,81 @@ class TestFunctionChain:
         zero = GridFunction(spec=spec, values=np.zeros_like(zero.values))
         with pytest.raises(ValueError):
             harness.function_chain_check(zero, 1, 2.0)
+
+
+class TestChainTail:
+    """The chain reads the tail |x| > T as the a-mass less the ball |x| <= T."""
+
+    @staticmethod
+    def dense_log_tail(f, d, p, log_t):
+        """Reference: ln of math.fsum of |f_k|^a over the dense |x_k| > T, times the cell."""
+        a = (l2_params(d) if p == 2.0 else lp_params(d, p)).a
+        mesh = np.meshgrid(*[f.spec.axis_coordinates()] * d, indexing="ij")
+        radius = np.sqrt(sum(m * m for m in mesh))
+        tail = math.fsum((np.abs(f.values[radius > math.exp(log_t)]) ** a).tolist())
+        return math.log(tail) + d * math.log(f.spec.spacing)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_tail_matches_dense_direct_tail(self, d, p):
+        # the Gaussian, g_2 and a bump: the two sides of the subtraction moved the logs
+        # by at most 7.2e-16 against the direct tail sum of the golden reports
+        spec = default_spec(d)
+        for f in (gaussian_grid_function(spec),
+                  gaussian_mixture_grid_function(spec, cx.gc_profile(2.0, d).terms),
+                  random_bump(spec, seed=d)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # g_2's faces at d = 3: 1.1e-9 of its peak
+                report = harness.function_chain_check(f, d, p)
+            expected = self.dense_log_tail(f, d, p, report.log_threshold)
+            for link in report.links[:2]:
+                assert abs(link.log_lhs - expected) <= 1e-13, link.name
+
+    @pytest.mark.parametrize("d, half_width, failed", [
+        (1, 100.0, ["half_mass"]),
+        (3, 40.0, ["half_mass", "per_function", "certified_product"]),
+    ])
+    def test_coarse_chains_keep_their_verdicts(self, d, half_width, failed):
+        # `uplab chain --d 1 --L 100` and `--d 3 --L 40`: the grid is too coarse for the
+        # Gaussian, and the same links fail as with the direct tail sum
+        f = gaussian_grid_function(default_spec(d, half_width=half_width))
+        report = harness.function_chain_check(f, d, 2.0)
+        assert [link.name for link in report.links if not link.passed] == failed
+        expected = self.dense_log_tail(f, d, 2.0, report.log_threshold)
+        assert abs(report.links[0].log_lhs - expected) <= 1e-13
+
+    def test_ball_holding_every_sample_is_an_empty_tail(self, monkeypatch):
+        # a ball share of the a-mass that rounds to 1 or above leaves an empty tail: -inf,
+        # not log1p's math domain error
+        whole = harness._ball_sum
+        monkeypatch.setattr(harness, "_ball_sum", lambda spec, samples, p, radius: (
+            whole(spec, samples, p, math.inf) * (1.0 + 1e-15)))
+        report = harness.function_chain_check(gaussian_grid_function(default_spec(2)), 2, 2.0)
+        half, hoelder = report.links[:2]
+        assert half.log_lhs == hoelder.log_lhs == -math.inf
+        assert (half.passed, hoelder.passed) == (False, True)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_share_rounded_to_one_is_an_empty_tail(self, d):
+        # a spike whose neighbours sit at 1e-100: the tail's a-mass is below the rounding
+        # of the a-mass, so the share rounds to 1 and the tail reads -inf
+        spec = GridSpec(d, 16, 1.0)
+        f = gaussian_grid_function(spec, rate=230.0 / (math.pi * spec.spacing**2))
+        half, hoelder = harness.function_chain_check(f, d, 2.0).links[:2]
+        assert half.log_lhs == hoelder.log_lhs == -math.inf
+        assert (half.passed, hoelder.passed) == (False, True)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_threshold_stays_inside_the_grid(self, d):
+        # by Hoelder ||f||_a <= ||f||_p (2L)^{d (1/a - 1/p)}, and (1/a - 1/p)(d + eps) = 1,
+        # so T <= 2 c_d L; a flat box, the extreme case, keeps T below sqrt(d) L / 2
+        spec = GridSpec(d, 16, 1.0)
+        flat = np.zeros((16,) * d)
+        flat[(slice(1, -1),) * d] = 1.0
+        top = 2.0 * d / (d - 1) - 1e-6 if d > 1 else 50.0
+        for p in (1.01, 1.5, 2.0, top):
+            report = harness.function_chain_check(GridFunction(spec, flat), d, p)
+            assert math.exp(report.log_threshold) < 0.5 * math.sqrt(d) * spec.half_width
 
 
 def _logs(*sides):
