@@ -26,7 +26,8 @@ from .params import (
     lp_regime,
     primary_up_admissible,
 )
-from .radial import RadialProfile, gaussian_uncertainty_product, radial_integral, radial_weighted_norm
+from .radial import (RadialProfile, gaussian_log_product, log_moment_ratio, radial_integral,
+                     radial_weighted_norm)
 from .specialfn import DimensionConstants, dimension_constants, log_gamma
 
 __all__ = [
@@ -38,9 +39,10 @@ __all__ = [
     "cp_feasible",
     "cp_params",
     "dimension_constants",
-    "gaussian_uncertainty_product",
+    "gaussian_log_product",
     "l2_params",
     "log_gamma",
+    "log_moment_ratio",
     "log_threshold",
     "lp_epsilon",
     "lp_params",

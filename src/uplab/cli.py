@@ -2,9 +2,9 @@
 
 Exit codes: 0 when every checked inequality holds, 1 when a check fails,
 2 on usage errors, argparse's among them.  CSV output uses '.' decimals and 17
-significant digits so runs are reproducible across platforms.  A check's sides and
-the endpoint masses are held as logs and printed as numbers while they are normal
-floats, else as e^<ln>; a slack beyond the floats prints as lhs / rhs,
+significant digits so runs are reproducible across platforms.  A check's sides, the
+endpoint masses and the uncertainty products are held as logs and printed as numbers
+while they are normal floats, else as e^<ln>; a slack beyond the floats prints as lhs / rhs,
 e^<ln lhs - ln rhs>.  stderr holds one line: the usage error (error: ...), else one
 line per warning raised; -h prints help and exits 0.  main(argv) returns the exit
 code; it parses an argv that starts with a subcommand's name with a parser that
@@ -24,7 +24,7 @@ from . import counterexamples as cx
 from . import harness
 from .grid import (default_spec, gaussian_grid_function, gaussian_mixture_grid_function,
                    random_bump, write_grid_csv)
-from .radial import gaussian_uncertainty_product
+from .radial import gaussian_log_product
 from .specialfn import LOG_MAX, LOG_MIN
 
 USAGE_ERROR = 2
@@ -34,10 +34,10 @@ def _slope_text(slope: float | None) -> str:
     return "None" if slope is None else f"{slope:.4f}"
 
 
-def _side_text(log_value: float) -> str:
-    """A check side from its log: the number while it is a normal float, else e^<ln>."""
+def _side_text(log_value: float, spec: str = ".6e") -> str:
+    """A value from its log: the number in spec while it is a normal float, else e^<ln>."""
     if LOG_MIN <= log_value < LOG_MAX:
-        return f"{math.exp(log_value):.6e}"
+        return format(math.exp(log_value), spec)
     return f"e^{log_value:.9g}"
 
 
@@ -84,8 +84,8 @@ def _cmd_sharpness(args) -> int:
     summary = harness.sharpness_summary(args.d, args.p, c_values)
     if args.out:
         harness.write_summary_json(summary, args.out)
-    for c, val in zip(c_values, summary["products"]):
-        print(f"c={c:<8g} product={val:.17g}")
+    for c, log_product in zip(c_values, summary["log_products"]):
+        print(f"c={c:<8g} product={_side_text(log_product, '.17g')}")
     print(f"sharpness sweep: decreasing={summary['decreasing']} "
           f"collapsed={summary['collapsed']}")
     return 0 if summary["pass"] else 1
@@ -130,8 +130,7 @@ def _cmd_cowling_price(args) -> int:
 
 
 def _cmd_gaussian(args) -> int:
-    value = gaussian_uncertainty_product(args.d, args.p)
-    print(f"{value:.17g}")
+    print(_side_text(gaussian_log_product(args.d, args.p), ".17g"))
     return 0
 
 
@@ -170,102 +169,48 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _add_heisenberg(sub) -> None:
-    p_h = sub.add_parser(
-        "heisenberg",
-        help="dimension sweep of the certified quadratic lower bound (sharp value d^2/(16 pi^2))",
-    )
-    p_h.add_argument("--d-max", type=int, default=500)
-    p_h.add_argument("--out", type=str, default=None)
-    p_h.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_h.set_defaults(func=_cmd_heisenberg)
+_OUT = {"type": str, "default": None}
+_FORMAT = {"choices": ["csv", "json"], "default": "csv"}
+_REQUIRED_FLOAT = {"type": float, "required": True}
 
-
-def _add_lp(sub) -> None:
-    p_lp = sub.add_parser(
-        "lp", help="growth sweep of the p-th moment bound (growth d^p for fixed 1 < p <= 2)"
-    )
-    p_lp.add_argument("--p", type=float, required=True)
-    p_lp.add_argument("--d-max", type=int, default=500)
-    p_lp.add_argument("--out", type=str, default=None)
-    p_lp.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_lp.set_defaults(func=_cmd_lp)
-
-
-def _add_sharpness(sub) -> None:
-    p_sh = sub.add_parser(
-        "sharpness",
-        help="supercritical collapse of the uncertainty product along the two-scale family",
-    )
-    p_sh.add_argument("--d", type=int, required=True)
-    p_sh.add_argument("--p", type=float, required=True)
-    p_sh.add_argument("--c-list", type=str, default="1,2,4,8,16,32")
-    p_sh.add_argument("--out", type=str, default=None)
-    p_sh.set_defaults(func=_cmd_sharpness)
-
-
-def _add_rudin_shapiro(sub) -> None:
-    p_rs = sub.add_parser(
-        "rudin-shapiro",
-        help="signed-translate counterexample growth for strict condition violations",
-    )
-    p_rs.add_argument("--d", type=int, choices=[1, 2], default=2)
-    p_rs.add_argument("--k-max", type=int, default=3)
-    p_rs.add_argument("--p", type=float, default=8.0)
-    p_rs.add_argument("--theta", type=float, default=0.1)
-    p_rs.add_argument("--out", type=str, default=None)
-    p_rs.add_argument("--export-dir", type=str, default=None)
-    p_rs.set_defaults(func=_cmd_rudin_shapiro)
-
-
-def _add_cowling_price(sub) -> None:
-    p_cp = sub.add_parser(
-        "cowling-price",
-        help="weighted-norm product trichotomy: feasible / endpoint / violated",
-    )
-    p_cp.add_argument("--d", type=int, required=True)
-    p_cp.add_argument("--p", type=float, required=True)
-    p_cp.add_argument("--q", type=float, required=True)
-    p_cp.add_argument("--theta", type=float, required=True)
-    p_cp.add_argument("--phi", type=float, required=True)
-    p_cp.add_argument("--seed", type=int, default=0)
-    p_cp.add_argument("--out", type=str, default=None)
-    p_cp.set_defaults(func=_cmd_cowling_price)
-
-
-def _add_gaussian(sub) -> None:
-    p_g = sub.add_parser(
-        "gaussian", help="closed-form Gaussian uncertainty product (the sharp reference)"
-    )
-    p_g.add_argument("--d", type=int, required=True)
-    p_g.add_argument("--p", type=float, default=2.0)
-    p_g.set_defaults(func=_cmd_gaussian)
-
-
-def _add_chain(sub) -> None:
-    p_ch = sub.add_parser(
-        "chain", help="verify every inequality link of the method on one test function"
-    )
-    p_ch.add_argument("--d", type=int, choices=[1, 2, 3], required=True)
-    p_ch.add_argument("--p", type=float, default=2.0)
-    p_ch.add_argument("--function", choices=["gaussian", "gc", "bump"], default="gaussian")
-    p_ch.add_argument("--c", type=float, default=2.0)
-    p_ch.add_argument("--seed", type=int, default=0)
-    p_ch.add_argument("--n", type=int, default=None)
-    p_ch.add_argument("--L", type=float, default=None)
-    p_ch.add_argument("--out", type=str, default=None)
-    p_ch.set_defaults(func=_cmd_chain)
-
-
-# each subcommand and what adds its parser, in the order -h lists them
+# each subcommand, in the order -h lists them: its help, its handler and its flags with
+# their add_argument keywords
 _SUBCOMMANDS = {
-    "heisenberg": _add_heisenberg,
-    "lp": _add_lp,
-    "sharpness": _add_sharpness,
-    "rudin-shapiro": _add_rudin_shapiro,
-    "cowling-price": _add_cowling_price,
-    "gaussian": _add_gaussian,
-    "chain": _add_chain,
+    "heisenberg": (
+        "dimension sweep of the certified quadratic lower bound (sharp value d^2/(16 pi^2))",
+        _cmd_heisenberg,
+        {"--d-max": {"type": int, "default": 500}, "--out": _OUT, "--format": _FORMAT}),
+    "lp": (
+        "growth sweep of the p-th moment bound (growth d^p for fixed 1 < p <= 2)", _cmd_lp,
+        {"--p": _REQUIRED_FLOAT, "--d-max": {"type": int, "default": 500}, "--out": _OUT,
+         "--format": _FORMAT}),
+    "sharpness": (
+        "supercritical collapse of the uncertainty product along the two-scale family",
+        _cmd_sharpness,
+        {"--d": {"type": int, "required": True}, "--p": _REQUIRED_FLOAT,
+         "--c-list": {"type": str, "default": "1,2,4,8,16,32"}, "--out": _OUT}),
+    "rudin-shapiro": (
+        "signed-translate counterexample growth for strict condition violations",
+        _cmd_rudin_shapiro,
+        {"--d": {"type": int, "choices": [1, 2], "default": 2},
+         "--k-max": {"type": int, "default": 3}, "--p": {"type": float, "default": 8.0},
+         "--theta": {"type": float, "default": 0.1}, "--out": _OUT, "--export-dir": _OUT}),
+    "cowling-price": (
+        "weighted-norm product trichotomy: feasible / endpoint / violated", _cmd_cowling_price,
+        {"--d": {"type": int, "required": True}, "--p": _REQUIRED_FLOAT, "--q": _REQUIRED_FLOAT,
+         "--theta": _REQUIRED_FLOAT, "--phi": _REQUIRED_FLOAT,
+         "--seed": {"type": int, "default": 0}, "--out": _OUT}),
+    "gaussian": (
+        "closed-form Gaussian uncertainty product (the sharp reference)", _cmd_gaussian,
+        {"--d": {"type": int, "required": True}, "--p": {"type": float, "default": 2.0}}),
+    "chain": (
+        "verify every inequality link of the method on one test function", _cmd_chain,
+        {"--d": {"type": int, "choices": [1, 2, 3], "required": True},
+         "--p": {"type": float, "default": 2.0},
+         "--function": {"choices": ["gaussian", "gc", "bump"], "default": "gaussian"},
+         "--c": {"type": float, "default": 2.0}, "--seed": {"type": int, "default": 0},
+         "--n": {"type": int, "default": None}, "--L": {"type": float, "default": None},
+         "--out": _OUT}),
 }
 
 
@@ -278,9 +223,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Numerical experiments on Heisenberg-type uncertainty principles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, add in _SUBCOMMANDS.items():
+    for name, (help_text, func, flags) in _SUBCOMMANDS.items():
         if command in (None, name):
-            add(sub)
+            subparser = sub.add_parser(name, help=help_text)
+            for flag, keywords in flags.items():
+                subparser.add_argument(flag, **keywords)
+            subparser.set_defaults(func=func)
     return parser
 
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .grid import GridFunction, GridSpec, grid_weighted_norm
 from .params import _critical_exponent, lp_regime
-from .radial import RadialProfile, radial_integral, radial_weighted_norm
-from .specialfn import LOG_MAX, LOG_MIN
+from .radial import RadialProfile, log_moment_ratio, radial_integral
 
 MAX_SIGN_DIM = 12
 RS_SPACING = 1.0 / 16.0
@@ -44,20 +43,10 @@ def gc_profile(c: float, d: int) -> RadialProfile:
     return RadialProfile(terms=((-log_c, 1.0 / (c * c)), (log_c, c * c)))
 
 
-def gc_uncertainty_ratio(c: float, d: int, p: float) -> float:
-    """ln of V_p(g_c) / ||g_c||_p^p by exact radial quadrature (cross terms included).
-
-    g_c is its own Fourier transform, so the full uncertainty product is the
-    square of this ratio.
-    """
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
-    profile = gc_profile(c, d)
-    return p * (radial_weighted_norm(profile, d, p, 1.0) - radial_weighted_norm(profile, d, p, 0.0))
-
-
 def gc_infimum_sweep(d: int, p: float, c_values) -> list[float]:
-    """Squared g_c uncertainty ratios along increasing c; supercritical only."""
+    """ln of the g_c uncertainty products along increasing c; supercritical only.  g_c is
+    its own Fourier transform, so each product is the square of log_moment_ratio's ratio
+    (cross terms included)."""
     if lp_regime(d, p) != "supercritical":
         crit = _critical_exponent(d) if d > 1 else math.inf
         raise ValueError(
@@ -66,14 +55,14 @@ def gc_infimum_sweep(d: int, p: float, c_values) -> list[float]:
     c_values = list(c_values)
     if any(c < 1 for c in c_values) or sorted(c_values) != c_values:
         raise ValueError("c_values must be increasing and >= 1")
-    products = []
+    log_products = []
     for c in c_values:
-        log_product = 2.0 * gc_uncertainty_ratio(c, d, p)
-        if not LOG_MIN <= log_product < LOG_MAX:
-            raise ValueError(f"the g_c uncertainty product at c={c:g} is outside the normal "
-                             f"float range: ln product = {log_product:.6g}")
-        products.append(math.exp(log_product))
-    return products
+        log_product = 2.0 * log_moment_ratio(gc_profile(c, d), d, p)
+        if not math.isfinite(log_product):
+            raise ValueError(f"the g_c uncertainty product at c={c:g} has no finite log: "
+                             f"ln product = {log_product:.6g}")
+        log_products.append(log_product)
+    return log_products
 
 
 # ---------------------------------------------------------------------------

@@ -169,15 +169,16 @@ def lp_summary(rows: list[SweepRow], p: float) -> dict:
 
 
 def sharpness_summary(d: int, p: float, c_values: list[float]) -> dict:
-    """Two-scale collapse: g_c products decrease and end below 10% of the first."""
-    products = cx.gc_infimum_sweep(d, p, c_values)
-    decreasing = all(b < a for a, b in zip(products, products[1:]))
-    collapsed = products[-1] < 0.1 * products[0]
+    """Two-scale collapse: the g_c products decrease and end below 10% of the first,
+    judged on their logs."""
+    log_products = cx.gc_infimum_sweep(d, p, c_values)
+    decreasing = all(b < a for a, b in zip(log_products, log_products[1:]))
+    collapsed = log_products[-1] < log_products[0] - math.log(10.0)
     return {
         "d": d,
         "p": p,
         "c_values": c_values,
-        "products": products,
+        "log_products": log_products,
         "decreasing": decreasing,
         "collapsed": collapsed,
         "pass": decreasing and collapsed,

@@ -1,22 +1,17 @@
 """Radial reduction of d-dimensional integrals, plus Gaussian closed forms.
 
-A nonnegative radial function F(|x|) integrates over R^d as
-omega_{d-1} * integral of F(r) r^{d-1} dr, which is the only high-d
-integration strategy used here: the test functions are either radial or
-live on low-dimensional grids (module grid).
+A nonnegative radial function F(|x|) integrates over R^d as omega_{d-1} * integral
+of F(r) r^{d-1} dr, the only high-d integration strategy here: the test functions
+are radial or live on low-dimensional grids (module grid).
 
-A Gaussian mixture F holds each term's coefficient as its log, so the
-coefficients are positive and may lie beyond the floats (g_c's c^{-+d/2} at
-large d).  Its weighted norms, radial_weighted_norm, need no adaptive
-quadrature: an integer power F^p expands multinomially into Gaussians with
-closed forms, and any other power takes a trapezoid rule in t = ln r on
-exp(k t + p ln F(e^t)), placed by the terms' analytic peaks and halved until it
-converges.  The Cowling-Price endpoint's |x|^{-d} ln^beta(1/|x|) has one entry
-point, radial_integral, over a range inside [0, 1): in u = ln(1/r) the
-tanh-sinh (double-exponential) rule of Takahasi & Mori, its step halved until
-two sums agree to 1e-10.  Both return logs, (ln omega_{d-1} + ln I) / p and
-ln omega_{d-1} + ln I, finite at any dimension and for integrals beyond the
-floats either way.  Everything here needs numpy alone.
+A Gaussian mixture F holds its coefficients as logs, positive and possibly beyond the
+floats (g_c's c^{-+d/2} at large d).  Its weighted norms (radial_weighted_norm) and its
+uncertainty ratio V_p(F) / ||F||_p^p (log_moment_ratio, one ratio for the Gaussian and
+g_c alike) need no adaptive quadrature: an integer power F^p expands multinomially
+into Gaussians with closed forms, any other takes a trapezoid rule in ln r.  The
+Cowling-Price endpoint's |x|^{-d} ln^beta(1/|x|) has one entry point, radial_integral:
+in u = ln(1/r) the tanh-sinh rule of Takahasi & Mori.  All return logs, finite at any
+dimension and beyond the floats.  Everything here needs numpy alone.
 """
 
 from __future__ import annotations
@@ -30,10 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import (
-    LOG_2, LOG_MAX, _check_dimension, _log_gamma_ratio, dimension_constants,
-    log_gamma,
-)
+from .specialfn import LOG_2, _check_dimension, _log_gamma_ratio, dimension_constants, log_gamma
 
 QUAD_RTOL = 1e-10
 TRAPEZOID_RTOL = 1e-13
@@ -83,6 +75,7 @@ class RadialProfile:
 
 def gaussian_profile(rate: float = 1.0) -> RadialProfile:
     return RadialProfile(terms=((0.0, rate),))
+
 
 
 # The tanh-sinh rule of Takahasi & Mori, Publ. RIMS 9 (1974) 721-741, on |t| <= _TS_WINDOW:
@@ -190,85 +183,110 @@ def _logsumexp(x):
     return top + np.log(np.exp(x - top).sum(axis=0))
 
 
-def _log_mixture_moment(terms, k: float, p: float) -> float:
-    """ln of the integral over (0, inf) of r^{k-1} F(r)^p dr, F = sum_i c_i exp(-pi a_i r^2)
-    given as the terms (ln c_i, a_i), without adaptive quadrature: every c_i is positive,
-    and only its log enters, so c_i itself may lie beyond the floats.
+def _expansion(terms, p: float):
+    """F^p as its Gaussians, (ln coefficient, rate) arrays, for an integer p whose
+    multinomial expansion has at most _MAX_EXPANSION terms; else None."""
+    if not (p == int(p) and (p + 1) ** (len(terms) - 1) <= _MAX_EXPANSION):
+        return None
+    n, m = int(p), len(terms)
+    log_c, rates = np.array(terms).T
+    # every (n_1, ..., n_m) >= 0 with sum n, the last one fixed by the others
+    head = np.indices((n + 1,) * (m - 1)).reshape(m - 1, -1).T
+    head = head[head.sum(axis=1) <= n]
+    powers = np.column_stack([head, n - head.sum(axis=1)])
+    return _LOG_FACTORIAL[n] - _LOG_FACTORIAL[powers].sum(axis=1) + powers @ log_c, powers @ rates
 
-    An integer p expands F^p multinomially into Gaussians, each with the closed form
-    Gamma(k/2) / (2 (pi rate)^{k/2}), while that takes at most _MAX_EXPANSION terms; the
-    terms are positive, so their log-sum-exp cancels nothing.  Any other p takes the
-    trapezoid rule in t = ln r on exp(L(t)), L(t) = k t + p ln F(e^t) with ln F a
-    log-sum-exp over the terms.  L is analytic and falls off exponentially on both sides,
-    so the rule converges geometrically: its step starts at the single-term peak width
-    1/sqrt(-L'') = 1/sqrt(2k) over sqrt 2 and halves until two successive sums agree to
-    TRAPEZOID_RTOL, or to the rounding that L's own terms carry if that is larger.
+
+def _reference(terms, k: float, p: float) -> tuple[int, float]:
+    """The dominant term, whose r^{k-1} (c e^{-pi a r^2})^p has the largest integral, and
+    2 t_ref, twice the ln r of its peak, where pi a r^2 = k / (2p)."""
+    ref = max(range(len(terms)), key=lambda i: p * terms[i][0] - 0.5 * k * math.log(terms[i][1]))
+    rate = terms[ref][1]
+    quotient = k / (2.0 * math.pi * p * rate)  # one rounded log: k t_ref is O(k ln k)
+    if 0.0 < quotient < math.inf:
+        return ref, math.log(quotient)
+    return ref, math.log(k) - math.log(2.0 * math.pi) - math.log(p) - math.log(rate)
+
+
+def _log_trapezoid(terms, k: float, p: float, ref: int, two_t_ref: float, moments):
+    """For each m in moments, ln of the integral of r^{k+m-1} F(r)^p dr less
+    k t_ref + p (ln c_ref - u_ref) + m t_ref, by the trapezoid rule in tau = ln r - t_ref.
+
+    The exponent is (k + m) tau + p ln sum_i e^{e_i}, e_i = ln c_i - ln c_ref + u_ref -
+    u_i e^{2 tau} with u_i = pi a_i e^{2 t_ref}, u_ref = k / (2p); the dominant rate takes
+    -u_ref expm1(2 tau), so no O(k ln k) number is rounded near the peak.  Analytic and
+    falling off exponentially, it converges geometrically.  Term i alone peaks at
+    ln(a_ref / a_i) / 2 + ln(1 + m/k) / 2; past the extreme peaks the mixture falls at
+    least as fast as one term, by (k/2) u^2 / (2 + u), u = 2 (min tau_i - tau), below and
+    k (tau - max tau_i)^2 above, so it lies 75 under its peak past lo and hi.  The step
+    starts at the peak width 1/sqrt(2k) over sqrt 2 and halves until each sum agrees with
+    the last to TRAPEZOID_RTOL, or to the exponent's rounding if larger.  The moments
+    share their nodes, so a node's rounding enters each alike, unless that needs more
+    than _MAX_NODES / 4 nodes.
     """
-    log_c = np.array([lc for lc, _ in terms])
-    rates = np.array([rate for _, rate in terms])
-    half = 0.5 * k
-    if p == int(p) and (p + 1) ** (len(terms) - 1) <= _MAX_EXPANSION:
-        n = int(p)
-        # every (n_1, ..., n_m) >= 0 with sum n, the last one fixed by the others
-        head = np.indices((n + 1,) * (len(terms) - 1)).reshape(len(terms) - 1, -1).T
-        head = head[head.sum(axis=1) <= n]
-        powers = np.column_stack([head, n - head.sum(axis=1)])
-        log_terms = (
-            _LOG_FACTORIAL[n] - _LOG_FACTORIAL[powers].sum(axis=1)
-            + powers @ log_c - half * np.log(math.pi * (powers @ rates))
-        )
-        return float(_logsumexp(log_terms)) + log_gamma(half) - LOG_2
+    log_c_ref, rate_ref = terms[ref]
+    u_ref = 0.5 * k / p
+    own = [lc - log_c_ref for lc, rate in terms if rate == rate_ref]
+    others = [(lc - log_c_ref + u_ref, math.log(u_ref) + math.log(rate) - math.log(rate_ref))
+              for lc, rate in terms if rate != rate_ref]
+    peaks = [0.5 * (math.log(rate_ref) - math.log(rate)) for _, rate in terms]
 
-    # Term i alone peaks at t_i = ln(k / (2 pi p a_i)) / 2.  The mixture has
-    # L'(t) = k - 2 pi p r^2 abar(r), with abar(r) a weighted mean of the rates, so L
-    # rises below min t_i and falls above max t_i at least as fast as a single term of
-    # the largest (smallest) rate: by (k/2) u^2 / (2 + u), u = 2 (min t_i - t), below
-    # and by k (t - max t_i)^2 above.  Past lo and hi it lies 75 under L(min t_i) and
-    # L(max t_i), so 75 under its peak.
-    peaks = 0.5 * (math.log(k) - math.log(2.0 * math.pi) - math.log(p) - np.log(rates))
-    y = 150.0 / k
-    lo = float(peaks.min()) - 0.25 * (y + math.sqrt(y * (y + 8.0)))
-    hi = float(peaks.max()) + math.sqrt(0.5 * y)
-    step = 0.5 / math.sqrt(k)
-    count = math.ceil((hi - lo) / step) + 1
-    if count > _MAX_NODES // 4:
-        raise ValueError(
-            f"the integrand r^{k - 1:g} F(r)^{p:g} peaks too narrowly for the "
-            f"{_MAX_NODES}-node trapezoid rule"
-        )
-
-    def parts(t):
+    def log_density(tau):  # k tau and p ln sum_i e^{e_i}
+        two_tau = 2.0 * tau
         with np.errstate(over="ignore"):  # an exponent of -inf is an exact 0
-            return k * t, p * _logsumexp(log_c[:, None] - math.pi * rates[:, None] * np.exp(2.0 * t))
+            fall = u_ref * np.expm1(two_tau)
+            rows = [offset - fall for offset in own]
+            rows += [offset - np.exp(log_u + two_tau) for offset, log_u in others]
+            return k * tau, p * functools.reduce(np.logaddexp, rows)
 
-    nodes = lo + step * np.arange(count)
-    power, log_mix = parts(nodes)
-    values = power + log_mix
-    shift = float(values.max())
-    rtol = max(TRAPEZOID_RTOL, sys.float_info.epsilon * float((abs(power) + abs(log_mix)).max()))
-    total = step * float(np.exp(values - shift).sum())
-    while True:
-        mids = nodes + 0.5 * step
-        power, log_mix = parts(mids)
-        refined = 0.5 * total + 0.5 * step * float(np.exp(power + log_mix - shift).sum())
-        if abs(refined - total) <= rtol * refined:
-            return shift + math.log(refined)
-        if 2 * nodes.size > _MAX_NODES:
-            raise ValueError(
-                f"the trapezoid rule for r^{k - 1:g} F(r)^{p:g} did not converge "
-                f"in {_MAX_NODES} nodes"
-            )
-        nodes, step, total = np.concatenate([nodes, mids]), 0.5 * step, refined
+    def span(m):
+        y, centre = 150.0 / (k + m), 0.5 * math.log1p(m / k)
+        return (centre + min(peaks) - 0.25 * (y + math.sqrt(y * (y + 8.0))),
+                centre + max(peaks) + math.sqrt(0.5 * y), 0.5 / math.sqrt(k + m))
+
+    def sums(lo, hi, step, ms):
+        integrand = f"r^{k + max(ms) - 1:g} F(r)^{p:g}"
+        if not (hi - lo) / step < _MAX_NODES // 4:
+            raise ValueError(f"the integrand {integrand} peaks too narrowly for the "
+                             f"{_MAX_NODES}-node trapezoid rule")
+        nodes = lo + step * np.arange(math.ceil((hi - lo) / step) + 1)
+        power, log_mix = log_density(nodes)
+        size = float((abs(power) + abs(log_mix)).max()) + max(ms) * float(abs(nodes).max())
+        rtol = max(TRAPEZOID_RTOL, sys.float_info.epsilon * size)
+        exponents = [power + log_mix + m * nodes if m else power + log_mix for m in ms]
+        shifts = [float(x.max()) for x in exponents]
+        totals = [step * float(np.exp(x - s).sum()) for x, s in zip(exponents, shifts)]
+        while True:
+            mids = nodes + 0.5 * step
+            power, log_mix = log_density(mids)
+            values = power + log_mix
+            refined = [0.5 * total + 0.5 * step
+                       * float(np.exp((values + m * mids if m else values) - s).sum())
+                       for m, s, total in zip(ms, shifts, totals)]
+            if all(abs(r - t) <= rtol * r for r, t in zip(refined, totals)):
+                return [s + math.log(r) for s, r in zip(shifts, refined)]
+            if 2 * nodes.size > _MAX_NODES:
+                raise ValueError(f"the trapezoid rule for {integrand} did not converge in "
+                                 f"{_MAX_NODES} nodes")
+            nodes, step, totals = np.concatenate([nodes, mids]), 0.5 * step, refined
+
+    spans = [span(m) for m in moments]
+    lo, hi, step = min(s[0] for s in spans), max(s[1] for s in spans), min(s[2] for s in spans)
+    if len(moments) == 1 or (hi - lo) / step < _MAX_NODES // 4:
+        return sums(lo, hi, step, moments)
+    return [sums(*s, (m,))[0] for s, m in zip(spans, moments)]
 
 
 def radial_weighted_norm(
     profile: RadialProfile, d: int, p: float, weight_exponent: float
 ) -> float:
     """ln of (omega_{d-1} * integral of r^{p*w} F(r)^p r^{d-1} dr)^{1/p} for a Gaussian
-    mixture F.
+    mixture F, without adaptive quadrature.
 
     weight_exponent 0 gives ln ||f||_p; weight_exponent 1 with exponent p gives
-    ln V_p(f)^{1/p}.  A weight p*w that k = p*w + d loses to rounding raises.
+    ln V_p(f)^{1/p}.  A weight p*w that k = p*w + d loses to rounding raises.  An integer p
+    expands F^p into Gaussians, each Gamma(k/2) / (2 (pi rate)^{k/2}), positive terms whose
+    log-sum-exp cancels nothing; any other p takes _log_trapezoid.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
@@ -281,45 +299,81 @@ def radial_weighted_norm(
     # weight, or of 1 for a weight below 1, where it no longer matters
     if abs((k - d) - weight) > 1e-6 * max(weight, 1.0):
         raise ValueError(f"the weight p*w={weight:g} is lost to rounding in p*w + d at d={d:.6g}")
-    if len(profile.terms) == 1:
-        log_c, rate = profile.terms[0]
-        half = 0.5 * k
+    terms, half = profile.terms, 0.5 * k
+    if len(terms) == 1:
+        log_c, rate = terms[0]
         log_integral = p * log_c + log_gamma(half) - half * math.log(math.pi * p * rate) - LOG_2
+    elif (expansion := _expansion(terms, p)) is not None:
+        log_coef, rates = expansion
+        log_integral = (float(_logsumexp(log_coef - half * np.log(math.pi * rates)))
+                        + log_gamma(half) - LOG_2)
     else:
-        log_integral = _log_mixture_moment(profile.terms, k, p)
+        ref, two_t_ref = _reference(terms, k, p)
+        (log_sum,) = _log_trapezoid(terms, k, p, ref, two_t_ref, (0.0,))
+        log_integral = half * (two_t_ref - 1.0) + p * terms[ref][0] + log_sum
     return (geom.log_sphere_area + log_integral) / p
 
 
-def gaussian_log_product(d: int, p: float) -> float:
-    """ln of V_p(g)/||g||_p^p * V_p(g^)/||g^||_p^p for the standard Gaussian.
+def _log_one_term_ratio(x: float, a: float, rate: float) -> float:
+    """The ratio's log for one term c e^{-pi rate r^2} at x = d/2, a = p/2:
+    ln Gamma(x + a) - ln Gamma(x) - a ln(2 pi a rate), from a ~ 2.5e305 on, where that
+    leaves the floats, by Stirling's formula for Gamma(x + a) summed per unit a."""
+    log_ratio = _log_gamma_ratio(x, a) - a * math.log(math.pi * (2.0 * a) * rate)
+    if math.isfinite(log_ratio):
+        return log_ratio
+    log_2pi = math.log(2.0 * math.pi)
+    return a * (math.log1p(x / a) - log_2pi - 1.0 - math.log(rate)
+                + ((x - 0.5) * math.log(x + a) - x + 0.5 * log_2pi - log_gamma(x)) / a)
 
-    The standard Gaussian is self-dual, so the product is the square of one
-    ratio: (pi p)^{-p} * (Gamma((p+d)/2) / Gamma(d/2))^2.
+
+def log_moment_ratio(profile: RadialProfile, d: int, p: float) -> float:
+    """ln of V_p(F) / ||F||_p^p for a Gaussian mixture F on R^d, the log mean of r^p under
+    the density r^{d-1} F(r)^p: omega_{d-1} and F's scale cancel before any rounding, so
+    it is no difference of two logs of size (d/2) ln d.
+
+    One term c e^{-pi a r^2} gives Gamma((d+p)/2) / Gamma(d/2) (pi p a)^{-p/2}
+    (_log_one_term_ratio).  An integer p multiplies that Gamma quotient by the mean of
+    (pi R_j)^{-p/2} over F^p's Gaussians G_j, weighted by their masses.  Any other p is
+    e^{p t_ref} times the quotient of _log_trapezoid's sums of r^p times the density and
+    of the density, on the same nodes.
     """
+    _check_dimension(d)
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    terms, x, a = profile.terms, 0.5 * d, 0.5 * p
+    if len(terms) == 1:
+        return _log_one_term_ratio(x, a, terms[0][1])
+    # a log mass beyond the floats (d ~ 1e308) gives a NaN ratio, which the callers refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (expansion := _expansion(terms, p)) is not None:
+            log_coef, rates = expansion
+            log_pi_rates = np.log(math.pi * rates)
+            log_mass = log_coef - x * log_pi_rates  # ln of G_j's mass less ln Gamma(d/2) / 2
+            # the reference has the largest mass times (pi R_j)^{-p/2}; equal rates give
+            # a mean of exactly 1
+            ref = int(np.argmax(log_mass - a * log_pi_rates))
+            shifted = log_mass - log_mass[ref]
+            log_mean = (_logsumexp(shifted - a * (log_pi_rates - log_pi_rates[ref]))
+                        - _logsumexp(shifted))
+            return (_log_gamma_ratio(x, a) - a * math.log(math.pi * float(rates[ref]))
+                    + float(log_mean))
+    ref, two_t_ref = _reference(terms, float(d), p)
+    scale = a * two_t_ref  # p t_ref; the quotient of the sums cannot undo an infinite one
+    if not math.isfinite(scale):
+        return scale
+    log_density, log_moment = _log_trapezoid(terms, float(d), p, ref, two_t_ref, (0.0, p))
+    return scale + log_moment - log_density
+
+
+def gaussian_log_product(d: int, p: float) -> float:
+    """ln of V_p(g)/||g||_p^p * V_p(g^)/||g^||_p^p for the standard Gaussian g, self-dual:
+    twice its log_moment_ratio, the one-term ratio at rate 1.  A log beyond the floats
+    raises."""
     _check_dimension(d)
     if not 1 < p < math.inf:
         raise ValueError(f"p must be finite and exceed 1, got {p}")
-    x, a = 0.5 * d, 0.5 * p
-    log_product = 2.0 * _log_gamma_ratio(x, a) - p * math.log(math.pi * p)
-    if math.isfinite(log_product):
-        return log_product
-    # from p ~ 2.5e305 on the ratio or p ln(pi p) leaves the floats: Stirling for
-    # Gamma(x + a), summed per unit p, where p ln(pi p) leaves -ln(2 pi) - 1
-    log_2pi = math.log(2.0 * math.pi)
-    return p * (
-        math.log1p(x / a) - log_2pi - 1.0
-        + ((x - 0.5) * math.log(x + a) - x + 0.5 * log_2pi - log_gamma(x)) / a
-    )
-
-
-def gaussian_uncertainty_product(d: int, p: float) -> float:
-    """The Gaussian uncertainty product itself, exp of gaussian_log_product; a product
-    outside the normal floats raises, naming its log."""
-    log_product = gaussian_log_product(d, p)
-    product = math.exp(log_product) if log_product < LOG_MAX else math.inf
-    if not sys.float_info.min <= product < math.inf:
-        raise ValueError(
-            f"the Gaussian uncertainty product at d={d}, p={p:g} is outside the normal "
-            f"float range: ln product = {log_product:.6g}"
-        )
-    return product
+    log_product = 2.0 * _log_one_term_ratio(0.5 * d, 0.5 * p, 1.0)
+    if not math.isfinite(log_product):
+        raise ValueError(f"the Gaussian uncertainty product at d={d}, p={p:g} has no finite "
+                         f"log: ln product = {log_product:.6g}")
+    return log_product

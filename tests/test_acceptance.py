@@ -25,7 +25,7 @@ from uplab.grid import (
     random_bump,
 )
 from uplab.params import cp_feasible, cp_params, l2_params
-from uplab.radial import gaussian_uncertainty_product
+from uplab.radial import gaussian_log_product
 from uplab.specialfn import dimension_constants
 
 
@@ -50,11 +50,11 @@ def test_criterion_01_one_dimensional_constant(capsys):
 
 
 def test_criterion_02_sharp_gaussian_constant(capsys):
-    gaussian_uncertainty_product(1, 2.0)
+    gaussian_log_product(1, 2.0)
     t0 = time.perf_counter()
     worst = 0.0
     for d in range(1, 201):
-        val = gaussian_uncertainty_product(d, 2.0)
+        val = math.exp(gaussian_log_product(d, 2.0))
         exact = d * d / (16.0 * math.pi**2)
         worst = max(worst, abs(val - exact) / exact)
     elapsed = time.perf_counter() - t0
@@ -106,15 +106,15 @@ def test_criterion_04_lp_growth_sweep(capsys):
 
 def test_criterion_05_supercritical_collapse(capsys):
     t0 = time.perf_counter()
-    products = cx.gc_infimum_sweep(2, 5.0, [1, 2, 4, 8, 16, 32])
+    log_products = cx.gc_infimum_sweep(2, 5.0, [1, 2, 4, 8, 16, 32])
     elapsed = time.perf_counter() - t0
-    decreasing = all(b < a for a, b in zip(products, products[1:]))
-    collapsed = products[-1] < 0.1 * products[0]
+    decreasing = all(b < a for a, b in zip(log_products, log_products[1:]))
+    collapsed = log_products[-1] < log_products[0] + math.log(0.1)
     ok = decreasing and collapsed and elapsed < 5.0
     _report(
         capsys,
         5,
-        f"two-scale collapse, final/first={products[-1] / products[0]:.2e}",
+        f"two-scale collapse, final/first={math.exp(log_products[-1] - log_products[0]):.2e}",
         ok,
         elapsed,
     )

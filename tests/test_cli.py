@@ -3,12 +3,15 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -24,7 +27,8 @@ from uplab import counterexamples as cx
 from uplab.cli import main
 from uplab.grid import default_spec, gaussian_grid_function
 from uplab.params import cp_params
-from uplab.radial import gaussian_uncertainty_product
+from uplab.radial import gaussian_log_product
+from uplab.specialfn import LOG_MAX, LOG_MIN
 
 
 def run(capsys, *argv):
@@ -114,6 +118,22 @@ class TestSharpnessCommand:
         code, _, err = run(capsys, "sharpness", "--d", "2", "--p", "3")
         assert code == 2
         assert "2d/(d-1)" in err
+
+    def test_json_summary_holds_log_products(self, capsys, tmp_path):
+        # the products' logs, finite floats in standard JSON, also where the products
+        # themselves (e^-1411.6, e^-1965.5) are beyond the floats
+        target = tmp_path / "sharpness.json"
+        code, _, _ = run(capsys, "sharpness", "--d", "2", "--p", "500", "--c-list", "1,2",
+                         "--out", str(target))
+        assert code == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not standard JSON")
+
+        summary = json.loads(target.read_text(), parse_constant=refuse)
+        assert "products" not in summary
+        assert summary["log_products"] == cx.gc_infimum_sweep(2, 500.0, [1.0, 2.0])
+        assert summary["decreasing"] and summary["collapsed"] and summary["pass"]
 
 
 class TestRudinShapiroCommand:
@@ -307,11 +327,13 @@ class TestOutOfRangeInputs:
         (["chain", "--d", "1", "--L", "1e154"], "does not resolve f"),
         (["chain", "--d", "1", "--function", "gc", "--L", "1e154"], "does not resolve f"),
         (["chain", "--d", "1", "--function", "bump", "--L", "1e154"], "zero function"),
-        # k = p w + d rounds to d: the weight of V_p(g_c) is lost, and with it the collapse
-        (["sharpness", "--d", "1" + "0" * 100, "--p", "3", "--c-list", "1,2"],
-         "p*w=3 is lost to rounding in p*w + d at d=1e+100"),
-        (["sharpness", "--d", "1" + "0" * 17, "--p", "3", "--c-list", "1,2"], "p*w=3"),
-        # 2 pi p a overflowed in the trapezoid rule's peaks: a NaN node count, and a warning
+        # the trapezoid rule's node budget: non-integer p spans g_2's two peaks, ln(c^2)
+        # apart, in steps of 1/sqrt(2d); or p >> d, r^p F^p peaks 1/sqrt(2p) wide
+        (["sharpness", "--d", "1" + "0" * 100, "--p", "3.5", "--c-list", "1,2"],
+         "r^1e+100 F(r)^3.5 peaks too narrowly"),
+        (["sharpness", "--d", "3", "--p", "1e10", "--c-list", "1,2"],
+         "r^1e+10 F(r)^1e+10 peaks too narrowly"),
+        # p t_ref = (p/2) ln(17 / (2 pi p)) and ln product are beyond the floats
         (["sharpness", "--d", "17", "--p", "1e308", "--c-list", "1,2"], "ln product = -inf"),
         # the radial checks pass; the bump's |f|^p overflows in its grid sum, which
         # raises naming (p, w) rather than measure a NaN norm
@@ -320,13 +342,11 @@ class TestOutOfRangeInputs:
         # |x|^(p w) is inf beyond |x| = 1 and |f|^p is 0 there: their product is NaN
         (["rudin-shapiro", "--d", "1", "--p", "1e308", "--theta", "0.1"], "p=1e+308, w=0.1"),
         (["rudin-shapiro", "--d", "2", "--theta", "1e308"], "p=8, w=1e+308"),
-        # m^p and n^p underflow, and so does their ratio: exp(-1.4e6)
-        (["sharpness", "--d", "3", "--p", "1e6", "--c-list", "1,2"],
-         "outside the normal float range"),
+        (["sharpness", "--d", "2", "--p", "1e307", "--c-list", "1,2"],
+         "c=1 has no finite log: ln product = -inf"),
         # ln Gamma((p + 1)/2) and p ln(pi p) leave the floats; so does ln product, -2.8e308
         (["gaussian", "--d", "1", "--p", "1e308"], "ln product = -inf"),
-        # the product exp(-2.8e100) underflows to 0
-        (["gaussian", "--d", "1", "--p", "1e100"], "ln product = -2.83788e+100"),
+        (["gaussian", "--d", "100", "--p", "1e308"], "d=100, p=1e+308 has no finite log"),
         # the chain's moment V_p(f) weighs |f|^p = 0 by |x|^p = inf
         (["chain", "--d", "1", "--p", "1e300"], "p=1e+300, w=1"),
         # a = p / (1 + p theta/(d + epsilon)) rounds to p: r = 2/a, then r1 = p/a, is 1
@@ -373,11 +393,38 @@ class TestOutOfRangeInputs:
 
     def test_critical_exponent_where_2d_overflows(self, capsys):
         # 2d/(d-1) is 2 at d = 1e308, not inf: p = 3 is supercritical, and the sweep
-        # stops at the sphere constants, whose ln Gamma(d/2) is beyond the floats
+        # stops at g_4, the first c whose cube's Gaussians have masses beyond the floats
         code, out, err = run(capsys, "sharpness", "--d", "1" + "0" * 308, "--p", "3")
         assert (code, out) == (2, "")
         assert err.count("\n") == 1
-        assert "2d/(d-1)" not in err and "ln Gamma(d/2)" in err
+        assert "2d/(d-1)" not in err and "at c=4 has no finite log" in err
+
+    @pytest.mark.parametrize("argv", [
+        # the products lie beyond the floats: e^-2829.8, e^875.5, e^-2.8e100, e^-1411.6
+        # (c = 1) and e^-2.8e6 (c = 1), once refused as outside the normal float range
+        ["gaussian", "--d", "2", "--p", "1000"],
+        ["gaussian", "--d", "100000", "--p", "200"],
+        ["gaussian", "--d", "1", "--p", "1e100"],
+        ["sharpness", "--d", "2", "--p", "500", "--c-list", "1,2"],
+        ["sharpness", "--d", "3", "--p", "1e6", "--c-list", "1,2"],
+        # k = p + d is never formed, so the weight of V_p(g_c) is not lost to rounding;
+        # at d = 1e15 the difference of two norms' logs printed 1.55e38, not 1.49e41
+        ["sharpness", "--d", "1" + "0" * 15, "--p", "3", "--c-list", "1,2"],
+        ["sharpness", "--d", "1" + "0" * 17, "--p", "3", "--c-list", "1,2"],
+        ["sharpness", "--d", "1" + "0" * 100, "--p", "3", "--c-list", "1,2"],
+    ])
+    def test_product_gets_a_verdict(self, capsys, argv):
+        # gaussian prints its product, sharpness g_1 = 2 exp(-pi r^2) first, whose product
+        # is the Gaussian's: as a number while it is a normal float, else as e^<ln>
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and err == ""
+        log_product = gaussian_log_product(int(argv[2]), float(argv[4]))
+        first = out.split()[0] if argv[0] == "gaussian" else out.split("product=")[1].split()[0]
+        if LOG_MIN <= log_product < LOG_MAX:
+            assert float(first) == pytest.approx(math.exp(log_product), rel=1e-12)
+        else:
+            assert first.startswith("e^")
+            assert float(first[2:]) == pytest.approx(log_product, rel=1e-8)
 
 
 class TestLogDomainVerdicts:
@@ -465,9 +512,10 @@ class TestLogDomainVerdicts:
         masses = ", ".join(f"e^{m:.9g}" for m in report.log_tail_masses)
         assert f"tail masses [{masses}] pass=True" in out
 
-    @pytest.mark.parametrize("d", ["3000", "100000", "1000000000"])
+    @pytest.mark.parametrize("d", ["3000", "100000", "1000000000", "1" + "0" * 15, "1" + "0" * 17])
     def test_weight_kept_at_large_d(self, capsys, d):
-        # k = 3 + d is exact, so the weight of V_p(g_c) survives and the products collapse
+        # the ratio is a mean of r^p, not a difference of two norms' logs of size
+        # (d/2) ln d, so the weight of V_p(g_c) survives and the products collapse
         code, out, err = run(capsys, "sharpness", "--d", d, "--p", "3", "--c-list", "1,2")
         assert (code, err) == (0, "")
         assert "decreasing=True collapsed=True" in out
@@ -527,7 +575,7 @@ class TestPastTheSphereAreaUnderflow:
         assert "decreasing=True" in out
         # g_1 = 2 exp(-pi r^2) has the Gaussian's uncertainty product
         first = float(out.split("product=")[1].split()[0])
-        assert first == pytest.approx(gaussian_uncertainty_product(d, p), rel=1e-10)
+        assert math.log(first) == pytest.approx(gaussian_log_product(d, p), abs=1e-10)
 
 
 class TestUnwritableOutput:
@@ -641,7 +689,40 @@ def readme_commands():
     return bash_commands(readme.read_text())
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def readme_transcript(workdir: Path) -> str:
+    """Each README command as `$ uplab ...` and its stdout, run in workdir, where the
+    heisenberg command writes sweep.csv; every command must exit 0 with an empty stderr."""
+    transcript, cwd = [], os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in readme_commands():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert (code, err.getvalue()) == (0, ""), argv
+            transcript.append(f"$ uplab {shlex.join(argv)}\n{out.getvalue()}")
+    finally:
+        os.chdir(cwd)
+    return "".join(transcript)
+
+
 class TestReadmeCommands:
+    """The README commands' stdout and the heisenberg CSV match tests/golden/.  A change
+    that moves printed digits on purpose re-records both files:
+
+        PYTHONPATH=src:tests python -c "import test_cli; test_cli.TestReadmeCommands.record()"
+
+    A failure lists every moved line."""
+
+    @staticmethod
+    def record() -> None:
+        with tempfile.TemporaryDirectory() as workdir:
+            (GOLDEN / "readme_stdout.txt").write_text(readme_transcript(Path(workdir)))
+            shutil.copyfile(Path(workdir) / "sweep.csv", GOLDEN / "sweep.csv")
+
     def test_only_lines_in_bash_blocks_are_commands(self):
         markdown = ("uplab needs numpy alone.\n\n```bash\nuplab gaussian --d 3  # reference\n"
                     "```\nuplab lp --p 2\n\n```\nuplab heisenberg\n```\n")
@@ -655,17 +736,15 @@ class TestReadmeCommands:
             code, _, err = run(capsys, *argv)
             assert code == 0, (argv, err)
 
-    def test_outputs_match_golden_files(self, capsys, tmp_path, monkeypatch):
+    def test_outputs_match_golden_files(self, tmp_path):
         # stdout of every README command and the heisenberg CSV, byte for byte
-        golden = Path(__file__).resolve().parent / "golden"
-        monkeypatch.chdir(tmp_path)
-        transcript = []
-        for argv in readme_commands():
-            code, out, err = run(capsys, *argv)
-            assert (code, err) == (0, ""), argv
-            transcript.append(f"$ uplab {shlex.join(argv)}\n{out}")
-        assert "".join(transcript) == (golden / "readme_stdout.txt").read_text()
-        assert (tmp_path / "sweep.csv").read_bytes() == (golden / "sweep.csv").read_bytes()
+        expected = (GOLDEN / "readme_stdout.txt").read_text()
+        actual = readme_transcript(tmp_path)
+        moved = [f"line {number}: {old!r} -> {new!r}" for number, (old, new) in enumerate(
+            itertools.zip_longest(expected.splitlines(), actual.splitlines()), 1) if old != new]
+        assert not moved, f"{len(moved)} lines moved:\n" + "\n".join(moved)
+        assert actual == expected
+        assert (tmp_path / "sweep.csv").read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
 
 
 def _child(argv, **kwargs):
@@ -689,8 +768,8 @@ def test_huge_p_is_one_line_without_warnings():
     child = _child(["-W", "error", "-m", "uplab", "sharpness", "--d", "17", "--p", "1e308",
                     "--c-list", "1,2"])
     assert (child.returncode, child.stdout) == (2, "")
-    assert child.stderr == ("error: the g_c uncertainty product at c=1 is outside the normal "
-                            "float range: ln product = -inf\n")
+    assert child.stderr == ("error: the g_c uncertainty product at c=1 has no finite log: "
+                            "ln product = -inf\n")
 
 
 def test_warning_is_one_line():

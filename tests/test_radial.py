@@ -20,8 +20,9 @@ from uplab.grid import default_spec
 from uplab.harness import cp_check
 from uplab.radial import (
     RadialProfile,
+    gaussian_log_product,
     gaussian_profile,
-    gaussian_uncertainty_product,
+    log_moment_ratio,
     radial_integral,
     radial_weighted_norm,
 )
@@ -331,7 +332,7 @@ class TestMixtureNorm:
             report = cp_check(2, p, p, theta, theta)
             assert report.classification == "feasible" and report.passed
         for p in (5.0, 4.5):
-            assert all(0 < x < math.inf for x in gc_infimum_sweep(2, p, [1.0, 2.0, 4.0]))
+            assert all(math.isfinite(x) for x in gc_infimum_sweep(2, p, [1.0, 2.0, 4.0]))
 
 
 def _mpmath_power_log_integral(mp, beta, d, lo, hi):
@@ -386,7 +387,7 @@ class TestGaussianUncertaintyProduct:
     @pytest.mark.parametrize("d", [1, 2, 3, 10, 100, 200])
     def test_sharp_heisenberg_value(self, d):
         # the p = 2 product is exactly d^2 / (16 pi^2)
-        assert gaussian_uncertainty_product(d, 2.0) == pytest.approx(
+        assert math.exp(gaussian_log_product(d, 2.0)) == pytest.approx(
             d * d / (16.0 * math.pi**2), rel=1e-12
         )
 
@@ -396,36 +397,86 @@ class TestGaussianUncertaintyProduct:
         # independent path: assemble the product from the radial norms' logs
         g = gaussian_profile()
         log_ratio = p * (radial_weighted_norm(g, d, p, 1.0) - radial_weighted_norm(g, d, p, 0.0))
-        assert math.log(gaussian_uncertainty_product(d, p)) == pytest.approx(
-            2.0 * log_ratio, abs=1e-10
-        )
+        assert gaussian_log_product(d, p) == pytest.approx(2.0 * log_ratio, abs=1e-10)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            gaussian_uncertainty_product(0, 2.0)
+            gaussian_log_product(0, 2.0)
         with pytest.raises(ValueError):
-            gaussian_uncertainty_product(1, 1.0)
+            gaussian_log_product(1, 1.0)
 
     def test_large_dimension_finite(self):
-        val = gaussian_uncertainty_product(500, 2.0)
+        val = math.exp(gaussian_log_product(500, 2.0))
         assert math.isfinite(val) and val > 0
 
     @pytest.mark.parametrize("d", [1, 3, 100, 500, 512, 1000, 10**4, 10**6, 10**10,
                                    10**14, 10**16, 10**18])
     def test_against_mpmath(self, d):
+        # an absolute 1e-12 on the log is a relative 1e-12 on the product
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 40
         x = mp.mpf(d) / 2
         for p in (1.5, 2.0, 3.0, 7.5):
-            exact = mp.exp(-p * mp.log(mp.pi * p) + 2 * (mp.loggamma(x + mp.mpf(p) / 2)
-                                                         - mp.loggamma(x)))
-            assert gaussian_uncertainty_product(d, p) == pytest.approx(float(exact), rel=1e-12)
+            exact = -p * mp.log(mp.pi * p) + 2 * (mp.loggamma(x + mp.mpf(p) / 2) - mp.loggamma(x))
+            assert gaussian_log_product(d, p) == pytest.approx(float(exact), abs=1e-12)
 
     @pytest.mark.parametrize("p, log_product", [(300.0, "-850.671"), (1e100, "-2.83788e+100"),
-                                                (1e306, "-2.83788e+306"), (1e308, "-inf")])
+                                                (1e306, "-2.83788e+306")])
+    def test_log_product_beyond_the_product_floats(self, p, log_product):
+        # ln product is -p (1 + ln 2 pi) to leading order; past p ~ 5e305 the ratio is
+        # summed per unit p/2
+        assert f"{gaussian_log_product(1, p):.6g}" == log_product
+
+    @pytest.mark.parametrize("p, log_product", [(1e308, "-inf")])
     def test_product_outside_the_floats_is_a_usage_error(self, p, log_product):
-        # ln product is -p (1 + ln 2 pi) to leading order; past p ~ 2.5e305 it is summed
-        # per unit p, and from 6.3e307 on it is itself beyond the floats
-        with pytest.raises(ValueError, match=f"ln product = {re.escape(log_product)}$"):
-            gaussian_uncertainty_product(1, p)
+        # from p ~ 6.3e307 on ln product is itself beyond the floats
+        with pytest.raises(ValueError, match=f"no finite log: ln product = {log_product}$"):
+            gaussian_log_product(1, p)
+
+
+class TestLogMomentRatio:
+    """ln V_p(F) / ||F||_p^p as the log mean of r^p under r^{d-1} F(r)^p."""
+
+    @pytest.mark.parametrize("d", [1, 10, 10**3, 10**6, 10**9, 10**12, 10**15, 10**18])
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 7.5])
+    def test_g_1_is_the_gaussian(self, d, p):
+        # g_1 = 2 exp(-pi r^2) has two equal terms: the expansion (p = 3) and the
+        # trapezoid rule (the others) against the one-term closed form.  The difference
+        # of two norms' logs read 87.94 against 94.81 at d = 1e15, p = 3
+        log_ratio = log_moment_ratio(gc_profile(1.0, d), d, p)
+        rel = 1e-12 if p == int(p) else 1e-13
+        assert 2.0 * log_ratio == pytest.approx(gaussian_log_product(d, p), rel=rel)
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("c", [2.0, 4.0])
+    def test_g_c_against_mpmath(self, d, c):
+        # p ln(||x| g_c||_p / ||g_c||_p) from the 40-digit norms of _mpmath_mixture_norm
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        profile = gc_profile(c, d)
+        for p in (1.5, 2.5, 3.0, 7.5):
+            exact = p * (mp.log(_mpmath_mixture_norm(mp, profile, d, p, 1.0))
+                         - mp.log(_mpmath_mixture_norm(mp, profile, d, p, 0.0)))
+            assert log_moment_ratio(profile, d, p) == pytest.approx(float(exact), rel=1e-12), p
+
+    def test_scale_free(self):
+        # the ratio does not see F's scale, only its shape
+        for p in (2.0, 2.5):
+            profile = gc_profile(2.0, 3)
+            scaled = RadialProfile(terms=tuple((lc + 5.0, rate) for lc, rate in profile.terms))
+            assert log_moment_ratio(scaled, 3, p) == pytest.approx(
+                log_moment_ratio(profile, 3, p), abs=1e-14)
+
+    def test_moment_apart_from_the_density(self):
+        # p = 1e6 + 0.5 >> d: r^p F^p peaks at ln r ~ ln(p/d)/2 from the density's peak, so
+        # the two sums take a node set each
+        log_ratio = log_moment_ratio(gc_profile(1.0, 3), 3, 1e6 + 0.5)
+        assert 2.0 * log_ratio == pytest.approx(gaussian_log_product(3, 1e6 + 0.5), rel=1e-13)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="p must be finite"):
+            log_moment_ratio(gaussian_profile(), 2, math.inf)
+        with pytest.raises(ValueError, match="dimension"):
+            log_moment_ratio(gaussian_profile(), 0, 2.0)
