@@ -8,7 +8,7 @@ Subsystems:
 * ``grid``            - sampled functions and the discrete continuous-Fourier
                         transform on centered cubes (d <= 3)
 * ``counterexamples`` - two-scale Gaussian family, signed-translate families,
-                        measured endpoint masses
+                        endpoint masses in closed form
 * ``harness``         - dimension sweeps, chain checks, the trichotomy pipeline
 * ``cli``             - reproducible command-line experiments
 """

@@ -9,7 +9,7 @@ Three constructions live here:
   2^d x 2^d parallelogram-law sign matrix, which defeat the strict-violation
   side of the Cowling-Price conditions,
 * the endpoint singularity |x|^{-d/2} log^{-1/2}(1/|x|), whose L^2 tail masses
-  (divergent) and weighted mass (finite) are measured by radial quadrature and
+  (divergent) and weighted mass (finite) are exact integrals in closed form,
   returned as their logs, so they get a verdict at any d and p.
 """
 
@@ -256,13 +256,13 @@ def rs_slope(families: list[RSFamily], p: float, theta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Endpoint case: masses of the |x|^{-d/2} ln^{-1/2}(1/|x|) singularity, measured
+# Endpoint case: masses of the |x|^{-d/2} ln^{-1/2}(1/|x|) singularity, in closed form
 
 
 def endpoint_tail_mass(delta: float, d: int) -> float:
-    """ln of the L^2 mass of |x|^{-d/2} ln^{-1/2}(1/|x|) over delta < |x| < 1/2, by
-    radial quadrature; the mass grows like omega_{d-1} ln ln(1/delta), so the profile is
-    not L^2."""
+    """ln of the L^2 mass of |x|^{-d/2} ln^{-1/2}(1/|x|) over delta < |x| < 1/2 by
+    radial_integral, omega_{d-1} (ln ln(1/delta) - ln ln 2): it grows without bound, so
+    the profile is not L^2."""
     if not 0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     return radial_integral(-1.0, d, delta, 0.5)
@@ -270,8 +270,8 @@ def endpoint_tail_mass(delta: float, d: int) -> float:
 
 def endpoint_weighted_mass(d: int, p: float) -> float:
     """ln || |x|^theta F ||_p^p for F = |x|^{-d/2} ln^{-1/2}(1/|x|) on |x| < 1/2 at the
-    endpoint theta = d(1/2 - 1/p), by radial quadrature of |x|^{p theta} F^p =
-    |x|^{-d} ln^{-p/2}(1/|x|); the mass is finite exactly for p > 2."""
+    endpoint theta = d(1/2 - 1/p), the mass of |x|^{p theta} F^p = |x|^{-d} ln^{-p/2}(1/|x|)
+    by radial_integral, omega_{d-1} ln^{1-p/2}(2) / (p/2 - 1): finite exactly for p > 2."""
     if p <= 2:
         raise ValueError(f"the endpoint mass diverges for p <= 2, got p={p}")
     return radial_integral(-0.5 * p, d, 0.0, 0.5)

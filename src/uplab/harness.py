@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,8 @@ from .params import (
     log_threshold,
     lp_params,
 )
-from .radial import RadialProfile, gaussian_log_product, gaussian_profile, radial_weighted_norm
+from .radial import (RadialProfile, _log_u_integral, gaussian_log_product, gaussian_profile,
+                     radial_weighted_norm)
 from .specialfn import LOG_2, LOG_MAX
 
 SLACK_TOL = 1e-6
@@ -346,6 +347,8 @@ class CPReport:
     log_tail_masses: tuple[float, ...] = ()
     log_weighted_mass: float | None = None
     log_bound: float | None = None
+    # the tail masses' logs less ln omega_{d-1}, which rounds their steps away from d ~ 1e9
+    log_tail_integrals: tuple[float, ...] = field(default=(), repr=False)
 
     @property
     def passed(self) -> bool:
@@ -364,10 +367,10 @@ class CPReport:
 
     @property
     def tails_diverge(self) -> bool:
-        """The tail masses at ENDPOINT_DELTAS, successive squares, grow by equal positive
-        steps (omega_{d-1} ln 2 each, within SLACK_TOL relative): ln ln(1/delta) diverges.
-        The steps are taken as logs, ln m_{j+1} + ln(1 - m_j / m_{j+1})."""
-        logs = np.array(self.log_tail_masses, dtype=float)
+        """The tail masses at ENDPOINT_DELTAS, successive squares, over omega_{d-1} grow by
+        equal positive steps (ln 2 each, within SLACK_TOL relative): ln ln(1/delta)
+        diverges.  The steps are taken as logs, ln m_{j+1} + ln(1 - m_j / m_{j+1})."""
+        logs = np.array(self.log_tail_integrals, dtype=float)
         if len(logs) != len(ENDPOINT_DELTAS):
             return False
         with np.errstate(divide="ignore", invalid="ignore"):  # NaN or -inf steps fail below
@@ -411,9 +414,9 @@ def cp_check(
     violated  -> compare the predicted growth slope of the signed-translate
                  counterexample schedule with the one measured on grids
                  for d <= 2;
-    endpoint  -> measure the logs of the endpoint singularity's L^2 tail masses
-                 at ENDPOINT_DELTAS and of its weighted mass by radial quadrature,
-                 finite at any d and p (judged by CPReport.tails_diverge and
+    endpoint  -> the logs of the endpoint singularity's L^2 tail masses at
+                 ENDPOINT_DELTAS and of its weighted mass, exact integrals in closed
+                 form, finite at any d and p (judged by CPReport.tails_diverge and
                  weighted_mass_finite).
     """
     classification = cp_classify(d, p, q, theta, phi)
@@ -459,6 +462,7 @@ def cp_check(
         d=d, p=p, q=q, theta=theta, phi=phi,
         classification=classification,
         log_tail_masses=tuple(cx.endpoint_tail_mass(delta, d) for delta in ENDPOINT_DELTAS),
+        log_tail_integrals=tuple(_log_u_integral(-1.0, delta, 0.5) for delta in ENDPOINT_DELTAS),
         log_weighted_mass=cx.endpoint_weighted_mass(d, p),
     )
 

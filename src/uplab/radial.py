@@ -10,7 +10,7 @@ uncertainty ratio V_p(F) / ||F||_p^p (log_moment_ratio, one ratio for the Gaussi
 g_c alike) need no adaptive quadrature: an integer power F^p expands multinomially
 into Gaussians with closed forms, any other takes a trapezoid rule in ln r.  The
 Cowling-Price endpoint's |x|^{-d} ln^beta(1/|x|) has one entry point, radial_integral:
-in u = ln(1/r) the tanh-sinh rule of Takahasi & Mori.  All return logs, finite at any
+in u = ln(1/r) the integral of u^beta, in closed form.  All return logs, finite at any
 dimension and beyond the floats.  Everything here needs numpy alone.
 """
 
@@ -27,7 +27,6 @@ import numpy as np
 
 from .specialfn import LOG_2, _check_dimension, _log_gamma_ratio, dimension_constants, log_gamma
 
-QUAD_RTOL = 1e-10
 TRAPEZOID_RTOL = 1e-13
 # an integer power of a mixture is expanded while it has at most this many Gaussians
 _MAX_EXPANSION = 1024
@@ -77,104 +76,31 @@ def gaussian_profile(rate: float = 1.0) -> RadialProfile:
     return RadialProfile(terms=((0.0, rate),))
 
 
-
-# The tanh-sinh rule of Takahasi & Mori, Publ. RIMS 9 (1974) 721-741, on |t| <= _TS_WINDOW:
-# there the nodes come within e^{-pi sinh 6} ~ 1e-275 of the interval's length of each end
-_TS_WINDOW = 6
-_TS_END = math.exp(-math.pi * math.sinh(_TS_WINDOW))
-# steps 2^-level: the first sum compared is that of step 1/8 with that of 1/4, the last
-# that of 1/512 (6145 nodes)
-_TS_FIRST_LEVEL, _TS_LAST_LEVEL = 3, 9
-
-
-@functools.cache
-def _ts_nodes(level: int):
-    """The nodes t of step 2^-level that a sum at that step evaluates: at _TS_FIRST_LEVEL
-    all of them, the first n_coarse being those of the step twice as large, after it
-    only the odd multiples of the step (n_coarse = 0).  Returned as read-only arrays of
-    (distance to the nearer end, whether that end is the lower one, weight) per unit
-    length of the interval, and n_coarse."""
-    j = np.arange(-_TS_WINDOW * 2**level, _TS_WINDOW * 2**level + 1)
-    odd = j % 2 == 1
-    j = np.concatenate([j[~odd], j[odd]]) if level == _TS_FIRST_LEVEL else j[odd]
-    t = j * 2.0**-level
-    # x = mid + half tanh(s), s = (pi/2) sinh t; with e = exp(-2|s|) the distance to the
-    # nearer end is length e / (1 + e) and dx/dt = length pi cosh t e / (1 + e)^2
-    e = np.exp(-math.pi * np.abs(np.sinh(t)))
-    arrays = e / (1.0 + e), t < 0, math.pi * np.cosh(t) * e / (1.0 + e) ** 2
-    for a in arrays:
-        a.flags.writeable = False
-    return (*arrays, int(np.count_nonzero(j % 2 == 0)))
-
-
-def _quad(fn, lo: float, hi: float) -> float:
-    """The integral of fn over the finite (lo, hi) by the tanh-sinh rule; fn maps an
-    array of points to a new array of values.
-
-    The nodes are placed by their distances from the nearer end, so a node near lo = 0
-    is that distance itself, not lo + length rounded: an integrable u^beta singularity
-    at either end is sampled down to _TS_END of the length from it.  The step halves
-    from 1/4 until the sums of two successive steps agree to QUAD_RTOL relative to the
-    finer one.  On an integrand analytic inside the interval, the rule's error falls
-    like exp(-c / step) (Takahasi & Mori), so halving the step squares the relative
-    error: the coarser sum's error is then the difference, at most QUAD_RTOL, and the
-    accepted finer sum's about QUAD_RTOL^2, below the rounding of the sum.  What the
-    window leaves out is the mass within _TS_END of the length from each end.  A sum
-    that has not converged at step 2^-_TS_LAST_LEVEL raises.
-    """
-    length = hi - lo
-    for level in range(_TS_FIRST_LEVEL, _TS_LAST_LEVEL + 1):
-        dist, lower, weight, n_coarse = _ts_nodes(level)
-        offset = length * dist
-        terms = fn(np.where(lower, lo + offset, hi - offset))
-        terms *= (length * 2.0**-level) * weight
-        if n_coarse:
-            total = 2.0 * float(terms[:n_coarse].sum())
-        coarse, total = total, 0.5 * total + float(terms[n_coarse:].sum())
-        if abs(total - coarse) <= QUAD_RTOL * abs(total):
-            return total
-    raise ValueError(
-        f"the tanh-sinh rule on ({lo:g}, {hi:g}) did not converge to {QUAD_RTOL:g}"
-    )
-
-
-def radial_integral(beta: float, d: int, lo: float, hi: float) -> float:
-    """ln of omega_{d-1} * integral over (lo, hi) of r^{-1} ln^beta(1/r) dr, the mass of
-    |x|^{-d} ln^beta(1/|x|) over lo < |x| < hi, for 0 <= lo < hi < 1.
-
-    u = ln(1/r) turns the integrand into u^beta on (ln(1/hi), ln(1/lo)), for the
-    tanh-sinh rule.  Down to r = 0 that range is infinite and holds its mass out at
-    u ~ e^{1/|beta+1|}; so past u = 1 it goes on in t = ln u, over pieces of doubling
-    width until one adds nothing.  The integrand is exp(beta ln u - shift), where the
-    shift (0 unless its peak passes e^700) keeps it inside the floats and is added back
-    to the log.
-    """
+def _log_u_integral(beta: float, lo: float, hi: float) -> float:
+    """ln of the integral over (lo, hi) of r^{-1} ln^beta(1/r) dr, 0 <= lo < hi < 1: in
+    u = ln(1/r), of u^beta, whose antiderivative ln u (beta = -1) or u^{beta+1} / (beta+1)
+    is formed in logs, so no power of u leaves the floats.  ln(u_hi / u_lo) is log1p of
+    ln(hi / lo) / u_lo, that ln taken from the exact hi - lo where hi < 2 lo; the larger
+    power is factored out of the difference of two, leaving -expm1 of a negative number."""
     if not 0 <= lo < hi < 1:
         raise ValueError(f"invalid radial range ({lo}, {hi}): it must lie inside [0, 1)")
     if lo == 0.0 and not beta < -1:
         raise ValueError(f"non-integrable singularity at r=0: r^-1 ln^{beta:g}(1/r)")
-    log_scale = dimension_constants(d).log_sphere_area
     u_lo = -math.log(hi)  # not ln(1/hi): 1/r is inf for a subnormal r
-    u_hi = math.inf if lo == 0.0 else -math.log(lo)
-    # the log-integrand beta ln u peaks at an end
-    log_peak = max(beta * math.log(u) for u in (u_lo, u_hi) if u < math.inf)
-    shift = max(0.0, log_peak - 700.0)
+    if lo == 0.0:
+        return (beta + 1.0) * math.log(u_lo) - math.log(-beta - 1.0)
+    log_hi_lo = math.log1p((hi - lo) / lo) if hi < 2.0 * lo else -math.log(lo) - u_lo
+    spread = math.log1p(log_hi_lo / u_lo)
+    if beta == -1.0:
+        return math.log(spread)
+    b = beta + 1.0
+    return (b * (math.log(u_lo) + (spread if b > 0 else 0.0)) - math.log(abs(b))
+            + math.log(-math.expm1(-abs(b) * spread)))
 
-    def integrand(u):
-        return np.exp(beta * np.log(u) - shift)
 
-    def log_integrand(t):
-        return np.exp((beta + 1.0) * t - shift)
-
-    if u_hi < math.inf:
-        total = _quad(integrand, u_lo, u_hi)
-    else:
-        total, piece = _quad(integrand, u_lo, max(u_lo, 1.0)), math.inf
-        t, width = math.log(max(u_lo, 1.0)), 1.0
-        while piece > 1e-17 * total:
-            piece = _quad(log_integrand, t, t + width)
-            total, t, width = total + piece, t + width, 2.0 * width
-    return (math.log(total) if total > 0.0 else -math.inf) + shift + log_scale
+def radial_integral(beta: float, d: int, lo: float, hi: float) -> float:
+    """ln of the mass of |x|^{-d} ln^beta(1/|x|) over 0 <= lo < |x| < hi < 1."""
+    return _log_u_integral(beta, lo, hi) + dimension_constants(d).log_sphere_area
 
 
 def _logsumexp(x):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import uplab
 from test_grid import read_grid_csv
@@ -512,6 +512,15 @@ class TestLogDomainVerdicts:
         masses = ", ".join(f"e^{m:.9g}" for m in report.log_tail_masses)
         assert f"tail masses [{masses}] pass=True" in out
 
+    def test_endpoint_weighted_mass_at_p_1e300(self, capsys):
+        # beta = -p/2 = -5e299: the mass omega_2 (ln 2)^{1-p/2} / (p/2 - 1) = e^{1.8e299}
+        argv = ["--d", "3", "--p", "1e300", "--q", "1e300", "--theta", "1.5", "--phi", "1.5"]
+        code, out, err = run(capsys, "cowling-price", *argv)
+        assert (code, err) == (1, "")
+        assert "classification: endpoint" in out
+        assert "] pass=True\n" in out
+        assert "endpoint weighted mass e^1.8325646e+299 pass=True\n" in out
+
     @pytest.mark.parametrize("d", ["3000", "100000", "1000000000", "1" + "0" * 15, "1" + "0" * 17])
     def test_weight_kept_at_large_d(self, capsys, d):
         # the ratio is a mean of r^p, not a difference of two norms' logs of size
@@ -899,6 +908,25 @@ class TestCliFuzz:
 
         if argv[0] in _COMMANDS:
             assert outcome(cli.build_parser(argv[0])) == outcome(cli.build_parser()), argv
+
+    @given(st.integers(1, 10**100),
+           st.floats(math.log10(2.0), 300.0, exclude_min=True).map(lambda x: 10.0**x))
+    @settings(derandomize=True, deadline=None)
+    def test_every_endpoint_tuple_gets_both_verdicts(self, d, p):
+        # q = p and theta = phi = d (1/2 - 1/p), for d out to 10^100 and p log-uniform on
+        # (2, 1e300]: the weighted mass is finite for every p > 2, and the tail masses over
+        # omega_{d-1} grow by ln 2 each at any d
+        assume(p > 2.0)
+        theta = repr(d * (0.5 - 1.0 / p))
+        argv = ["cowling-price", f"--d={d}", f"--p={p!r}", f"--q={p!r}", f"--theta={theta}",
+                f"--phi={theta}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = out.getvalue().splitlines()
+        assert (code, err.getvalue()) == (1, ""), argv
+        assert lines[0] == "classification: endpoint", argv
+        assert [line.rsplit(" ", 1)[1] for line in lines[1:]] == ["pass=True"] * 2, argv
 
     @given(st.one_of(_cli_argv(), _refused_argv()))
     @settings(derandomize=True, max_examples=150, deadline=None)

@@ -401,7 +401,7 @@ def _mpmath_endpoint_integrals():
     weighted = {}
     for p in ENDPOINT_PS:
         # |x|^{p theta} F^p r^{d-1} = 1 / (r ln^{p/2}(1/r)); in s = ln ln(1/r) it
-        # is e^{(1 - p/2) s} on (ln ln 2, inf), a tail that tanh-sinh resolves
+        # is e^{(1 - p/2) s} on (ln ln 2, inf), a tail that mp.quad resolves
         a = 1 - mp.mpf(p) / 2
         weighted[p] = mp.quad(lambda s: mp.exp(a * s), [mp.log(mp.log(2)), mp.inf])
     return mp, tails, weighted

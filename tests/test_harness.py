@@ -26,7 +26,6 @@ from uplab.grid import (
     random_bump,
 )
 from uplab.params import cp_feasible, l2_params, lp_params
-from uplab.specialfn import dimension_constants
 
 
 def read_sweep_csv(path) -> list[dict]:
@@ -443,35 +442,44 @@ class TestTrichotomy:
         assert dataclasses.replace(report, measured_slope=0.62).passed
 
     def test_endpoint_verdict_rests_on_measurement(self):
-        # tail masses at successive squares of delta must grow by equal steps
-        # (omega ln 2 each) and the weighted mass must be finite and positive
-        step = dimension_constants(2).sphere_area * math.log(2.0)
+        # tail masses over omega_{d-1} at successive squares of delta must grow by equal
+        # steps (ln 2 each) and the weighted mass must be finite and positive
+        step = math.log(2.0)
         report = harness.CPReport(
             d=2, p=4.0, q=4.0, theta=0.5, phi=0.5,
             classification="endpoint",
-            log_tail_masses=tuple(math.log(step * (2.0 + k)) for k in range(4)),
+            log_tail_integrals=tuple(math.log(step * (2.0 + k)) for k in range(4)),
             log_weighted_mass=math.log(9.0),
         )
         assert report.passed is True  # a plain bool, as --out writes it to JSON
-        # masses of 0, what omega_{d-1} = 0 measured from d = 449 on as floats
-        assert dataclasses.replace(report, log_tail_masses=(-math.inf,) * 4).passed is False
+        # masses of 0
+        assert dataclasses.replace(report, log_tail_integrals=(-math.inf,) * 4).passed is False
         # converging masses: the steps halve
         halving = tuple(map(math.log, (1.0, 2.0, 2.5, 2.75)))
-        assert dataclasses.replace(report, log_tail_masses=halving).passed is False
+        assert dataclasses.replace(report, log_tail_integrals=halving).passed is False
         # equal masses, shrinking masses, NaN, too few
         for logs in ((0.0,) * 4, (3.0, 2.0, 1.0, 0.0), (0.0, 1.0, math.nan, 2.0), ()):
-            assert dataclasses.replace(report, log_tail_masses=logs).passed is False
+            assert dataclasses.replace(report, log_tail_integrals=logs).passed is False
         for log_weighted in (None, -math.inf, math.inf, math.nan):
             assert dataclasses.replace(report, log_weighted_mass=log_weighted).passed is False
 
     def test_endpoint_steps_beyond_the_floats(self):
-        # steps of omega ln 2 with omega = e^{-800} or e^{800}, and one step 1e-5 short
-        for log_omega in (-800.0, 800.0):
-            logs = [log_omega + math.log(math.log(2.0) * (2.0 + k)) for k in range(4)]
+        # steps of e^{-800} ln 2 or e^{800} ln 2, and one step 1e-5 short
+        for log_scale in (-800.0, 800.0):
+            logs = [log_scale + math.log(math.log(2.0) * (2.0 + k)) for k in range(4)]
             report = harness.CPReport(
                 d=500, p=4.0, q=4.0, theta=125.0, phi=125.0, classification="endpoint",
-                log_tail_masses=tuple(logs), log_weighted_mass=log_omega,
+                log_tail_integrals=tuple(logs), log_weighted_mass=log_scale,
             )
             assert report.tails_diverge and report.passed
-            logs[3] = log_omega + math.log(math.log(2.0) * (5.0 - 1e-5))
-            assert not dataclasses.replace(report, log_tail_masses=tuple(logs)).tails_diverge
+            logs[3] = log_scale + math.log(math.log(2.0) * (5.0 - 1e-5))
+            assert not dataclasses.replace(report, log_tail_integrals=tuple(logs)).tails_diverge
+
+    @pytest.mark.parametrize("d", [2 * 10**9, 10**18, 10**100])
+    def test_endpoint_steps_judged_without_omega(self, d):
+        # ln omega_{d-1} ~ -(d/2) ln d rounds the masses' steps of about 0.2 in their logs
+        # away; over omega_{d-1} the masses still grow by ln 2 each
+        report = harness.cp_check(d, 4.0, 4.0, d / 4, d / 4)
+        assert report.tails_diverge and report.passed
+        masses_only = dataclasses.replace(report, log_tail_integrals=report.log_tail_masses)
+        assert not masses_only.tails_diverge

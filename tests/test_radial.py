@@ -1,11 +1,12 @@
 """Tests for radial-reduction integrals.
 
 Closed-form Gaussian moments and power-law integrals give exact oracles; the
-mixture norms and the tanh-sinh paths are cross-checked against direct
-scipy.integrate calls, a 40-digit mpmath quadrature written independently
-here, and mpmath's incomplete Gamma function.
+mixture norms and the endpoint's closed-form masses are cross-checked against
+direct scipy.integrate calls and 40-digit mpmath quadratures written
+independently here.
 """
 
+import functools
 import math
 import re
 
@@ -14,10 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from uplab import radial
-from uplab.counterexamples import gc_infimum_sweep, gc_profile
+from uplab.counterexamples import gc_profile
 from uplab.grid import default_spec
-from uplab.harness import cp_check
 from uplab.radial import (
     RadialProfile,
     gaussian_log_product,
@@ -222,7 +221,7 @@ class TestRadialWeightedNorm:
         exact = mp.log(_mpmath_mixture_norm(mp, profile, 1000, 2.0, 600.0))
         assert exact > 1000
         assert radial_weighted_norm(profile, 1000, 2.0, 600.0) == pytest.approx(
-            float(exact), abs=radial.QUAD_RTOL
+            float(exact), abs=1e-10
         )
 
 
@@ -290,7 +289,7 @@ class TestMixtureNorm:
             profile = gc_profile(c, d)
             exact = mp.log(_mpmath_mixture_norm(mp, profile, d, p, w))
             log_norm = radial_weighted_norm(profile, d, p, w)
-            assert log_norm == pytest.approx(float(exact), abs=radial.QUAD_RTOL), (d, p, w, c)
+            assert log_norm == pytest.approx(float(exact), abs=1e-10), (d, p, w, c)
 
     @pytest.mark.parametrize("d", [3000, 100000])
     def test_coefficients_beyond_the_floats_against_mpmath(self, d):
@@ -322,30 +321,31 @@ class TestMixtureNorm:
             math.log(omega * oracle) / p, abs=1e-11
         )
 
-    def test_no_adaptive_quadrature(self, monkeypatch):
-        # every Gaussian-mixture norm is a closed form or the trapezoid rule in t = ln r
-        def refuse(*args, **kwargs):
-            raise AssertionError("quadrature called on a Gaussian profile")
 
-        monkeypatch.setattr(radial, "_quad", refuse)
-        for p, theta in [(2.0, 1.0), (2.5, 1.0)]:  # integer and non-integer p
-            report = cp_check(2, p, p, theta, theta)
-            assert report.classification == "feasible" and report.passed
-        for p in (5.0, 4.5):
-            assert all(math.isfinite(x) for x in gc_infimum_sweep(2, p, [1.0, 2.0, 4.0]))
-
-
-def _mpmath_power_log_integral(mp, beta, d, lo, hi):
-    """omega_{d-1} * integral over (lo, hi) of r^{-1} ln^beta(1/r) dr at mp's precision: in
-    u = ln(1/r) it is the integral of u^beta, a power of u or, at beta = -1, ln u."""
-    u_lo = mp.log(1 / mp.mpf(hi))
-    u_hi = mp.inf if lo == 0 else mp.log(1 / mp.mpf(lo))
+@functools.cache
+def _mpmath_power_log_integral(beta, lo, hi):
+    """mp and the integral over (lo, hi) of r^{-1} ln^beta(1/r) dr at 40 digits, without
+    omega_{d-1}.  A finite range is integrated in r itself, split at every decade of
+    (lo, hi); one down to r = 0 in s = ln ln(1/r), where the integrand is e^{(beta+1) s}
+    on (ln ln(1/hi), inf).  From beta = -5e5 on mp.quad no longer resolves that
+    exponential, and the oracle is the antiderivative u_lo^{beta+1} / (-beta-1) of u^beta
+    in u = ln(1/r)."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
     b1 = mp.mpf(beta) + 1
-    integral = mp.log(u_hi / u_lo) if b1 == 0 else (u_hi**b1 - u_lo**b1) / b1
-    return 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2) * integral
+    s_lo = mp.log(mp.log(1 / mp.mpf(hi)))
+    if lo == 0 and beta <= -5e5:
+        return mp, mp.exp(b1 * s_lo) / -b1
+    if lo == 0:
+        return mp, mp.quad(lambda s: mp.exp(b1 * s), [s_lo, mp.inf])
+    edges = [mp.mpf(lo) * 10**j for j in range(max(1, round(math.log10(hi / lo))))]
+    return mp, mp.quad(lambda r: mp.log(1 / r) ** beta / r, edges + [mp.mpf(hi)])
 
 
 class TestTanhSinh:
+    """radial_integral's closed form against mpmath's tanh-sinh quadrature at 40 digits."""
+
     @pytest.mark.parametrize("d", [1, 445, 10**5])
     @pytest.mark.parametrize("beta, lo, hi", [
         # finite u in (ln 2, ln(1/delta)), out to the ln^-3 and ln^2 ends of long ranges
@@ -353,34 +353,25 @@ class TestTanhSinh:
         (-1.0, 1e-6, 0.5),
         (-3.0, 1e-12, 0.5),
         (2.0, 1e-24, 0.5),
-        # u in (ln 2, inf): the mass far out in t = ln u
+        # ranges of one rounding unit and of 1e-7 relative: ln(u_hi / u_lo) from hi - lo
+        (3.0, 0.5, 0.5000000000000001),
+        (-1.0, 1e-300, 1.0000001e-300),
+        # u in (ln 2, inf): the mass far out in u
         (-1.01, 0.0, 0.5),
         (-2.5, 0.0, 0.5),
-        # (ln 2)^beta = e^183000: the shift keeps the integrand inside the floats
+        # (ln 2)^beta = e^183000, e^1.8e9 and e^1.8e299: masses far beyond the floats
         (-5e5, 0.0, 0.5),
+        (-5e9, 0.0, 0.5),
+        (-5e299, 0.0, 0.5),
     ])
     def test_against_mpmath(self, beta, lo, hi, d):
-        mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp.clone()
-        mp.dps = 40
-        exact = _mpmath_power_log_integral(mp, beta, d, lo, hi)
-        log_val = radial_integral(beta, d, lo, hi)
-        assert log_val == pytest.approx(float(mp.log(exact)), abs=radial.QUAD_RTOL)
-
-    def test_rule_on_its_own(self):
-        # exact for u^-1/2 at the singular end and for a polynomial; no interval, no mass
-        assert radial._quad(lambda u: u**-0.5, 0.0, 4.0) == pytest.approx(4.0, rel=1e-15)
-        assert radial._quad(lambda u: 3 * u * u, -1.0, 2.0) == pytest.approx(9.0, rel=1e-15)
-        assert radial._quad(lambda u: u, 1.0, 1.0) == 0.0
-        # the nodes next to lo = 0 are distances, far below lo + length's rounding
-        seen = []
-        radial._quad(lambda u: seen.append(u.min()) or np.ones_like(u), 0.0, 1.0)
-        assert 0.0 < min(seen) <= 2.0 * radial._TS_END
-
-    def test_unresolved_integrand_raises(self):
-        # a jump inside the interval: the rule converges only algebraically
-        with pytest.raises(ValueError, match="did not converge"):
-            radial._quad(lambda u: (u > 0.3).astype(float), 0.0, 1.0)
+        mp, integral = _mpmath_power_log_integral(beta, lo, hi)
+        half = mp.mpf(d) / 2
+        exact = float(mp.log(2) + half * mp.log(mp.pi) - mp.loggamma(half) + mp.log(integral))
+        # a log below 1e6 to 1e-10, a relative 1e-10 of the mass; a larger one to 1e-15
+        # of itself, whose own rounding is 1e-16 of it
+        tolerance = {"abs": 1e-10} if abs(exact) < 1e6 else {"rel": 1e-15}
+        assert radial_integral(beta, d, lo, hi) == pytest.approx(exact, **tolerance)
 
 
 class TestGaussianUncertaintyProduct:
