@@ -120,6 +120,8 @@ def _cmd_cowling_price(args) -> int:
     else:
         masses = ", ".join(map(_side_text, report.log_tail_masses))
         print(f"  tail masses [{masses}] pass={report.tails_diverge}")
+        masses = ", ".join(map(_side_text, report.log_tail_integrals))
+        print(f"  tail masses over omega_{{d-1}} [{masses}]")
         print(f"  endpoint weighted mass {_side_text(report.log_weighted_mass)} "
               f"pass={report.weighted_mass_finite}")
     if args.out:

@@ -5,13 +5,14 @@ of F(r) r^{d-1} dr, the only high-d integration strategy here: the test function
 are radial or live on low-dimensional grids (module grid).
 
 A Gaussian mixture F holds its coefficients as logs, positive and possibly beyond the
-floats (g_c's c^{-+d/2} at large d).  Its weighted norms (radial_weighted_norm) and its
-uncertainty ratio V_p(F) / ||F||_p^p (log_moment_ratio, one ratio for the Gaussian and
-g_c alike) need no adaptive quadrature: an integer power F^p expands multinomially
-into Gaussians with closed forms, any other takes a trapezoid rule in ln r.  The
-Cowling-Price endpoint's |x|^{-d} ln^beta(1/|x|) has one entry point, radial_integral:
-in u = ln(1/r) the integral of u^beta, in closed form.  All return logs, finite at any
-dimension and beyond the floats.  Everything here needs numpy alone.
+floats (g_c's c^{-+d/2} at large d).  One kernel, _log_moments, takes the log mass of
+r^{k-1} F(r)^p and the log mean of r^m under it without adaptive quadrature (an integer
+power F^p expands into Gaussians, any other takes a trapezoid rule in ln r): the mass
+gives the weighted norms (radial_weighted_norm), the mean the uncertainty ratio
+V_p(F) / ||F||_p^p (log_moment_ratio, for the Gaussian and g_c alike).  The endpoint's
+|x|^{-d} ln^beta(1/|x|) (radial_integral) is, in u = ln(1/r), the integral of u^beta in
+closed form.  All return logs, finite at any dimension and beyond the floats.
+Everything here needs numpy alone.
 """
 
 from __future__ import annotations
@@ -120,18 +121,9 @@ def _expansion(terms, p: float):
     head = np.indices((n + 1,) * (m - 1)).reshape(m - 1, -1).T
     head = head[head.sum(axis=1) <= n]
     powers = np.column_stack([head, n - head.sum(axis=1)])
-    return _LOG_FACTORIAL[n] - _LOG_FACTORIAL[powers].sum(axis=1) + powers @ log_c, powers @ rates
-
-
-def _reference(terms, k: float, p: float) -> tuple[int, float]:
-    """The dominant term, whose r^{k-1} (c e^{-pi a r^2})^p has the largest integral, and
-    2 t_ref, twice the ln r of its peak, where pi a r^2 = k / (2p)."""
-    ref = max(range(len(terms)), key=lambda i: p * terms[i][0] - 0.5 * k * math.log(terms[i][1]))
-    rate = terms[ref][1]
-    quotient = k / (2.0 * math.pi * p * rate)  # one rounded log: k t_ref is O(k ln k)
-    if 0.0 < quotient < math.inf:
-        return ref, math.log(quotient)
-    return ref, math.log(k) - math.log(2.0 * math.pi) - math.log(p) - math.log(rate)
+    with np.errstate(over="ignore"):  # a coefficient's log beyond the floats is +-inf
+        log_coef = _LOG_FACTORIAL[n] - _LOG_FACTORIAL[powers].sum(axis=1) + powers @ log_c
+    return log_coef, powers @ rates
 
 
 def _log_trapezoid(terms, k: float, p: float, ref: int, two_t_ref: float, moments):
@@ -203,19 +195,76 @@ def _log_trapezoid(terms, k: float, p: float, ref: int, two_t_ref: float, moment
     return [sums(*s, (m,))[0] for s, m in zip(spans, moments)]
 
 
+def _log_one_term_ratio(x: float, a: float, rate: float) -> float:
+    """ln Gamma(x + a) - ln Gamma(x) - a ln(2 pi a rate), the log mean of r^{2a} under
+    r^{2x-1} e^{-2 pi a rate r^2}; from a ~ 2.5e305 on, where that leaves the floats, by
+    Stirling's formula for Gamma(x + a) summed per unit a."""
+    log_ratio = _log_gamma_ratio(x, a) - a * math.log(math.pi * (2.0 * a) * rate)
+    if math.isfinite(log_ratio):
+        return log_ratio
+    log_2pi = math.log(2.0 * math.pi)
+    return a * (math.log1p(x / a) - log_2pi - 1.0 - math.log(rate)
+                + ((x - 0.5) * math.log(x + a) - x + 0.5 * log_2pi - log_gamma(x)) / a)
+
+
+def _log_moments(terms, k: float, p: float, m: float = 0.0) -> tuple[float, float]:
+    """The log mass, ln of the integral of r^{k-1} F(r)^p dr for the mixture F of these terms,
+    and the log mean of r^m under that density, one quotient: no two logs of size (k/2) ln k
+    are subtracted, and m = 0 (a mean of 1) does no work for it.  One term c e^{-pi a r^2}
+    has the mass c^p Gamma(k/2) / (2 (pi p a)^{k/2}).  An integer p expands F^p into
+    Gaussians G_j of masses Gamma(k/2) / (2 (pi R_j)^{k/2}), whose mean of (pi R_j)^{-m/2}
+    times the Gamma quotient is the mean.  Any other p takes _log_trapezoid about the
+    dominant term, whose r^{k-1} (c e^{-pi a r^2})^p has the largest integral and peaks at
+    ln r = t_ref, pi a r^2 = k / (2p); the mean is e^{m t_ref} times the quotient of its sums
+    with and without r^m.  Where m t_ref is infinite, the mass is left NaN."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    half, a = 0.5 * k, 0.5 * m
+    try:  # the closed forms' mass factor; no mean needs it
+        log_gamma_half = log_gamma(half)
+    except OverflowError:  # from k ~ 5.1e305 on the mass is beyond the floats
+        log_gamma_half = math.inf
+    if len(terms) == 1:
+        log_c, rate = terms[0]
+        log_mass = p * log_c + log_gamma_half - half * math.log(math.pi * p * rate) - LOG_2
+        # rate * (p / m) is rate itself at m = p
+        return log_mass, _log_one_term_ratio(half, a, rate * (p / m)) if m else 0.0
+    if (expansion := _expansion(terms, p)) is not None:
+        log_coef, rates = expansion
+        # a log mass beyond the floats (k ~ 1e308) gives a NaN mean, which the callers refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_pi_rates = np.log(math.pi * rates)
+            log_masses = log_coef - half * log_pi_rates  # less ln Gamma(k/2) / 2
+            log_mass = float(_logsumexp(log_masses)) + log_gamma_half - LOG_2
+            if not m:
+                return log_mass, 0.0
+            # ref has the largest mass times (pi R_j)^{-m/2}; equal rates give a mean of 1
+            ref = int(np.argmax(log_masses - a * log_pi_rates))
+            shifted = log_masses - log_masses[ref]
+            log_mean = (_logsumexp(shifted - a * (log_pi_rates - log_pi_rates[ref]))
+                        - _logsumexp(shifted))
+        return log_mass, (_log_gamma_ratio(half, a) - a * math.log(math.pi * float(rates[ref]))
+                          + float(log_mean))
+    ref = max(range(len(terms)), key=lambda i: p * terms[i][0] - half * math.log(terms[i][1]))
+    log_c_ref, rate = terms[ref]
+    quotient = k / (2.0 * math.pi * p * rate)  # one rounded log: k t_ref is O(k ln k)
+    two_t_ref = (math.log(quotient) if 0.0 < quotient < math.inf else
+                 math.log(k) - math.log(2.0 * math.pi) - math.log(p) - math.log(rate))
+    scale = a * two_t_ref  # m t_ref, which the quotient of the sums cannot undo if infinite
+    if not math.isfinite(scale):
+        return math.nan, scale
+    log_sums = _log_trapezoid(terms, k, p, ref, two_t_ref, (0.0, m) if m else (0.0,))
+    log_mass = half * (two_t_ref - 1.0) + p * log_c_ref + log_sums[0]
+    return log_mass, scale + log_sums[1] - log_sums[0] if m else 0.0
+
+
 def radial_weighted_norm(
     profile: RadialProfile, d: int, p: float, weight_exponent: float
 ) -> float:
     """ln of (omega_{d-1} * integral of r^{p*w} F(r)^p r^{d-1} dr)^{1/p} for a Gaussian
-    mixture F, without adaptive quadrature.
-
-    weight_exponent 0 gives ln ||f||_p; weight_exponent 1 with exponent p gives
-    ln V_p(f)^{1/p}.  A weight p*w that k = p*w + d loses to rounding raises.  An integer p
-    expands F^p into Gaussians, each Gamma(k/2) / (2 (pi rate)^{k/2}), positive terms whose
-    log-sum-exp cancels nothing; any other p takes _log_trapezoid.
-    """
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
+    mixture F: _log_moments' mass at k = p*w + d.  weight_exponent 0 gives ln ||f||_p, and
+    1 gives ln V_p(f)^{1/p}.  A weight p*w that k loses to rounding raises, as does a mass
+    with no finite log."""
     if weight_exponent < 0:
         raise ValueError("weight_exponent must be nonnegative")
     geom = dimension_constants(d)
@@ -225,70 +274,18 @@ def radial_weighted_norm(
     # weight, or of 1 for a weight below 1, where it no longer matters
     if abs((k - d) - weight) > 1e-6 * max(weight, 1.0):
         raise ValueError(f"the weight p*w={weight:g} is lost to rounding in p*w + d at d={d:.6g}")
-    terms, half = profile.terms, 0.5 * k
-    if len(terms) == 1:
-        log_c, rate = terms[0]
-        log_integral = p * log_c + log_gamma(half) - half * math.log(math.pi * p * rate) - LOG_2
-    elif (expansion := _expansion(terms, p)) is not None:
-        log_coef, rates = expansion
-        log_integral = (float(_logsumexp(log_coef - half * np.log(math.pi * rates)))
-                        + log_gamma(half) - LOG_2)
-    else:
-        ref, two_t_ref = _reference(terms, k, p)
-        (log_sum,) = _log_trapezoid(terms, k, p, ref, two_t_ref, (0.0,))
-        log_integral = half * (two_t_ref - 1.0) + p * terms[ref][0] + log_sum
-    return (geom.log_sphere_area + log_integral) / p
-
-
-def _log_one_term_ratio(x: float, a: float, rate: float) -> float:
-    """The ratio's log for one term c e^{-pi rate r^2} at x = d/2, a = p/2:
-    ln Gamma(x + a) - ln Gamma(x) - a ln(2 pi a rate), from a ~ 2.5e305 on, where that
-    leaves the floats, by Stirling's formula for Gamma(x + a) summed per unit a."""
-    log_ratio = _log_gamma_ratio(x, a) - a * math.log(math.pi * (2.0 * a) * rate)
-    if math.isfinite(log_ratio):
-        return log_ratio
-    log_2pi = math.log(2.0 * math.pi)
-    return a * (math.log1p(x / a) - log_2pi - 1.0 - math.log(rate)
-                + ((x - 0.5) * math.log(x + a) - x + 0.5 * log_2pi - log_gamma(x)) / a)
+    log_mass, _ = _log_moments(profile.terms, k, p)
+    if not math.isfinite(log_mass):
+        raise ValueError(f"the integral of r^{k - 1:g} F(r)^{p:g} has no finite log: {log_mass}")
+    return (geom.log_sphere_area + log_mass) / p
 
 
 def log_moment_ratio(profile: RadialProfile, d: int, p: float) -> float:
     """ln of V_p(F) / ||F||_p^p for a Gaussian mixture F on R^d, the log mean of r^p under
-    the density r^{d-1} F(r)^p: omega_{d-1} and F's scale cancel before any rounding, so
-    it is no difference of two logs of size (d/2) ln d.
-
-    One term c e^{-pi a r^2} gives Gamma((d+p)/2) / Gamma(d/2) (pi p a)^{-p/2}
-    (_log_one_term_ratio).  An integer p multiplies that Gamma quotient by the mean of
-    (pi R_j)^{-p/2} over F^p's Gaussians G_j, weighted by their masses.  Any other p is
-    e^{p t_ref} times the quotient of _log_trapezoid's sums of r^p times the density and
-    of the density, on the same nodes.
-    """
+    the density r^{d-1} F(r)^p (_log_moments at k = d, m = p): omega_{d-1} and F's scale
+    cancel before any rounding, so it is no difference of two logs of size (d/2) ln d."""
     _check_dimension(d)
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
-    terms, x, a = profile.terms, 0.5 * d, 0.5 * p
-    if len(terms) == 1:
-        return _log_one_term_ratio(x, a, terms[0][1])
-    # a log mass beyond the floats (d ~ 1e308) gives a NaN ratio, which the callers refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        if (expansion := _expansion(terms, p)) is not None:
-            log_coef, rates = expansion
-            log_pi_rates = np.log(math.pi * rates)
-            log_mass = log_coef - x * log_pi_rates  # ln of G_j's mass less ln Gamma(d/2) / 2
-            # the reference has the largest mass times (pi R_j)^{-p/2}; equal rates give
-            # a mean of exactly 1
-            ref = int(np.argmax(log_mass - a * log_pi_rates))
-            shifted = log_mass - log_mass[ref]
-            log_mean = (_logsumexp(shifted - a * (log_pi_rates - log_pi_rates[ref]))
-                        - _logsumexp(shifted))
-            return (_log_gamma_ratio(x, a) - a * math.log(math.pi * float(rates[ref]))
-                    + float(log_mean))
-    ref, two_t_ref = _reference(terms, float(d), p)
-    scale = a * two_t_ref  # p t_ref; the quotient of the sums cannot undo an infinite one
-    if not math.isfinite(scale):
-        return scale
-    log_density, log_moment = _log_trapezoid(terms, float(d), p, ref, two_t_ref, (0.0, p))
-    return scale + log_moment - log_density
+    return _log_moments(profile.terms, float(d), p, p)[1]
 
 
 def gaussian_log_product(d: int, p: float) -> float:

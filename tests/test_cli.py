@@ -371,6 +371,13 @@ class TestOutOfRangeInputs:
         (["rudin-shapiro", "--d", "2", "--p", "1e308", "--theta", "0.1"], "p=1e+308, w=0.1"),
         (["cowling-price", "--d", "2", "--p", "1e308", "--q", "1e308",
           "--theta", "0.1", "--phi", "0.1"], "p=1e+308, w=0.1"),
+        # at the edge of ln Gamma(d/2), which the ratio never forms: still the node budget
+        (["sharpness", "--d", "1" + "0" * 306, "--p", "3.5", "--c-list", "1,2"],
+         "r^1e+306 F(r)^3.5 peaks too narrowly"),
+        # k = p theta + d = 2e306: ln Gamma(k/2), and with it the norm's log mass, is beyond
+        # the floats (an OverflowError traceback once)
+        (["cowling-price", "--d", "3", "--p", "1e306", "--q", "1e306", "--theta", "2",
+          "--phi", "2"], "r^2e+306 F(r)^1e+306 has no finite log"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)
@@ -520,6 +527,31 @@ class TestLogDomainVerdicts:
         assert "classification: endpoint" in out
         assert "] pass=True\n" in out
         assert "endpoint weighted mass e^1.8325646e+299 pass=True\n" in out
+
+    def test_endpoint_masses_over_the_sphere_area_show_their_growth(self, capsys):
+        # at d = 1e18, ln omega_{d-1} = -1.9e19 rounds the masses' steps away, so they
+        # print alike; over omega_{d-1} they grow by ln 2 each, as the verdict judges them
+        d = 10**18
+        theta = repr(d * (0.5 - 1.0 / 7.3))
+        argv = ["--d", str(d), "--p", "7.3", "--q", "7.3", "--theta", theta, "--phi", theta]
+        code, out, err = run(capsys, "cowling-price", *argv)
+        assert (code, err) == (1, "")
+        report = harness.cp_check(d, 7.3, 7.3, float(theta), float(theta))
+        masses = ", ".join(f"e^{m:.9g}" for m in report.log_tail_masses)
+        assert len(set(report.log_tail_masses)) == 1
+        assert f"tail masses [{masses}] pass=True" in out
+        line = next(line for line in out.splitlines() if "over omega_{d-1}" in line)
+        printed = [float(x) for x in line.split("[")[1].rstrip("]").split(", ")]
+        assert printed == sorted(set(printed)) and len(printed) == 4
+        assert printed == [pytest.approx(math.exp(x), rel=1e-6) for x in report.log_tail_integrals]
+
+    def test_ratio_at_the_edge_of_ln_gamma(self, capsys):
+        # ln Gamma(d/2) leaves the floats from d ~ 5.1e305 on; the ratio never forms it
+        code, out, err = run(capsys, "sharpness", "--d", "1" + "0" * 306, "--p", "3",
+                             "--c-list", "1,2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["c=1        product=e^2104.96365",
+                                        "c=2        product=e^2100.80476"]
 
     @pytest.mark.parametrize("d", ["3000", "100000", "1000000000", "1" + "0" * 15, "1" + "0" * 17])
     def test_weight_kept_at_large_d(self, capsys, d):
@@ -926,7 +958,9 @@ class TestCliFuzz:
         lines = out.getvalue().splitlines()
         assert (code, err.getvalue()) == (1, ""), argv
         assert lines[0] == "classification: endpoint", argv
-        assert [line.rsplit(" ", 1)[1] for line in lines[1:]] == ["pass=True"] * 2, argv
+        # the masses over omega_{d-1} (lines[2]) carry no verdict of their own
+        assert len(lines) == 4 and lines[2].startswith("  tail masses over omega_{d-1} ["), argv
+        assert [lines[1].rsplit(" ", 1)[1], lines[3].rsplit(" ", 1)[1]] == ["pass=True"] * 2, argv
 
     @given(st.one_of(_cli_argv(), _refused_argv()))
     @settings(derandomize=True, max_examples=150, deadline=None)

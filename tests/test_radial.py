@@ -6,15 +6,19 @@ direct scipy.integrate calls and 40-digit mpmath quadratures written
 independently here.
 """
 
+import ast
+import collections
 import functools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from uplab import radial
 from uplab.counterexamples import gc_profile
 from uplab.grid import default_spec
 from uplab.radial import (
@@ -471,3 +475,64 @@ class TestLogMomentRatio:
             log_moment_ratio(gaussian_profile(), 2, math.inf)
         with pytest.raises(ValueError, match="dimension"):
             log_moment_ratio(gaussian_profile(), 0, 2.0)
+
+    def test_at_the_edge_of_ln_gamma(self):
+        # ln Gamma(d/2) leaves the floats from d ~ 5.1e305 on; the mean never forms it
+        assert log_moment_ratio(gc_profile(2.0, 10**306), 10**306, 3.0) == 1050.4023821099709
+
+
+_THREE_TERMS = ((0.0, 1.0), (1.0, 2.0), (-3.0, 0.5))
+
+
+class TestMomentKernel:
+    """_log_moments, the one three-case dispatch under the norms and the ratio."""
+
+    @pytest.mark.parametrize("terms", [gaussian_profile().terms, gc_profile(2.0, 3).terms,
+                                       _THREE_TERMS])
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+    def test_mean_is_a_quotient_of_masses(self, terms, p):
+        # the mean of r^m under r^{k-1} F^p is the mass at k + m over the mass at k, for
+        # any m, not only the ratio's m = p
+        for k, m in ((3.0, 1.0), (5.0, 2.5), (7.0, 4.0)):
+            log_mass, log_mean = radial._log_moments(terms, k, p, m)
+            assert log_mass == pytest.approx(radial._log_moments(terms, k, p)[0], rel=1e-13)
+            assert log_mean == pytest.approx(
+                radial._log_moments(terms, k + m, p)[0] - log_mass, rel=1e-12, abs=1e-13)
+
+    def test_norm_does_no_work_for_the_mean(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("_log_gamma_ratio", "_logsumexp"):
+            def counted(*args, _name=name, _inner=getattr(radial, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(radial, name, counted)
+        moments = []
+        trapezoid = radial._log_trapezoid
+        monkeypatch.setattr(radial, "_log_trapezoid",
+                            lambda *args: moments.append(args[-1]) or trapezoid(*args))
+        for profile in (gaussian_profile(), gc_profile(2.0, 3)):
+            calls.clear()
+            radial_weighted_norm(profile, 3, 2.0, 1.0)
+            assert calls["_log_gamma_ratio"] == 0 and calls["_logsumexp"] <= 1
+            log_moment_ratio(profile, 3, 2.0)  # the counters see the mean's work
+            assert calls["_log_gamma_ratio"] == 1
+        radial_weighted_norm(gc_profile(2.0, 3), 3, 2.5, 1.0)
+        assert moments == [(0.0,)]
+
+    def test_one_dispatch(self):
+        # _expansion and _log_trapezoid are called from the kernel alone, so no second
+        # three-case dispatch grows back
+        tree = ast.parse(Path(radial.__file__).read_text())
+        names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert "_log_moments" in names and "_reference" not in names
+        for helper in ("_expansion", "_log_trapezoid"):
+            callers = [node.name for node in tree.body if hasattr(node, "name")
+                       for call in ast.walk(node) if isinstance(call, ast.Call)
+                       and isinstance(call.func, ast.Name) and call.func.id == helper]
+            assert callers == ["_log_moments"], helper
+
+    @pytest.mark.parametrize("profile", [gaussian_profile(), gc_profile(2.0, 1)])
+    def test_norm_with_a_mass_beyond_the_floats_raises(self, profile):
+        # k = 1e306: ln Gamma(k/2) is beyond the floats (an OverflowError once)
+        with pytest.raises(ValueError, match="r\\^1e\\+306 F\\(r\\)\\^1 has no finite log"):
+            radial_weighted_norm(profile, 1, 1.0, 1e306)
