@@ -92,12 +92,13 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_rudin_shapiro(args) -> int:
-    summary, top = harness.rs_check(args.d, args.k_max, args.p, args.theta)
+    summary = harness.rs_check(args.d, args.k_max, args.p, args.theta)
     if args.out:
         harness.write_summary_json(summary, args.out)
     if args.export_dir:
         out_dir = Path(args.export_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+        top = cx.rs_level(args.d, args.k_max)
         for i in range(len(top.signs)):
             write_grid_csv(top.member(i), out_dir / f"member_{i + 1}_level_{top.k}.csv")
     print(f"rudin-shapiro d={args.d} k<={args.k_max}: "

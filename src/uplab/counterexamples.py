@@ -5,9 +5,9 @@ Three constructions live here:
 * the two-scale Gaussian family g_c = c^{-d/2} e^{-pi |x|^2/c^2}
   + c^{d/2} e^{-pi c^2 |x|^2}, self-dual and responsible for the collapse of
   the uncertainty product in the supercritical range,
-* the recursively signed translate families (Rudin-Shapiro style) with their
-  2^d x 2^d parallelogram-law sign matrix, which defeat the strict-violation
-  side of the Cowling-Price conditions,
+* the recursively signed translate families (Rudin-Shapiro style), +-1 sign
+  tensors from the 2^d x 2^d parallelogram-law sign matrix times one unit-cell
+  tile of a bump, which defeat the strict-violation side of Cowling-Price,
 * the endpoint singularity |x|^{-d/2} log^{-1/2}(1/|x|), whose L^2 tail masses
   (divergent) and weighted mass (finite) are exact integrals in closed form,
   returned as their logs, so they get a verdict at any d and p.
@@ -91,48 +91,52 @@ def sign_matrix(d: int) -> np.ndarray:
 @dataclass(frozen=True)
 class RSFamily:
     """The 2^d level-k signed translates of the base bump, which lies inside [0, 1)^d,
-    so the translates have disjoint supports; signs is rs_signs(d, k).
+    so the translates have disjoint supports; signs is rs_signs(d, k), and tile holds the
+    bump's samples on the unit cell, the same read-only array at every level.
     """
 
     d: int
     k: int
     signs: np.ndarray
-    base: GridFunction
+    tile: np.ndarray
     base_l2_sq: float
 
     def member(self, i: int, spec: GridSpec | None = None) -> GridFunction:
-        """Member i, signs[i] times the tile (the base bump on the unit cell [0, 1)^d),
-        sampled on spec: a centered grid of the base's spacing that holds the
-        support [0, 2^k)^d (default: the base grid), which is its _support box.
-        """
-        base = self.base.spec
-        spec = base if spec is None else spec
-        cells = round(1.0 / base.spacing)
-        if spec.d != self.d or spec.spacing != base.spacing or spec.n < 2 * cells * 2**self.k:
-            raise ValueError(f"grid {spec} cannot hold the level-{self.k} support at the base spacing")
-        tile = self.base.values[(slice(base.n // 2, base.n // 2 + cells),) * self.d]
-        values = np.zeros((spec.n,) * self.d)
-        origin = spec.n // 2  # sample index of x = 0
-        support = (slice(origin, origin + cells * 2**self.k),) * self.d
-        # np.kron(signs[i], tile) by broadcasting: axes (side, 1)*d times (1, cells)*d;
-        # adding onto +0.0 turns the -1 * 0.0 products outside the bump into +0.0
-        side = 2**self.k
-        values[support] += (self.signs[i].reshape((side, 1) * self.d)
-                            * tile.reshape((1, cells) * self.d)).reshape((side * cells,) * self.d)
-        return GridFunction(spec=spec, values=values, _support=support)
+        """Member i, signs[i] times the tile, sampled on spec (default: the 512^d grid of
+        spacing 1/16 and half-width 16)."""
+        if spec is None:
+            spec = GridSpec(self.d, round(2.0 * RS_HALF_WIDTH / RS_SPACING), RS_HALF_WIDTH)
+        return _place(self.signs[i], self.tile, spec)
 
 
-def _support_grid(spec: GridSpec, k: int) -> GridSpec:
-    """The smallest centered grid of spec's spacing that holds [0, 2^k)^d.
+def _place(signs: np.ndarray, tile: np.ndarray, spec: GridSpec) -> GridFunction:
+    """signs (+-1 per unit cell of [0, 2^k)^d) times the tile, on spec: a centered grid whose
+    spacing puts the tile's samples on the unit cell and that holds [0, 2^k)^d, which is
+    the result's _support box."""
+    d, side, cells = tile.ndim, signs.shape[0], tile.shape[0]
+    if spec.d != d or spec.spacing * cells != 1.0 or spec.n < 2 * cells * side:
+        raise ValueError(f"grid {spec} cannot hold [0, {side})^{d} at spacing 1/{cells}")
+    values = np.zeros((spec.n,) * d)
+    origin = spec.n // 2  # sample index of x = 0
+    support = (slice(origin, origin + cells * side),) * d
+    # np.kron(signs, tile) by broadcasting: axes (side, 1)*d times (1, cells)*d;
+    # adding onto +0.0 turns the -1 * 0.0 products outside the bump into +0.0
+    values[support] += (signs.reshape((side, 1) * d)
+                        * tile.reshape((1, cells) * d)).reshape((side * cells,) * d)
+    return GridFunction(spec=spec, values=values, _support=support)
+
+
+def _support_grid(tile: np.ndarray, k: int) -> GridSpec:
+    """The smallest centered grid of the tile's spacing that holds [0, 2^k)^d.
 
     Its rows keep at least 128 samples, numpy's pairwise-summation block, so
-    each block lies inside one row as it does on spec: a norm over it then
-    adds the same nonzero samples in the same order and drops only exact
+    each block lies inside one row as it does on the 512^d grid: a norm over it
+    then adds the same nonzero samples in the same order and drops only exact
     zeros, which keeps its bits.
     """
-    support = round(1.0 / spec.spacing) * 2**k
-    n = min(spec.n, max(128, 1 << (2 * support - 1).bit_length()))
-    return GridSpec(spec.d, n, 0.5 * n * spec.spacing)
+    cells = tile.shape[0]
+    n = max(128, 1 << (2 * cells * 2**k - 1).bit_length())
+    return GridSpec(tile.ndim, n, 0.5 * n / cells)
 
 
 def rs_base_bump_1d(t: np.ndarray) -> np.ndarray:
@@ -141,19 +145,6 @@ def rs_base_bump_1d(t: np.ndarray) -> np.ndarray:
     inside = (u > 0) & (u < 1)
     core = np.where(inside, 1.0 - (2.0 * u - 1.0) ** 2, 0.0)
     return core**4
-
-
-def rs_base(d: int) -> GridFunction:
-    """The level-0 bump on the lattice-exact grid (spacing 1/16), 0 outside its unit cell."""
-    if d not in (1, 2):
-        raise ValueError(f"translate families are built on grids only for d <= 2, got {d}")
-    n = int(round(2.0 * RS_HALF_WIDTH / RS_SPACING))
-    spec = GridSpec(d=d, n=n, half_width=RS_HALF_WIDTH)
-    bump = rs_base_bump_1d(spec.axis_coordinates())
-    cell = (slice(n // 2, n // 2 + round(1.0 / RS_SPACING)),) * d
-    values = np.zeros((n,) * d)
-    values[cell] = functools.reduce(np.multiply.outer, [bump[cell[0]]] * d)  # +0.0 elsewhere too
-    return GridFunction(spec=spec, values=values, _support=cell)
 
 
 def rs_signs(d: int, k: int) -> np.ndarray:
@@ -183,40 +174,32 @@ def _corner(j: int, side: int, d: int) -> tuple[slice, ...]:
     return tuple(slice(side, 2 * side) if (j >> b) & 1 else slice(0, side) for b in range(d))
 
 
-def rs_level(base: GridFunction, d: int, k: int) -> RSFamily:
-    """The level-k family on the grid of base; RSFamily.member builds each function.
+def rs_level(d: int, k: int) -> RSFamily:
+    """The level-k family; RSFamily.member builds each function.
 
-    base_l2_sq is the L^2 mass of base over the support grid of the unit cell,
-    where base lives.
+    The tile is the bump sampled at spacing 1/16 on the unit cell, and base_l2_sq its
+    L^2 mass over the support grid of the unit cell.
     """
     if d not in (1, 2):
         raise ValueError(f"rs_level supports d in (1, 2), got {d}")
-    if base.spec.d != d:
-        raise ValueError("base grid dimension does not match d")
     if k < 0 or k > 4:
         raise ValueError(f"level must be 0..4, got {k}")
-    spacing = base.spec.spacing
-    inv = 1.0 / spacing
-    if abs(inv - round(inv)) > 1e-12:
-        raise ValueError(f"grid spacing {spacing} does not divide 1; translates not lattice-exact")
-    if 2**k > base.spec.half_width:
-        raise ValueError(f"grid cannot hold the level-{k} support [0, {2**k}]^{d}")
-    window = _support_grid(base.spec, 0)
-    lo = (base.spec.n - window.n) // 2
-    box = base._support and tuple(slice(s.start - lo, s.stop - lo) for s in base._support)
-    cell = GridFunction(window, base.values[(slice(lo, lo + window.n),) * d], _support=box)
+    bump = rs_base_bump_1d(RS_SPACING * np.arange(round(1.0 / RS_SPACING)))
+    tile = functools.reduce(np.multiply.outer, [bump] * d)
+    tile.setflags(write=False)
+    cell = _place(np.ones((1,) * d, dtype=np.int8), tile, _support_grid(tile, 0))
     base_l2_sq = grid_weighted_norm(cell, [(2.0, 0.0)])[0] ** 2
-    return RSFamily(d=d, k=k, signs=rs_signs(d, k), base=base, base_l2_sq=base_l2_sq)
+    return RSFamily(d=d, k=k, signs=rs_signs(d, k), tile=tile, base_l2_sq=base_l2_sq)
 
 
-def rs_levels(base: GridFunction, d: int, k_max: int) -> list[RSFamily]:
-    """rs_level(base, d, k) for k = 0..k_max from one rs_level call: row 0 of sign_matrix(d)
+def rs_levels(d: int, k_max: int) -> list[RSFamily]:
+    """rs_level(d, k) for k = 0..k_max from one rs_level call: row 0 of sign_matrix(d)
     is +1, so member j of level k is corner block j of the top level's member 0."""
-    top = rs_level(base, d, k_max)
+    top = rs_level(d, k_max)
     lower = [np.stack([top.signs[0][_corner(j, 2**k, d)] for j in range(2**d)]) for k in range(k_max)]
     for signs in lower:
         signs.setflags(write=False)
-    return [RSFamily(d, k, signs, base, top.base_l2_sq) for k, signs in enumerate(lower)] + [top]
+    return [RSFamily(d, k, signs, top.tile, top.base_l2_sq) for k, signs in enumerate(lower)] + [top]
 
 
 def rs_growth_ratio(families: list[RSFamily], p: float, theta: float) -> list[float]:
@@ -225,7 +208,7 @@ def rs_growth_ratio(families: list[RSFamily], p: float, theta: float) -> list[fl
     ratio_k = ||f_{1,k}||_2^2 / (|| |x|^theta f_{1,k} ||_p * 2^{dk/2 + d/2}),
     with the k-independent Fourier-side norm factor dropped (it does not
     affect the slope).  The weighted norm sums over the level-k support grid,
-    not the base grid; the samples it leaves out are exact zeros.
+    not the 512^d grid; the samples it leaves out are exact zeros.
     """
     if len(families) < 3:
         raise ValueError("need at least 3 levels for a slope fit")
@@ -238,7 +221,7 @@ def rs_growth_ratio(families: list[RSFamily], p: float, theta: float) -> list[fl
     for fam in families:
         # the 2^{dk} translates of the base are disjoint and carry signs +-1
         l2_sq = 2.0 ** (d * fam.k) * fam.base_l2_sq
-        lead = fam.member(0, _support_grid(fam.base.spec, fam.k))
+        lead = fam.member(0, _support_grid(fam.tile, fam.k))
         (weighted,) = grid_weighted_norm(lead, [(p, theta)])
         fourier_side = 2.0 ** (0.5 * d * fam.k + 0.5 * d)
         out.append(l2_sq / (weighted * fourier_side))

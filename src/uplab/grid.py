@@ -39,6 +39,7 @@ BOUNDARY_WARN = 1e-12
 BOUNDARY_ERROR = 1e-6
 
 DEFAULT_SPECS = {1: (256, 8.0), 2: (128, 6.0), 3: (64, 5.0)}
+BUMP_TERMS = 4
 
 # samples per block of a norm pass: 256 KiB of float64, so that the block
 # temporaries stay in the allocator's reused heap instead of fresh mappings
@@ -341,7 +342,7 @@ def gaussian_mixture_grid_function(spec: GridSpec, terms) -> GridFunction:
     return _separable_function(spec, coefs, factors)
 
 
-def random_bump(spec: GridSpec, seed: int, n_terms: int = 4) -> GridFunction:
+def random_bump(spec: GridSpec, seed: int) -> GridFunction:
     """A reproducible smooth bump: a random complex mixture of shifted Gaussians
     sum_t c_t exp(-pi |x - x_t|^2 / w_t^2).
 
@@ -351,19 +352,19 @@ def random_bump(spec: GridSpec, seed: int, n_terms: int = 4) -> GridFunction:
     samples differ from exp of the full exponent by a few units in the last place
     of each term (more where the exponent is large).
     """
-    return _separable_function(spec, *_bump_terms(spec, seed, n_terms))
+    return _separable_function(spec, *_bump_terms(spec, seed))
 
 
-def _bump_terms(spec: GridSpec, seed: int, n_terms: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients c_t of random_bump(spec, seed, n_terms) and its terms' 1-D
-    factors tabulated on the axis coordinates, as (n_terms, d, n) real factors."""
+def _bump_terms(spec: GridSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients c_t of random_bump(spec, seed) and its terms' 1-D factors
+    tabulated on the axis coordinates, as (BUMP_TERMS, d, n) real factors."""
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     span = 0.25 * spec.half_width
-    centers = rng.uniform(-span, span, size=(n_terms, spec.d))
-    widths = rng.uniform(0.7, 1.1, size=n_terms)
-    coefs = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+    centers = rng.uniform(-span, span, size=(BUMP_TERMS, spec.d))
+    widths = rng.uniform(0.7, 1.1, size=BUMP_TERMS)
+    coefs = rng.normal(size=BUMP_TERMS) + 1j * rng.normal(size=BUMP_TERMS)
     # factors[t, i, k] = exp(-pi (x_k - x_{t,i})^2 / w_t^2)
     with np.errstate(over="ignore"):  # an exponent of -inf samples an exact 0
         factors = spec.axis_coordinates() - centers[:, :, None]

@@ -41,6 +41,7 @@ from .specialfn import LOG_2, LOG_MAX
 
 SLACK_TOL = 1e-6
 SLOPE_RTOL = 0.1
+SLOPE_FIT_MIN_D = 50
 ENDPOINT_DELTAS = (1e-3, 1e-6, 1e-12, 1e-24)
 
 
@@ -58,13 +59,13 @@ class SweepRow:
         return all(self.flags.values())
 
 
-def fit_log_slope(ds, log_vals, lo: int = 50) -> float:
-    """OLS slope of log_vals against ln(d) restricted to d >= lo."""
+def fit_log_slope(ds, log_vals) -> float:
+    """OLS slope of log_vals against ln(d) restricted to d >= SLOPE_FIT_MIN_D."""
     ds = np.asarray(ds, dtype=float)
     log_vals = np.asarray(log_vals, dtype=float)
-    mask = ds >= lo
+    mask = ds >= SLOPE_FIT_MIN_D
     if mask.sum() < 2:
-        raise ValueError(f"need at least two dimensions >= {lo} for a slope fit")
+        raise ValueError(f"need at least two dimensions >= {SLOPE_FIT_MIN_D} for a slope fit")
     coeffs = np.polyfit(np.log(ds[mask]), log_vals[mask], 1)
     return float(coeffs[0])
 
@@ -314,14 +315,14 @@ def _slope_agrees(measured: float, predicted: float) -> bool:
     return predicted == 0 or abs(measured - predicted) <= SLOPE_RTOL * abs(predicted)
 
 
-def rs_check(d: int, k_max: int, p: float, theta: float) -> tuple[dict, cx.RSFamily]:
-    """Slope summary of the translate families of levels 0..k_max, and the top family."""
+def rs_check(d: int, k_max: int, p: float, theta: float) -> dict:
+    """Slope summary of the translate families of levels 0..k_max."""
     if not 2 <= k_max <= 4:  # the slope fit needs levels 0..2
         raise ValueError(f"k-max must be 2..4, got {k_max}")
-    families = cx.rs_levels(cx.rs_base(d), d, k_max)
+    families = cx.rs_levels(d, k_max)
     measured = cx.rs_slope(families, p, theta)
     predicted = rs_predicted_slope(d, p, theta)
-    summary = {
+    return {
         "d": d,
         "k_max": k_max,
         "p": p,
@@ -330,7 +331,6 @@ def rs_check(d: int, k_max: int, p: float, theta: float) -> tuple[dict, cx.RSFam
         "measured_slope": measured,
         "pass": _slope_agrees(measured, predicted),
     }
-    return summary, families[-1]
 
 
 @dataclass(frozen=True)
@@ -450,7 +450,7 @@ def cp_check(
     if classification == "violated":
         measured = None
         if d <= 2:
-            measured = rs_check(d, 3, p, theta)[0]["measured_slope"]
+            measured = rs_check(d, 3, p, theta)["measured_slope"]
         return CPReport(
             d=d, p=p, q=q, theta=theta, phi=phi,
             classification=classification,

@@ -131,7 +131,7 @@ def _log_trapezoid(terms, k: float, p: float, ref: int, two_t_ref: float, moment
     k t_ref + p (ln c_ref - u_ref) + m t_ref, by the trapezoid rule in tau = ln r - t_ref.
 
     The exponent is (k + m) tau + p ln sum_i e^{e_i}, e_i = ln c_i - ln c_ref + u_ref -
-    u_i e^{2 tau} with u_i = pi a_i e^{2 t_ref}, u_ref = k / (2p); the dominant rate takes
+    u_i e^{2 tau} with u_i = pi a_i e^{2 t_ref}, u_ref = k / (2p); the dominant term takes
     -u_ref expm1(2 tau), so no O(k ln k) number is rounded near the peak.  Analytic and
     falling off exponentially, it converges geometrically.  Term i alone peaks at
     ln(a_ref / a_i) / 2 + ln(1 + m/k) / 2; past the extreme peaks the mixture falls at
@@ -144,7 +144,6 @@ def _log_trapezoid(terms, k: float, p: float, ref: int, two_t_ref: float, moment
     """
     log_c_ref, rate_ref = terms[ref]
     u_ref = 0.5 * k / p
-    own = [lc - log_c_ref for lc, rate in terms if rate == rate_ref]
     others = [(lc - log_c_ref + u_ref, math.log(u_ref) + math.log(rate) - math.log(rate_ref))
               for lc, rate in terms if rate != rate_ref]
     peaks = [0.5 * (math.log(rate_ref) - math.log(rate)) for _, rate in terms]
@@ -152,8 +151,7 @@ def _log_trapezoid(terms, k: float, p: float, ref: int, two_t_ref: float, moment
     def log_density(tau):  # k tau and p ln sum_i e^{e_i}
         two_tau = 2.0 * tau
         with np.errstate(over="ignore"):  # an exponent of -inf is an exact 0
-            fall = u_ref * np.expm1(two_tau)
-            rows = [offset - fall for offset in own]
+            rows = [-u_ref * np.expm1(two_tau)]
             rows += [offset - np.exp(log_u + two_tau) for offset, log_u in others]
             return k * tau, p * functools.reduce(np.logaddexp, rows)
 
@@ -216,9 +214,14 @@ def _log_moments(terms, k: float, p: float, m: float = 0.0) -> tuple[float, floa
     times the Gamma quotient is the mean.  Any other p takes _log_trapezoid about the
     dominant term, whose r^{k-1} (c e^{-pi a r^2})^p has the largest integral and peaks at
     ln r = t_ref, pi a r^2 = k / (2p); the mean is e^{m t_ref} times the quotient of its sums
-    with and without r^m.  Where m t_ref is infinite, the mass is left NaN."""
+    with and without r^m.  Where m t_ref is infinite, the mass is left NaN.  Terms of one
+    rate are first merged into one, ln c the logaddexp of theirs: g_1 is the Gaussian."""
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
+    merged = {}
+    for log_c, rate in terms:
+        merged[rate] = float(np.logaddexp(merged[rate], log_c)) if rate in merged else log_c
+    terms = [(log_c, rate) for rate, log_c in merged.items()]
     half, a = 0.5 * k, 0.5 * m
     try:  # the closed forms' mass factor; no mean needs it
         log_gamma_half = log_gamma(half)

@@ -159,8 +159,7 @@ def test_criterion_06_grid_transform_fidelity(capsys):
 
 def test_criterion_07_translate_family_invariants(capsys):
     t0 = time.perf_counter()
-    base = cx.rs_base(2)
-    families = [cx.rs_level(base, 2, k) for k in range(4)]
+    families = [cx.rs_level(2, k) for k in range(4)]
     base_sq = families[0].base_l2_sq
 
     mass_ok = True

@@ -150,7 +150,7 @@ class TestRudinShapiroCommand:
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             "member_1_level_3.csv", "member_2_level_3.csv"
         ]
-        family = cx.rs_level(cx.rs_base(1), 1, 3)
+        family = cx.rs_level(1, 3)
         for i, member in enumerate(map(family.member, range(2)), start=1):
             exported = read_grid_csv(tmp_path / f"member_{i}_level_3.csv")
             assert exported.spec == member.spec
@@ -343,7 +343,7 @@ class TestOutOfRangeInputs:
         (["rudin-shapiro", "--d", "1", "--p", "1e308", "--theta", "0.1"], "p=1e+308, w=0.1"),
         (["rudin-shapiro", "--d", "2", "--theta", "1e308"], "p=8, w=1e+308"),
         (["sharpness", "--d", "2", "--p", "1e307", "--c-list", "1,2"],
-         "c=1 has no finite log: ln product = -inf"),
+         "c=2 has no finite log: ln product = -inf"),
         # ln Gamma((p + 1)/2) and p ln(pi p) leave the floats; so does ln product, -2.8e308
         (["gaussian", "--d", "1", "--p", "1e308"], "ln product = -inf"),
         (["gaussian", "--d", "100", "--p", "1e308"], "d=100, p=1e+308 has no finite log"),
@@ -552,6 +552,20 @@ class TestLogDomainVerdicts:
         assert (code, err) == (0, "")
         assert out.splitlines()[:2] == ["c=1        product=e^2104.96365",
                                         "c=2        product=e^2100.80476"]
+
+    @pytest.mark.parametrize("d, p", [("1" + "0" * 300, "2.5"), ("1" + "0" * 100, "1000000")],
+                             ids=["d1e300-p2.5", "d1e100-p1e6"])
+    def test_g_1_prints_the_gaussian_product(self, capsys, d, p):
+        # g_1's equal-rate terms are one Gaussian: c = 1 prints the gaussian command's
+        # product, and exits 1 since one c cannot collapse; c = 2 still meets the
+        # trapezoid rule's node budget
+        code, out, err = run(capsys, "sharpness", "--d", d, "--p", p, "--c-list", "1")
+        assert (code, err) == (1, "")
+        gaussian = run(capsys, "gaussian", "--d", d, "--p", p)[1].strip()
+        assert gaussian in ("e^1720.0534", "e^214605122")
+        assert out.splitlines()[0] == f"c=1        product={gaussian}"
+        code, out, err = run(capsys, "sharpness", "--d", d, "--p", p, "--c-list", "1,2")
+        assert (code, out) == (2, "") and "peaks too narrowly" in err
 
     @pytest.mark.parametrize("d", ["3000", "100000", "1000000000", "1" + "0" * 15, "1" + "0" * 17])
     def test_weight_kept_at_large_d(self, capsys, d):

@@ -149,14 +149,13 @@ class TestSignTensors:
 
 @pytest.fixture(scope="module")
 def families_2d():
-    base = cx.rs_base(2)
-    return [cx.rs_level(base, 2, k) for k in range(4)]
+    return [cx.rs_level(2, k) for k in range(4)]
 
 
 class TestTranslateFamilies:
 
     def test_base_support_and_peak(self):
-        base = cx.rs_base(1)
+        base = cx.rs_level(1, 0).member(0)
         vals = base.values.real
         x = base.spec.meshgrid()[0]
         assert np.all(vals[(x <= 0.1) | (x >= 0.9)] == 0.0)
@@ -187,8 +186,7 @@ class TestTranslateFamilies:
         assert np.max(np.abs(total - expected)) <= 1e-6 * scale
 
     def test_one_dimensional_identity(self):
-        base = cx.rs_base(1)
-        fams = [cx.rs_level(base, 1, k) for k in range(3)]
+        fams = [cx.rs_level(1, k) for k in range(3)]
         base_sq = np.abs(fourier_transform(fams[0].member(0)).values) ** 2
         for k in (1, 2):
             total = sum(np.abs(fourier_transform(fams[k].member(i)).values) ** 2 for i in range(2))
@@ -210,7 +208,7 @@ class TestTranslateFamilies:
     def test_matches_dense_roll_recursion(self, d, k):
         # reference: translate member j by 2^level along the axes of j's
         # bits, then mix the translates with the sign matrix, k times
-        base = cx.rs_base(d)
+        base = cx.rs_level(d, 0).member(0)
         s = cx.sign_matrix(d)
         cells = round(1.0 / base.spec.spacing)
         members = [base.values.real for _ in range(2**d)]
@@ -220,7 +218,7 @@ class TestTranslateFamilies:
                 for j, m in enumerate(members)
             ]
             members = [sum(int(s[i, j]) * shifted[j] for j in range(2**d)) for i in range(2**d)]
-        family = cx.rs_level(base, d, k)
+        family = cx.rs_level(d, k)
         built = [family.member(i) for i in range(len(family.signs))]
         for member, expected in zip(built, members, strict=True):
             assert np.array_equal(member.values, expected)
@@ -229,7 +227,7 @@ class TestTranslateFamilies:
     def test_same_bytes_as_dense_mesh(self, d):
         # reference: in each occupied cell c, signs[i][c] times the bump at x - c,
         # evaluated on the dense coordinate mesh and added onto +0.0
-        base = cx.rs_base(d)
+        base = cx.rs_level(d, 0).member(0)
         ax = base.spec.axis_coordinates()
         mesh = np.meshgrid(*([ax] * d), indexing="ij")
         bump = functools.reduce(np.multiply, [cx.rs_base_bump_1d(m) for m in mesh])
@@ -239,7 +237,7 @@ class TestTranslateFamilies:
         for k in range(5):
             inside = functools.reduce(np.logical_and, [(c >= 0) & (c < 2**k) for c in cell])
             index = tuple(np.where(inside, c, 0) for c in cell)
-            family = cx.rs_level(base, d, k)
+            family = cx.rs_level(d, k)
             for i in range(2**d):
                 expected = 0.0 + np.where(inside, family.signs[i][index] * local, 0.0)
                 assert family.member(i).values.tobytes() == expected.tobytes()
@@ -248,11 +246,12 @@ class TestTranslateFamilies:
     def test_same_bytes_as_kron(self, d):
         # reference: the Kronecker product of the sign tensor and the tile, added onto
         # +0.0 over the support box
-        base = cx.rs_base(d)
+        base = cx.rs_level(d, 0).member(0)
         n, cells = base.spec.n, round(1.0 / base.spec.spacing)
         tile = base.values[(slice(n // 2, n // 2 + cells),) * d]
         for k in range(5):
-            family = cx.rs_level(base, d, k)
+            family = cx.rs_level(d, k)
+            assert family.tile.tobytes() == tile.tobytes()
             for i in range(2**d):
                 expected = np.zeros((n,) * d)
                 expected[(slice(n // 2, n // 2 + cells * 2**k),) * d] += np.kron(family.signs[i], tile)
@@ -262,11 +261,11 @@ class TestTranslateFamilies:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_support_grid_norms_keep_bits(self, d):
-        # reference: the same ratios from norms over the 512^d base grid; at
+        # reference: the same ratios from norms over the default 512^d grid; at
         # d = 2, rows shorter than 128 samples move the last bit of
         # (p, theta) = (4, 0.5), (5, 0.3), (8, 0.8) and (12, 0.05) at k = 0 or 1
-        base = cx.rs_base(d)
-        families = [cx.rs_level(base, d, k) for k in range(5)]
+        base = cx.rs_level(d, 0).member(0)
+        families = [cx.rs_level(d, k) for k in range(5)]
         base_l2_sq = grid_weighted_norm(base, [(2.0, 0.0)])[0] ** 2
         assert all(fam.base_l2_sq == base_l2_sq for fam in families)
         leading = [fam.member(0) for fam in families]
@@ -282,9 +281,9 @@ class TestTranslateFamilies:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_member_on_smaller_grid(self, d):
-        # a centered grid of the base spacing: the central samples of the base-grid member
-        base = cx.rs_base(d)
-        family = cx.rs_level(base, d, 2)
+        # a centered grid of spacing 1/16: the central samples of the default-grid member
+        base = cx.rs_level(d, 0).member(0)
+        family = cx.rs_level(d, 2)
         spec = GridSpec(d=d, n=128, half_width=4.0)
         lo = (base.spec.n - spec.n) // 2
         for i in range(2**d):
@@ -298,8 +297,7 @@ class TestTranslateFamilies:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("k_max", [2, 3, 4])
     def test_levels_from_one_level_call(self, d, k_max, monkeypatch):
-        # one L^2 norm of the base window and one doubling run of the signs
-        base = cx.rs_base(d)
+        # one L^2 norm of the unit-cell window and one doubling run of the signs
         calls = {"norm": 0, "signs": 0}
 
         def counted(name, fn):
@@ -310,36 +308,33 @@ class TestTranslateFamilies:
 
         monkeypatch.setattr(cx, "grid_weighted_norm", counted("norm", cx.grid_weighted_norm))
         monkeypatch.setattr(cx, "sign_matrix", counted("signs", cx.sign_matrix))
-        families = cx.rs_levels(base, d, k_max)
+        families = cx.rs_levels(d, k_max)
         assert calls == {"norm": 1, "signs": 1}
         monkeypatch.undo()
         assert [fam.k for fam in families] == list(range(k_max + 1))
         for fam in families:
-            level = cx.rs_level(base, d, fam.k)
-            assert fam.base is base and fam.base_l2_sq == level.base_l2_sq
+            level = cx.rs_level(d, fam.k)
+            assert fam.tile is families[-1].tile and fam.base_l2_sq == level.base_l2_sq
+            assert fam.tile.tobytes() == level.tile.tobytes() and not fam.tile.flags.writeable
             assert fam.signs.dtype == np.int8 and not fam.signs.flags.writeable
             assert np.array_equal(fam.signs, level.signs)
 
     def test_level_validation(self):
-        base = cx.rs_base(2)
         with pytest.raises(ValueError):
-            cx.rs_level(base, 2, 5)
-        with pytest.raises(ValueError):
-            cx.rs_level(base, 1, 1)  # dimension mismatch
+            cx.rs_level(2, 5)
         with pytest.raises(ValueError):
             cx.rs_signs(2, -1)
 
     def test_slope_needs_three_levels(self):
-        base = cx.rs_base(1)
-        fams = [cx.rs_level(base, 1, k) for k in range(2)]
+        fams = [cx.rs_level(1, k) for k in range(2)]
         with pytest.raises(ValueError):
             cx.rs_slope(fams, 8.0, 0.1)
 
 
 class TestStorage:
     def test_dtypes_and_read_only(self):
-        family = cx.rs_level(cx.rs_base(2), 2, 2)
-        real = [gaussian_grid_function(default_spec(2)), cx.rs_base(2)]
+        family = cx.rs_level(2, 2)
+        real = [gaussian_grid_function(default_spec(2)), cx.rs_level(2, 0).member(0)]
         real += [family.member(i) for i in range(4)]
         cplx = [random_bump(default_spec(2), seed=0), fourier_transform(real[0])]
         for fs, dtype in [(real, np.float64), (cplx, np.complex128)]:
@@ -348,8 +343,8 @@ class TestStorage:
                 assert not f.values.flags.writeable
 
     def test_rs_check_peak_memory(self):
-        # rs_check holds the base and one member at a time, each a 2 MiB
-        # 512^2 float64 grid, plus the temporaries of one weighted norm
+        # rs_check holds no base grid: one 16^2 tile and one member at a time on its
+        # level's support grid (at most 256^2 float64), plus one weighted norm's temporaries
         harness.rs_check(2, 3, 8.0, 0.1)  # warm-up
         tracemalloc.start()
         try:
@@ -357,10 +352,10 @@ class TestStorage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert peak <= 2.5 * 2**20
 
     def test_violated_check_peak_memory(self):
-        # beside the 2 MiB base grid, the norms touch only the level-k support grids
+        # no base grid is held: the norms touch only the level-k support grids
         harness.cp_check(2, 8.0, 8.0, 0.1, 0.1)  # warm-up
         tracemalloc.start()
         try:
@@ -368,7 +363,7 @@ class TestStorage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 2**20
+        assert peak <= 2.5 * 2**20
 
 
 def _log_tail_closed_form(delta, d):

@@ -26,6 +26,7 @@ from uplab import counterexamples as cx
 from uplab.grid import (
     BOUNDARY_ERROR,
     BOUNDARY_WARN,
+    BUMP_TERMS,
     GridFunction,
     GridSpec,
     _RADIUS_CACHE_SIZE,
@@ -50,7 +51,7 @@ from uplab.radial import gaussian_profile, radial_weighted_norm
 # the 512^2 grid of the translate families, beside the default grids
 SPECS = [default_spec(1), default_spec(2), default_spec(3), GridSpec(d=2, n=512, half_width=16.0)]
 # the level-2 support grid of the d = 2 translate family: 256^2 at spacing 1/16
-SUPPORT_SPEC = cx._support_grid(cx.rs_base(2).spec, 2)
+SUPPORT_SPEC = cx._support_grid(cx.rs_level(2, 0).tile, 2)
 # grids whose radius the norms take from the cache: the default grids, their duals,
 # a support grid and half-widths other than the default ones
 RADIUS_SPECS = (
@@ -140,13 +141,14 @@ def full_peak_ratio(f):
 def translate_member(d):
     """Member 1 of a signed-translate family; at d = 3 on a 64^3 grid of spacing 1/8."""
     if d < 3:
-        return cx.rs_level(cx.rs_base(d), d, 2).member(1)
+        return cx.rs_level(d, 2).member(1)
     spec = GridSpec(d=3, n=64, half_width=4.0)
     bump = cx.rs_base_bump_1d(spec.axis_coordinates())
     base = GridFunction(spec=spec, values=functools.reduce(np.multiply.outer, [bump] * 3))
     (base_l2,) = grid_weighted_norm(base, [(2.0, 0.0)])
-    family = cx.RSFamily(d=3, k=1, signs=cx.rs_signs(3, 1), base=base, base_l2_sq=base_l2**2)
-    return family.member(1)
+    tile = base.values[(slice(32, 40),) * 3]  # the 8^3 samples on the unit cell
+    family = cx.RSFamily(d=3, k=1, signs=cx.rs_signs(3, 1), tile=tile, base_l2_sq=base_l2**2)
+    return family.member(1, spec)
 
 
 def plancherel_defect(f: GridFunction) -> float:
@@ -186,7 +188,7 @@ def read_grid_csv(path) -> GridFunction:
     return GridFunction(spec=spec, values=vals.reshape((spec.n,) * spec.d))
 
 
-def dense_bump(spec, seed, n_terms=4):
+def dense_bump(spec, seed):
     """Reference: the bump sum_t c_t g_t, g_t = exp(-A_t), A_t = pi |x - x_t|^2 / w_t^2,
     from the same draws, each term one exp over a dense mesh; and the pointwise bound
     4 eps sum_t |c_t| g_t (1 + A_t) on a sampler's distance from it, plus
@@ -197,9 +199,9 @@ def dense_bump(spec, seed, n_terms=4):
     holds."""
     rng = np.random.default_rng(seed)
     span = 0.25 * spec.half_width
-    centers = rng.uniform(-span, span, size=(n_terms, spec.d))
-    widths = rng.uniform(0.7, 1.1, size=n_terms)
-    coefs = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+    centers = rng.uniform(-span, span, size=(BUMP_TERMS, spec.d))
+    widths = rng.uniform(0.7, 1.1, size=BUMP_TERMS)
+    coefs = rng.normal(size=BUMP_TERMS) + 1j * rng.normal(size=BUMP_TERMS)
     mesh = dense_meshgrid(spec)
     total = np.zeros((spec.n,) * spec.d, dtype=complex)
     relative = np.zeros((spec.n,) * spec.d)
@@ -455,7 +457,7 @@ class TestNorms:
         noise = rng.normal(size=(spec.n,) * spec.d) + 1j * rng.normal(size=(spec.n,) * spec.d)
         functions = [gaussian_grid_function(spec), GridFunction(spec, noise)]
         if spec == SUPPORT_SPEC:
-            functions.append(cx.rs_level(cx.rs_base(2), 2, 2).member(1, spec))
+            functions.append(cx.rs_level(2, 2).member(1, spec))
         for f in functions:
             assert grid_weighted_norm(f, terms) == dense_norms(f, terms)
             for sums_terms in (terms, terms[:2]):
@@ -545,10 +547,9 @@ class TestSupportBox:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("k", range(5))
     def test_members_keep_bits(self, d, k):
-        base = cx.rs_base(d)
-        family = cx.rs_level(base, d, k)
+        family = cx.rs_level(d, k)
         last = len(family.signs) - 1  # mixed signs from level 1 on
-        for spec in (cx._support_grid(base.spec, k), base.spec):
+        for spec in (cx._support_grid(family.tile, k), family.member(0).spec):
             member = family.member(last, spec)
             assert member._support is not None
             expected = dense_norms(member, SUPPORT_TERMS)
@@ -561,8 +562,8 @@ class TestSupportBox:
     def test_blocks_that_miss_the_box(self):
         # the level-3 support grid at d = 2 is 256^2 in two blocks, and the box fills
         # the upper one; single terms take the same path as several
-        family = cx.rs_level(cx.rs_base(2), 2, 3)
-        spec = cx._support_grid(family.base.spec, 3)
+        family = cx.rs_level(2, 3)
+        spec = cx._support_grid(family.tile, 3)
         f = family.member(3, spec)
         assert any(rows.stop <= f._support[0].start for rows in _row_blocks(spec))
         for term in SUPPORT_TERMS:
@@ -584,24 +585,24 @@ class TestSupportBox:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_base_and_window_keep_bits(self, d):
-        base = cx.rs_base(d)
+        base = cx.rs_level(d, 0).member(0)
         bare = GridFunction(base.spec, base.values)
         assert grid_weighted_norm(base, SUPPORT_TERMS) == grid_weighted_norm(bare, SUPPORT_TERMS)
-        assert cx.rs_level(base, d, 0).base_l2_sq == grid_weighted_norm(bare, [(2.0, 0.0)])[0] ** 2
+        assert cx.rs_level(d, 0).base_l2_sq == grid_weighted_norm(bare, [(2.0, 0.0)])[0] ** 2
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_weight_beyond_the_floats_still_raises(self, d):
         # |x|^(p w) is inf at the far corners, where the member is 0: the whole-block
         # path makes inf * 0 = NaN there, and the sum raises naming (p, w).  At d = 1 the
         # level-0 box lies inside |x| < 1, where every weight is finite
-        base = cx.rs_base(d)
-        member = cx.rs_level(base, d, 0).member(0, cx._support_grid(base.spec, 0))
+        family = cx.rs_level(d, 0)
+        member = family.member(0, cx._support_grid(family.tile, 0))
         for p, w in [(1e308, 0.1), (8.0, 1e308), (math.inf, 1e308)]:
             with pytest.raises(ValueError, match=re.escape(f"p={p:g}, w={w:g}")):
                 grid_weighted_norm(member, [(2.0, 0.0), (p, w)])
 
     def test_refuses_a_box_that_misses_a_sample(self):
-        member = cx.rs_level(cx.rs_base(2), 2, 1).member(1)
+        member = cx.rs_level(2, 1).member(1)
         rows, cols = member._support
         GridFunction(member.spec, member.values, _support=member._support)
         half = (rows.stop - rows.start) // 2
@@ -611,7 +612,7 @@ class TestSupportBox:
                 GridFunction(member.spec, member.values, _support=box)
 
     def test_box_stays_out_of_repr_and_eq(self):
-        member = cx.rs_level(cx.rs_base(1), 1, 2).member(1)
+        member = cx.rs_level(1, 2).member(1)
         bare = GridFunction(member.spec, member.values)
         assert member._support is not None and bare._support is None
         assert repr(member) == repr(bare)

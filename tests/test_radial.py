@@ -433,15 +433,16 @@ class TestGaussianUncertaintyProduct:
 class TestLogMomentRatio:
     """ln V_p(F) / ||F||_p^p as the log mean of r^p under r^{d-1} F(r)^p."""
 
-    @pytest.mark.parametrize("d", [1, 10, 10**3, 10**6, 10**9, 10**12, 10**15, 10**18])
-    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 7.5])
+    @pytest.mark.parametrize("d", [1, 10, 10**3, 10**6, 10**9, 10**12, 10**15, 10**18, 3,
+                                   pytest.param(10**300, id="1e300")])
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 7.5, 1e6])
     def test_g_1_is_the_gaussian(self, d, p):
-        # g_1 = 2 exp(-pi r^2) has two equal terms: the expansion (p = 3) and the
-        # trapezoid rule (the others) against the one-term closed form.  The difference
-        # of two norms' logs read 87.94 against 94.81 at d = 1e15, p = 3
-        log_ratio = log_moment_ratio(gc_profile(1.0, d), d, p)
-        rel = 1e-12 if p == int(p) else 1e-13
-        assert 2.0 * log_ratio == pytest.approx(gaussian_log_product(d, p), rel=rel)
+        # g_1 = 2 exp(-pi r^2) has two equal-rate terms, which the kernel merges into one,
+        # so its ratio is the one-term closed form bit for bit.  The expansion and the
+        # trapezoid rule on the two terms missed it by up to 1.9e-9 at (1e9, 1e6) and
+        # overflowed to NaN at d = 1e300; the difference of two norms' logs read 87.94
+        # against 94.81 at d = 1e15, p = 3
+        assert 2.0 * log_moment_ratio(gc_profile(1.0, d), d, p) == gaussian_log_product(d, p)
 
     @pytest.mark.parametrize("d", [1, 3, 10])
     @pytest.mark.parametrize("c", [2.0, 4.0])
