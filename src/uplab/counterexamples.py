@@ -192,49 +192,35 @@ def rs_level(d: int, k: int) -> RSFamily:
     return RSFamily(d=d, k=k, signs=rs_signs(d, k), tile=tile, base_l2_sq=base_l2_sq)
 
 
-def rs_levels(d: int, k_max: int) -> list[RSFamily]:
-    """rs_level(d, k) for k = 0..k_max from one rs_level call: row 0 of sign_matrix(d)
-    is +1, so member j of level k is corner block j of the top level's member 0."""
-    top = rs_level(d, k_max)
-    lower = [np.stack([top.signs[0][_corner(j, 2**k, d)] for j in range(2**d)]) for k in range(k_max)]
-    for signs in lower:
-        signs.setflags(write=False)
-    return [RSFamily(d, k, signs, top.tile, top.base_l2_sq) for k, signs in enumerate(lower)] + [top]
-
-
-def rs_growth_ratio(families: list[RSFamily], p: float, theta: float) -> list[float]:
-    """Per-level violation ratios; their base-2 slope is d/2 - d/p - theta.
+def rs_growth_ratio(family: RSFamily, p: float, theta: float) -> list[float]:
+    """Violation ratios of levels 1..family.k; their base-2 slope is d/2 - d/p - theta.
 
     ratio_k = ||f_{1,k}||_2^2 / (|| |x|^theta f_{1,k} ||_p * 2^{dk/2 + d/2}),
-    with the k-independent Fourier-side norm factor dropped (it does not
-    affect the slope).  The weighted norm sums over the level-k support grid,
-    not the 512^d grid; the samples it leaves out are exact zeros.
+    with the k-independent Fourier-side norm factor dropped (it does not affect the
+    slope).  Row 0 of sign_matrix(d) is +1, so f_{1,k} is member 0 cut to [0, 2^k)^d,
+    weighed on the level-k support grid: the 512^d samples it leaves out are exact zeros.
     """
-    if len(families) < 3:
-        raise ValueError("need at least 3 levels for a slope fit")
+    if family.k < 2:
+        raise ValueError("need levels 1..k with k >= 2 for a slope fit")
     if not (p > 1 and 0 <= theta < math.inf):
         raise ValueError("require p > 1 and 0 <= theta < inf")
-    d = families[0].d
-    if any(fam.d != d for fam in families):
-        raise ValueError("families must share the dimension")
+    d = family.d
     out = []
-    for fam in families:
+    for k in range(1, family.k + 1):
         # the 2^{dk} translates of the base are disjoint and carry signs +-1
-        l2_sq = 2.0 ** (d * fam.k) * fam.base_l2_sq
-        lead = fam.member(0, _support_grid(fam.tile, fam.k))
+        l2_sq = 2.0 ** (d * k) * family.base_l2_sq
+        corner = family.signs[0][(slice(0, 2**k),) * d]
+        lead = _place(corner, family.tile, _support_grid(family.tile, k))
         (weighted,) = grid_weighted_norm(lead, [(p, theta)])
-        fourier_side = 2.0 ** (0.5 * d * fam.k + 0.5 * d)
+        fourier_side = 2.0 ** (0.5 * d * k + 0.5 * d)
         out.append(l2_sq / (weighted * fourier_side))
     return out
 
 
-def rs_slope(families: list[RSFamily], p: float, theta: float) -> float:
-    """Least-squares base-2 slope of the growth ratios over levels k >= 1."""
-    ratios = rs_growth_ratio(families, p, theta)
-    ks = np.array([fam.k for fam in families], dtype=float)
-    logs = np.log2(np.array(ratios))
-    mask = ks >= 1
-    coeffs = np.polyfit(ks[mask], logs[mask], 1)
+def rs_slope(family: RSFamily, p: float, theta: float) -> float:
+    """Least-squares base-2 slope of the growth ratios of levels 1..family.k."""
+    logs = np.log2(np.array(rs_growth_ratio(family, p, theta)))
+    coeffs = np.polyfit(np.arange(1.0, family.k + 1), logs, 1)
     return float(coeffs[0])
 
 

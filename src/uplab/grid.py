@@ -257,8 +257,7 @@ def _weighted_sums(spec: GridSpec, samples, terms, support=None):
     One blocked pass computes |f|, each distinct |f|^p and each distinct weight (from the
     spec's cached radius) once per block, and adds the block sums pairwise.  Samples 0
     outside the box support get their terms on the box only, zero-padded to the same block
-    sums, unless |x|^{pw} is inf at the far corner (inf * 0 is NaN).  A non-finite sum
-    raises, naming its (p, w), without a floating-point warning."""
+    sums.  A non-finite sum raises, naming its (p, w), without a floating-point warning."""
     if isinstance(samples, np.ndarray):  # views of its blocks
         samples = [samples[rows] for rows in _row_blocks(spec)]
     weighted = any(w > 0 for _, w in terms)
@@ -266,9 +265,6 @@ def _weighted_sums(spec: GridSpec, samples, terms, support=None):
     parts = [[] for _ in terms]
     # a power or weight beyond the floats shows as a sum of inf or NaN, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        if support is not None and not all(np.isfinite(radii[(0,) * spec.d] ** (
-                w if p == math.inf else p * w)) for p, w in terms if w > 0):
-            support = None
         for rows, block in zip(_row_blocks(spec), samples, strict=True):
             radius = None if radii is None else radii[rows]
             if support is not None:

@@ -316,11 +316,10 @@ def _slope_agrees(measured: float, predicted: float) -> bool:
 
 
 def rs_check(d: int, k_max: int, p: float, theta: float) -> dict:
-    """Slope summary of the translate families of levels 0..k_max."""
-    if not 2 <= k_max <= 4:  # the slope fit needs levels 0..2
+    """Slope summary of the growth ratios of levels 1..k_max of one translate family."""
+    if not 2 <= k_max <= 4:  # the slope fit needs levels 1 and 2
         raise ValueError(f"k-max must be 2..4, got {k_max}")
-    families = cx.rs_levels(d, k_max)
-    measured = cx.rs_slope(families, p, theta)
+    measured = cx.rs_slope(cx.rs_level(d, k_max), p, theta)
     predicted = rs_predicted_slope(d, p, theta)
     return {
         "d": d,

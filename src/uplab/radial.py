@@ -126,7 +126,7 @@ def _expansion(terms, p: float):
     return log_coef, powers @ rates
 
 
-def _log_trapezoid(terms, k: float, p: float, ref: int, two_t_ref: float, moments):
+def _log_trapezoid(terms, k: float, p: float, ref: int, moments):
     """For each m in moments, ln of the integral of r^{k+m-1} F(r)^p dr less
     k t_ref + p (ln c_ref - u_ref) + m t_ref, by the trapezoid rule in tau = ln r - t_ref.
 
@@ -256,7 +256,7 @@ def _log_moments(terms, k: float, p: float, m: float = 0.0) -> tuple[float, floa
     scale = a * two_t_ref  # m t_ref, which the quotient of the sums cannot undo if infinite
     if not math.isfinite(scale):
         return math.nan, scale
-    log_sums = _log_trapezoid(terms, k, p, ref, two_t_ref, (0.0, m) if m else (0.0,))
+    log_sums = _log_trapezoid(terms, k, p, ref, (0.0, m) if m else (0.0,))
     log_mass = half * (two_t_ref - 1.0) + p * log_c_ref + log_sums[0]
     return log_mass, scale + log_sums[1] - log_sums[0] if m else 0.0
 

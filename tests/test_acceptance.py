@@ -178,7 +178,7 @@ def test_criterion_07_translate_family_invariants(capsys):
         if np.max(np.abs(total - expected)) > 1e-6 * expected.max():
             spectral_ok = False
 
-    slope = cx.rs_slope(families, 8.0, 0.1)
+    slope = cx.rs_slope(families[-1], 8.0, 0.1)
     slope_ok = abs(slope - 0.65) <= 0.1 * 0.65
     elapsed = time.perf_counter() - t0
     ok = mass_ok and spectral_ok and slope_ok and elapsed < 60.0

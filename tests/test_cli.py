@@ -157,8 +157,24 @@ class TestRudinShapiroCommand:
             assert exported.values.dtype == member.values.dtype
             assert np.array_equal(exported.values, member.values)
 
+    @pytest.mark.parametrize("argv, measured", [
+        (["rudin-shapiro", "--d", "2", "--k-max", "3", "--p", "586", "--theta", "0.5"],
+         "measured=0.4195 pass=False"),
+        (["cowling-price", "--d", "2", "--p", "586", "--q", "586", "--theta", "0.5",
+          "--phi", "0.5"], "(measured 0.41951797626953324)"),
+        (["rudin-shapiro", "--d", "2", "--k-max", "2", "--p", "820", "--theta", "0.5"],
+         "measured=0.3888 pass=False"),
+    ])
+    def test_weight_beyond_the_floats_outside_the_box(self, capsys, argv, measured):
+        # |x|^(p w) overflows at the support grid's far corner, outside the members'
+        # support box, but not inside it: the norms are finite, and at p = 586 the
+        # slope is the one --p inf prints
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert measured in out
+
     def test_bad_level_is_usage_error(self, capsys):
-        # k-max 1 leaves the slope fit, which takes levels 0..2, too few levels
+        # k-max 1 leaves the slope fit, which takes levels 1..2, too few levels
         for k_max in ("9", "1"):
             code, _, err = run(capsys, "rudin-shapiro", "--d", "2", "--k-max", k_max)
             assert code == 2
@@ -366,8 +382,8 @@ class TestOutOfRangeInputs:
         (["cowling-price", "--d", "1", "--p", "2", "--q", "2", "--theta", "1", "--phi", "1",
           "--seed", "-1"], "seed must be nonnegative"),
         (["sharpness", "--d", "2", "--p", "5", "--c-list", ","], "--c-list"),
-        # the translate members vanish outside a box of samples; beyond it the weight
-        # |x|^(p w) is inf, so inf * 0 = NaN raises as it does without the box
+        # the translate members vanish outside a box of samples; inside it the weight
+        # |x|^(p w) is inf beyond |x| = 1, where the members have zeros: inf * 0 = NaN
         (["rudin-shapiro", "--d", "2", "--p", "1e308", "--theta", "0.1"], "p=1e+308, w=0.1"),
         (["cowling-price", "--d", "2", "--p", "1e308", "--q", "1e308",
           "--theta", "0.1", "--phi", "0.1"], "p=1e+308, w=0.1"),
@@ -378,6 +394,9 @@ class TestOutOfRangeInputs:
         # the floats (an OverflowError traceback once)
         (["cowling-price", "--d", "3", "--p", "1e306", "--q", "1e306", "--theta", "2",
           "--phi", "2"], "r^2e+306 F(r)^1e+306 has no finite log"),
+        # |x|^(p w) = 7.9^400 overflows inside the level-3 box [0, 8), at zeros of the member
+        (["rudin-shapiro", "--d", "1", "--k-max", "3", "--p", "1000", "--theta", "0.4"],
+         "p=1000, w=0.4"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)

@@ -194,14 +194,14 @@ class TestTranslateFamilies:
             assert np.max(np.abs(total - expected)) <= 1e-6 * expected.max()
 
     def test_growth_slope(self, families_2d):
-        measured = cx.rs_slope(families_2d, 8.0, 0.1)
+        measured = cx.rs_slope(families_2d[-1], 8.0, 0.1)
         assert measured == pytest.approx(0.65, rel=0.10)
 
     def test_growth_slope_other_exponents(self, families_2d):
         # slope = d/2 - d/p - theta
         p, theta = 6.0, 0.2
         predicted = 1.0 - 2.0 / p - theta
-        assert cx.rs_slope(families_2d, p, theta) == pytest.approx(predicted, rel=0.10)
+        assert cx.rs_slope(families_2d[-1], p, theta) == pytest.approx(predicted, rel=0.10)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("k", range(5))
@@ -261,11 +261,11 @@ class TestTranslateFamilies:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_support_grid_norms_keep_bits(self, d):
-        # reference: the same ratios from norms over the default 512^d grid; at
-        # d = 2, rows shorter than 128 samples move the last bit of
-        # (p, theta) = (4, 0.5), (5, 0.3), (8, 0.8) and (12, 0.05) at k = 0 or 1
+        # reference: the same ratios from the leading member of each level 1..4 on the
+        # default 512^d grid; at d = 2, rows of 64 samples move the last bit of
+        # (p, theta) = (4, 0.5) and (8, 0.8) at k = 1
         base = cx.rs_level(d, 0).member(0)
-        families = [cx.rs_level(d, k) for k in range(5)]
+        families = [cx.rs_level(d, k) for k in range(1, 5)]
         base_l2_sq = grid_weighted_norm(base, [(2.0, 0.0)])[0] ** 2
         assert all(fam.base_l2_sq == base_l2_sq for fam in families)
         leading = [fam.member(0) for fam in families]
@@ -277,7 +277,7 @@ class TestTranslateFamilies:
                        * 2.0 ** (0.5 * d * fam.k + 0.5 * d))
                     for fam, lead in zip(families, leading)
                 ]
-                assert cx.rs_growth_ratio(families, p, theta) == expected
+                assert cx.rs_growth_ratio(families[-1], p, theta) == expected
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_member_on_smaller_grid(self, d):
@@ -296,8 +296,9 @@ class TestTranslateFamilies:
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("k_max", [2, 3, 4])
-    def test_levels_from_one_level_call(self, d, k_max, monkeypatch):
-        # one L^2 norm of the unit-cell window and one doubling run of the signs
+    def test_check_norms_each_level_once(self, d, k_max, monkeypatch):
+        # one L^2 norm of the unit cell, one weighted norm per level 1..k_max and one
+        # doubling run of the signs
         calls = {"norm": 0, "signs": 0}
 
         def counted(name, fn):
@@ -308,16 +309,8 @@ class TestTranslateFamilies:
 
         monkeypatch.setattr(cx, "grid_weighted_norm", counted("norm", cx.grid_weighted_norm))
         monkeypatch.setattr(cx, "sign_matrix", counted("signs", cx.sign_matrix))
-        families = cx.rs_levels(d, k_max)
-        assert calls == {"norm": 1, "signs": 1}
-        monkeypatch.undo()
-        assert [fam.k for fam in families] == list(range(k_max + 1))
-        for fam in families:
-            level = cx.rs_level(d, fam.k)
-            assert fam.tile is families[-1].tile and fam.base_l2_sq == level.base_l2_sq
-            assert fam.tile.tobytes() == level.tile.tobytes() and not fam.tile.flags.writeable
-            assert fam.signs.dtype == np.int8 and not fam.signs.flags.writeable
-            assert np.array_equal(fam.signs, level.signs)
+        harness.rs_check(d, k_max, 8.0, 0.1)
+        assert calls == {"norm": k_max + 1, "signs": 1}
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
@@ -326,9 +319,8 @@ class TestTranslateFamilies:
             cx.rs_signs(2, -1)
 
     def test_slope_needs_three_levels(self):
-        fams = [cx.rs_level(1, k) for k in range(2)]
         with pytest.raises(ValueError):
-            cx.rs_slope(fams, 8.0, 0.1)
+            cx.rs_slope(cx.rs_level(1, 1), 8.0, 0.1)
 
 
 class TestStorage:

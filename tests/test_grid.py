@@ -592,14 +592,28 @@ class TestSupportBox:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_weight_beyond_the_floats_still_raises(self, d):
-        # |x|^(p w) is inf at the far corners, where the member is 0: the whole-block
-        # path makes inf * 0 = NaN there, and the sum raises naming (p, w).  At d = 1 the
-        # level-0 box lies inside |x| < 1, where every weight is finite
+        # |x|^(p w) is inf beyond |x| = 1.  At d = 2 the level-0 box reaches past it, where
+        # the member is 0: inf * 0 = NaN inside the box, and the sum raises naming (p, w).
+        # At d = 1 the box lies inside |x| < 1, so the sums are the dense sums of the
+        # terms on the box, in a zero grid, and the NaN beyond the box is never formed
         family = cx.rs_level(d, 0)
         member = family.member(0, cx._support_grid(family.tile, 0))
+        cell = member.spec.spacing**d
         for p, w in [(1e308, 0.1), (8.0, 1e308), (math.inf, 1e308)]:
-            with pytest.raises(ValueError, match=re.escape(f"p={p:g}, w={w:g}")):
-                grid_weighted_norm(member, [(2.0, 0.0), (p, w)])
+            terms = [(2.0, 0.0), (p, w)]
+            if d == 2:
+                with pytest.raises(ValueError, match=re.escape(f"p={p:g}, w={w:g}")):
+                    grid_weighted_norm(member, terms)
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                summands = dense_summands(member, terms)
+            expected = []
+            for (q, _), dense in zip(terms, summands):
+                on_box = np.zeros(dense.shape)
+                on_box[member._support] = dense[member._support]
+                expected.append(on_box.max() if q == math.inf else (on_box.sum() * cell) ** (1.0 / q))
+            assert np.isnan(summands[1]).any()
+            assert grid_weighted_norm(member, terms) == tuple(expected)
 
     def test_refuses_a_box_that_misses_a_sample(self):
         member = cx.rs_level(2, 1).member(1)
