@@ -156,12 +156,9 @@ def _pairwise(sums):
 
 
 def sample(generator, spec: GridSpec) -> GridFunction:
-    """Sample a pointwise function of d coordinate arrays onto the grid."""
-    shape = (spec.n,) * spec.d
-    vals = generator(*spec.meshgrid())
-    if np.shape(vals) != shape:
-        vals = np.broadcast_to(vals, shape).copy()
-    return GridFunction(spec=spec, values=vals)
+    """Sample a pointwise function of d coordinate arrays onto the grid.  The arrays are
+    spec.meshgrid()'s open axes; the generator returns an array of the grid's shape."""
+    return GridFunction(spec=spec, values=generator(*spec.meshgrid()))
 
 
 def _boundary_ratio(spec: GridSpec, vals: np.ndarray) -> float:

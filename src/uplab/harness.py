@@ -59,51 +59,44 @@ class SweepRow:
         return all(self.flags.values())
 
 
-def fit_log_slope(ds, log_vals) -> float:
-    """OLS slope of log_vals against ln(d) restricted to d >= SLOPE_FIT_MIN_D."""
+def fit_log_slope(ds, log_vals) -> float | None:
+    """OLS slope of log_vals against ln(d) over d >= SLOPE_FIT_MIN_D; None below two such d."""
     ds = np.asarray(ds, dtype=float)
     log_vals = np.asarray(log_vals, dtype=float)
     mask = ds >= SLOPE_FIT_MIN_D
     if mask.sum() < 2:
-        raise ValueError(f"need at least two dimensions >= {SLOPE_FIT_MIN_D} for a slope fit")
+        return None
     coeffs = np.polyfit(np.log(ds[mask]), log_vals[mask], 1)
     return float(coeffs[0])
 
 
-def _slope_or_none(ds, log_vals) -> float | None:
-    """fit_log_slope, or None when the sweep is too short for the fit window."""
-    try:
-        return fit_log_slope(ds, log_vals)
-    except ValueError:
-        return None
-
-
-def heisenberg_sweep(d_max: int) -> list[SweepRow]:
-    """Method bound vs the sharp Gaussian value d^2/(16 pi^2) for d = 1..d_max."""
+def _sweep(p: float, d_max: int, bundle, flags) -> list[SweepRow]:
+    """Rows d = 1..d_max at exponent p: bundle(d)'s method bound, the Gaussian product, and
+    the (claimed floor log, flags) pair of flags(d, params, gauss_log)."""
     if not 1 <= d_max <= 1000:
         raise ValueError(f"d_max must be 1..1000, got {d_max}")
     rows = []
     for d in range(1, d_max + 1):
-        params = l2_params(d)
-        gauss_log = gaussian_log_product(d, 2.0)
+        params = bundle(d)
+        gauss_log = gaussian_log_product(d, p)
+        floor_log, row_flags = flags(d, params, gauss_log)
+        rows.append(SweepRow(d, p, params.log_bound, gauss_log, floor_log, row_flags))
+    return rows
+
+
+def heisenberg_sweep(d_max: int) -> list[SweepRow]:
+    """Method bound vs the sharp Gaussian value d^2/(16 pi^2) for d = 1..d_max; flags: floor
+    1e-10 d^2 <= bound <= Gaussian value, quotient (c_d / omega_{d-1})^{2/(d+1)} >= 1e-5 d."""
+    def flags(d, params, gauss_log):
         floor_log = 2.0 * math.log(d) - 10.0 * math.log(10.0)
         quotient_log = (2.0 / (d + 1)) * (params.log_c_d - params.log_sphere_area)
-        flags = {
+        return floor_log, {
             "floor": params.log_bound >= floor_log,
             "below_sharp": params.log_bound <= gauss_log,
             "quotient": quotient_log >= math.log(d) - 5.0 * math.log(10.0),
         }
-        rows.append(
-            SweepRow(
-                d=d,
-                p=2.0,
-                method_log_bound=params.log_bound,
-                gaussian_log_product=gauss_log,
-                claimed_floor_log=floor_log,
-                flags=flags,
-            )
-        )
-    return rows
+
+    return _sweep(2.0, d_max, l2_params, flags)
 
 
 def stable_onset(rows: list[SweepRow]) -> int | None:
@@ -121,46 +114,32 @@ def heisenberg_summary(rows: list[SweepRow]) -> dict:
     # pass reflects the inequality flags only; the slope is a diagnostic of
     # the fit window and converges to 2 from above as d_max grows
     d0 = stable_onset(rows)
-    slope = _slope_or_none([r.d for r in rows], [r.method_log_bound for r in rows])
+    slope = fit_log_slope([r.d for r in rows], [r.method_log_bound for r in rows])
     ok = d0 is not None and d0 <= 10
     return {"d0": d0, "slope": slope, "pass": ok}
 
 
 def lp_sweep(p: float, d_max: int) -> list[SweepRow]:
-    """Method and Gaussian bounds across dimensions at fixed p in (1, 2]."""
+    """Method and Gaussian bounds for d = 1..d_max at fixed p in (1, 2]; flags: bound <=
+    Gaussian value, and beyond d = 50 bound >= C d^p with C calibrated at d = 50."""
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must satisfy 1 < p <= 2 for the growth sweep, got {p}")
-    if not 1 <= d_max <= 1000:
-        raise ValueError(f"d_max must be 1..1000, got {d_max}")
-    # floor constant calibrated at d = 50, then tested beyond
-    c1_log = None
-    if d_max >= 50:
-        c1_log = lp_params(50, p).log_bound - p * math.log(50.0)
-    rows = []
-    for d in range(1, d_max + 1):
-        params = lp_params(d, p)
-        gauss_log = gaussian_log_product(d, p)
-        floor_log = (c1_log + p * math.log(d)) if c1_log is not None else -math.inf
-        flags = {"below_sharp": params.log_bound <= gauss_log}
-        if c1_log is not None and d > 50:
-            flags["floor"] = params.log_bound >= floor_log - SLACK_TOL
-        rows.append(
-            SweepRow(
-                d=d,
-                p=p,
-                method_log_bound=params.log_bound,
-                gaussian_log_product=gauss_log,
-                claimed_floor_log=floor_log,
-                flags=flags,
-            )
-        )
-    return rows
+    c1_log = lp_params(50, p).log_bound - p * math.log(50.0) if d_max >= 50 else -math.inf
+
+    def flags(d, params, gauss_log):
+        floor_log = c1_log + p * math.log(d)
+        row_flags = {"below_sharp": params.log_bound <= gauss_log}
+        if d > 50:  # then d_max > 50: the constant is calibrated
+            row_flags["floor"] = params.log_bound >= floor_log - SLACK_TOL
+        return floor_log, row_flags
+
+    return _sweep(p, d_max, lambda d: lp_params(d, p), flags)
 
 
 def lp_summary(rows: list[SweepRow], p: float) -> dict:
     ds = [r.d for r in rows]
-    slope_method = _slope_or_none(ds, [r.method_log_bound for r in rows])
-    slope_gauss = _slope_or_none(ds, [r.gaussian_log_product for r in rows])
+    slope_method = fit_log_slope(ds, [r.method_log_bound for r in rows])
+    slope_gauss = fit_log_slope(ds, [r.gaussian_log_product for r in rows])
     ok = all(r.satisfied for r in rows)
     return {
         "slope_method": slope_method,
@@ -449,7 +428,7 @@ def cp_check(
     if classification == "violated":
         measured = None
         if d <= 2:
-            measured = rs_check(d, 3, p, theta)["measured_slope"]
+            measured = cx.rs_slope(cx.rs_level(d, 3), p, theta)
         return CPReport(
             d=d, p=p, q=q, theta=theta, phi=phi,
             classification=classification,

@@ -100,6 +100,17 @@ class TestLpCommand:
         assert code == 0
         assert "slope_method=None slope_gaussian=None pass=True" in out
 
+    def test_csv_output(self, capsys, tmp_path):
+        # the sweep's CSV; the floor flag is tested from d = 51 on, past the calibration
+        out_path, expected = tmp_path / "x.csv", tmp_path / "expected.csv"
+        code, _, _ = run(capsys, "lp", "--p", "1.5", "--d-max", "60", "--out", str(out_path))
+        assert code == 0
+        harness.write_sweep_csv(harness.lp_sweep(1.5, 60), expected)
+        assert out_path.read_bytes() == expected.read_bytes()
+        lines = out_path.read_text().splitlines()
+        assert len(lines) == 61 and lines[0].endswith(",below_sharp,floor")
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [""] * 50 + ["True"] * 10
+
     def test_usage_error_beyond_range(self, capsys):
         code, _, err = run(capsys, "lp", "--p", "3", "--d-max", "100")
         assert code == 2
@@ -173,6 +184,17 @@ class TestRudinShapiroCommand:
         assert (code, err) == (1, "")
         assert measured in out
 
+    def test_json_output(self, capsys, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, _, _ = run(capsys, "rudin-shapiro", "--d", "2", "--k-max", "3", "--out",
+                         str(out_path))
+        assert code == 0
+        summary = json.loads(out_path.read_text())
+        assert sorted(summary) == ["d", "k_max", "measured_slope", "p", "pass",
+                                   "predicted_slope", "theta"]
+        assert summary["pass"] is True
+        assert summary == harness.rs_check(2, 3, 8.0, 0.1)
+
     def test_bad_level_is_usage_error(self, capsys):
         # k-max 1 leaves the slope fit, which takes levels 1..2, too few levels
         for k_max in ("9", "1"):
@@ -233,6 +255,19 @@ class TestCowlingPriceCommand:
         assert (code, err) == (1, "")
         assert "classification: endpoint" in out
         assert out.count("pass=True") == 2
+
+    @pytest.mark.parametrize("argv, classification, exit_code", [
+        (["--d", "1", "--p", "2", "--q", "2", "--theta", "1", "--phi", "1"], "feasible", 0),
+        (["--d", "2", "--p", "8", "--q", "8", "--theta", "0.1", "--phi", "0.1"], "violated", 1),
+        (["--d", "2", "--p", "4", "--q", "4", "--theta", "0.5", "--phi", "0.5"], "endpoint", 1),
+    ])
+    def test_json_output(self, capsys, tmp_path, argv, classification, exit_code):
+        # each class with its verdict; only a feasible tuple's inequality holds
+        out_path = tmp_path / "x.json"
+        code, _, err = run(capsys, "cowling-price", *argv, "--out", str(out_path))
+        assert (code, err) == (exit_code, "")
+        expected = {"classification": classification, "pass": True}
+        assert out_path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_nonpositive_dimension_usage_error(self, capsys, d):
@@ -397,6 +432,9 @@ class TestOutOfRangeInputs:
         # |x|^(p w) = 7.9^400 overflows inside the level-3 box [0, 8), at zeros of the member
         (["rudin-shapiro", "--d", "1", "--k-max", "3", "--p", "1000", "--theta", "0.4"],
          "p=1000, w=0.4"),
+        # the dimension sweeps' one d_max check
+        (["lp", "--p", "1.5", "--d-max", "0"], "d_max must be 1..1000"),
+        (["lp", "--p", "1.5", "--d-max", "1001"], "d_max must be 1..1000"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)

@@ -318,6 +318,10 @@ class TestTranslateFamilies:
         with pytest.raises(ValueError):
             cx.rs_signs(2, -1)
 
+    def test_dimension_validation(self):
+        with pytest.raises(ValueError, match=r"rs_level supports d in \(1, 2\), got 3"):
+            cx.rs_level(3, 1)
+
     def test_slope_needs_three_levels(self):
         with pytest.raises(ValueError):
             cx.rs_slope(cx.rs_level(1, 1), 8.0, 0.1)

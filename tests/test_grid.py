@@ -313,6 +313,12 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             sample(lambda x: np.where(x > 0, np.nan, x), spec)
 
+    def test_sample_rejects_another_shape(self):
+        # the generator returns the grid's shape: one open axis of a 2-D grid is refused
+        spec = GridSpec(d=2, n=16, half_width=2.0)
+        with pytest.raises(ValueError, match=r"^values shape \(16, 1\) != grid shape \(16, 16\)$"):
+            sample(lambda x, y: x, spec)
+
 
 class TestFourierTransform:
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -209,6 +209,11 @@ class TestRadialWeightedNorm:
         with pytest.raises(ValueError):
             radial_weighted_norm(gaussian_profile(), 1, 2.0, -1.0)
 
+    def test_rejects_weight_lost_to_rounding(self):
+        # p*w + d = 2 + 1e17 rounds to 1e17: the weight would not enter the norm
+        with pytest.raises(ValueError, match=r"the weight p\*w=2 is lost to rounding"):
+            radial_weighted_norm(gaussian_profile(), 1e17, 2.0, 1.0)
+
     @pytest.mark.parametrize("d", [456, 1000, 100000])
     def test_gaussian_norm_past_the_sphere_area_underflow(self, d):
         # omega_{d-1} is 0 in double precision from d = 456 on; ||g||_2 = 2^{-d/4} is

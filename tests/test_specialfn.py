@@ -100,3 +100,8 @@ class TestDimensionConstants:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             dimension_constants(0)
+
+    def test_dimension_beyond_ln_gamma(self):
+        # ln Gamma(d/2) passes the largest float from d ~ 5.1e305 on
+        with pytest.raises(ValueError, match=r"at d=1e\+306 exceeds the float range"):
+            dimension_constants(1e306)
