@@ -15,9 +15,10 @@ Weighted norms read the grid in blocks of _BLOCK samples along the first axis, s
 norms per pass, and add the block sums pairwise, which is the order of numpy's pairwise
 summation over the whole power-of-two grid; a sum over a ball |x| <= T reads only its
 index box, by blocks.  No grid-sized array is built by a norm, a transform or a sampler
-beyond the array it returns, with one exception: |x_k| over the whole grid is built once
-per GridSpec and kept, read-only, in a small cache (_radius), from which the weighted
-norms take their blocks.  A function 0 outside a box of samples (a translate-family
+beyond the array it returns, with one exception: the grid's distinct |x_k| and each
+sample's position among them (uint16 at 64^3) are kept per GridSpec, read-only, in a small
+cache (_radius_levels); a weight |x|^e is raised once per distinct |x_k| and read by the
+index, which a ball reads too.  A function 0 outside a box of samples (a translate-family
 member) gets its terms on the box only, zero-padded to the same block sums.  A separable
 sum, on either grid, is one real matrix product per block of the first axis' factors
 against an (n_terms, n^{d-1}) array of the coefficients times the last d - 1 axes' factors.
@@ -44,8 +45,8 @@ BUMP_TERMS = 4
 # samples per block of a norm pass: 256 KiB of float64, so that the block
 # temporaries stay in the allocator's reused heap instead of fresh mappings
 _BLOCK = 1 << 15
-# GridSpecs whose radius arrays are kept (2 MiB for a 64^3 grid): the default grids,
-# their duals and the translate families' support grids, 4.9 MiB in all
+# GridSpecs whose radius levels and index are kept (0.5 MiB for a 64^3 grid): the default
+# grids, their duals and the translate families' support grids, 1.4 MiB in all
 _RADIUS_CACHE_SIZE = 8
 
 
@@ -124,21 +125,27 @@ class GridFunction:
             array.setflags(write=False)
 
 
-def _squared_distance(mesh) -> np.ndarray:
-    """sum_i x_i^2 in axis order over open axes: the partial sums stay small, and only
-    the last axis is added into the full shape."""
-    return functools.reduce(np.add, [m * m for m in mesh])
-
-
 @functools.lru_cache(maxsize=_RADIUS_CACHE_SIZE)
-def _radius(spec: GridSpec) -> np.ndarray:
-    """|x_k| over the whole grid as a read-only float64 array, built once per spec.
-    Each element is the square root of _squared_distance over the open axes, the
-    same operations in the same order as over any block of them."""
-    radius = _squared_distance(spec.meshgrid())
-    np.sqrt(radius, out=radius)
-    radius.setflags(write=False)
-    return radius
+def _radius_levels(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's distinct |x_k| in ascending order, and for each sample the position of
+    its |x_k| among them, in the smallest unsigned dtype that holds it: read-only, built
+    once per spec.  The squares are added in axis order, (x_0^2 + x_1^2) + x_2^2, one axis
+    at a time onto the distinct sums so far, so levels[index] has the bits of |x_k| over a
+    dense mesh.  Each axis' positions are cast before they are gathered: no int64 array
+    of n^d samples is formed."""
+    coordinates = spec.axis_coordinates()
+    squares, on_axis = np.unique(coordinates * coordinates, return_inverse=True)
+    levels, index = np.zeros(1), 0  # 0 + x_0^2 is x_0^2
+    for axis in range(spec.d):
+        levels, inner = np.unique(np.add.outer(levels, squares), return_inverse=True)
+        if axis == spec.d - 1:  # adjacent squares can share a square root
+            levels, merged = np.unique(np.sqrt(levels), return_inverse=True)
+            inner = merged[inner]
+        inner = inner.astype(np.min_scalar_type(len(levels) - 1)).reshape(-1, squares.size)
+        index = inner[:, on_axis][index]
+    for array in (levels, index):
+        array.setflags(write=False)
+    return levels, index
 
 
 def _row_blocks(spec: GridSpec):
@@ -251,37 +258,36 @@ def _weighted_norms(spec: GridSpec, samples, terms, support=None):
 def _weighted_sums(spec: GridSpec, samples, terms, support=None):
     """The sums sum |x_k|^{p w} |f_k|^p (max |x_k|^w |f_k| for p = inf) behind
     grid_weighted_norm, without the cell volume, over samples on spec or its _row_blocks.
-    One blocked pass computes |f|, each distinct |f|^p and each distinct weight (from the
-    spec's cached radius) once per block, and adds the block sums pairwise.  Samples 0
-    outside the box support get their terms on the box only, zero-padded to the same block
-    sums.  A non-finite sum raises, naming its (p, w), without a floating-point warning."""
+    One blocked pass computes |f| and each distinct |f|^p once per block, reads the block's
+    weights from each distinct weight's table over the spec's _radius_levels, and adds the
+    block sums pairwise.  Samples 0 outside the box support get their terms on the box
+    only, zero-padded to the same block sums.  A non-finite sum raises, naming its (p, w),
+    without a floating-point warning."""
     if isinstance(samples, np.ndarray):  # views of its blocks
         samples = [samples[rows] for rows in _row_blocks(spec)]
-    weighted = any(w > 0 for _, w in terms)
-    radii = _radius(spec) if weighted else None
+    exponents = [w if p == math.inf else p * w for p, w in terms]  # |x|^e in each term
+    levels, index = _radius_levels(spec) if any(w > 0 for _, w in terms) else (None, None)
     parts = [[] for _ in terms]
     # a power or weight beyond the floats shows as a sum of inf or NaN, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
+        tables = {e: levels**e for (_, w), e in zip(terms, exponents) if w > 0}
         for rows, block in zip(_row_blocks(spec), samples, strict=True):
-            radius = None if radii is None else radii[rows]
+            box = ...  # the whole block, or its part in the support box
             if support is not None:
                 box = (slice(max(support[0].start - rows.start, 0),
                              max(support[0].stop - rows.start, 0)),) + support[1:]
-                padded, block, radius = np.zeros(block.shape), block[box], weighted and radius[box]
+                padded, block = np.zeros(block.shape), block[box]
             mags = np.abs(block)
             powers, weights = {}, {}
-            for (p, w), part in zip(terms, parts):
+            for (p, w), e, part in zip(terms, exponents, parts):
+                if w > 0 and e not in weights:
+                    weights[e] = np.take(tables[e], index[rows][box])
                 if p == math.inf:
-                    part.append((radius**w * mags if w > 0 else mags).max(initial=0.0))
+                    part.append((weights[e] * mags if w > 0 else mags).max(initial=0.0))
                     continue
                 if p not in powers:
                     powers[p] = mags**p
-                if w == 0:
-                    values = powers[p]
-                else:
-                    if p * w not in weights:
-                        weights[p * w] = radius ** (p * w)
-                    values = weights[p * w] * powers[p]
+                values = weights[e] * powers[p] if w > 0 else powers[p]
                 if support is not None:  # the box's terms in a zero block
                     padded[box], values = values, padded
                 part.append(values.sum())
@@ -296,14 +302,14 @@ def _weighted_sums(spec: GridSpec, samples, terms, support=None):
 
 def _ball_sum(spec: GridSpec, samples: np.ndarray, p: float, radius: float) -> float:
     """sum |f_k|^p over |x_k| <= radius, from blocks of _BLOCK samples of the box within radius
-    on each axis (|x_k| >= each sqrt(x_i^2)), whose |x_k| have _radius's operations and bits."""
-    ax = spec.axis_coordinates()
-    near = np.flatnonzero(np.sqrt(ax * ax) <= radius)
+    on each axis (|x_k| >= |x_i|, |x| at x = 0 on the other axes), by _radius_levels' index."""
+    levels, index = _radius_levels(spec)
+    inside = np.count_nonzero(levels <= radius)
+    near = np.flatnonzero(index[(slice(None),) + (spec.n // 2,) * (spec.d - 1)] < inside)
     rows, sums = max(1, _BLOCK // max(near.size, 1) ** (spec.d - 1)), []
     for lo in range(0, near.size, rows):
-        axes = [near[lo:lo + rows]] + [near] * (spec.d - 1)
-        inside = np.sqrt(_squared_distance(np.ix_(*(ax[i] for i in axes)))) <= radius
-        sums.append(np.sum(np.abs(samples[np.ix_(*axes)][inside]) ** p))
+        box = np.ix_(near[lo:lo + rows], *[near] * (spec.d - 1))
+        sums.append(np.sum(np.abs(samples[box][index[box] < inside]) ** p))
     return math.fsum(sums)
 
 

@@ -291,15 +291,19 @@ def rs_predicted_slope(d: int, p: float, theta: float) -> float:
 
 def _slope_agrees(measured: float, predicted: float) -> bool:
     """A measured growth slope confirms the prediction within SLOPE_RTOL."""
-    return predicted == 0 or abs(measured - predicted) <= SLOPE_RTOL * abs(predicted)
+    return abs(measured - predicted) <= SLOPE_RTOL * abs(predicted)
 
 
 def rs_check(d: int, k_max: int, p: float, theta: float) -> dict:
     """Slope summary of the growth ratios of levels 1..k_max of one translate family."""
     if not 2 <= k_max <= 4:  # the slope fit needs levels 1 and 2
         raise ValueError(f"k-max must be 2..4, got {k_max}")
-    measured = cx.rs_slope(cx.rs_level(d, k_max), p, theta)
+    measured = cx.rs_slope(cx.rs_level(d, k_max), p, theta)  # which checks d, p and theta
     predicted = rs_predicted_slope(d, p, theta)
+    # its roundings err by at most 3 ulps of d/2 + d/p + |theta|: a smaller one may be 0
+    if abs(predicted) <= 4.0 * math.ulp(0.5 * d + d / p + abs(theta)):
+        raise ValueError(f"the predicted slope d/2 - d/p - theta = {predicted:.3g} at d={d}, "
+                         f"p={p:g}, theta={theta:g} is 0 within rounding: no slope confirms it")
     return {
         "d": d,
         "k_max": k_max,

@@ -31,6 +31,8 @@ from .specialfn import LOG_2, _check_dimension, _log_gamma_ratio, dimension_cons
 TRAPEZOID_RTOL = 1e-13
 # an integer power of a mixture is expanded while it has at most this many Gaussians
 _MAX_EXPANSION = 1024
+# (p, number of terms) whose multinomial tables are kept, each at most 96 KiB
+_MULTINOMIAL_CACHE_SIZE = 32
 # the trapezoid rule's node budget at its finest step
 _MAX_NODES = 2**17
 # ln k! for k <= _MAX_EXPANSION, each math.log of the exact integer k!
@@ -110,20 +112,28 @@ def _logsumexp(x):
     return top + np.log(np.exp(x - top).sum(axis=0))
 
 
+@functools.lru_cache(maxsize=_MULTINOMIAL_CACHE_SIZE)
+def _multinomial(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (n_1, ..., n_m) >= 0 with sum n, the last fixed by the others, one row each,
+    and ln n! / (n_1! ... n_m!) of each row: read-only, built once per (n, m)."""
+    head = np.indices((n + 1,) * (m - 1)).reshape(m - 1, -1).T
+    head = head[head.sum(axis=1) <= n]
+    powers = np.column_stack([head, n - head.sum(axis=1)])
+    log_multinomial = _LOG_FACTORIAL[n] - _LOG_FACTORIAL[powers].sum(axis=1)
+    for array in (powers, log_multinomial):
+        array.setflags(write=False)
+    return powers, log_multinomial
+
+
 def _expansion(terms, p: float):
     """F^p as its Gaussians, (ln coefficient, rate) arrays, for an integer p whose
     multinomial expansion has at most _MAX_EXPANSION terms; else None."""
     if not (p == int(p) and (p + 1) ** (len(terms) - 1) <= _MAX_EXPANSION):
         return None
-    n, m = int(p), len(terms)
+    powers, log_multinomial = _multinomial(int(p), len(terms))
     log_c, rates = np.array(terms).T
-    # every (n_1, ..., n_m) >= 0 with sum n, the last one fixed by the others
-    head = np.indices((n + 1,) * (m - 1)).reshape(m - 1, -1).T
-    head = head[head.sum(axis=1) <= n]
-    powers = np.column_stack([head, n - head.sum(axis=1)])
     with np.errstate(over="ignore"):  # a coefficient's log beyond the floats is +-inf
-        log_coef = _LOG_FACTORIAL[n] - _LOG_FACTORIAL[powers].sum(axis=1) + powers @ log_c
-    return log_coef, powers @ rates
+        return log_multinomial + powers @ log_c, powers @ rates
 
 
 def _log_trapezoid(terms, k: float, p: float, ref: int, moments):

@@ -435,6 +435,10 @@ class TestOutOfRangeInputs:
         # the dimension sweeps' one d_max check
         (["lp", "--p", "1.5", "--d-max", "0"], "d_max must be 1..1000"),
         (["lp", "--p", "1.5", "--d-max", "1001"], "d_max must be 1..1000"),
+        # a predicted slope of 0, or 0 within its rounding, which every measured slope met
+        (["rudin-shapiro", "--d", "2", "--p", "4", "--theta", "0.5"], "0 within rounding"),
+        (["rudin-shapiro", "--d", "2", "--p", "3", "--theta", "0.3333333333333333"],
+         "0 within rounding"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)

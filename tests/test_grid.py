@@ -6,6 +6,7 @@ machine-precision oracles for the transform; norms are checked against
 analytic values.
 """
 
+import ast
 import functools
 import hashlib
 import math
@@ -32,7 +33,7 @@ from uplab.grid import (
     _RADIUS_CACHE_SIZE,
     _ball_sum,
     _bump_terms,
-    _radius,
+    _radius_levels,
     _row_blocks,
     _transform_rows,
     _weighted_sums,
@@ -219,9 +220,9 @@ def dense_bump(spec, seed):
 def fresh_radius_cache():
     """An empty radius cache, emptied again afterwards: a test that swaps how coordinates
     are made must not read, or leave behind, radii made the other way."""
-    _radius.cache_clear()
+    _radius_levels.cache_clear()
     yield
-    _radius.cache_clear()
+    _radius_levels.cache_clear()
 
 
 class TestGridSpec:
@@ -456,8 +457,8 @@ class TestNorms:
 
     @pytest.mark.parametrize("spec", RADIUS_SPECS, ids=lambda s: f"d{s.d}n{s.n}L{s.half_width:g}")
     def test_cached_radius_matches_dense_reference(self, spec):
-        # the weights read the spec's cached radius (the first two terms have none); a
-        # ball builds |x| on its box, with the cached radius' bits
+        # the weights read the spec's cached radius index (the first two terms have
+        # none), as does a ball on its box
         terms = [(2.0, 0.0), (4.0 / 3.0, 0.0), (2.0, 1.0), (1.5, 1.0), (math.inf, 0.3)]
         rng = np.random.default_rng(spec.n)
         noise = rng.normal(size=(spec.n,) * spec.d) + 1j * rng.normal(size=(spec.n,) * spec.d)
@@ -509,7 +510,7 @@ SUPPORT_TERMS = [(p, w) for p in (1.5, 2.0, 8.0, math.inf) for w in (0.0, 0.3, 1
 
 class TestBallSum:
     """_ball_sum reads the index box within its radius on each axis and sums the samples
-    whose |x_k|, with the cached radius' bits, is at most the radius."""
+    whose |x_k|, read through the cached radius index, is at most the radius."""
 
     @staticmethod
     def radii(spec):
@@ -639,23 +640,66 @@ class TestSupportBox:
         assert member == bare
 
 
+# grids of the radius index: the default grids and their duals, the translate families'
+# support grids, half-widths off the lattice of the default ones, and 82 799 levels; each
+# grid once
+LEVEL_SPECS = tuple(dict.fromkeys(
+    [default_spec(d) for d in (1, 2, 3)] + [default_spec(d).dual() for d in (1, 2, 3)]
+    + [cx._support_grid(cx.rs_level(d, 0).tile, k) for d in (1, 2) for k in range(5)]
+    + [GridSpec(3, 64, 7.3), GridSpec(2, 128, 16 / 3)]
+    + [GridSpec(1, 16, 1.0 + i) for i in range(4)] + [GridSpec(2, 1024, 8.0)]
+))
+# weights |x|^{pw}: numpy's power takes its copy (1) and square (2) fast paths on some
+WEIGHT_EXPONENTS = (0.1, 0.25, 1.0, 1.25, 2.0, 2.4, 3.75, 4.0, 8.0)
+
+
 class TestRadiusCache:
+    @pytest.mark.parametrize("spec", LEVEL_SPECS, ids=lambda s: f"d{s.d}n{s.n}L{s.half_width:g}")
+    def test_levels_and_index_are_exact(self, spec):
+        levels, index = _radius_levels(spec)
+        radius = dense_radius(spec)
+        assert np.all(np.diff(levels) > 0)
+        assert levels[index].tobytes() == radius.tobytes()
+        for pw in WEIGHT_EXPONENTS:
+            assert (levels**pw)[index].tobytes() == (radius**pw).tobytes(), pw
+        smallest = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                        if np.iinfo(t).max >= len(levels) - 1)
+        assert index.dtype == smallest
+
     def test_read_only_exact_and_shared(self):
         for spec in RADIUS_SPECS:
-            radius = _radius(spec)
-            assert not radius.flags.writeable
-            with pytest.raises(ValueError):
-                radius[(0,) * spec.d] = 1.0
-            assert radius.dtype == np.float64
-            assert radius.tobytes() == dense_radius(spec).tobytes()
-            assert _radius(GridSpec(spec.d, spec.n, spec.half_width)) is radius
+            levels, index = _radius_levels(spec)
+            for array in (levels, index):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = 1
+            assert levels.dtype == np.float64 and index.shape == (spec.n,) * spec.d
+            assert levels[index].tobytes() == dense_radius(spec).tobytes()
+            assert _radius_levels(GridSpec(spec.d, spec.n, spec.half_width))[1] is index
+
+    def test_64_cubed_entry_size(self):
+        # 1 914 levels and a uint16 index: 0.51 MiB, where a float64 radius took 2 MiB
+        levels, index = _radius_levels(default_spec(3))
+        assert levels.nbytes + index.nbytes <= 0.6 * 2**20
 
     def test_bounded(self, fresh_radius_cache):
         for i in range(_RADIUS_CACHE_SIZE + 3):
-            _radius(GridSpec(d=1, n=16, half_width=1.0 + i))
-        info = _radius.cache_info()
+            _radius_levels(GridSpec(d=1, n=16, half_width=1.0 + i))
+        info = _radius_levels.cache_info()
         assert info.currsize == info.maxsize == _RADIUS_CACHE_SIZE
         assert info.misses == _RADIUS_CACHE_SIZE + 3
+
+    def test_one_radius_source(self):
+        # the weights and the ball read radii from _radius_levels alone, so no second
+        # construction of |x| grows back beside the cached one
+        tree = ast.parse(Path(uplab.grid.__file__).read_text())
+        bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name in ("_weighted_sums", "_ball_sum"):
+            called = {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                      for call in ast.walk(bodies[name]) if isinstance(call, ast.Call)
+                      and isinstance(call.func, (ast.Name, ast.Attribute))}
+            assert "_radius_levels" in called, name
+            assert not called & {"_squared_distance", "meshgrid", "axis_coordinates"}, name
 
 
 def guard_outcome(f):

@@ -19,7 +19,7 @@ from uplab import harness
 from uplab.grid import (
     GridFunction,
     GridSpec,
-    _radius,
+    _radius_levels,
     default_spec,
     gaussian_grid_function,
     gaussian_mixture_grid_function,
@@ -317,10 +317,10 @@ class TestCheckRules:
 
 def _traced_peak(run, cold: bool = False) -> int:
     """tracemalloc peak of run() after a warm-up call; cold empties the radius cache
-    after the warm-up, so that run() builds the radii it reads."""
+    after the warm-up, so that run() builds the radius indexes it reads."""
     run()
     if cold:
-        _radius.cache_clear()
+        _radius_levels.cache_clear()
     tracemalloc.start()
     try:
         run()
@@ -351,14 +351,15 @@ class TestPeakMemory:
         assert _traced_peak(lambda: harness.cp_check(3, 2.0, 2.0, 1.0, 1.0)) <= 5.5 * 2**20
 
     def test_cold_chain_on_d3_bump(self):
-        # 2.8 MiB warm, plus the 2 MiB radii of the 64^3 grid and its dual: 6.8 MiB
+        # 2.8 MiB warm, plus the 0.5 MiB radius indexes of the 64^3 grid and its dual
+        # and their builds' temporaries: 3.9 MiB (6.8 MiB with 2 MiB float64 radii)
         f = random_bump(default_spec(3), seed=0)
         peak = _traced_peak(lambda: harness.function_chain_check(f, 3, 2.0), cold=True)
         assert peak <= 10 * 2**20
 
     def test_cold_feasible_check_at_d3(self):
-        # 5.3 MiB warm, plus the 2 MiB radius of the 64^3 grid: 7.3 MiB; the dual's
-        # radius is built while the samples are freed
+        # 5.3 MiB warm, plus the 0.5 MiB radius index of the 64^3 grid: 5.8 MiB (7.3 MiB
+        # with a 2 MiB float64 radius); the dual's index is built while the samples are freed
         peak = _traced_peak(lambda: harness.cp_check(3, 2.0, 2.0, 1.0, 1.0), cold=True)
         assert peak <= 10 * 2**20
 

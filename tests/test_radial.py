@@ -490,6 +490,20 @@ class TestLogMomentRatio:
 _THREE_TERMS = ((0.0, 1.0), (1.0, 2.0), (-3.0, 0.5))
 
 
+def _inline_expansion(terms, n):
+    """Reference: F^n's multinomial Gaussians, (ln coefficient, rate) arrays, with every
+    exponent row and its log-multinomial coefficient built in place."""
+    m = len(terms)
+    log_c, rates = np.array(terms).T
+    head = np.indices((n + 1,) * (m - 1)).reshape(m - 1, -1).T
+    head = head[head.sum(axis=1) <= n]
+    powers = np.column_stack([head, n - head.sum(axis=1)])
+    with np.errstate(over="ignore"):
+        log_coef = (radial._LOG_FACTORIAL[n] - radial._LOG_FACTORIAL[powers].sum(axis=1)
+                    + powers @ log_c)
+    return log_coef, powers @ rates
+
+
 class TestMomentKernel:
     """_log_moments, the one three-case dispatch under the norms and the ratio."""
 
@@ -536,6 +550,30 @@ class TestMomentKernel:
                        for call in ast.walk(node) if isinstance(call, ast.Call)
                        and isinstance(call.func, ast.Name) and call.func.id == helper]
             assert callers == ["_log_moments"], helper
+
+    @pytest.mark.parametrize("terms, n", [(gc_profile(2.0, 3).terms, n)
+                                          for n in [*range(1, 13), 100, 1023]]
+                             + [(_THREE_TERMS, n) for n in [*range(1, 9), 31]])
+    def test_expansion_keeps_its_bytes(self, terms, n):
+        for _ in range(2):  # the first call builds the table, the second reads it
+            got = radial._expansion(terms, float(n))
+            for array, expected in zip(got, _inline_expansion(terms, n), strict=True):
+                assert array.dtype == expected.dtype and array.tobytes() == expected.tobytes()
+
+    def test_multinomial_tables_are_read_only_and_bounded(self):
+        radial._multinomial.cache_clear()
+        try:
+            for n in range(1, radial._MULTINOMIAL_CACHE_SIZE + 4):
+                tables = radial._multinomial(n, 2)
+                assert radial._multinomial(n, 2) is tables
+                for array in tables:
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError):
+                        array[0] = 0
+            info = radial._multinomial.cache_info()
+            assert info.currsize == info.maxsize == radial._MULTINOMIAL_CACHE_SIZE
+        finally:
+            radial._multinomial.cache_clear()
 
     @pytest.mark.parametrize("profile", [gaussian_profile(), gc_profile(2.0, 1)])
     def test_norm_with_a_mass_beyond_the_floats_raises(self, profile):
