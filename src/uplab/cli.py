@@ -99,7 +99,7 @@ def _cmd_rudin_shapiro(args) -> int:
         out_dir = Path(args.export_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         top = cx.rs_level(args.d, args.k_max)
-        for i in range(len(top.signs)):
+        for i in range(2**top.d):
             write_grid_csv(top.member(i), out_dir / f"member_{i + 1}_level_{top.k}.csv")
     print(f"rudin-shapiro d={args.d} k<={args.k_max}: "
           f"predicted slope={summary['predicted_slope']:.4f} "

@@ -5,9 +5,10 @@ Three constructions live here:
 * the two-scale Gaussian family g_c = c^{-d/2} e^{-pi |x|^2/c^2}
   + c^{d/2} e^{-pi c^2 |x|^2}, self-dual and responsible for the collapse of
   the uncertainty product in the supercritical range,
-* the recursively signed translate families (Rudin-Shapiro style), +-1 sign
-  tensors from the 2^d x 2^d parallelogram-law sign matrix times one unit-cell
-  tile of a bump, which defeat the strict-violation side of Cowling-Price,
+* the recursively signed translate families (Rudin-Shapiro style), which defeat
+  the strict-violation side of Cowling-Price: each member is rank one, the outer
+  product over the axes of a 1-D Rudin-Shapiro sequence times a 1-D bump,
+  since the 2^d x 2^d parallelogram-law sign matrix is a Kronecker power,
 * the endpoint singularity |x|^{-d/2} log^{-1/2}(1/|x|), whose L^2 tail masses
   (divergent) and weighted mass (finite) are exact integrals in closed form,
   returned as their logs, so they get a verdict at any d and p.
@@ -85,58 +86,80 @@ def sign_matrix(d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rudin-Shapiro translate families: +-1 sign tensors times one bump
+# Rudin-Shapiro translate families: outer products of the 1-D pair times one bump
+
+
+def rs_pair(k: int) -> np.ndarray:
+    """The level-k Rudin-Shapiro pair (P_k, Q_k), a read-only (2, 2^k) int8 array of +-1:
+    P_0 = Q_0 = (1), and row i of level k+1 is s_i0 P_k followed by s_i1 Q_k, where s is
+    sign_matrix(1).  So P_k's first 2^{k-1} entries are P_{k-1}, and
+    |P_k^|^2 + |Q_k^|^2 = 2^{k+1} at every frequency.
+    """
+    if k < 0:
+        raise ValueError(f"level must be >= 0, got {k}")
+    s = sign_matrix(1)
+    pair = np.ones((2, 1), dtype=np.int8)
+    for _ in range(k):
+        pair = np.hstack([s[:, :1] * pair[0], s[:, 1:] * pair[1]])
+    pair.setflags(write=False)
+    return pair
 
 
 @dataclass(frozen=True)
 class RSFamily:
     """The 2^d level-k signed translates of the base bump, which lies inside [0, 1)^d,
-    so the translates have disjoint supports; signs is rs_signs(d, k), and tile holds the
+    so the translates have disjoint supports.  Member i is the outer product over the
+    axes b of pair[bit b of i] times the bump: pair is rs_pair(k), and bump holds the 1-D
     bump's samples on the unit cell, the same read-only array at every level.
     """
 
     d: int
     k: int
-    signs: np.ndarray
-    tile: np.ndarray
+    pair: np.ndarray
+    bump: np.ndarray
     base_l2_sq: float
 
     def member(self, i: int, spec: GridSpec | None = None) -> GridFunction:
-        """Member i, signs[i] times the tile, sampled on spec (default: the 512^d grid of
-        spacing 1/16 and half-width 16)."""
+        """Member i, sampled on spec (default: the 512^d grid of spacing 1/16 and
+        half-width 16)."""
+        if not 0 <= i < 2**self.d:
+            raise ValueError(f"member index must be 0..{2**self.d - 1}, got {i}")
         if spec is None:
             spec = GridSpec(self.d, round(2.0 * RS_HALF_WIDTH / RS_SPACING), RS_HALF_WIDTH)
-        return _place(self.signs[i], self.tile, spec)
+        return _place([self.pair[(i >> b) & 1] for b in range(self.d)], self.bump, spec)
 
 
-def _place(signs: np.ndarray, tile: np.ndarray, spec: GridSpec) -> GridFunction:
-    """signs (+-1 per unit cell of [0, 2^k)^d) times the tile, on spec: a centered grid whose
-    spacing puts the tile's samples on the unit cell and that holds [0, 2^k)^d, which is
-    the result's _support box."""
-    d, side, cells = tile.ndim, signs.shape[0], tile.shape[0]
+def _place(signs, bump: np.ndarray, spec: GridSpec) -> GridFunction:
+    """The outer product over the axes of signs[b] (+-1 per unit cell of [0, 2^k)) times
+    the bump, on spec: a centered grid whose spacing puts the bump's samples on the unit
+    cell and that holds [0, 2^k)^d, which is the result's _support box.  It carries its d
+    axis factors as one separable term."""
+    d, side, cells = len(signs), len(signs[0]), len(bump)
     if spec.d != d or spec.spacing * cells != 1.0 or spec.n < 2 * cells * side:
         raise ValueError(f"grid {spec} cannot hold [0, {side})^{d} at spacing 1/{cells}")
-    values = np.zeros((spec.n,) * d)
     origin = spec.n // 2  # sample index of x = 0
-    support = (slice(origin, origin + cells * side),) * d
-    # np.kron(signs, tile) by broadcasting: axes (side, 1)*d times (1, cells)*d;
+    box = slice(origin, origin + cells * side)
     # adding onto +0.0 turns the -1 * 0.0 products outside the bump into +0.0
-    values[support] += (signs.reshape((side, 1) * d)
-                        * tile.reshape((1, cells) * d)).reshape((side * cells,) * d)
-    return GridFunction(spec=spec, values=values, _support=support)
+    factors = np.zeros((1, d, spec.n))
+    for axis, axis_signs in enumerate(signs):
+        factors[0, axis, box] += np.multiply.outer(axis_signs, bump).reshape(-1)
+    values = np.zeros((spec.n,) * d)
+    values[(box,) * d] += functools.reduce(np.multiply.outer, factors[0, :, box])
+    return GridFunction(spec=spec, values=values, _terms=(np.ones(1), factors),
+                        _support=(box,) * d)
 
 
-def _support_grid(tile: np.ndarray, k: int) -> GridSpec:
-    """The smallest centered grid of the tile's spacing that holds [0, 2^k)^d.
+def _support_grid(d: int, k: int) -> GridSpec:
+    """The smallest centered grid of spacing 1/16 that holds [0, 2^k)^d.
 
     Its rows keep at least 128 samples, numpy's pairwise-summation block, so
     each block lies inside one row as it does on the 512^d grid: a norm over it
     then adds the same nonzero samples in the same order and drops only exact
     zeros, which keeps its bits.
     """
-    cells = tile.shape[0]
+    cells = round(1.0 / RS_SPACING)
     n = max(128, 1 << (2 * cells * 2**k - 1).bit_length())
-    return GridSpec(tile.ndim, n, 0.5 * n / cells)
+    return GridSpec(d, n, 0.5 * n / cells)
 
 
 def rs_base_bump_1d(t: np.ndarray) -> np.ndarray:
@@ -147,49 +170,21 @@ def rs_base_bump_1d(t: np.ndarray) -> np.ndarray:
     return core**4
 
 
-def rs_signs(d: int, k: int) -> np.ndarray:
-    """The +-1 coefficients of the 2^d level-k members on the cells {0..2^k-1}^d.
-
-    Read-only int8 of shape (2^d,) + (2^k,)*d.  Member i of level k+1 holds
-    s_ij times member j of level k in corner block j of the doubled cube, where
-    s is sign_matrix(d) and bit b of j selects the upper half on axis b.
-    """
-    if k < 0:
-        raise ValueError(f"level must be >= 0, got {k}")
-    s = sign_matrix(d)
-    m = 2**d
-    signs = np.ones((m,) + (1,) * d, dtype=np.int8)
-    for level in range(k):
-        side = 2**level
-        doubled = np.empty((m,) + (2 * side,) * d, dtype=np.int8)
-        for j in range(m):
-            doubled[(slice(None),) + _corner(j, side, d)] = s[:, j].reshape((m,) + (1,) * d) * signs[j]
-        signs = doubled
-    signs.setflags(write=False)
-    return signs
-
-
-def _corner(j: int, side: int, d: int) -> tuple[slice, ...]:
-    """Corner block j of a cube of side 2 * side: bit b of j selects the upper half on axis b."""
-    return tuple(slice(side, 2 * side) if (j >> b) & 1 else slice(0, side) for b in range(d))
-
-
 def rs_level(d: int, k: int) -> RSFamily:
     """The level-k family; RSFamily.member builds each function.
 
-    The tile is the bump sampled at spacing 1/16 on the unit cell, and base_l2_sq its
-    L^2 mass over the support grid of the unit cell.
+    The bump is sampled at spacing 1/16 on the unit cell, and base_l2_sq is the L^2
+    mass of its d-fold product over the support grid of the unit cell.
     """
     if d not in (1, 2):
         raise ValueError(f"rs_level supports d in (1, 2), got {d}")
     if k < 0 or k > 4:
         raise ValueError(f"level must be 0..4, got {k}")
     bump = rs_base_bump_1d(RS_SPACING * np.arange(round(1.0 / RS_SPACING)))
-    tile = functools.reduce(np.multiply.outer, [bump] * d)
-    tile.setflags(write=False)
-    cell = _place(np.ones((1,) * d, dtype=np.int8), tile, _support_grid(tile, 0))
+    bump.setflags(write=False)
+    cell = _place([np.ones(1, dtype=np.int8)] * d, bump, _support_grid(d, 0))
     base_l2_sq = grid_weighted_norm(cell, [(2.0, 0.0)])[0] ** 2
-    return RSFamily(d=d, k=k, signs=rs_signs(d, k), tile=tile, base_l2_sq=base_l2_sq)
+    return RSFamily(d=d, k=k, pair=rs_pair(k), bump=bump, base_l2_sq=base_l2_sq)
 
 
 def rs_growth_ratio(family: RSFamily, p: float, theta: float) -> list[float]:
@@ -197,8 +192,9 @@ def rs_growth_ratio(family: RSFamily, p: float, theta: float) -> list[float]:
 
     ratio_k = ||f_{1,k}||_2^2 / (|| |x|^theta f_{1,k} ||_p * 2^{dk/2 + d/2}),
     with the k-independent Fourier-side norm factor dropped (it does not affect the
-    slope).  Row 0 of sign_matrix(d) is +1, so f_{1,k} is member 0 cut to [0, 2^k)^d,
-    weighed on the level-k support grid: the 512^d samples it leaves out are exact zeros.
+    slope).  The top level's P starts with each lower level's, so f_{1,k} is member 0
+    cut to [0, 2^k)^d, weighed on the level-k support grid: the 512^d samples it leaves
+    out are exact zeros.
     """
     if family.k < 2:
         raise ValueError("need levels 1..k with k >= 2 for a slope fit")
@@ -209,8 +205,7 @@ def rs_growth_ratio(family: RSFamily, p: float, theta: float) -> list[float]:
     for k in range(1, family.k + 1):
         # the 2^{dk} translates of the base are disjoint and carry signs +-1
         l2_sq = 2.0 ** (d * k) * family.base_l2_sq
-        corner = family.signs[0][(slice(0, 2**k),) * d]
-        lead = _place(corner, family.tile, _support_grid(family.tile, k))
+        lead = _place([family.pair[0, :2**k]] * d, family.bump, _support_grid(d, k))
         (weighted,) = grid_weighted_norm(lead, [(p, theta)])
         fourier_side = 2.0 ** (0.5 * d * k + 0.5 * d)
         out.append(l2_sq / (weighted * fourier_side))

@@ -8,8 +8,8 @@ transform is the DFT between two (-1)^{k_1+...+k_d} sign flips; for
 well-resolved inputs it matches the continuous transform to near machine
 precision.  That DFT is the tensor product of 1-D ones, so fourier_weighted_norm
 takes the norms of f^ of a sum of separable terms that carries its 1-D factors
-(the Gaussians, g_c, the random bump) from the transformed factors, block by
-block; fourier_transform, an n^d FFT in place in its output, serves bare samples.
+(the Gaussians, g_c, the random bump, a translate-family member) from the transformed
+factors, block by block; fourier_transform, an n^d FFT in place, serves bare samples.
 
 Weighted norms read the grid in blocks of _BLOCK samples along the first axis, several
 norms per pass, and add the block sums pairwise, which is the order of numpy's pairwise

@@ -2,9 +2,10 @@
 
 Oracles: the two-scale family reduces to the plain Gaussian at c = 1 and is
 self-dual on the grid; the sign matrices satisfy exact algebraic identities;
-the translate families have integer-power norm growth; the measured endpoint
-masses match their closed forms, scipy quadrature in r and u = ln(1/r), and
-40-digit mpmath quadrature.
+the outer products of the 1-D Rudin-Shapiro pair match the d-dimensional corner
+doubling over the sign matrix; the translate families have integer-power norm
+growth; the measured endpoint masses match their closed forms, scipy quadrature
+in r and u = ln(1/r), and 40-digit mpmath quadrature.
 """
 
 import functools
@@ -22,6 +23,7 @@ from uplab.grid import (
     GridSpec,
     default_spec,
     fourier_transform,
+    fourier_weighted_norm,
     gaussian_grid_function,
     grid_weighted_norm,
     random_bump,
@@ -124,14 +126,63 @@ class TestSignMatrix:
             cx.sign_matrix(cx.MAX_SIGN_DIM + 1)
 
 
+def corner_doubling_signs(d, k):
+    """Reference: the +-1 coefficients of the 2^d level-k members on the cells
+    {0..2^k-1}^d, shape (2^d,) + (2^k,)*d.  Member i of level k+1 holds s_ij times
+    member j of level k in corner block j of the doubled cube, where s is
+    sign_matrix(d) and bit b of j selects the upper half on axis b."""
+    s = cx.sign_matrix(d)
+    m = 2**d
+    signs = np.ones((m,) + (1,) * d, dtype=np.int8)
+    for level in range(k):
+        side = 2**level
+        doubled = np.empty((m,) + (2 * side,) * d, dtype=np.int8)
+        for j in range(m):
+            corner = tuple(slice(side, 2 * side) if (j >> b) & 1 else slice(0, side)
+                           for b in range(d))
+            doubled[(slice(None),) + corner] = s[:, j].reshape((m,) + (1,) * d) * signs[j]
+        signs = doubled
+    return signs
+
+
+def outer_product_signs(d, k):
+    """Member i's signs as the outer product over the axes b of rs_pair(k)[bit b of i]."""
+    pair = cx.rs_pair(k)
+    return np.array([functools.reduce(np.multiply.outer, [pair[(i >> b) & 1] for b in range(d)])
+                     for i in range(2**d)])
+
+
 class TestSignTensors:
+    @pytest.mark.parametrize("k", range(6))
+    def test_pair_shape_and_storage(self, k):
+        pair = cx.rs_pair(k)
+        assert pair.dtype == np.int8
+        assert pair.shape == (2, 2**k)
+        assert np.all(np.abs(pair) == 1)
+        with pytest.raises(ValueError):
+            pair[0, 0] = -1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_family_holds_pair_and_bump(self, d):
+        family = cx.rs_level(d, 3)
+        assert family.pair.tobytes() == cx.rs_pair(3).tobytes()
+        assert family.bump.shape == (16,)
+        for array in (family.pair, family.bump):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(5))
+    def test_outer_products_match_corner_doubling(self, d, k):
+        # sign_matrix(d) is a Kronecker power, so the d-dimensional doubling factors
+        assert np.array_equal(outer_product_signs(d, k), corner_doubling_signs(d, k))
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("k", range(5))
     def test_shape_and_spectral_identity(self, d, k):
         # sum_i |P_i|^2 = 2^{d(k+1)} at every frequency, where P_i is the
         # trigonometric polynomial of member i's coefficients (acceptance 7's
         # identity with the bump factored out)
-        signs = cx.rs_signs(d, k)
+        signs = outer_product_signs(d, k)
         assert signs.dtype == np.int8
         assert signs.shape == (2**d,) + (2**k,) * d
         assert np.all(np.abs(signs) == 1)
@@ -139,12 +190,23 @@ class TestSignTensors:
         expected = 2.0 ** (d * (k + 1))
         assert np.max(np.abs(spectra.sum(axis=0) - expected)) <= 1e-12 * expected
 
+    @pytest.mark.parametrize("k", range(8))
+    def test_one_dimensional_spectral_identity(self, k):
+        # |P_k^|^2 + |Q_k^|^2 = 2^{k+1} at every frequency, zero-padded to resolve it
+        spectra = np.abs(np.fft.fft(cx.rs_pair(k), n=4 * 2**k, axis=-1)) ** 2
+        expected = 2.0 ** (k + 1)
+        assert np.max(np.abs(spectra.sum(axis=0) - expected)) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_prefix_is_previous_level(self, k):
+        assert np.array_equal(cx.rs_pair(k)[0, :2 ** (k - 1)], cx.rs_pair(k - 1)[0])
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("k", range(1, 5))
     def test_leading_member_extends_previous_level(self, d, k):
-        lead = cx.rs_signs(d, k)[0]
+        lead = outer_product_signs(d, k)[0]
         half = 2 ** (k - 1)
-        assert np.array_equal(lead[(slice(0, half),) * d], cx.rs_signs(d, k - 1)[0])
+        assert np.array_equal(lead[(slice(0, half),) * d], outer_product_signs(d, k - 1)[0])
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +234,7 @@ class TestTranslateFamilies:
         # translates have disjoint supports, so the sup norm never grows
         peak = np.abs(families_2d[0].member(0).values).max()
         for fam in families_2d:
-            for member in map(fam.member, range(len(fam.signs))):
+            for member in map(fam.member, range(2**fam.d)):
                 assert np.abs(member.values).max() == pytest.approx(peak, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -219,14 +281,14 @@ class TestTranslateFamilies:
             ]
             members = [sum(int(s[i, j]) * shifted[j] for j in range(2**d)) for i in range(2**d)]
         family = cx.rs_level(d, k)
-        built = [family.member(i) for i in range(len(family.signs))]
+        built = [family.member(i) for i in range(2**d)]
         for member, expected in zip(built, members, strict=True):
             assert np.array_equal(member.values, expected)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_same_bytes_as_dense_mesh(self, d):
-        # reference: in each occupied cell c, signs[i][c] times the bump at x - c,
-        # evaluated on the dense coordinate mesh and added onto +0.0
+        # reference: in each occupied cell c, the doubling's signs[i][c] times the bump
+        # at x - c, evaluated on the dense coordinate mesh and added onto +0.0
         base = cx.rs_level(d, 0).member(0)
         ax = base.spec.axis_coordinates()
         mesh = np.meshgrid(*([ax] * d), indexing="ij")
@@ -237,24 +299,26 @@ class TestTranslateFamilies:
         for k in range(5):
             inside = functools.reduce(np.logical_and, [(c >= 0) & (c < 2**k) for c in cell])
             index = tuple(np.where(inside, c, 0) for c in cell)
-            family = cx.rs_level(d, k)
+            family, signs = cx.rs_level(d, k), corner_doubling_signs(d, k)
             for i in range(2**d):
-                expected = 0.0 + np.where(inside, family.signs[i][index] * local, 0.0)
+                expected = 0.0 + np.where(inside, signs[i][index] * local, 0.0)
                 assert family.member(i).values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_same_bytes_as_kron(self, d):
-        # reference: the Kronecker product of the sign tensor and the tile, added onto
-        # +0.0 over the support box
+        # reference: the Kronecker product of the doubling's sign tensor and the tile,
+        # added onto +0.0 over the support box
         base = cx.rs_level(d, 0).member(0)
         n, cells = base.spec.n, round(1.0 / base.spec.spacing)
         tile = base.values[(slice(n // 2, n // 2 + cells),) * d]
         for k in range(5):
-            family = cx.rs_level(d, k)
-            assert family.tile.tobytes() == tile.tobytes()
+            family, signs = cx.rs_level(d, k), corner_doubling_signs(d, k)
+            assert family.bump.shape == (cells,)
+            outer = functools.reduce(np.multiply.outer, [family.bump] * d)
+            assert outer.tobytes() == tile.tobytes()
             for i in range(2**d):
                 expected = np.zeros((n,) * d)
-                expected[(slice(n // 2, n // 2 + cells * 2**k),) * d] += np.kron(family.signs[i], tile)
+                expected[(slice(n // 2, n // 2 + cells * 2**k),) * d] += np.kron(signs[i], tile)
                 built = family.member(i).values
                 assert built.dtype == expected.dtype and built.shape == expected.shape
                 assert built.tobytes() == expected.tobytes()
@@ -298,7 +362,7 @@ class TestTranslateFamilies:
     @pytest.mark.parametrize("k_max", [2, 3, 4])
     def test_check_norms_each_level_once(self, d, k_max, monkeypatch):
         # one L^2 norm of the unit cell, one weighted norm per level 1..k_max and one
-        # doubling run of the signs
+        # doubling run of the 1-D pair
         calls = {"norm": 0, "signs": 0}
 
         def counted(name, fn):
@@ -312,11 +376,33 @@ class TestTranslateFamilies:
         harness.rs_check(d, k_max, 8.0, 0.1)
         assert calls == {"norm": k_max + 1, "signs": 1}
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_member_index_out_of_range(self, d):
+        # bit decoding alone would read member 5 of a d = 2 family as member 1
+        family = cx.rs_level(d, 1)
+        for i in (2**d, -1, 5):
+            with pytest.raises(ValueError, match=rf"member index must be 0\.\.{2**d - 1}"):
+                family.member(i)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_streamed_transform_norms_match_fft(self, d, k):
+        # a member carries its axis factors, so fourier_weighted_norm streams f^ from
+        # their 1-D transforms; the reference is the n^d FFT of its samples
+        family = cx.rs_level(d, k)
+        for i in range(2**d):
+            member = family.member(i)
+            hat = fourier_transform(member)
+            for term in [(2.0, 0.0), (4.0, 0.5), (8.0, 0.1)]:
+                (streamed,) = fourier_weighted_norm(member, [term])
+                (expected,) = grid_weighted_norm(hat, [term])
+                assert abs(streamed - expected) <= 1e-13 * expected
+
     def test_level_validation(self):
         with pytest.raises(ValueError):
             cx.rs_level(2, 5)
         with pytest.raises(ValueError):
-            cx.rs_signs(2, -1)
+            cx.rs_pair(-1)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError, match=r"rs_level supports d in \(1, 2\), got 3"):
@@ -339,8 +425,9 @@ class TestStorage:
                 assert not f.values.flags.writeable
 
     def test_rs_check_peak_memory(self):
-        # rs_check holds no base grid: one 16^2 tile and one member at a time on its
-        # level's support grid (at most 256^2 float64), plus one weighted norm's temporaries
+        # rs_check holds no base grid: the 1-D pair and bump, and one member at a time
+        # (its samples and d axis factors) on its level's support grid (at most 256^2
+        # float64), plus one weighted norm's temporaries
         harness.rs_check(2, 3, 8.0, 0.1)  # warm-up
         tracemalloc.start()
         try:

@@ -52,7 +52,7 @@ from uplab.radial import gaussian_profile, radial_weighted_norm
 # the 512^2 grid of the translate families, beside the default grids
 SPECS = [default_spec(1), default_spec(2), default_spec(3), GridSpec(d=2, n=512, half_width=16.0)]
 # the level-2 support grid of the d = 2 translate family: 256^2 at spacing 1/16
-SUPPORT_SPEC = cx._support_grid(cx.rs_level(2, 0).tile, 2)
+SUPPORT_SPEC = cx._support_grid(2, 2)
 # grids whose radius the norms take from the cache: the default grids, their duals,
 # a support grid and half-widths other than the default ones
 RADIUS_SPECS = (
@@ -147,8 +147,8 @@ def translate_member(d):
     bump = cx.rs_base_bump_1d(spec.axis_coordinates())
     base = GridFunction(spec=spec, values=functools.reduce(np.multiply.outer, [bump] * 3))
     (base_l2,) = grid_weighted_norm(base, [(2.0, 0.0)])
-    tile = base.values[(slice(32, 40),) * 3]  # the 8^3 samples on the unit cell
-    family = cx.RSFamily(d=3, k=1, signs=cx.rs_signs(3, 1), tile=tile, base_l2_sq=base_l2**2)
+    unit_cell = bump[32:40]  # the 8 samples on the unit cell
+    family = cx.RSFamily(d=3, k=1, pair=cx.rs_pair(1), bump=unit_cell, base_l2_sq=base_l2**2)
     return family.member(1, spec)
 
 
@@ -555,8 +555,8 @@ class TestSupportBox:
     @pytest.mark.parametrize("k", range(5))
     def test_members_keep_bits(self, d, k):
         family = cx.rs_level(d, k)
-        last = len(family.signs) - 1  # mixed signs from level 1 on
-        for spec in (cx._support_grid(family.tile, k), family.member(0).spec):
+        last = 2**d - 1  # mixed signs from level 1 on
+        for spec in (cx._support_grid(d, k), family.member(0).spec):
             member = family.member(last, spec)
             assert member._support is not None
             expected = dense_norms(member, SUPPORT_TERMS)
@@ -570,7 +570,7 @@ class TestSupportBox:
         # the level-3 support grid at d = 2 is 256^2 in two blocks, and the box fills
         # the upper one; single terms take the same path as several
         family = cx.rs_level(2, 3)
-        spec = cx._support_grid(family.tile, 3)
+        spec = cx._support_grid(2, 3)
         f = family.member(3, spec)
         assert any(rows.stop <= f._support[0].start for rows in _row_blocks(spec))
         for term in SUPPORT_TERMS:
@@ -604,7 +604,7 @@ class TestSupportBox:
         # At d = 1 the box lies inside |x| < 1, so the sums are the dense sums of the
         # terms on the box, in a zero grid, and the NaN beyond the box is never formed
         family = cx.rs_level(d, 0)
-        member = family.member(0, cx._support_grid(family.tile, 0))
+        member = family.member(0, cx._support_grid(d, 0))
         cell = member.spec.spacing**d
         for p, w in [(1e308, 0.1), (8.0, 1e308), (math.inf, 1e308)]:
             terms = [(2.0, 0.0), (p, w)]
@@ -645,7 +645,7 @@ class TestSupportBox:
 # grid once
 LEVEL_SPECS = tuple(dict.fromkeys(
     [default_spec(d) for d in (1, 2, 3)] + [default_spec(d).dual() for d in (1, 2, 3)]
-    + [cx._support_grid(cx.rs_level(d, 0).tile, k) for d in (1, 2) for k in range(5)]
+    + [cx._support_grid(d, k) for d in (1, 2) for k in range(5)]
     + [GridSpec(3, 64, 7.3), GridSpec(2, 128, 16 / 3)]
     + [GridSpec(1, 16, 1.0 + i) for i in range(4)] + [GridSpec(2, 1024, 8.0)]
 ))
