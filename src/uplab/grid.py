@@ -22,12 +22,22 @@ index, which a ball reads too.  A function 0 outside a box of samples (a transla
 member) gets its terms on the box only, zero-padded to the same block sums.  A separable
 sum, on either grid, is one real matrix product per block of the first axis' factors
 against an (n_terms, n^{d-1}) array of the coefficients times the last d - 1 axes' factors.
+
+A check's two passes, the x-side norms and the streamed norms of f^, run at once where
+the grid has more than one block and two CPUs are usable (_two_at_once): f^'s pass runs
+on a thread started by _beside, which makes private calls only, while the caller runs the
+x side, then the boundary guard, and then joins it.  Each pass keeps its blocks and its
+pairwise order, so every sum keeps its bits.  One-block grids, one usable CPU and bare
+samples run the two passes one after the other.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import threading
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -170,21 +180,46 @@ def sample(generator, spec: GridSpec) -> GridFunction:
 
 def _boundary_ratio(spec: GridSpec, vals: np.ndarray) -> float:
     """max |f| over the faces of the grid over max |f| over the grid, or, when that is
-    surely at most BOUNDARY_WARN, a bound between the two.  The faces are read first.
-    The peak over the central slice of axis 0 bounds the grid's peak from below, and
-    correctly rounded division is monotone, so faces at most BOUNDARY_WARN of that
-    slice's peak need no pass over the whole grid: every decision is the same."""
+    surely at most BOUNDARY_WARN, a bound between the two.  The faces are read first,
+    then the central slice of axis 0, and the whole grid only where _decay_ratio needs it."""
     edge = 0.0
     for axis in range(spec.d):
         edge = max(edge, np.abs(np.take(vals, 0, axis=axis)).max(),
                    np.abs(np.take(vals, -1, axis=axis)).max())
+    return _decay_ratio(edge, np.abs(vals[spec.n // 2]).max(),
+                        lambda: max(np.abs(vals[rows]).max() for rows in _row_blocks(spec)))
+
+
+def _decay_ratio(edge, central, peak) -> float:
+    """edge / peak(), from the maxima of |f| over the faces, the central slice of axis 0 and
+    (called only when needed) the grid.  The central peak bounds the grid's from below, and
+    correctly rounded division is monotone, so faces at most BOUNDARY_WARN of it need no
+    grid peak: every decision is the same."""
     if edge == 0.0:
         return 0.0
-    central = np.abs(vals[spec.n // 2]).max()
     if central > 0.0 and edge / central <= BOUNDARY_WARN:
         return float(edge / central)
-    peak = max(np.abs(vals[rows]).max() for rows in _row_blocks(spec))
-    return float(edge / peak)
+    return float(edge / peak())
+
+
+class _Maxima:
+    """The maxima of |f| behind _boundary_ratio (the faces, the central slice of axis 0 and
+    the grid), read from the |f| of each _row_blocks block of a norm pass in turn."""
+
+    def __init__(self, spec: GridSpec):
+        self.spec, self.edge, self.central, self.peak = spec, 0.0, 0.0, 0.0
+
+    def read(self, rows: slice, mags: np.ndarray) -> None:
+        n = self.spec.n
+        faces = [np.take(mags, i, axis=axis) for axis in range(1, self.spec.d) for i in (0, -1)]
+        faces += [mags[0]] * (rows.start == 0) + [mags[-1]] * (rows.stop >= n)
+        self.edge = max(self.edge, *(face.max() for face in faces))
+        if rows.start <= n // 2 < rows.stop:
+            self.central = mags[n // 2 - rows.start].max()
+        self.peak = max(self.peak, mags.max())
+
+    def ratio(self) -> float:
+        return _decay_ratio(self.edge, self.central, lambda: self.peak)
 
 
 def _checkerboard(n: int, d: int) -> np.ndarray:
@@ -193,9 +228,9 @@ def _checkerboard(n: int, d: int) -> np.ndarray:
     return functools.reduce(np.multiply.outer, [alt] * d)
 
 
-def _require_decay(spec: GridSpec, values: np.ndarray) -> None:
-    """The transform's boundary guard: raise above BOUNDARY_ERROR, warn above BOUNDARY_WARN."""
-    ratio = _boundary_ratio(spec, values)
+def _require_decay(ratio: float) -> None:
+    """The transform's boundary guard on a _boundary_ratio: raise above BOUNDARY_ERROR, warn
+    above BOUNDARY_WARN."""
     if ratio > BOUNDARY_ERROR:
         raise ValueError(
             f"function does not decay at the domain boundary (ratio {ratio:.3e}); "
@@ -211,7 +246,7 @@ def _require_decay(spec: GridSpec, values: np.ndarray) -> None:
 def fourier_transform(f: GridFunction) -> GridFunction:
     """Samples of the continuous Fourier transform on the dual grid."""
     spec = f.spec
-    _require_decay(spec, f.values)
+    _require_decay(_boundary_ratio(spec, f.values))
     # sample k sits at (k - n/2)*spacing on both grids and n/2 is even, so rotating
     # x = 0 to index 0 and back is a (-1)^{k_1+...+k_d} modulation on each side:
     # exact sign flips around one DFT computed in the output array
@@ -229,8 +264,70 @@ def fourier_weighted_norm(f: GridFunction, terms) -> tuple[float, ...]:
     its factors: the samples get the boundary guard, and f^ is read from the factors."""
     if f._terms is None:
         return grid_weighted_norm(fourier_transform(f), terms)
-    _require_decay(f.spec, f.values)
-    return _weighted_norms(f.spec.dual(), _transform_rows(f.spec, *f._terms), terms)
+    _require_decay(_boundary_ratio(f.spec, f.values))
+    return _fourier_pass(f.spec, f._terms, terms)()
+
+
+def _fourier_pass(spec: GridSpec, pair, terms):
+    """The norms of f^ for the separable sum of pair = (coefs, factors) on spec, without the
+    boundary guard, as a call that streams them from _transform_rows: its operands are
+    built here, its blocks when it is called."""
+    return functools.partial(_weighted_norms, spec.dual(), _transform_rows(spec, *pair), terms)
+
+
+def _separable_norms(spec: GridSpec, coefs, factors, terms) -> tuple[tuple[float, ...], float]:
+    """grid_weighted_norm of the separable sum of (coefs, factors) on spec, streamed by
+    _row_blocks so that no grid is built, and _boundary_ratio of its samples, taken from
+    the same |f|."""
+    maxima = _Maxima(spec)
+    blocks = _separable_rows(spec, coefs, factors, _row_blocks(spec))
+    return _weighted_norms(spec, blocks, terms, faces=maxima), maxima.ratio()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the CPU count where the
+    platform has none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _two_at_once(spec: GridSpec) -> bool:
+    """Whether the two sides of a check on spec run at once: spec has more than one
+    _row_blocks block and two CPUs are usable."""
+    return len(_row_blocks(spec)) > 1 and _usable_cpus() > 1
+
+
+@contextlib.contextmanager
+def _beside(side):
+    """Run side(), a pass of private calls only (the benchmark's tracer keeps one span
+    stack), on a thread beside the block, and yield a callable that joins the thread and
+    returns side()'s value or raises its error; yield None for side None.  The thread is
+    joined before the block is left, so an error raised in the block wins over side()'s."""
+    if side is None:
+        yield None
+        return
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = side()
+        except BaseException as error:  # raised on the calling thread by result()
+            outcome["error"] = error
+
+    def result():
+        thread.join()
+        if "error" in outcome:
+            raise outcome.pop("error")
+        return outcome["value"]
+
+    thread = threading.Thread(target=run, name="uplab-xi-side")
+    thread.start()
+    try:
+        yield result
+    finally:
+        thread.join()
 
 
 def grid_weighted_norm(f: GridFunction, terms: Iterable[tuple[float, float]]) -> tuple[float, ...]:
@@ -240,7 +337,7 @@ def grid_weighted_norm(f: GridFunction, terms: Iterable[tuple[float, float]]) ->
     return _weighted_norms(f.spec, f.values, terms, f._support)
 
 
-def _weighted_norms(spec: GridSpec, samples, terms, support=None):
+def _weighted_norms(spec: GridSpec, samples, terms, support=None, faces=None):
     """grid_weighted_norm of samples, as in _weighted_sums."""
     terms = list(terms)
     for p, w in terms:
@@ -251,47 +348,62 @@ def _weighted_norms(spec: GridSpec, samples, terms, support=None):
     cell = spec.spacing**spec.d
     return tuple(
         total if p == math.inf else (total * cell) ** (1.0 / p)
-        for (p, _), total in zip(terms, _weighted_sums(spec, samples, terms, support=support))
+        for (p, _), total in zip(terms, _weighted_sums(spec, samples, terms, support, faces))
     )
 
 
-def _weighted_sums(spec: GridSpec, samples, terms, support=None):
+def _weighted_sums(spec: GridSpec, samples, terms, support=None, faces=None):
     """The sums sum |x_k|^{p w} |f_k|^p (max |x_k|^w |f_k| for p = inf) behind
     grid_weighted_norm, without the cell volume, over samples on spec or its _row_blocks.
-    One blocked pass computes |f| and each distinct |f|^p once per block, reads the block's
-    weights from each distinct weight's table over the spec's _radius_levels, and adds the
-    block sums pairwise.  Samples 0 outside the box support get their terms on the box
+    One blocked pass computes |f| and each distinct |f|^p once per block, gathers each
+    weighted term's weights from its table over the spec's _radius_levels into a buffer of
+    their own and multiplies |f|^p into it, and adds the block sums pairwise (p = inf takes
+    their maximum, NaN kept).  A streamed block is freed once its |f| is taken, and each
+    |f|^p after its terms; faces, a _Maxima, reads each block's |f| too (for samples
+    without a support box).  Samples 0 outside the box support get their terms on the box
     only, zero-padded to the same block sums.  A non-finite sum raises, naming its (p, w),
     without a floating-point warning."""
     if isinstance(samples, np.ndarray):  # views of its blocks
         samples = [samples[rows] for rows in _row_blocks(spec)]
+    blocks = iter(samples)  # read one at a time, so that a streamed block can be freed
     exponents = [w if p == math.inf else p * w for p, w in terms]  # |x|^e in each term
     levels, index = _radius_levels(spec) if any(w > 0 for _, w in terms) else (None, None)
+    readers = {}  # each distinct p and the terms that read |f|^p
+    for i, (p, _) in enumerate(terms):
+        readers.setdefault(p, []).append(i)
     parts = [[] for _ in terms]
     # a power or weight beyond the floats shows as a sum of inf or NaN, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
         tables = {e: levels**e for (_, w), e in zip(terms, exponents) if w > 0}
-        for rows, block in zip(_row_blocks(spec), samples, strict=True):
+        for rows in _row_blocks(spec):
+            block = next(blocks)
             box = ...  # the whole block, or its part in the support box
             if support is not None:
                 box = (slice(max(support[0].start - rows.start, 0),
                              max(support[0].stop - rows.start, 0)),) + support[1:]
                 padded, block = np.zeros(block.shape), block[box]
             mags = np.abs(block)
-            powers, weights = {}, {}
-            for (p, w), e, part in zip(terms, exponents, parts):
-                if w > 0 and e not in weights:
-                    weights[e] = np.take(tables[e], index[rows][box])
-                if p == math.inf:
-                    part.append((weights[e] * mags if w > 0 else mags).max(initial=0.0))
-                    continue
-                if p not in powers:
-                    powers[p] = mags**p
-                values = weights[e] * powers[p] if w > 0 else powers[p]
-                if support is not None:  # the box's terms in a zero block
-                    padded[box], values = values, padded
-                part.append(values.sum())
-        sums = [float(max(part)) if p == math.inf else float(_pairwise(part))
+            block = None
+            if faces is not None:
+                faces.read(rows, mags)
+            gathered = [np.take(tables[e], index[rows][box]) if w > 0 else None
+                        for (_, w), e in zip(terms, exponents)]
+            for p, reading in readers.items():  # each distinct |f|^p, freed after its terms
+                power = mags if p == math.inf else mags**p
+                for i in reading:
+                    values, weights, gathered[i] = power, gathered[i], None
+                    if weights is not None:
+                        weights *= power
+                        values = weights
+                    if p == math.inf:
+                        parts[i].append(values.max(initial=0.0))
+                        continue
+                    if support is not None:  # the box's terms in a zero block
+                        padded[box], values = values, padded
+                    parts[i].append(values.sum())
+                power = values = weights = None
+            mags = None  # before the next block is made
+        sums = [float(np.max(part)) if p == math.inf else float(_pairwise(part))
                 for (p, _), part in zip(terms, parts)]
     for (p, w), total in zip(terms, sums):
         if not math.isfinite(total):
@@ -381,22 +493,25 @@ def _separable_function(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray) 
 
 
 def _separable_rows(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray, blocks):
-    """sum_t c_t prod_i factors[t, i, k_i] over each slice of first-axis rows in blocks: new
-    C-contiguous arrays, real for real terms.  The coefficients times the last d - 1 axes'
+    """sum_t c_t prod_i factors[t, i, k_i] over each slice of first-axis rows in blocks: an
+    iterator of new C-contiguous arrays, real for real terms, whose operands are built
+    here and whose blocks are made as it is read.  The coefficients times the last d - 1 axes'
     factors, an (n_terms, n^{d-1}) array R read as interleaved reals, are summed against F,
     the block's first-axis factors, by one real matrix product; complex F enters as
     [Re F; Im F] against [R; iR].  (A complex product with a small inner dimension ran 100
     times slower in some processes.)"""
     right = coefs[:, None]
-    for axis in range(1, spec.d):
-        right = (right[:, :, None] * factors[:, axis, None, :]).reshape(len(coefs), -1)
-    left = factors[:, 0]
-    if np.iscomplexobj(left):
-        left = np.concatenate([left.real, left.imag])
-        right = np.concatenate([right, 1j * right])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples or sums raise
+        for axis in range(1, spec.d):
+            right = (right[:, :, None] * factors[:, axis, None, :]).reshape(len(coefs), -1)
+        left = factors[:, 0]
+        if np.iscomplexobj(left):
+            left = np.concatenate([left.real, left.imag])
+            right = np.concatenate([right, right], dtype=complex)  # [R; iR], no 1j * R temporary
+            right[len(coefs):] *= 1j
     dtype, right = right.dtype, right.view(np.float64)
-    for rows in blocks:
-        yield (left[:, rows].T @ right).view(dtype).reshape((-1,) + (spec.n,) * (spec.d - 1))
+    shape = (-1,) + (spec.n,) * (spec.d - 1)
+    return ((left[:, rows].T @ right).view(dtype).reshape(shape) for rows in blocks)
 
 
 def _transform_rows(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray):

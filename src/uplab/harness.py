@@ -20,9 +20,14 @@ from .grid import (
     DEFAULT_SPECS,
     GridFunction,
     _ball_sum,
+    _beside,
+    _boundary_ratio,
+    _bump_terms,
+    _fourier_pass,
     _require_decay,
-    _transform_rows,
-    _weighted_norms,
+    _row_blocks,
+    _separable_norms,
+    _two_at_once,
     default_spec,
     fourier_weighted_norm,
     grid_weighted_norm,
@@ -233,7 +238,9 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
     so no ball holds the grid.  The last two take norms of f^ from fourier_weighted_norm:
     for a Gaussian, g_c or random bump sampled by grid, which carry their 1-D factors,
     they are streamed by blocks of the dual grid from the factors' transforms; bare
-    samples go through fourier_transform.
+    samples go through fourier_transform.  On a grid of several blocks with two usable
+    CPUs the streamed norms of f^ run on a thread while this one takes the x-side norms
+    and the tail, then the boundary guard, as fourier_weighted_norm would.
     """
     if f.spec.d != d:
         raise ValueError(f"grid dimension {f.spec.d} does not match d={d}")
@@ -241,35 +248,43 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
     a, eps, r, s = params.a, params.epsilon, params.r, params.s
     log_omega = params.log_sphere_area
 
-    norm_a, norm_p, moment_root = grid_weighted_norm(f, [(a, 0.0), (p, 0.0), (p, 1.0)])
-    if norm_p == 0.0:
-        raise ValueError("chain check is undefined for the zero function")
-    if moment_root == 0.0:
-        raise ValueError(
-            f"the grid does not resolve f: V_p(f) measures 0 at spacing {f.spec.spacing:g}"
+    terms = [(a, 0.0), (p, 0.0), (p, 1.0)]
+    at_once = f._terms is not None and _two_at_once(f.spec)
+    with _beside(_fourier_pass(f.spec, f._terms, terms) if at_once else None) as hat_norms:
+        norm_a, norm_p, moment_root = grid_weighted_norm(f, terms)
+        if norm_p == 0.0:
+            raise ValueError("chain check is undefined for the zero function")
+        if moment_root == 0.0:
+            raise ValueError(
+                f"the grid does not resolve f: V_p(f) measures 0 at spacing {f.spec.spacing:g}"
+            )
+        log_norm_a, log_norm_p = _log(norm_a), _log(norm_p)
+        log_moment = p * math.log(moment_root)  # ln V_p(f)
+        log_t = log_threshold(log_norm_a, log_norm_p, params)
+        # the tail |x| > T is the a-mass less the ball |x| <= T; a share rounded to 1 leaves none
+        log_ball = (_log(_ball_sum(f.spec, f.values, a, math.exp(log_t)))
+                    + d * math.log(f.spec.spacing))
+        share = math.exp(log_ball - a * log_norm_a)  # the ball's share of the a-mass, in logs
+        log_tail = a * log_norm_a + math.log1p(-share) if share < 1.0 else -math.inf
+
+        links = [_at_least("half_mass", log_tail, a * log_norm_a - LOG_2)]
+
+        log_tail_rhs = (1.0 / s) * (log_omega - math.log(eps) - eps * log_t) + log_moment / r
+        links.append(_at_most("tail_hoelder", log_tail, log_tail_rhs))
+
+        log_per_fn = log_moment - p * log_norm_p
+        log_per_fn_rhs = (
+            -LOG_2
+            + (r - 1.0) * (math.log(eps) + eps * params.log_c_d - LOG_2 - log_omega)
+            + p * (1.0 + eps / d) * (log_norm_a - log_norm_p)
         )
-    log_norm_a, log_norm_p = _log(norm_a), _log(norm_p)
-    log_moment = p * math.log(moment_root)  # ln V_p(f)
-    log_t = log_threshold(log_norm_a, log_norm_p, params)
-    # the tail |x| > T is the a-mass less the ball |x| <= T; a share rounded to 1 leaves none
-    log_ball = _log(_ball_sum(f.spec, f.values, a, math.exp(log_t))) + d * math.log(f.spec.spacing)
-    share = math.exp(log_ball - a * log_norm_a)  # the ball's share of the a-mass, formed in logs
-    log_tail = a * log_norm_a + math.log1p(-share) if share < 1.0 else -math.inf
+        links.append(_at_least("per_function", log_per_fn, log_per_fn_rhs))
 
-    links = [_at_least("half_mass", log_tail, a * log_norm_a - LOG_2)]
-
-    log_tail_rhs = (1.0 / s) * (log_omega - math.log(eps) - eps * log_t) + log_moment / r
-    links.append(_at_most("tail_hoelder", log_tail, log_tail_rhs))
-
-    log_per_fn = log_moment - p * log_norm_p
-    log_per_fn_rhs = (
-        -LOG_2
-        + (r - 1.0) * (math.log(eps) + eps * params.log_c_d - LOG_2 - log_omega)
-        + p * (1.0 + eps / d) * (log_norm_a - log_norm_p)
-    )
-    links.append(_at_least("per_function", log_per_fn, log_per_fn_rhs))
-
-    hat_a, hat_p, hat_moment_root = fourier_weighted_norm(f, [(a, 0.0), (p, 0.0), (p, 1.0)])
+        if hat_norms is None:
+            hat_a, hat_p, hat_moment_root = fourier_weighted_norm(f, terms)
+        else:  # fourier_weighted_norm's guard, then the norms of f^ from the thread
+            _require_decay(_boundary_ratio(f.spec, f.values))
+            hat_a, hat_p, hat_moment_root = hat_norms()
     log_hat_a, log_hat_p = _log(hat_a), _log(hat_p)
     log_quotient = log_norm_a + log_hat_a - log_norm_p - log_hat_p
     links.append(_at_least("primary_up", log_quotient, 0.0))
@@ -392,7 +407,10 @@ def cp_check(
     """Classify a Cowling-Price tuple and run the matching verification.
 
     feasible  -> certify the inequality on {gaussian, g_2, g_4} and, where a
-                 grid exists (d <= 3), a random bump;
+                 grid exists (d <= 3), a random bump; on the 64^3 grid its x-side
+                 norms and boundary guard are streamed from its factors, no grid
+                 built, and the norms of its transform run beside them on a thread
+                 where two CPUs are usable;
     violated  -> compare the predicted growth slope of the signed-translate
                  counterexample schedule with the one measured on grids
                  for d <= 2;
@@ -412,13 +430,20 @@ def cp_check(
             _cp_radial_result("g_4", cx.gc_profile(4.0, d), d, p, q, theta, phi, log_bound),
         ]
         if d in DEFAULT_SPECS:  # the random bump needs a grid
-            spec = default_spec(d)
-            bump = random_bump(spec, seed)
-            weighted, l2 = grid_weighted_norm(bump, [(p, theta), (2.0, 0.0)])
-            # fourier_weighted_norm's steps, the samples freed first: one grid at a time
-            _require_decay(spec, bump.values)
-            pair, bump = bump._terms, None
-            (hat_weighted,) = _weighted_norms(spec.dual(), _transform_rows(spec, *pair), [(q, phi)])
+            spec, terms = default_spec(d), [(p, theta), (2.0, 0.0)]
+            if len(_row_blocks(spec)) == 1:
+                bump = random_bump(spec, seed)
+                weighted, l2 = grid_weighted_norm(bump, terms)
+                _require_decay(_boundary_ratio(spec, bump.values))  # fourier_weighted_norm's steps
+                pair, bump = bump._terms, None
+                (hat_weighted,) = _fourier_pass(spec, pair, [(q, phi)])()
+            else:  # the x side streamed from the factors, no grid built, f^ beside it
+                pair = _bump_terms(spec, seed)
+                xi_side = _fourier_pass(spec, pair, [(q, phi)])
+                with _beside(xi_side if _two_at_once(spec) else None) as hat_norms:
+                    (weighted, l2), ratio = _separable_norms(spec, *pair, terms)
+                    _require_decay(ratio)
+                    (hat_weighted,) = (hat_norms or xi_side)()
             results.append(_at_least(
                 "random_bump", _log(weighted) + _log(hat_weighted), log_bound + 2.0 * _log(l2)
             ))

@@ -31,10 +31,13 @@ from uplab.grid import (
     GridFunction,
     GridSpec,
     _RADIUS_CACHE_SIZE,
+    _Maxima,
     _ball_sum,
+    _boundary_ratio,
     _bump_terms,
     _radius_levels,
     _row_blocks,
+    _separable_norms,
     _transform_rows,
     _weighted_sums,
     default_spec,
@@ -597,23 +600,35 @@ class TestSupportBox:
         assert grid_weighted_norm(base, SUPPORT_TERMS) == grid_weighted_norm(bare, SUPPORT_TERMS)
         assert cx.rs_level(d, 0).base_l2_sq == grid_weighted_norm(bare, [(2.0, 0.0)])[0] ** 2
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_weight_beyond_the_floats_still_raises(self, d):
+    @pytest.mark.parametrize("case", [1, 2, "512^2", "64^3"])
+    def test_weight_beyond_the_floats_still_raises(self, case):
         # |x|^(p w) is inf beyond |x| = 1.  At d = 2 the level-0 box reaches past it, where
         # the member is 0: inf * 0 = NaN inside the box, and the sum raises naming (p, w).
         # At d = 1 the box lies inside |x| < 1, so the sums are the dense sums of the
-        # terms on the box, in a zero grid, and the NaN beyond the box is never formed
-        family = cx.rs_level(d, 0)
-        member = family.member(0, cx._support_grid(d, 0))
-        cell = member.spec.spacing**d
+        # terms on the box, in a zero grid, and the NaN beyond the box is never formed.
+        # On the 8-block 512^2 grid and the 8-block 64^3 grid the box starts past the first
+        # block, whose max is 0: a max over the blocks that drops a NaN read 0 at p = inf
+        if case == "512^2":
+            member = cx.rs_level(2, 0).member(0)
+        elif case == "64^3":
+            member = translate_member(3)
+        else:
+            member = cx.rs_level(case, 0).member(0, cx._support_grid(case, 0))
+        spec = member.spec
+        blocks = _row_blocks(spec)
+        if case in ("512^2", "64^3"):
+            assert len(blocks) == 8 and member._support[0].start >= blocks[0].stop
+        cell = spec.spacing**spec.d
         for p, w in [(1e308, 0.1), (8.0, 1e308), (math.inf, 1e308)]:
             terms = [(2.0, 0.0), (p, w)]
-            if d == 2:
+            with np.errstate(over="ignore", invalid="ignore"):
+                summands = dense_summands(member, terms)
+            if case != 1:
+                if p == math.inf:  # the NaN lies in the box
+                    assert np.isnan(summands[1][member._support]).any()
                 with pytest.raises(ValueError, match=re.escape(f"p={p:g}, w={w:g}")):
                     grid_weighted_norm(member, terms)
                 continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                summands = dense_summands(member, terms)
             expected = []
             for (q, _), dense in zip(terms, summands):
                 on_box = np.zeros(dense.shape)
@@ -769,6 +784,19 @@ class TestBoundaryGuard:
                 assert f"{ratio:.3e}" in message, name
             seen.add(expected)
         assert seen == {"raise", "warn", "silent"}
+
+    def test_streamed_maxima_give_the_same_ratio(self):
+        # a norm pass that reads the guard's maxima from each block's |f| (the streamed x
+        # side of the feasible check at d = 3) gives _boundary_ratio's ratio to the bit; a
+        # separable function streamed from its factors gives it with the same norms
+        for name, f in self.cases().items():
+            maxima = _Maxima(f.spec)
+            _weighted_sums(f.spec, f.values, [(2.0, 0.0)], faces=maxima)
+            assert maxima.ratio() == _boundary_ratio(f.spec, f.values), name
+            if f._terms is not None:
+                norms, ratio = _separable_norms(f.spec, *f._terms, SUPPORT_TERMS)
+                assert ratio == _boundary_ratio(f.spec, f.values), name
+                assert norms == grid_weighted_norm(f, SUPPORT_TERMS), name
 
     def test_cases_need_the_full_grid(self):
         # the cases above take the full pass: the central slice is zero, or the faces

@@ -6,16 +6,22 @@ column are checked here; the full-scale sweeps live in the acceptance suite.
 
 import csv
 import dataclasses
+import importlib
+import inspect
 import json
 import math
+import re
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import uplab
+from test_acceptance import _golden_table
 from uplab import counterexamples as cx
-from uplab import harness
+from uplab import grid, harness
 from uplab.grid import (
     GridFunction,
     GridSpec,
@@ -362,6 +368,170 @@ class TestPeakMemory:
         # with a 2 MiB float64 radius); the dual's index is built while the samples are freed
         peak = _traced_peak(lambda: harness.cp_check(3, 2.0, 2.0, 1.0, 1.0), cold=True)
         assert peak <= 10 * 2**20
+
+
+# the feasible golden tuples at d = 3, whose random bump is checked on the 8-block 64^3 grid
+D3_FEASIBLE = [row[:5] for row in _golden_table() if row[0] == 3 and row[5] == "feasible"]
+MODULES = ("specialfn", "params", "radial", "grid", "counterexamples", "harness", "cli")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes the checks see n usable CPUs."""
+    return lambda n: monkeypatch.setattr(grid, "_usable_cpus", lambda: n)
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The threads started while the test runs."""
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def d3_chain_functions():
+    """The d = 3 functions whose chains run their two sides at once: the Gaussian, g_2
+    as the CLI builds it, and the bumps of seeds 1 and 7."""
+    spec = default_spec(3)
+    return {"gaussian": gaussian_grid_function(spec),
+            "g_2": gaussian_mixture_grid_function(spec, cx.gc_profile(2.0, 3).terms),
+            "bump 1": random_bump(spec, 1), "bump 7": random_bump(spec, 7)}
+
+
+def chain_reprs(functions, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # g_2's faces at d = 3: 1.1e-9 of its peak
+        return {name: repr(harness.function_chain_check(f, 3, p)) for name, f in functions.items()}
+
+
+class TestTwoSidesAtOnce:
+    """On a grid of several blocks with two usable CPUs, the norms of f^ run on a thread
+    while the calling thread runs the x side; one CPU, one-block grids and bare samples
+    run the two sides one after the other.  Every report keeps its bits either way."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_feasible_checks_keep_their_bits(self, cpus, starts, seed):
+        assert len(D3_FEASIBLE) == 5
+        cpus(1)
+        serial = [repr(harness.cp_check(*row, seed=seed)) for row in D3_FEASIBLE]
+        assert starts == []
+        cpus(2)
+        concurrent = [repr(harness.cp_check(*row, seed=seed)) for row in D3_FEASIBLE]
+        assert len(starts) == len(D3_FEASIBLE)
+        assert concurrent == serial
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_chains_keep_their_bits(self, cpus, starts, p):
+        functions = d3_chain_functions()
+        cpus(1)
+        serial = chain_reprs(functions, p)
+        assert starts == []
+        cpus(2)
+        assert chain_reprs(functions, p) == serial
+        assert len(starts) == len(functions)
+
+    def test_one_block_grids_and_bare_samples_start_no_thread(self, cpus, starts):
+        cpus(2)
+        for d in (1, 2):
+            harness.cp_check(d, 2.0, 2.0, 1.0, 1.0, seed=1)
+            harness.function_chain_check(random_bump(default_spec(d), 1), d, 2.0)
+        bump = random_bump(default_spec(3), 1)
+        harness.function_chain_check(GridFunction(bump.spec, bump.values), 3, 2.0)
+        assert starts == []
+
+    def test_boundary_warnings_on_the_calling_thread(self, cpus, starts, monkeypatch):
+        cpus(2)
+        threads, warn = [], warnings.warn
+
+        def recorded(*args, **kwargs):
+            threads.append(threading.current_thread())
+            warn(*args, **kwargs)
+
+        monkeypatch.setattr(warnings, "warn", recorded)
+        with pytest.warns(UserWarning, match="boundary samples at 1.1"):
+            harness.function_chain_check(d3_chain_functions()["g_2"], 3, 2.0)
+        # the feasible check's guard, read from the streamed |f|: every ratio warns, with
+        # the text of the guard on the bump's samples
+        monkeypatch.setattr(grid, "BOUNDARY_WARN", 0.0)
+        spec = default_spec(3)
+        ratio = grid._boundary_ratio(spec, random_bump(spec, 1).values)
+        with pytest.warns(UserWarning, match=re.escape(f"boundary samples at {ratio:.3e} of")):
+            harness.cp_check(3, 2.0, 2.0, 1.0, 1.0, seed=1)
+        assert threads == [threading.current_thread()] * 2
+        assert len(starts) == 2
+
+    def test_errors_surface_in_the_serial_order(self, cpus, starts):
+        # samples carrying factors whose transform leaves the floats: the norms of f^ raise,
+        # but the x side's error and then the guard's win; the thread is joined either way
+        cpus(2)
+        spec = default_spec(3)
+        pair = (np.array([1e300]), np.ones((1, 3, spec.n)))
+        with pytest.raises(ValueError, match="leaves the float range"):
+            grid._fourier_pass(spec, pair, [(2.0, 0.0)])()
+        shape = (spec.n,) * 3
+        before = threading.active_count()
+        for values, message in [(np.zeros(shape), "undefined for the zero function"),
+                                (np.ones(shape), "does not decay at the domain boundary")]:
+            with pytest.raises(ValueError, match=message):
+                harness.function_chain_check(GridFunction(spec, values, _terms=pair), 3, 2.0)
+            assert threading.active_count() == before
+        assert len(starts) == 2
+        assert all(not thread.is_alive() for thread in starts)
+
+    def test_threads_are_joined(self, cpus, starts):
+        cpus(2)
+        before = threading.active_count()
+        harness.cp_check(3, 2.0, 2.0, 1.0, 1.0, seed=1)
+        assert threading.active_count() == before
+        harness.function_chain_check(random_bump(default_spec(3), 1), 3, 1.5)
+        assert threading.active_count() == before
+        assert len(starts) == 2
+
+    def test_public_functions_run_on_the_calling_thread(self, cpus, starts, monkeypatch):
+        # every public uplab function is wrapped in every namespace that holds it, as the
+        # benchmark's tracer wraps them; the thread runs private calls only
+        cpus(2)
+        calls = []
+        modules = [importlib.import_module(f"uplab.{name}") for name in MODULES]
+        namespaces = [vars(uplab)] + [vars(module) for module in modules]
+        for module in modules:
+            for name, fn in list(vars(module).items()):
+                inner = inspect.unwrap(fn) if callable(fn) else None
+                if (name.startswith("_") or not inspect.isfunction(inner)
+                        or inner.__module__ != module.__name__):
+                    continue
+
+                def recorded(*args, _fn=fn, _name=name, **kwargs):
+                    calls.append((_name, threading.current_thread()))
+                    return _fn(*args, **kwargs)
+
+                for namespace in namespaces:
+                    for key, value in list(namespace.items()):
+                        if value is fn:
+                            monkeypatch.setitem(namespace, key, recorded)
+        sums = grid._weighted_sums
+
+        def private(*args, **kwargs):
+            calls.append(("_weighted_sums", threading.current_thread()))
+            return sums(*args, **kwargs)
+
+        monkeypatch.setattr(grid, "_weighted_sums", private)
+        here = threading.current_thread()
+        harness.cp_check(3, 2.5, 2.5, 0.5, 0.5, seed=7)
+        for f in d3_chain_functions().values():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                harness.function_chain_check(f, 3, 2.0)
+        assert len(starts) == 5
+        public = {name for name, thread in calls if not name.startswith("_")}
+        assert {"cp_check", "function_chain_check", "grid_weighted_norm"} <= public
+        assert all(thread is here for name, thread in calls if not name.startswith("_"))
+        assert sum(thread is not here for _, thread in calls) == 5  # the norms of f^
 
 
 class TestTrichotomy:
