@@ -119,12 +119,13 @@ def _cmd_cowling_price(args) -> int:
         print(f"  predicted growth slope {report.predicted_slope:.4f} "
               f"(measured {report.measured_slope})")
     else:
+        rise, steps, weighted = report.functions
         masses = ", ".join(map(_side_text, report.log_tail_masses))
-        print(f"  tail masses [{masses}] pass={report.tails_diverge}")
+        print(f"  tail masses [{masses}] pass={rise.passed and steps.passed}")
         masses = ", ".join(map(_side_text, report.log_tail_integrals))
         print(f"  tail masses over omega_{{d-1}} [{masses}]")
         print(f"  endpoint weighted mass {_side_text(report.log_weighted_mass)} "
-              f"pass={report.weighted_mass_finite}")
+              f"pass={weighted.passed}")
     if args.out:
         harness.write_summary_json(
             {"classification": report.classification, "pass": report.passed}, args.out

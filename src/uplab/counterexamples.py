@@ -54,8 +54,8 @@ def gc_infimum_sweep(d: int, p: float, c_values) -> list[float]:
             f"p must satisfy p > 2d/(d-1) = {crit:g} for d={d}, got p={p}"
         )
     c_values = list(c_values)
-    if any(c < 1 for c in c_values) or sorted(c_values) != c_values:
-        raise ValueError("c_values must be increasing and >= 1")
+    if any(c < 1 for c in c_values) or any(b <= a for a, b in zip(c_values, c_values[1:])):
+        raise ValueError(f"c_values must be strictly increasing and >= 1, got {c_values}")
     log_products = []
     for c in c_values:
         log_product = 2.0 * log_moment_ratio(gc_profile(c, d), d, p)

@@ -1,7 +1,8 @@
 """End-to-end experiments: dimension and two-scale sweeps, per-function
 inequality chains, and the Cowling-Price trichotomy pipeline.
 
-Every pass/fail rule lives here; the CLI only maps a verdict to an exit code.
+Every pass/fail rule lives here, each verdict a Check but for the sweeps' per-row flags;
+the CLI only maps a verdict to an exit code.
 Sweeps are deterministic and emit one row per dimension; summaries report the
 first dimension d0 from which every flag holds and least-squares slopes of
 ln(bound) against ln(d) (window start 50 avoids small-d transients).
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -155,34 +157,42 @@ def lp_summary(rows: list[SweepRow], p: float) -> dict:
 
 
 def sharpness_summary(d: int, p: float, c_values: list[float]) -> dict:
-    """Two-scale collapse: the g_c products decrease and end below 10% of the first,
-    judged on their logs."""
+    """Two-scale collapse, judged on the logs of the g_c products: each is below the one
+    before it (decreasing_c=<c>), and the last is below 10% of the first (collapsed)."""
+    if len(c_values) < 2:
+        raise ValueError(f"the sharpness sweep compares at least two c values, got {c_values}")
     log_products = cx.gc_infimum_sweep(d, p, c_values)
-    decreasing = all(b < a for a, b in zip(log_products, log_products[1:]))
-    collapsed = log_products[-1] < log_products[0] - math.log(10.0)
-    return {
-        "d": d,
-        "p": p,
-        "c_values": c_values,
-        "log_products": log_products,
-        "decreasing": decreasing,
-        "collapsed": collapsed,
-        "pass": decreasing and collapsed,
-    }
+    steps = [_measured(f"decreasing_c={c:g}", b, a, "<")
+             for c, a, b in zip(c_values[1:], log_products, log_products[1:])]
+    collapse = _measured("collapsed", log_products[-1], log_products[0], "<", -math.log(10.0))
+    return {"d": d, "p": p, "c_values": c_values, "log_products": log_products,
+            "checks": steps + [collapse], "decreasing": all(step.passed for step in steps),
+            "collapsed": collapse.passed, "pass": all(c.passed for c in steps + [collapse])}
 
 
 # ---------------------------------------------------------------------------
 # Per-function inequality chain
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+
 @dataclass(frozen=True)
 class Check:
-    """One inequality between a measured lhs and a bound rhs, both held as natural logs."""
+    """One relation between a measured lhs and a bound rhs, both held as natural logs:
+    passed is relation(log_lhs, log_rhs + tol), tol the allowance in ln units.  An
+    infinite log_rhs marks a verdict that rests on no measurement."""
 
     name: str
     log_lhs: float
     log_rhs: float
-    passed: bool
+    relation: str
+    tol: float = 0.0
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        passed = _RELATIONS[self.relation](self.log_lhs, self.log_rhs + self.tol)
+        object.__setattr__(self, "passed", bool(passed))
 
     @property
     def slack(self) -> float:
@@ -191,29 +201,28 @@ class Check:
         return math.expm1(gap) if gap < LOG_MAX else math.inf
 
 
-def _measured(name: str, log_lhs: float, log_rhs: float) -> None:
-    """A check passes or fails only on measured values: a NaN side, or a bound of 0
+def _measured(name: str, log_lhs: float, log_rhs: float, relation: str, tol=0.0) -> Check:
+    """A check that passes or fails only on measured values: a NaN side, or a bound of 0
     or infinity, which any lhs meets or misses by definition, raises instead."""
     if math.isnan(log_lhs) or not math.isfinite(log_rhs):
         raise ValueError(f"check {name} has no measured value: "
                          f"ln lhs={log_lhs:g}, ln rhs={log_rhs:g}")
+    return Check(name, log_lhs, log_rhs, relation, tol)
 
 
 def _at_least(name: str, log_lhs: float, log_rhs: float) -> Check:
     """lhs >= rhs, up to the relative slack tolerance SLACK_TOL."""
-    _measured(name, log_lhs, log_rhs)
-    return Check(name, log_lhs, log_rhs, log_lhs >= log_rhs + math.log1p(-SLACK_TOL))
+    return _measured(name, log_lhs, log_rhs, ">=", math.log1p(-SLACK_TOL))
 
 
 def _at_most(name: str, log_lhs: float, log_rhs: float) -> Check:
     """lhs <= rhs, up to the relative slack tolerance SLACK_TOL."""
-    _measured(name, log_lhs, log_rhs)
-    return Check(name, log_lhs, log_rhs, log_lhs <= log_rhs + math.log1p(SLACK_TOL))
+    return _measured(name, log_lhs, log_rhs, "<=", math.log1p(SLACK_TOL))
 
 
 def _log(x: float) -> float:
-    """ln x of a measured norm or sum, -inf for 0."""
-    return math.log(x) if x > 0.0 else -math.inf
+    """ln x of a measured norm, sum or gap, -inf for 0 and NaN for NaN."""
+    return math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan
 
 
 @dataclass(frozen=True)
@@ -304,9 +313,11 @@ def rs_predicted_slope(d: int, p: float, theta: float) -> float:
     return 0.5 * d - d / p - theta
 
 
-def _slope_agrees(measured: float, predicted: float) -> bool:
-    """A measured growth slope confirms the prediction within SLOPE_RTOL."""
-    return abs(measured - predicted) <= SLOPE_RTOL * abs(predicted)
+def _slope_check(measured: float, predicted: float) -> Check:
+    """A measured growth slope confirms the prediction within SLOPE_RTOL, in logs:
+    ln|measured - predicted| <= ln(SLOPE_RTOL |predicted|)."""
+    return _measured("slope", _log(abs(measured - predicted)),
+                     _log(SLOPE_RTOL * abs(predicted)), "<=")
 
 
 def rs_check(d: int, k_max: int, p: float, theta: float) -> dict:
@@ -319,15 +330,9 @@ def rs_check(d: int, k_max: int, p: float, theta: float) -> dict:
     if abs(predicted) <= 4.0 * math.ulp(0.5 * d + d / p + abs(theta)):
         raise ValueError(f"the predicted slope d/2 - d/p - theta = {predicted:.3g} at d={d}, "
                          f"p={p:g}, theta={theta:g} is 0 within rounding: no slope confirms it")
-    return {
-        "d": d,
-        "k_max": k_max,
-        "p": p,
-        "theta": theta,
-        "predicted_slope": predicted,
-        "measured_slope": measured,
-        "pass": _slope_agrees(measured, predicted),
-    }
+    slope = _slope_check(measured, predicted)
+    return {"d": d, "k_max": k_max, "p": p, "theta": theta, "predicted_slope": predicted,
+            "measured_slope": measured, "checks": [slope], "pass": slope.passed}
 
 
 @dataclass(frozen=True)
@@ -338,6 +343,7 @@ class CPReport:
     theta: float
     phi: float
     classification: str
+    # every check of the report, whatever its classification
     functions: tuple[Check, ...] = ()
     predicted_slope: float | None = None
     measured_slope: float | None = None
@@ -349,41 +355,33 @@ class CPReport:
 
     @property
     def passed(self) -> bool:
-        if self.classification == "feasible":
-            return all(fr.passed for fr in self.functions)
-        if self.classification == "violated":
-            if self.measured_slope is None:
-                # no translate-family measurement at d >= 3 yet
-                return self.predicted_slope is not None and self.predicted_slope > 0
-            return _slope_agrees(self.measured_slope, self.predicted_slope)
-        return self.tails_diverge and self.weighted_mass_finite
+        """Every check holds; a report with no checks has no verdict."""
+        return bool(self.functions) and all(check.passed for check in self.functions)
 
     @property
     def tail_masses(self) -> tuple[float, ...]:
         return tuple(math.exp(log_mass) for log_mass in self.log_tail_masses)
 
     @property
-    def tails_diverge(self) -> bool:
-        """The tail masses at ENDPOINT_DELTAS, successive squares, over omega_{d-1} grow by
-        equal positive steps (ln 2 each, within SLACK_TOL relative): ln ln(1/delta)
-        diverges.  The steps are taken as logs, ln m_{j+1} + ln(1 - m_j / m_{j+1})."""
-        logs = np.array(self.log_tail_integrals, dtype=float)
-        if len(logs) != len(ENDPOINT_DELTAS):
-            return False
-        with np.errstate(divide="ignore", invalid="ignore"):  # NaN or -inf steps fail below
-            rises = np.diff(logs)
-            log_steps = logs[1:] + np.log1p(-np.exp(-rises))
-        return bool(rises.min() > 0 and np.ptp(log_steps) <= -math.log1p(-SLACK_TOL))
-
-    @property
-    def weighted_mass_finite(self) -> bool:
-        """The endpoint weighted mass was measured, finite and positive."""
-        return self.log_weighted_mass is not None and math.isfinite(self.log_weighted_mass)
-
-    @property
     def holds(self) -> bool:
         """The inequality holds: feasible and verified (violated/endpoint never hold)."""
         return self.classification == "feasible" and self.passed
+
+
+def _endpoint_checks(log_tail_integrals, log_weighted_mass: float) -> tuple[Check, ...]:
+    """The tail masses at ENDPOINT_DELTAS, successive squares, over omega_{d-1} rise
+    (tails_rise) by equal steps, ln 2 each within SLACK_TOL relative (tail_steps): ln
+    ln(1/delta) diverges.  The steps are taken as logs, ln m_{j+1} + ln(1 - m_j / m_{j+1}).
+    The weighted mass, a closed form, is finite: |ln mass| < inf (weighted_mass)."""
+    logs = np.array(log_tail_integrals, dtype=float)
+    if len(logs) != len(ENDPOINT_DELTAS):
+        raise ValueError(f"check tails_rise has no measured value: {len(logs)} tail masses")
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN or -inf steps raise below
+        rises = np.diff(logs)
+        spread = np.ptp(logs[1:] + np.log1p(-np.exp(-rises)))
+    return (_measured("tails_rise", float(rises.min()), 0.0, ">"),
+            _measured("tail_steps", float(spread), 0.0, "<=", -math.log1p(-SLACK_TOL)),
+            Check("weighted_mass", abs(log_weighted_mass), math.inf, "<"))
 
 
 def _cp_radial_result(
@@ -413,13 +411,14 @@ def cp_check(
                  where two CPUs are usable;
     violated  -> compare the predicted growth slope of the signed-translate
                  counterexample schedule with the one measured on grids
-                 for d <= 2;
+                 for d <= 2 (slope); at d >= 3 no family is measured, and the
+                 check ln predicted > -inf (predicted_slope) has an infinite bound;
     endpoint  -> the logs of the endpoint singularity's L^2 tail masses at
                  ENDPOINT_DELTAS and of its weighted mass, exact integrals in closed
-                 form, finite at any d and p (judged by CPReport.tails_diverge and
-                 weighted_mass_finite).
+                 form, finite at any d and p (judged by _endpoint_checks).
     """
     classification = cp_classify(d, p, q, theta, phi)
+    head = dict(d=d, p=p, q=q, theta=theta, phi=phi, classification=classification)
 
     if classification == "feasible":
         bundle = cp_params(d, p, q, theta, phi)
@@ -447,30 +446,26 @@ def cp_check(
             results.append(_at_least(
                 "random_bump", _log(weighted) + _log(hat_weighted), log_bound + 2.0 * _log(l2)
             ))
-        return CPReport(
-            d=d, p=p, q=q, theta=theta, phi=phi,
-            classification=classification,
-            functions=tuple(results),
-            log_bound=log_bound,
-        )
+        return CPReport(**head, functions=tuple(results), log_bound=log_bound)
 
     if classification == "violated":
-        measured = None
+        predicted, measured = rs_predicted_slope(d, p, theta), None
         if d <= 2:
             measured = cx.rs_slope(cx.rs_level(d, 3), p, theta)
-        return CPReport(
-            d=d, p=p, q=q, theta=theta, phi=phi,
-            classification=classification,
-            predicted_slope=rs_predicted_slope(d, p, theta),
-            measured_slope=measured,
-        )
+            check = _slope_check(measured, predicted)
+        else:  # no translate-family measurement at d >= 3 yet
+            check = Check("predicted_slope", _log(predicted), -math.inf, ">")
+        return CPReport(**head, functions=(check,), predicted_slope=predicted,
+                        measured_slope=measured)
 
+    log_integrals = tuple(_log_u_integral(-1.0, delta, 0.5) for delta in ENDPOINT_DELTAS)
+    log_weighted_mass = cx.endpoint_weighted_mass(d, p)
     return CPReport(
-        d=d, p=p, q=q, theta=theta, phi=phi,
-        classification=classification,
+        **head,
+        functions=_endpoint_checks(log_integrals, log_weighted_mass),
         log_tail_masses=tuple(cx.endpoint_tail_mass(delta, d) for delta in ENDPOINT_DELTAS),
-        log_tail_integrals=tuple(_log_u_integral(-1.0, delta, 0.5) for delta in ENDPOINT_DELTAS),
-        log_weighted_mass=cx.endpoint_weighted_mass(d, p),
+        log_weighted_mass=log_weighted_mass,
+        log_tail_integrals=log_integrals,
     )
 
 
@@ -496,5 +491,5 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
 
 def write_summary_json(summary: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, default=asdict)  # Checks as dicts
         fh.write("\n")

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -130,6 +131,17 @@ class TestSharpnessCommand:
         assert code == 2
         assert "2d/(d-1)" in err
 
+    @pytest.mark.parametrize("c_list, message", [
+        ("1,1", "c_values must be strictly increasing and >= 1, got [1.0, 1.0]"),
+        ("1,2,2,4", "c_values must be strictly increasing and >= 1, got [1.0, 2.0, 2.0, 4.0]"),
+        ("2", "the sharpness sweep compares at least two c values, got [2.0]"),
+    ])
+    def test_schedule_without_a_verdict_is_usage_error(self, capsys, c_list, message):
+        # a repeated c cannot decrease and one c cannot collapse: false by definition,
+        # so no verdict is printed
+        code, out, err = run(capsys, "sharpness", "--d", "2", "--p", "5", "--c-list", c_list)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_json_summary_holds_log_products(self, capsys, tmp_path):
         # the products' logs, finite floats in standard JSON, also where the products
         # themselves (e^-1411.6, e^-1965.5) are beyond the floats
@@ -190,10 +202,13 @@ class TestRudinShapiroCommand:
                          str(out_path))
         assert code == 0
         summary = json.loads(out_path.read_text())
-        assert sorted(summary) == ["d", "k_max", "measured_slope", "p", "pass",
+        assert sorted(summary) == ["checks", "d", "k_max", "measured_slope", "p", "pass",
                                    "predicted_slope", "theta"]
         assert summary["pass"] is True
-        assert summary == harness.rs_check(2, 3, 8.0, 0.1)
+        expected = harness.rs_check(2, 3, 8.0, 0.1)
+        assert summary == {**expected, "checks": [dataclasses.asdict(expected["checks"][0])]}
+        assert sorted(summary["checks"][0]) == ["log_lhs", "log_rhs", "name", "passed",
+                                                "relation", "tol"]
 
     def test_bad_level_is_usage_error(self, capsys):
         # k-max 1 leaves the slope fit, which takes levels 1..2, too few levels
@@ -617,14 +632,15 @@ class TestLogDomainVerdicts:
     @pytest.mark.parametrize("d, p", [("1" + "0" * 300, "2.5"), ("1" + "0" * 100, "1000000")],
                              ids=["d1e300-p2.5", "d1e100-p1e6"])
     def test_g_1_prints_the_gaussian_product(self, capsys, d, p):
-        # g_1's equal-rate terms are one Gaussian: c = 1 prints the gaussian command's
-        # product, and exits 1 since one c cannot collapse; c = 2 still meets the
-        # trapezoid rule's node budget
-        code, out, err = run(capsys, "sharpness", "--d", d, "--p", p, "--c-list", "1")
-        assert (code, err) == (1, "")
+        # g_1's equal-rate terms are one Gaussian: at c = 1 the sweep gives the gaussian
+        # command's product, which sharpness would print; one c cannot collapse, so
+        # sharpness refuses it, and c = 2 still meets the trapezoid rule's node budget
         gaussian = run(capsys, "gaussian", "--d", d, "--p", p)[1].strip()
         assert gaussian in ("e^1720.0534", "e^214605122")
-        assert out.splitlines()[0] == f"c=1        product={gaussian}"
+        (log_product,) = cx.gc_infimum_sweep(int(d), float(p), [1.0])
+        assert cli._side_text(log_product, ".17g") == gaussian
+        code, out, err = run(capsys, "sharpness", "--d", d, "--p", p, "--c-list", "1")
+        assert (code, out) == (2, "") and "at least two c values" in err
         code, out, err = run(capsys, "sharpness", "--d", d, "--p", p, "--c-list", "1,2")
         assert (code, out) == (2, "") and "peaks too narrowly" in err
 

@@ -85,6 +85,8 @@ class TestGcFamily:
             cx.gc_infimum_sweep(2, 5.0, [4, 2, 1])
         with pytest.raises(ValueError):
             cx.gc_infimum_sweep(2, 5.0, [0.5, 1.0])
+        with pytest.raises(ValueError, match="strictly increasing"):  # no step can decrease
+            cx.gc_infimum_sweep(2, 5.0, [1.0, 2.0, 2.0])
 
 
 class TestSignMatrix:

@@ -17,6 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import uplab
 from test_acceptance import _golden_table
@@ -138,6 +139,25 @@ class TestSweeps:
         harness.write_summary_json({"d0": 1, "slope": 2.0, "pass": True}, path)
         loaded = json.loads(path.read_text())
         assert loaded == {"d0": 1, "slope": 2.0, "pass": True}
+
+
+class TestSharpness:
+    def test_summary_reads_its_checks(self):
+        summary = harness.sharpness_summary(2, 5.0, [1.0, 2.0, 4.0])
+        logs = summary["log_products"]
+        assert [(c.name, c.log_lhs, c.log_rhs, c.relation, c.tol) for c in summary["checks"]] == [
+            ("decreasing_c=2", logs[1], logs[0], "<", 0.0),
+            ("decreasing_c=4", logs[2], logs[1], "<", 0.0),
+            ("collapsed", logs[2], logs[0], "<", -math.log(10.0))]
+        assert summary["decreasing"] and summary["collapsed"] and summary["pass"]
+
+    @pytest.mark.parametrize("c_values, message", [
+        ([2.0], "at least two c values"), ([], "at least two c values"),
+        ([1.0, 1.0], "strictly increasing"), ([1.0, 4.0, 4.0], "strictly increasing")])
+    def test_schedule_that_fails_by_definition_is_refused(self, c_values, message):
+        # one c cannot collapse and a repeated c cannot decrease
+        with pytest.raises(ValueError, match=message):
+            harness.sharpness_summary(2, 5.0, c_values)
 
 
 class TestFunctionChain:
@@ -294,6 +314,17 @@ def _logs(*sides):
         return [float(x) for x in np.log(sides)]
 
 
+def _endpoint_verdict(log_tail_integrals, log_weighted_mass):
+    """Whether every endpoint check passes, or None for the one-line error of a check
+    with no measured value."""
+    try:
+        checks = harness._endpoint_checks(log_tail_integrals, log_weighted_mass)
+    except ValueError as exc:
+        assert re.fullmatch(r"check \w+ has no measured value: [^\n]*", str(exc)), exc
+        return None
+    return all(check.passed for check in checks)
+
+
 class TestCheckRules:
     @pytest.mark.parametrize("lhs, rhs", [
         (math.nan, 1.0), (1.0, math.nan), (1.0, 0.0), (0.0, 0.0), (1.0, math.inf),
@@ -319,6 +350,36 @@ class TestCheckRules:
         assert harness._at_most("probe", 3.0 + math.log1p(2 * tol), 3.0).passed is False
         assert harness._at_least("probe", 1e3 + math.log(1.5), 1e3).slack == pytest.approx(0.5)
         assert harness._at_least("probe", 2000.0, -2000.0).slack == math.inf
+
+    def test_verdict_is_derived_from_the_record(self):
+        # passed is relation(log_lhs, log_rhs + tol); no caller sets it, and a copy
+        # with other sides judges them afresh
+        check = harness._at_least("probe", 1.0, 2.0)
+        assert dataclasses.asdict(check) == {
+            "name": "probe", "log_lhs": 1.0, "log_rhs": 2.0, "relation": ">=",
+            "tol": math.log1p(-harness.SLACK_TOL), "passed": False}
+        assert harness._at_most("probe", 1.0, 2.0).tol == math.log1p(harness.SLACK_TOL)
+        with pytest.raises(TypeError):
+            harness.Check("probe", 1.0, 2.0, ">=", 0.0, passed=True)
+        assert dataclasses.replace(check, log_lhs=3.0).passed is True
+        with pytest.raises(ValueError):
+            dataclasses.replace(check, passed=True)
+        assert [harness.Check("probe", 1.0, 1.0, relation).passed
+                for relation in ("<", "<=", ">=", ">")] == [False, True, True, False]
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(predicted=st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6),
+           offset=st.floats(-0.3, 0.3) | st.sampled_from([-0.1, 0.1]),
+           measured=st.none() | st.floats(-1e6, 1e6))
+    def test_slope_rule_in_logs_is_the_linear_rule(self, predicted, offset, measured):
+        # ln|measured - predicted| <= ln(SLOPE_RTOL |predicted|) decides as
+        # |measured - predicted| <= SLOPE_RTOL |predicted| did, away from a few ulps of
+        # the boundary, where two logs may round alike
+        if measured is None:
+            measured = predicted + offset * predicted
+        gap, bound = abs(measured - predicted), harness.SLOPE_RTOL * abs(predicted)
+        assume(abs(gap - bound) > 16 * math.ulp(bound) * max(1.0, abs(math.log(bound))))
+        assert harness._slope_check(measured, predicted).passed is (gap <= bound)
 
 
 def _traced_peak(run, cold: bool = False) -> int:
@@ -602,56 +663,57 @@ class TestTrichotomy:
         assert bump1.log_lhs != bump3.log_lhs
 
     def test_violated_verdict_rests_on_measurement(self):
-        # the prediction alone is positive for every violated tuple; a
-        # measurement far from it must fail the verdict
-        report = harness.CPReport(
-            d=2, p=8.0, q=8.0, theta=0.1, phi=0.1,
-            classification="violated",
-            predicted_slope=0.65,
-            measured_slope=0.2,
-        )
-        assert not report.passed
-        assert dataclasses.replace(report, measured_slope=0.62).passed
+        # the prediction alone is positive for every violated tuple; a measurement far
+        # from it fails the slope check, and with it the report
+        far, near = harness._slope_check(0.2, 0.65), harness._slope_check(0.62, 0.65)
+        assert (far.passed, near.passed) == (False, True)
+        report = harness.cp_check(2, 8.0, 8.0, 0.1, 0.1)
+        assert report.passed and not dataclasses.replace(report, functions=(far,)).passed
+        assert not dataclasses.replace(report, functions=()).passed  # no check, no verdict
+        with pytest.raises(ValueError, match="^check slope has no measured value"):
+            harness._slope_check(math.nan, 0.65)
+
+    def test_violated_verdict_without_measurement_has_an_infinite_bound(self):
+        # no translate family is measured at d >= 3: ln predicted > -inf, marked by its bound
+        (check,) = harness.cp_check(3, 4.0, 4.0, 0.5, 0.5).functions
+        assert (check.name, check.log_rhs, check.relation, check.passed) == (
+            "predicted_slope", -math.inf, ">", True)
+        assert check.log_lhs == math.log(harness.rs_predicted_slope(3, 4.0, 0.5))
 
     def test_endpoint_verdict_rests_on_measurement(self):
         # tail masses over omega_{d-1} at successive squares of delta must grow by equal
         # steps (ln 2 each) and the weighted mass must be finite and positive
         step = math.log(2.0)
-        report = harness.CPReport(
-            d=2, p=4.0, q=4.0, theta=0.5, phi=0.5,
-            classification="endpoint",
-            log_tail_integrals=tuple(math.log(step * (2.0 + k)) for k in range(4)),
-            log_weighted_mass=math.log(9.0),
-        )
-        assert report.passed is True  # a plain bool, as --out writes it to JSON
-        # masses of 0
-        assert dataclasses.replace(report, log_tail_integrals=(-math.inf,) * 4).passed is False
-        # converging masses: the steps halve
-        halving = tuple(map(math.log, (1.0, 2.0, 2.5, 2.75)))
-        assert dataclasses.replace(report, log_tail_integrals=halving).passed is False
-        # equal masses, shrinking masses, NaN, too few
-        for logs in ((0.0,) * 4, (3.0, 2.0, 1.0, 0.0), (0.0, 1.0, math.nan, 2.0), ()):
-            assert dataclasses.replace(report, log_tail_integrals=logs).passed is False
-        for log_weighted in (None, -math.inf, math.inf, math.nan):
-            assert dataclasses.replace(report, log_weighted_mass=log_weighted).passed is False
+        logs = tuple(math.log(step * (2.0 + k)) for k in range(4))
+        checks = harness._endpoint_checks(logs, math.log(9.0))
+        assert [check.name for check in checks] == ["tails_rise", "tail_steps", "weighted_mass"]
+        assert [check.passed for check in checks] == [True] * 3  # plain bools, as JSON takes
+        halving = tuple(map(math.log, (1.0, 2.0, 2.5, 2.75)))  # converging masses
+        for tail_logs, verdict in [
+            ((-math.inf,) * 4, None),  # masses of 0
+            (halving, False),
+            ((0.0,) * 4, None),  # equal masses: steps of 0, whose logs are -inf
+            ((3.0, 2.0, 1.0, 0.0), None),  # shrinking masses: no step has a log
+            ((0.0, 1.0, math.nan, 2.0), None),
+            ((), None),  # too few
+        ]:
+            assert _endpoint_verdict(tail_logs, math.log(9.0)) is verdict, tail_logs
+        for log_weighted in (-math.inf, math.inf, math.nan):
+            assert _endpoint_verdict(logs, log_weighted) is False
 
     def test_endpoint_steps_beyond_the_floats(self):
         # steps of e^{-800} ln 2 or e^{800} ln 2, and one step 1e-5 short
         for log_scale in (-800.0, 800.0):
             logs = [log_scale + math.log(math.log(2.0) * (2.0 + k)) for k in range(4)]
-            report = harness.CPReport(
-                d=500, p=4.0, q=4.0, theta=125.0, phi=125.0, classification="endpoint",
-                log_tail_integrals=tuple(logs), log_weighted_mass=log_scale,
-            )
-            assert report.tails_diverge and report.passed
+            assert _endpoint_verdict(logs, log_scale) is True
             logs[3] = log_scale + math.log(math.log(2.0) * (5.0 - 1e-5))
-            assert not dataclasses.replace(report, log_tail_integrals=tuple(logs)).tails_diverge
+            rise, steps, _ = harness._endpoint_checks(logs, log_scale)
+            assert (rise.passed, steps.passed) == (True, False)
 
     @pytest.mark.parametrize("d", [2 * 10**9, 10**18, 10**100])
     def test_endpoint_steps_judged_without_omega(self, d):
         # ln omega_{d-1} ~ -(d/2) ln d rounds the masses' steps of about 0.2 in their logs
         # away; over omega_{d-1} the masses still grow by ln 2 each
         report = harness.cp_check(d, 4.0, 4.0, d / 4, d / 4)
-        assert report.tails_diverge and report.passed
-        masses_only = dataclasses.replace(report, log_tail_integrals=report.log_tail_masses)
-        assert not masses_only.tails_diverge
+        assert [check.passed for check in report.functions] == [True] * 3 and report.passed
+        assert _endpoint_verdict(report.log_tail_masses, report.log_weighted_mass) is not True
