@@ -50,11 +50,11 @@ def _slack_text(check: harness.Check, spec: str) -> str:
 
 
 def _cmd_heisenberg(args) -> int:
-    rows = harness.heisenberg_sweep(args.d_max)
-    summary = harness.heisenberg_summary(rows)
+    sweep = harness.heisenberg_sweep(args.d_max)
+    summary = harness.heisenberg_summary(sweep)
     if args.out:
         if args.format == "csv":
-            harness.write_sweep_csv(rows, args.out)
+            harness.write_sweep_csv(sweep, args.out)
         else:
             harness.write_summary_json(summary, args.out)
     print(f"heisenberg sweep d=1..{args.d_max}: d0={summary['d0']} "
@@ -63,11 +63,11 @@ def _cmd_heisenberg(args) -> int:
 
 
 def _cmd_lp(args) -> int:
-    rows = harness.lp_sweep(args.p, args.d_max)
-    summary = harness.lp_summary(rows, args.p)
+    sweep = harness.lp_sweep(args.p, args.d_max)
+    summary = harness.lp_summary(sweep, args.p)
     if args.out:
         if args.format == "csv":
-            harness.write_sweep_csv(rows, args.out)
+            harness.write_sweep_csv(sweep, args.out)
         else:
             harness.write_summary_json(summary, args.out)
     print(f"lp sweep p={args.p} d=1..{args.d_max}: "
@@ -111,6 +111,9 @@ def _cmd_cowling_price(args) -> int:
     report = harness.cp_check(
         args.d, args.p, args.q, args.theta, args.phi, seed=args.seed
     )
+    summary = {"d": args.d, "p": args.p, "q": args.q, "theta": args.theta, "phi": args.phi,
+               "seed": args.seed, "classification": report.classification,
+               "checks": report.functions, "pass": report.passed, "holds": report.holds}
     print(f"classification: {report.classification}")
     if report.classification == "feasible":
         for fr in report.functions:
@@ -118,6 +121,8 @@ def _cmd_cowling_price(args) -> int:
     elif report.classification == "violated":
         print(f"  predicted growth slope {report.predicted_slope:.4f} "
               f"(measured {report.measured_slope})")
+        summary.update(predicted_slope=report.predicted_slope,
+                       measured_slope=report.measured_slope)
     else:
         rise, steps, weighted = report.functions
         masses = ", ".join(map(_side_text, report.log_tail_masses))
@@ -126,10 +131,9 @@ def _cmd_cowling_price(args) -> int:
         print(f"  tail masses over omega_{{d-1}} [{masses}]")
         print(f"  endpoint weighted mass {_side_text(report.log_weighted_mass)} "
               f"pass={weighted.passed}")
+        summary["log_tail_masses"] = report.log_tail_masses
     if args.out:
-        harness.write_summary_json(
-            {"classification": report.classification, "pass": report.passed}, args.out
-        )
+        harness.write_summary_json(summary, args.out)
     return 0 if report.holds else 1
 
 

@@ -52,8 +52,10 @@ BOUNDARY_ERROR = 1e-6
 DEFAULT_SPECS = {1: (256, 8.0), 2: (128, 6.0), 3: (64, 5.0)}
 BUMP_TERMS = 4
 
-# samples per block of a norm pass: 256 KiB of float64, so that the block
-# temporaries stay in the allocator's reused heap instead of fresh mappings
+# samples per block of a norm pass: 256 KiB of float64.  That is above glibc's initial
+# 128 KiB mmap threshold, so in a fresh interpreter, until a larger array has been freed,
+# each block temporary is a fresh mapping with its page faults; after that the threshold
+# has risen and the temporaries come from the allocator's reused heap
 _BLOCK = 1 << 15
 # GridSpecs whose radius levels and index are kept (0.5 MiB for a 64^3 grid): the default
 # grids, their duals and the translate families' support grids, 1.4 MiB in all

@@ -1,11 +1,13 @@
 """End-to-end experiments: dimension and two-scale sweeps, per-function
 inequality chains, and the Cowling-Price trichotomy pipeline.
 
-Every pass/fail rule lives here, each verdict a Check but for the sweeps' per-row flags;
+Every pass/fail rule lives here, each verdict a Check but for the sweeps' flag columns;
 the CLI only maps a verdict to an exit code.
-Sweeps are deterministic and emit one row per dimension; summaries report the
-first dimension d0 from which every flag holds and least-squares slopes of
-ln(bound) against ln(d) (window start 50 avoids small-d transients).
+A sweep is one deterministic pass over its dimensions that fills columns (a Sweep): the
+method's closed forms as plain tuples (params._l2_logs, _lp_logs), no bundle per d, the
+Gaussian product, the claimed floor and one bool-or-None column per flag.  Summaries report
+the first dimension d0 from which every flag holds and least-squares slopes of ln(bound)
+against ln(d) (window start 50 avoids small-d transients).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,10 +38,14 @@ from .grid import (
     random_bump,
 )
 from .params import (
+    WigdersonParams,
+    _l2_logs,
+    _lp_logs,
     cp_classify,
     cp_params,
     l2_params,
     log_threshold,
+    lp_epsilon,
     lp_params,
 )
 from .radial import (RadialProfile, _log_u_integral, gaussian_log_product, gaussian_profile,
@@ -53,17 +59,22 @@ ENDPOINT_DELTAS = (1e-3, 1e-6, 1e-12, 1e-24)
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    d: int
+class Sweep:
+    """A dimension sweep at exponent p as columns, one entry per d of the d column: ln of
+    the method's bound, of the Gaussian product and of the claimed floor, and one column
+    per flag, True or False where the flag is tested at that d and None where it is not."""
+
     p: float
-    method_log_bound: float
-    gaussian_log_product: float
-    claimed_floor_log: float
-    flags: dict[str, bool]
+    d: tuple[int, ...]
+    method_log_bound: tuple[float, ...]
+    gaussian_log_product: tuple[float, ...]
+    claimed_floor_log: tuple[float, ...]
+    flags: dict[str, tuple[bool | None, ...]]
 
     @property
-    def satisfied(self) -> bool:
-        return all(self.flags.values())
+    def satisfied(self) -> tuple[bool, ...]:
+        """Per d: every flag tested at d holds."""
+        return tuple(False not in at_d for at_d in zip(*self.flags.values()))
 
 
 def fit_log_slope(ds, log_vals) -> float | None:
@@ -77,77 +88,103 @@ def fit_log_slope(ds, log_vals) -> float | None:
     return float(coeffs[0])
 
 
-def _sweep(p: float, d_max: int, bundle, flags) -> list[SweepRow]:
-    """Rows d = 1..d_max at exponent p: bundle(d)'s method bound, the Gaussian product, and
-    the (claimed floor log, flags) pair of flags(d, params, gauss_log)."""
+# the names of the closed-form tuples of params._l2_logs and _lp_logs, in their order
+_LOG_FIELDS = tuple(f.name for f in fields(WigdersonParams))[3:]
+
+
+def _dimensions(d_max) -> range:
+    """d = 1..d_max of a public sweep, for an integer d_max in 1..1000."""
+    if isinstance(d_max, bool) or not isinstance(d_max, int):
+        raise ValueError(f"d_max must be an integer 1..1000, got {d_max!r}")
     if not 1 <= d_max <= 1000:
         raise ValueError(f"d_max must be 1..1000, got {d_max}")
-    rows = []
-    for d in range(1, d_max + 1):
-        params = bundle(d)
-        gauss_log = gaussian_log_product(d, p)
-        floor_log, row_flags = flags(d, params, gauss_log)
-        rows.append(SweepRow(d, p, params.log_bound, gauss_log, floor_log, row_flags))
-    return rows
+    return range(1, d_max + 1)
 
 
-def heisenberg_sweep(d_max: int) -> list[SweepRow]:
+def _sweep(p: float, ds, logs, rule) -> Sweep:
+    """One pass over the ascending dimensions ds at exponent p: the closed-form tuple
+    logs(d) and the Gaussian product at each d.  rule(ds, columns, gauss) gives the claimed
+    floor's column and the flag columns from the d column, the tuples' columns by their
+    _LOG_FIELDS name and the Gaussian column."""
+    ds = tuple(ds)
+    rows, gauss = [], []
+    for d in ds:
+        rows.append(logs(d))
+        gauss.append(gaussian_log_product(d, p))
+    columns = dict(zip(_LOG_FIELDS, zip(*rows)))
+    floor, flags = rule(ds, columns, gauss)
+    return Sweep(p, ds, columns["log_bound"], tuple(gauss), tuple(floor), flags)
+
+
+def heisenberg_sweep(d_max: int) -> Sweep:
     """Method bound vs the sharp Gaussian value d^2/(16 pi^2) for d = 1..d_max; flags: floor
     1e-10 d^2 <= bound <= Gaussian value, quotient (c_d / omega_{d-1})^{2/(d+1)} >= 1e-5 d."""
-    def flags(d, params, gauss_log):
-        floor_log = 2.0 * math.log(d) - 10.0 * math.log(10.0)
-        quotient_log = (2.0 / (d + 1)) * (params.log_c_d - params.log_sphere_area)
-        return floor_log, {
-            "floor": params.log_bound >= floor_log,
-            "below_sharp": params.log_bound <= gauss_log,
-            "quotient": quotient_log >= math.log(d) - 5.0 * math.log(10.0),
+    return _heisenberg_sweep(_dimensions(d_max))
+
+
+def _heisenberg_sweep(ds) -> Sweep:
+    def rule(ds, columns, gauss):
+        bounds = columns["log_bound"]
+        floor = [2.0 * math.log(d) - 10.0 * math.log(10.0) for d in ds]
+        quotient = [(2.0 / (d + 1)) * (log_c - log_omega) >= math.log(d) - 5.0 * math.log(10.0)
+                    for d, log_c, log_omega in zip(ds, columns["log_c_d"],
+                                                   columns["log_sphere_area"])]
+        return floor, {
+            "floor": tuple(map(operator.ge, bounds, floor)),
+            "below_sharp": tuple(map(operator.le, bounds, gauss)),
+            "quotient": tuple(quotient),
         }
 
-    return _sweep(2.0, d_max, l2_params, flags)
+    return _sweep(2.0, ds, _l2_logs, rule)
 
 
-def stable_onset(rows: list[SweepRow]) -> int | None:
-    """Smallest d0 such that every row with d >= d0 satisfies all flags."""
+def stable_onset(sweep: Sweep) -> int | None:
+    """Smallest d0 of the d column such that every d >= d0 satisfies all flags."""
     d0 = None
-    for row in reversed(rows):
-        if row.satisfied:
-            d0 = row.d
-        else:
+    for d, ok in zip(reversed(sweep.d), reversed(sweep.satisfied)):
+        if not ok:
             break
+        d0 = d
     return d0
 
 
-def heisenberg_summary(rows: list[SweepRow]) -> dict:
+def heisenberg_summary(sweep: Sweep) -> dict:
     # pass reflects the inequality flags only; the slope is a diagnostic of
     # the fit window and converges to 2 from above as d_max grows
-    d0 = stable_onset(rows)
-    slope = fit_log_slope([r.d for r in rows], [r.method_log_bound for r in rows])
+    d0 = stable_onset(sweep)
+    slope = fit_log_slope(sweep.d, sweep.method_log_bound)
     ok = d0 is not None and d0 <= 10
     return {"d0": d0, "slope": slope, "pass": ok}
 
 
-def lp_sweep(p: float, d_max: int) -> list[SweepRow]:
+def lp_sweep(p: float, d_max: int) -> Sweep:
     """Method and Gaussian bounds for d = 1..d_max at fixed p in (1, 2]; flags: bound <=
     Gaussian value, and beyond d = 50 bound >= C d^p with C calibrated at d = 50."""
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must satisfy 1 < p <= 2 for the growth sweep, got {p}")
-    c1_log = lp_params(50, p).log_bound - p * math.log(50.0) if d_max >= 50 else -math.inf
-
-    def flags(d, params, gauss_log):
-        floor_log = c1_log + p * math.log(d)
-        row_flags = {"below_sharp": params.log_bound <= gauss_log}
-        if d > 50:  # then d_max > 50: the constant is calibrated
-            row_flags["floor"] = params.log_bound >= floor_log - SLACK_TOL
-        return floor_log, row_flags
-
-    return _sweep(p, d_max, lambda d: lp_params(d, p), flags)
+    return _lp_sweep(p, _dimensions(d_max))
 
 
-def lp_summary(rows: list[SweepRow], p: float) -> dict:
-    ds = [r.d for r in rows]
-    slope_method = fit_log_slope(ds, [r.method_log_bound for r in rows])
-    slope_gauss = fit_log_slope(ds, [r.gaussian_log_product for r in rows])
-    ok = all(r.satisfied for r in rows)
+def _lp_sweep(p: float, ds) -> Sweep:
+    c1_log = lp_params(50, p).log_bound - p * math.log(50.0) if ds[-1] >= 50 else -math.inf
+    eps = lp_epsilon(ds[-1], p)  # p/(p - 1) at every d, for p <= 2
+
+    def rule(ds, columns, gauss):
+        bounds = columns["log_bound"]
+        floor = [c1_log + p * math.log(d) for d in ds]
+        flags = {"below_sharp": tuple(map(operator.le, bounds, gauss))}
+        if ds[-1] > 50:  # then the constant is calibrated
+            flags["floor"] = tuple(b >= f - SLACK_TOL if d > 50 else None
+                                   for d, b, f in zip(ds, bounds, floor))
+        return floor, flags
+
+    return _sweep(p, ds, lambda d: _lp_logs(d, p, eps), rule)
+
+
+def lp_summary(sweep: Sweep, p: float) -> dict:
+    slope_method = fit_log_slope(sweep.d, sweep.method_log_bound)
+    slope_gauss = fit_log_slope(sweep.d, sweep.gaussian_log_product)
+    ok = all(sweep.satisfied)
     return {
         "slope_method": slope_method,
         "slope_gaussian": slope_gauss,
@@ -473,20 +510,18 @@ def cp_check(
 # Output
 
 
-def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    """One line a row, as csv.writer writes it: no cell (ints, .17g floats, True/False or
+def write_sweep_csv(sweep: Sweep, path) -> None:
+    """One line a d, as csv.writer writes it: no cell (ints, .17g floats, True/False or
     empty) needs quoting, and lines end in CRLF."""
-    flag_names = sorted({name for row in rows for name in row.flags})
-    lines = [",".join(["d", "p", "method_log_bound", "gaussian_log_product", "claimed_floor_log"]
-                      + flag_names)]
-    for row in rows:
-        lines.append(",".join(
-            [str(row.d), f"{row.p:.17g}", f"{row.method_log_bound:.17g}",
-             f"{row.gaussian_log_product:.17g}", f"{row.claimed_floor_log:.17g}"]
-            + [str(row.flags.get(name, "")) for name in flag_names]
-        ))
+    names = sorted(sweep.flags)
+    flags = [["" if flag is None else flag for flag in sweep.flags[name]] for name in names]
+    line = "%d," + "%.17g" % sweep.p + ",%.17g,%.17g,%.17g" + ",%s" * len(names) + "\r\n"
+    text = "".join(line % row for row in zip(sweep.d, sweep.method_log_bound,
+                                              sweep.gaussian_log_product,
+                                              sweep.claimed_floor_log, *flags))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(["d", "p", "method_log_bound", "gaussian_log_product",
+                           "claimed_floor_log"] + names) + "\r\n" + text)
 
 
 def write_summary_json(summary: dict, path) -> None:

@@ -87,9 +87,10 @@ def _ball_volumes(d_max: int) -> list[float]:
 _BALL_VOLUMES = _ball_volumes(400)
 
 
-def l2_params(d: int) -> WigdersonParams:
-    """The L^2 parameter bundle for dimension d (epsilon = 1 implicitly)."""
-    _check_dimension(d)
+def _l2_logs(d: int) -> tuple[float, ...]:
+    """The L^2 closed forms at d, WigdersonParams' fields after d, p and epsilon: (a, r,
+    s, log_c_d, log_bound, c_d, bound, log_sphere_area).  l2_params wraps them; the sweeps
+    read them as they are."""
     a = 2.0 * (d + 1) / (d + 3)
     r = (d + 3) / (d + 1)
     s = (d + 3) / 2.0
@@ -110,11 +111,13 @@ def l2_params(d: int) -> WigdersonParams:
         log_bound = math.log(bound_lin)
     else:
         bound_lin = math.exp(log_bound)
-    return WigdersonParams(
-        d=d, p=2.0, epsilon=1.0, a=a, r=r, s=s,
-        log_c_d=log_c, log_bound=log_bound, c_d=c_lin, bound=bound_lin,
-        log_sphere_area=geom.log_sphere_area,
-    )
+    return a, r, s, log_c, log_bound, c_lin, bound_lin, geom.log_sphere_area
+
+
+def l2_params(d: int) -> WigdersonParams:
+    """The L^2 parameter bundle for dimension d (epsilon = 1 implicitly)."""
+    _check_dimension(d)
+    return WigdersonParams(d, 2.0, 1.0, *_l2_logs(d))
 
 
 def _critical_exponent(d: int) -> float:
@@ -151,9 +154,8 @@ def lp_epsilon(d: int, p: float) -> float:
     return 0.5 * (lower + upper)
 
 
-def lp_params(d: int, p: float) -> WigdersonParams:
-    """The L^p parameter bundle for (d, p) in the subcritical range."""
-    eps = lp_epsilon(d, p)
+def _lp_logs(d: int, p: float, eps: float) -> tuple[float, ...]:
+    """The L^p closed forms at (d, p) for the admissible eps, in _l2_logs' order."""
     a = p * (d + eps) / (d + eps + p)
     r = p / a
     s = (d + eps + p) / p
@@ -162,12 +164,13 @@ def lp_params(d: int, p: float) -> WigdersonParams:
     log_bound = math.log(0.25) + 2.0 * (r - 1.0) * (
         math.log(eps) + eps * log_c - LOG_2 - geom.log_sphere_area
     )
-    return WigdersonParams(
-        d=d, p=p, epsilon=eps, a=a, r=r, s=s,
-        log_c_d=log_c, log_bound=log_bound,
-        c_d=math.exp(log_c), bound=math.exp(log_bound),
-        log_sphere_area=geom.log_sphere_area,
-    )
+    return a, r, s, log_c, log_bound, math.exp(log_c), math.exp(log_bound), geom.log_sphere_area
+
+
+def lp_params(d: int, p: float) -> WigdersonParams:
+    """The L^p parameter bundle for (d, p) in the subcritical range."""
+    eps = lp_epsilon(d, p)
+    return WigdersonParams(d, p, eps, *_lp_logs(d, p, eps))
 
 
 def primary_up_admissible(a: float, p: float) -> bool:

@@ -66,8 +66,8 @@ def test_criterion_02_sharp_gaussian_constant(capsys):
 
 def test_criterion_03_quadratic_floor_sweep(capsys):
     t0 = time.perf_counter()
-    rows = harness.heisenberg_sweep(500)
-    summary = harness.heisenberg_summary(rows)
+    sweep = harness.heisenberg_sweep(500)
+    summary = harness.heisenberg_summary(sweep)
     elapsed = time.perf_counter() - t0
     ok = (
         summary["d0"] is not None
@@ -86,13 +86,13 @@ def test_criterion_03_quadratic_floor_sweep(capsys):
 
 def test_criterion_04_lp_growth_sweep(capsys):
     t0 = time.perf_counter()
-    rows = harness.lp_sweep(1.5, 500)
-    summary = harness.lp_summary(rows, 1.5)
+    sweep = harness.lp_sweep(1.5, 500)
+    summary = harness.lp_summary(sweep, 1.5)
     elapsed = time.perf_counter() - t0
     ok = (
         1.425 <= summary["slope_method"] <= 1.575
         and 1.425 <= summary["slope_gaussian"] <= 1.575
-        and all(r.satisfied for r in rows)
+        and all(sweep.satisfied)
         and elapsed < 10.0
     )
     _report(

@@ -277,12 +277,25 @@ class TestCowlingPriceCommand:
         (["--d", "2", "--p", "4", "--q", "4", "--theta", "0.5", "--phi", "0.5"], "endpoint", 1),
     ])
     def test_json_output(self, capsys, tmp_path, argv, classification, exit_code):
-        # each class with its verdict; only a feasible tuple's inequality holds
+        # each class with its verdict and its checks; only a feasible tuple's inequality
+        # holds; a violated report adds its slopes, an endpoint report its tail masses
         out_path = tmp_path / "x.json"
         code, _, err = run(capsys, "cowling-price", *argv, "--out", str(out_path))
         assert (code, err) == (exit_code, "")
-        expected = {"classification": classification, "pass": True}
+        d, p, q, theta, phi = (float(x) for x in argv[1::2])
+        report = harness.cp_check(int(d), p, q, theta, phi, seed=0)
+        expected = {"d": int(d), "p": p, "q": q, "theta": theta, "phi": phi, "seed": 0,
+                    "classification": classification, "pass": True,
+                    "holds": classification == "feasible",
+                    "checks": [dataclasses.asdict(check) for check in report.functions]}
+        if classification == "violated":
+            expected.update(predicted_slope=report.predicted_slope,
+                            measured_slope=report.measured_slope)
+        elif classification == "endpoint":
+            expected["log_tail_masses"] = list(report.log_tail_masses)
         assert out_path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        summary = json.loads(out_path.read_text())
+        assert summary["pass"] == all(check["passed"] for check in summary["checks"])
 
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_nonpositive_dimension_usage_error(self, capsys, d):

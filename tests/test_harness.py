@@ -33,6 +33,7 @@ from uplab.grid import (
     random_bump,
 )
 from uplab.params import cp_feasible, l2_params, lp_params
+from uplab.radial import gaussian_log_product
 
 
 def read_sweep_csv(path) -> list[dict]:
@@ -41,36 +42,29 @@ def read_sweep_csv(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _fake_row(d, ok):
-    return harness.SweepRow(
-        d=d,
-        p=2.0,
-        method_log_bound=0.0,
-        gaussian_log_product=0.0,
-        claimed_floor_log=0.0,
-        flags={"floor": ok},
-    )
+def _fake_sweep(oks):
+    ds = tuple(range(1, len(oks) + 1))
+    zeros = (0.0,) * len(ds)
+    return harness.Sweep(p=2.0, d=ds, method_log_bound=zeros, gaussian_log_product=zeros,
+                         claimed_floor_log=zeros, flags={"floor": tuple(oks)})
 
 
 class TestSweeps:
     def test_heisenberg_row_fields(self):
-        rows = harness.heisenberg_sweep(5)
-        assert [r.d for r in rows] == [1, 2, 3, 4, 5]
-        for row in rows:
-            assert row.gaussian_log_product == pytest.approx(
-                math.log(row.d**2 / (16.0 * math.pi**2)), rel=1e-12
-            )
-            assert row.claimed_floor_log == pytest.approx(
-                math.log(row.d**2 * 1e-10), rel=1e-12
-            )
+        sweep = harness.heisenberg_sweep(5)
+        assert sweep.d == (1, 2, 3, 4, 5)
+        for d, gauss, floor in zip(sweep.d, sweep.gaussian_log_product, sweep.claimed_floor_log):
+            assert gauss == pytest.approx(math.log(d**2 / (16.0 * math.pi**2)), rel=1e-12)
+            assert floor == pytest.approx(math.log(d**2 * 1e-10), rel=1e-12)
 
     def test_stable_onset(self):
-        rows = [_fake_row(d, ok) for d, ok in [(1, False), (2, True), (3, True)]]
-        assert harness.stable_onset(rows) == 2
-        rows = [_fake_row(d, True) for d in (1, 2, 3)]
-        assert harness.stable_onset(rows) == 1
-        rows = [_fake_row(d, ok) for d, ok in [(1, True), (2, False)]]
-        assert harness.stable_onset(rows) is None
+        assert harness.stable_onset(_fake_sweep([False, True, True])) == 2
+        assert harness.stable_onset(_fake_sweep([True, True, True])) == 1
+        assert harness.stable_onset(_fake_sweep([True, False])) is None
+        # an untested flag (None) holds; the onset is read from the d column
+        sweep = dataclasses.replace(_fake_sweep([False, None, True]), d=(5, 50, 51))
+        assert sweep.satisfied == (False, True, True)
+        assert harness.stable_onset(sweep) == 50
 
     def test_fit_log_slope_recovers_powers(self):
         ds = np.arange(1, 201)
@@ -81,10 +75,11 @@ class TestSweeps:
         assert harness.fit_log_slope([10, 50], [0.0, 1.0]) is None
 
     def test_lp_gaussian_column_matches_heisenberg_at_p2(self):
-        h_rows = harness.heisenberg_sweep(60)
-        lp_rows = harness.lp_sweep(2.0, 60)
-        for hr, lr in zip(h_rows, lp_rows):
-            assert abs(hr.gaussian_log_product - lr.gaussian_log_product) <= 1e-12
+        h_gauss = harness.heisenberg_sweep(60).gaussian_log_product
+        lp_gauss = harness.lp_sweep(2.0, 60).gaussian_log_product
+        assert len(h_gauss) == len(lp_gauss) == 60
+        for h, lp in zip(h_gauss, lp_gauss):
+            assert abs(h - lp) <= 1e-12
 
     def test_lp_sweep_validation(self):
         with pytest.raises(ValueError):
@@ -94,10 +89,15 @@ class TestSweeps:
         with pytest.raises(ValueError):
             harness.heisenberg_sweep(1001)
 
+    @pytest.mark.parametrize("d_max", [10.5, 5.0, "5", True, False, None, [5]])
+    def test_non_integer_d_max_is_one_line(self, d_max):
+        for sweep in (harness.heisenberg_sweep, lambda d_max: harness.lp_sweep(1.5, d_max)):
+            with pytest.raises(ValueError, match=r"^d_max must be an integer 1\.\.1000, got "):
+                sweep(d_max)
+
     def test_sweep_csv_deterministic(self, tmp_path):
-        rows = harness.heisenberg_sweep(20)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        harness.write_sweep_csv(rows, p1)
+        harness.write_sweep_csv(harness.heisenberg_sweep(20), p1)
         harness.write_sweep_csv(harness.heisenberg_sweep(20), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -109,30 +109,81 @@ class TestSweeps:
         *[(harness.lp_sweep, (p, n)) for p in (1.2, 1.5, 2.0) for n in (30, 500)],
     ])
     def test_sweep_csv_same_bytes_as_csv_writer(self, tmp_path, sweep, args):
-        rows = sweep(*args)
-        flag_names = sorted({name for row in rows for name in row.flags})
+        # the %-format line against csv.writer and f-strings, one row a d
+        sweep = sweep(*args)
+        flag_names = sorted(sweep.flags)
         with open(tmp_path / "reference.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["d", "p", "method_log_bound", "gaussian_log_product",
                              "claimed_floor_log"] + flag_names)
-            for row in rows:
+            for i, d in enumerate(sweep.d):
+                flags = [sweep.flags[name][i] for name in flag_names]
                 writer.writerow(
-                    [row.d, f"{row.p:.17g}", f"{row.method_log_bound:.17g}",
-                     f"{row.gaussian_log_product:.17g}", f"{row.claimed_floor_log:.17g}"]
-                    + [str(row.flags.get(name, "")) for name in flag_names]
+                    [d, f"{sweep.p:.17g}", f"{sweep.method_log_bound[i]:.17g}",
+                     f"{sweep.gaussian_log_product[i]:.17g}",
+                     f"{sweep.claimed_floor_log[i]:.17g}"]
+                    + ["" if flag is None else str(flag) for flag in flags]
                 )
-        harness.write_sweep_csv(rows, tmp_path / "sweep.csv")
+        harness.write_sweep_csv(sweep, tmp_path / "sweep.csv")
         assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_sweep_csv_round_trip(self, tmp_path):
-        rows = harness.heisenberg_sweep(10)
+        sweep = harness.heisenberg_sweep(10)
         path = tmp_path / "sweep.csv"
-        harness.write_sweep_csv(rows, path)
+        harness.write_sweep_csv(sweep, path)
         parsed = read_sweep_csv(path)
         assert len(parsed) == 10
-        for row, rec in zip(rows, parsed):
-            assert int(rec["d"]) == row.d
-            assert float(rec["method_log_bound"]) == row.method_log_bound
+        for d, log_bound, rec in zip(sweep.d, sweep.method_log_bound, parsed):
+            assert int(rec["d"]) == d
+            assert float(rec["method_log_bound"]) == log_bound
+
+    @pytest.mark.parametrize("p", [None, 1.2, 1.5, 2.0])
+    def test_sweep_over_listed_dimensions(self, p):
+        # a sweep over a list of d has, at each of them, the bits of the full sweep
+        ds = [1, 2, 5, 50, 51, 100, 500]
+        if p is None:
+            full, part = harness.heisenberg_sweep(500), harness._heisenberg_sweep(ds)
+        else:
+            full, part = harness.lp_sweep(p, 500), harness._lp_sweep(p, ds)
+        at = [d - 1 for d in ds]
+        assert part.d == tuple(ds) and part.p == full.p
+        for name in ("method_log_bound", "gaussian_log_product", "claimed_floor_log"):
+            assert getattr(part, name) == tuple(getattr(full, name)[i] for i in at), name
+        assert part.flags == {name: tuple(column[i] for i in at)
+                              for name, column in full.flags.items()}
+        # the onset and the slopes read the d column
+        assert harness.stable_onset(part) == 1
+        assert harness.fit_log_slope(part.d, part.method_log_bound) == harness.fit_log_slope(
+            ds, [full.method_log_bound[i] for i in at])
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
+    def test_columns_have_the_bundles_bits(self, p):
+        # each quantity in one place: every column is the bundle's, the flags the rules
+        # recomputed from the bundles, d = 1..1000
+        ds = range(1, 1001)
+        h, lp = harness.heisenberg_sweep(1000), harness.lp_sweep(p, 1000)
+        l2, lpb = [l2_params(d) for d in ds], [lp_params(d, p) for d in ds]
+        assert h.d == lp.d == tuple(ds)
+        assert h.method_log_bound == tuple(b.log_bound for b in l2)
+        assert lp.method_log_bound == tuple(b.log_bound for b in lpb)
+        assert h.gaussian_log_product == tuple(gaussian_log_product(d, 2.0) for d in ds)
+        assert lp.gaussian_log_product == tuple(gaussian_log_product(d, p) for d in ds)
+        h_floor = tuple(2.0 * math.log(d) - 10.0 * math.log(10.0) for d in ds)
+        assert h.claimed_floor_log == h_floor
+        assert h.flags == {
+            "floor": tuple(b.log_bound >= f for b, f in zip(l2, h_floor)),
+            "below_sharp": tuple(b.log_bound <= g for b, g in zip(l2, h.gaussian_log_product)),
+            "quotient": tuple((2.0 / (d + 1)) * (b.log_c_d - b.log_sphere_area)
+                              >= math.log(d) - 5.0 * math.log(10.0) for d, b in zip(ds, l2)),
+        }
+        c1_log = lp_params(50, p).log_bound - p * math.log(50.0)
+        lp_floor = tuple(c1_log + p * math.log(d) for d in ds)
+        assert lp.claimed_floor_log == lp_floor
+        assert lp.flags == {
+            "below_sharp": tuple(b.log_bound <= g for b, g in zip(lpb, lp.gaussian_log_product)),
+            "floor": tuple(b.log_bound >= f - harness.SLACK_TOL if d > 50 else None
+                           for d, b, f in zip(ds, lpb, lp_floor)),
+        }
 
     def test_summary_json(self, tmp_path):
         path = tmp_path / "summary.json"

@@ -321,6 +321,25 @@ class TestDimensionConstantsOnce:
         harness.lp_sweep(1.5, 60)
         assert calls == [50] + list(range(1, 61))  # the floor's calibration at d = 50
 
+    def test_sweeps_build_no_bundle_per_row(self, monkeypatch):
+        # a sweep reads the closed forms as plain tuples: it builds no WigdersonParams but
+        # lp's calibration at d = 50
+        built, bundle = [], params_module.WigdersonParams
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return bundle(*args, **kwargs)
+
+        monkeypatch.setattr(params_module, "WigdersonParams", counting)
+        l2_params(7)
+        lp_params(7, 1.5)
+        assert built == [7, 7]
+        built.clear()
+        harness.heisenberg_sweep(500)
+        assert built == []
+        harness.lp_sweep(1.5, 500)
+        assert built == [50]
+
     @pytest.mark.parametrize("d", [1, 2, 399, 400, 10**6])
     def test_carries_sphere_area_bits(self, d):
         expected = dimension_constants(d).log_sphere_area
