@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every checked inequality holds, 1 when a check fails,
 2 on usage errors, argparse's among them.  CSV output uses '.' decimals and 17
-significant digits so runs are reproducible across platforms.  A check's sides, the
+significant digits so runs are reproducible across platforms; JSON reports are strict, a
+non-finite number written as the string "inf", "-inf" or "nan".  A check's sides, the
 endpoint masses and the uncertainty products are held as logs and printed as numbers
 while they are normal floats, else as e^<ln>; a slack beyond the floats prints as lhs / rhs,
 e^<ln lhs - ln rhs>.  stderr holds one line: the usage error (error: ...), else one
@@ -17,7 +18,6 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 from . import counterexamples as cx
@@ -49,14 +49,17 @@ def _slack_text(check: harness.Check, spec: str) -> str:
     return _side_text(check.log_lhs - check.log_rhs)
 
 
+def _write_sweep(args, sweep: harness.Sweep, summary: dict) -> None:
+    if args.out and args.format == "csv":
+        harness.write_sweep_csv(sweep, args.out)
+    elif args.out:
+        harness.write_summary_json(summary, args.out)
+
+
 def _cmd_heisenberg(args) -> int:
     sweep = harness.heisenberg_sweep(args.d_max)
     summary = harness.heisenberg_summary(sweep)
-    if args.out:
-        if args.format == "csv":
-            harness.write_sweep_csv(sweep, args.out)
-        else:
-            harness.write_summary_json(summary, args.out)
+    _write_sweep(args, sweep, summary)
     print(f"heisenberg sweep d=1..{args.d_max}: d0={summary['d0']} "
           f"slope={summary['slope']} pass={summary['pass']}")
     return 0 if summary["pass"] else 1
@@ -65,11 +68,7 @@ def _cmd_heisenberg(args) -> int:
 def _cmd_lp(args) -> int:
     sweep = harness.lp_sweep(args.p, args.d_max)
     summary = harness.lp_summary(sweep, args.p)
-    if args.out:
-        if args.format == "csv":
-            harness.write_sweep_csv(sweep, args.out)
-        else:
-            harness.write_summary_json(summary, args.out)
+    _write_sweep(args, sweep, summary)
     print(f"lp sweep p={args.p} d=1..{args.d_max}: "
           f"slope_method={_slope_text(summary['slope_method'])} "
           f"slope_gaussian={_slope_text(summary['slope_gaussian'])} pass={summary['pass']}")
@@ -155,16 +154,8 @@ def _cmd_chain(args) -> int:
         print(f"  {link.name:<18} lhs={_side_text(link.log_lhs)} rhs={_side_text(link.log_rhs)} "
               f"slack={_slack_text(link, '+.3e')} pass={link.passed}")
     if args.out:
-        harness.write_summary_json(
-            {
-                "d": args.d,
-                "p": args.p,
-                "log_threshold": report.log_threshold,
-                "links": [asdict(link) for link in report.links],
-                "pass": report.passed,
-            },
-            args.out,
-        )
+        harness.write_summary_json({"d": args.d, "p": args.p, "log_threshold": report.log_threshold,
+                                    "links": report.links, "pass": report.passed}, args.out)
     print(f"chain check d={args.d} p={args.p}: pass={report.passed}")
     return 0 if report.passed else 1
 

@@ -3,17 +3,18 @@ inequality chains, and the Cowling-Price trichotomy pipeline.
 
 Every pass/fail rule lives here, each verdict a Check but for the sweeps' flag columns;
 the CLI only maps a verdict to an exit code.
-A sweep is one deterministic pass over its dimensions that fills columns (a Sweep): the
-method's closed forms as plain tuples (params._l2_logs, _lp_logs), no bundle per d, the
-Gaussian product, the claimed floor and one bool-or-None column per flag.  Summaries report
-the first dimension d0 from which every flag holds and least-squares slopes of ln(bound)
-against ln(d) (window start 50 avoids small-d transients).
+A sweep is columns over its dimensions (a Sweep), each closed form one call that loops over
+them, with no bundle or record per d: the sphere and ball constants, the method's closed
+forms and the Gaussian product; then the claimed floor and one bool-or-None column per flag.
+Summaries report the first dimension d0 from which every flag holds and least-squares slopes
+of ln(bound) against ln(d) (window start 50 avoids small-d transients).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass, field, fields
 
@@ -39,18 +40,18 @@ from .grid import (
 )
 from .params import (
     WigdersonParams,
-    _l2_logs,
-    _lp_logs,
     cp_classify,
     cp_params,
+    l2_columns,
     l2_params,
     log_threshold,
+    lp_columns,
     lp_epsilon,
     lp_params,
 )
-from .radial import (RadialProfile, _log_u_integral, gaussian_log_product, gaussian_profile,
+from .radial import (RadialProfile, _log_u_integral, gaussian_log_products, gaussian_profile,
                      radial_weighted_norm)
-from .specialfn import LOG_2, LOG_MAX
+from .specialfn import LOG_2, LOG_MAX, dimension_logs
 
 SLACK_TOL = 1e-6
 SLOPE_RTOL = 0.1
@@ -84,11 +85,10 @@ def fit_log_slope(ds, log_vals) -> float | None:
     mask = ds >= SLOPE_FIT_MIN_D
     if mask.sum() < 2:
         return None
-    coeffs = np.polyfit(np.log(ds[mask]), log_vals[mask], 1)
-    return float(coeffs[0])
+    return float(np.polyfit(np.log(ds[mask]), log_vals[mask], 1)[0])
 
 
-# the names of the closed-form tuples of params._l2_logs and _lp_logs, in their order
+# the names of the closed-form columns of params.l2_columns and lp_columns, in their order
 _LOG_FIELDS = tuple(f.name for f in fields(WigdersonParams))[3:]
 
 
@@ -101,19 +101,20 @@ def _dimensions(d_max) -> range:
     return range(1, d_max + 1)
 
 
-def _sweep(p: float, ds, logs, rule) -> Sweep:
-    """One pass over the ascending dimensions ds at exponent p: the closed-form tuple
-    logs(d) and the Gaussian product at each d.  rule(ds, columns, gauss) gives the claimed
-    floor's column and the flag columns from the d column, the tuples' columns by their
-    _LOG_FIELDS name and the Gaussian column."""
+def _sweep(p: float, ds, closed_forms, rule) -> Sweep:
+    """The columns over the ascending integer dimensions ds (numpy's too, no bool) at p, each
+    from one call: dimension_logs, closed_forms(ds, log_areas, log_volumes) and the Gaussian
+    product.  rule(ds, columns, gauss) gives the claimed floor's and the flags' columns from
+    the d column, the closed forms' columns by their _LOG_FIELDS name and the Gaussian's."""
     ds = tuple(ds)
-    rows, gauss = [], []
-    for d in ds:
-        rows.append(logs(d))
-        gauss.append(gaussian_log_product(d, p))
-    columns = dict(zip(_LOG_FIELDS, zip(*rows)))
+    if not set(map(type, ds)) <= {int}:
+        if bad := [d for d in ds if isinstance(d, bool) or not isinstance(d, numbers.Integral)]:
+            raise ValueError(f"dimensions must be integers, got {bad[0]!r}")
+        ds = tuple(map(int, ds))
+    columns = dict(zip(_LOG_FIELDS, closed_forms(ds, *dimension_logs(ds))))
+    gauss = tuple(gaussian_log_products(ds, p))
     floor, flags = rule(ds, columns, gauss)
-    return Sweep(p, ds, columns["log_bound"], tuple(gauss), tuple(floor), flags)
+    return Sweep(p, ds, columns["log_bound"], gauss, tuple(floor), flags)
 
 
 def heisenberg_sweep(d_max: int) -> Sweep:
@@ -124,18 +125,19 @@ def heisenberg_sweep(d_max: int) -> Sweep:
 
 def _heisenberg_sweep(ds) -> Sweep:
     def rule(ds, columns, gauss):
-        bounds = columns["log_bound"]
-        floor = [2.0 * math.log(d) - 10.0 * math.log(10.0) for d in ds]
-        quotient = [(2.0 / (d + 1)) * (log_c - log_omega) >= math.log(d) - 5.0 * math.log(10.0)
-                    for d, log_c, log_omega in zip(ds, columns["log_c_d"],
-                                                   columns["log_sphere_area"])]
+        bounds, log_ds = columns["log_bound"], [math.log(d) for d in ds]
+        floor_shift, quotient_shift = 10.0 * math.log(10.0), 5.0 * math.log(10.0)
+        floor = [2.0 * log_d - floor_shift for log_d in log_ds]
+        quotient = [(2.0 / (d + 1)) * (log_c - log_omega) >= log_d - quotient_shift
+                    for d, log_d, log_c, log_omega in zip(ds, log_ds, columns["log_c_d"],
+                                                          columns["log_sphere_area"])]
         return floor, {
             "floor": tuple(map(operator.ge, bounds, floor)),
             "below_sharp": tuple(map(operator.le, bounds, gauss)),
             "quotient": tuple(quotient),
         }
 
-    return _sweep(2.0, ds, _l2_logs, rule)
+    return _sweep(2.0, ds, l2_columns, rule)
 
 
 def stable_onset(sweep: Sweep) -> int | None:
@@ -152,9 +154,8 @@ def heisenberg_summary(sweep: Sweep) -> dict:
     # pass reflects the inequality flags only; the slope is a diagnostic of
     # the fit window and converges to 2 from above as d_max grows
     d0 = stable_onset(sweep)
-    slope = fit_log_slope(sweep.d, sweep.method_log_bound)
-    ok = d0 is not None and d0 <= 10
-    return {"d0": d0, "slope": slope, "pass": ok}
+    return {"d0": d0, "slope": fit_log_slope(sweep.d, sweep.method_log_bound),
+            "pass": d0 is not None and d0 <= 10}
 
 
 def lp_sweep(p: float, d_max: int) -> Sweep:
@@ -178,19 +179,13 @@ def _lp_sweep(p: float, ds) -> Sweep:
                                    for d, b, f in zip(ds, bounds, floor))
         return floor, flags
 
-    return _sweep(p, ds, lambda d: _lp_logs(d, p, eps), rule)
+    return _sweep(p, ds, lambda ds, *logs: lp_columns(ds, *logs, p, eps), rule)
 
 
 def lp_summary(sweep: Sweep, p: float) -> dict:
-    slope_method = fit_log_slope(sweep.d, sweep.method_log_bound)
-    slope_gauss = fit_log_slope(sweep.d, sweep.gaussian_log_product)
-    ok = all(sweep.satisfied)
-    return {
-        "slope_method": slope_method,
-        "slope_gaussian": slope_gauss,
-        "p": p,
-        "pass": ok,
-    }
+    return {"slope_method": fit_log_slope(sweep.d, sweep.method_log_bound),
+            "slope_gaussian": fit_log_slope(sweep.d, sweep.gaussian_log_product),
+            "p": p, "pass": all(sweep.satisfied)}
 
 
 def sharpness_summary(d: int, p: float, c_values: list[float]) -> dict:
@@ -524,7 +519,19 @@ def write_sweep_csv(sweep: Sweep, path) -> None:
                            "claimed_floor_log"] + names) + "\r\n" + text)
 
 
+def _strict(value):
+    """value for strict JSON: a Check as its dict, a non-finite float as "inf", "-inf", "nan"."""
+    if isinstance(value, Check):
+        value = asdict(value)
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_summary_json(summary: dict, path) -> None:
+    """The report as strict JSON (RFC 8259): no NaN or Infinity, as _strict writes them."""
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=asdict)  # Checks as dicts
+        json.dump(_strict(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

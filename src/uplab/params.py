@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specialfn import LOG_2, DimensionConstants, _check_dimension, dimension_constants
+from .specialfn import LOG_2, _check_dimension, dimension_constants
 
 EQ_TOL = 1e-12
 
@@ -71,9 +71,9 @@ class CowlingPriceParams:
     log_bound: float
 
 
-def _log_c_d(geom: DimensionConstants, s: float) -> float:
+def _log_c_d(d: int, log_ball_volume: float, s: float) -> float:
     # half-mass normalization (c_d^d v_d)^{1/s} = 1/2
-    return (-s * LOG_2 - geom.log_ball_volume) / geom.d
+    return (-s * LOG_2 - log_ball_volume) / d
 
 
 def _ball_volumes(d_max: int) -> list[float]:
@@ -87,37 +87,44 @@ def _ball_volumes(d_max: int) -> list[float]:
 _BALL_VOLUMES = _ball_volumes(400)
 
 
-def _l2_logs(d: int) -> tuple[float, ...]:
-    """The L^2 closed forms at d, WigdersonParams' fields after d, p and epsilon: (a, r,
-    s, log_c_d, log_bound, c_d, bound, log_sphere_area).  l2_params wraps them; the sweeps
-    read them as they are."""
-    a = 2.0 * (d + 1) / (d + 3)
-    r = (d + 3) / (d + 1)
-    s = (d + 3) / 2.0
+def _at(d: int, columns, *args) -> tuple[float, ...]:
+    """Row d of columns(ds, log_areas, log_volumes, *args), from dimension_constants(d)."""
     geom = dimension_constants(d)
-    log_c = _log_c_d(geom, s)
-    log_bound = math.log(1.0 / 16.0) + (2.0 / (d + 1)) * 2.0 * (log_c - geom.log_sphere_area)
-    v = _BALL_VOLUMES[d] if d < len(_BALL_VOLUMES) else math.inf  # inf: the log path
-    c_lin = (0.5**s / v) ** (1.0 / d) if 0 < v < math.inf else math.nan
-    bound_lin = math.nan
-    if math.isfinite(c_lin) and c_lin > 0:
-        log_c = math.log(c_lin)
-        omega_sq = (d * v) ** 2
-        if omega_sq > 0 and math.isfinite(omega_sq):
-            bound_lin = (1.0 / 16.0) * (c_lin * c_lin / omega_sq) ** (2.0 / (d + 1))
-    else:
-        c_lin = math.exp(log_c)
-    if math.isfinite(bound_lin) and bound_lin > 0:
-        log_bound = math.log(bound_lin)
-    else:
-        bound_lin = math.exp(log_bound)
-    return a, r, s, log_c, log_bound, c_lin, bound_lin, geom.log_sphere_area
+    return next(zip(*columns((d,), (geom.log_sphere_area,), (geom.log_ball_volume,), *args)))
+
+
+def l2_columns(ds, log_areas, log_volumes) -> tuple[tuple[float, ...], ...]:
+    """The L^2 closed forms over the dimensions ds, from their ln omega_{d-1} and ln v_d
+    columns (specialfn.dimension_logs): one column for each of WigdersonParams' fields
+    after d, p and epsilon, (a, r, s, log_c_d, log_bound, c_d, bound, log_sphere_area)."""
+    log_16th, rows = math.log(1.0 / 16.0), []
+    for d, log_omega, log_vol in zip(ds, log_areas, log_volumes):
+        a = 2.0 * (d + 1) / (d + 3)
+        r = (d + 3) / (d + 1)
+        s = (d + 3) / 2.0
+        c_lin = bound_lin = math.nan  # linear while v_d is a positive float
+        if d < len(_BALL_VOLUMES) and (v := _BALL_VOLUMES[d]) > 0:
+            c_lin = (0.5**s / v) ** (1.0 / d)
+        if 0 < c_lin < math.inf:
+            log_c = math.log(c_lin)
+            omega_sq = (d * v) ** 2
+            if 0 < omega_sq < math.inf:
+                bound_lin = (1.0 / 16.0) * (c_lin * c_lin / omega_sq) ** (2.0 / (d + 1))
+        if 0 < bound_lin < math.inf:
+            log_bound = math.log(bound_lin)
+        else:  # the log path, from the log path's ln c_d
+            log_c_d = _log_c_d(d, log_vol, s)
+            log_bound = log_16th + (2.0 / (d + 1)) * 2.0 * (log_c_d - log_omega)
+            bound_lin = math.exp(log_bound)
+            if not 0 < c_lin < math.inf:
+                log_c, c_lin = log_c_d, math.exp(log_c_d)
+        rows.append((a, r, s, log_c, log_bound, c_lin, bound_lin, log_omega))
+    return tuple(zip(*rows))
 
 
 def l2_params(d: int) -> WigdersonParams:
     """The L^2 parameter bundle for dimension d (epsilon = 1 implicitly)."""
-    _check_dimension(d)
-    return WigdersonParams(d, 2.0, 1.0, *_l2_logs(d))
+    return WigdersonParams(d, 2.0, 1.0, *_at(d, l2_columns))
 
 
 def _critical_exponent(d: int) -> float:
@@ -154,23 +161,24 @@ def lp_epsilon(d: int, p: float) -> float:
     return 0.5 * (lower + upper)
 
 
-def _lp_logs(d: int, p: float, eps: float) -> tuple[float, ...]:
-    """The L^p closed forms at (d, p) for the admissible eps, in _l2_logs' order."""
-    a = p * (d + eps) / (d + eps + p)
-    r = p / a
-    s = (d + eps + p) / p
-    geom = dimension_constants(d)
-    log_c = _log_c_d(geom, s)
-    log_bound = math.log(0.25) + 2.0 * (r - 1.0) * (
-        math.log(eps) + eps * log_c - LOG_2 - geom.log_sphere_area
-    )
-    return a, r, s, log_c, log_bound, math.exp(log_c), math.exp(log_bound), geom.log_sphere_area
+def lp_columns(ds, log_areas, log_volumes, p: float, eps: float) -> tuple[tuple[float, ...], ...]:
+    """The L^p closed forms over the dimensions ds at p, for an eps admissible at each d, in
+    l2_columns' order and from the same constants."""
+    log_quarter, log_eps, rows = math.log(0.25), math.log(eps), []
+    for d, log_omega, log_vol in zip(ds, log_areas, log_volumes):
+        a = p * (d + eps) / (d + eps + p)
+        r = p / a
+        s = (d + eps + p) / p
+        log_c = _log_c_d(d, log_vol, s)
+        log_bound = log_quarter + 2.0 * (r - 1.0) * (log_eps + eps * log_c - LOG_2 - log_omega)
+        rows.append((a, r, s, log_c, log_bound, math.exp(log_c), math.exp(log_bound), log_omega))
+    return tuple(zip(*rows))
 
 
 def lp_params(d: int, p: float) -> WigdersonParams:
     """The L^p parameter bundle for (d, p) in the subcritical range."""
     eps = lp_epsilon(d, p)
-    return WigdersonParams(d, p, eps, *_lp_logs(d, p, eps))
+    return WigdersonParams(d, p, eps, *_at(d, lp_columns, p, eps))
 
 
 def primary_up_admissible(a: float, p: float) -> bool:
@@ -243,7 +251,7 @@ def cp_params(d: int, p: float, q: float, theta: float, phi: float) -> CowlingPr
     b = theta * p / r1
     b_t = phi * q / r1_t
     geom = dimension_constants(d)
-    log_c = _log_c_d(geom, s)
+    log_c = _log_c_d(d, geom.log_ball_volume, s)
     log_omega = geom.log_sphere_area
     log_bound = (1.0 / (a * s1)) * (
         math.log(eps) + eps * log_c - s1 * LOG_2 - log_omega

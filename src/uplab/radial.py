@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import LOG_2, _check_dimension, _log_gamma_ratio, dimension_constants, log_gamma
+from .specialfn import LOG_2, _check_dimension, _log_gamma_ratios, dimension_constants, log_gamma
 
 TRAPEZOID_RTOL = 1e-13
 # an integer power of a mixture is expanded while it has at most this many Gaussians
@@ -203,16 +203,16 @@ def _log_trapezoid(terms, k: float, p: float, ref: int, moments):
     return [sums(*s, (m,))[0] for s, m in zip(spans, moments)]
 
 
-def _log_one_term_ratio(x: float, a: float, rate: float) -> float:
-    """ln Gamma(x + a) - ln Gamma(x) - a ln(2 pi a rate), the log mean of r^{2a} under
-    r^{2x-1} e^{-2 pi a rate r^2}; from a ~ 2.5e305 on, where that leaves the floats, by
-    Stirling's formula for Gamma(x + a) summed per unit a."""
-    log_ratio = _log_gamma_ratio(x, a) - a * math.log(math.pi * (2.0 * a) * rate)
-    if math.isfinite(log_ratio):
-        return log_ratio
+def _log_one_term_ratios(xs, a: float, rate: float) -> list[float]:
+    """ln Gamma(x + a) - ln Gamma(x) - a ln(2 pi a rate) for each x of xs, the log mean of
+    r^{2a} under r^{2x-1} e^{-2 pi a rate r^2}; from a ~ 2.5e305 on, where that leaves the
+    floats, by Stirling's formula for Gamma(x + a) summed per unit a."""
+    log_scale = a * math.log(math.pi * (2.0 * a) * rate)
     log_2pi = math.log(2.0 * math.pi)
-    return a * (math.log1p(x / a) - log_2pi - 1.0 - math.log(rate)
-                + ((x - 0.5) * math.log(x + a) - x + 0.5 * log_2pi - log_gamma(x)) / a)
+    return [r if math.isfinite(r := log_ratio - log_scale) else a * (
+        math.log1p(x / a) - log_2pi - 1.0 - math.log(rate)
+        + ((x - 0.5) * math.log(x + a) - x + 0.5 * log_2pi - log_gamma(x)) / a)
+        for x, log_ratio in zip(xs, _log_gamma_ratios(xs, a))]
 
 
 def _log_moments(terms, k: float, p: float, m: float = 0.0) -> tuple[float, float]:
@@ -241,7 +241,7 @@ def _log_moments(terms, k: float, p: float, m: float = 0.0) -> tuple[float, floa
         log_c, rate = terms[0]
         log_mass = p * log_c + log_gamma_half - half * math.log(math.pi * p * rate) - LOG_2
         # rate * (p / m) is rate itself at m = p
-        return log_mass, _log_one_term_ratio(half, a, rate * (p / m)) if m else 0.0
+        return log_mass, _log_one_term_ratios((half,), a, rate * (p / m))[0] if m else 0.0
     if (expansion := _expansion(terms, p)) is not None:
         log_coef, rates = expansion
         # a log mass beyond the floats (k ~ 1e308) gives a NaN mean, which the callers refuse
@@ -256,8 +256,8 @@ def _log_moments(terms, k: float, p: float, m: float = 0.0) -> tuple[float, floa
             shifted = log_masses - log_masses[ref]
             log_mean = (_logsumexp(shifted - a * (log_pi_rates - log_pi_rates[ref]))
                         - _logsumexp(shifted))
-        return log_mass, (_log_gamma_ratio(half, a) - a * math.log(math.pi * float(rates[ref]))
-                          + float(log_mean))
+        return log_mass, (_log_gamma_ratios((half,), a)[0]
+                          - a * math.log(math.pi * float(rates[ref])) + float(log_mean))
     ref = max(range(len(terms)), key=lambda i: p * terms[i][0] - half * math.log(terms[i][1]))
     log_c_ref, rate = terms[ref]
     quotient = k / (2.0 * math.pi * p * rate)  # one rounded log: k t_ref is O(k ln k)
@@ -301,15 +301,21 @@ def log_moment_ratio(profile: RadialProfile, d: int, p: float) -> float:
     return _log_moments(profile.terms, float(d), p, p)[1]
 
 
-def gaussian_log_product(d: int, p: float) -> float:
-    """ln of V_p(g)/||g||_p^p * V_p(g^)/||g^||_p^p for the standard Gaussian g, self-dual:
-    twice its log_moment_ratio, the one-term ratio at rate 1.  A log beyond the floats
-    raises."""
-    _check_dimension(d)
+def gaussian_log_products(ds, p: float) -> list[float]:
+    """ln of V_p(g)/||g||_p^p * V_p(g^)/||g^||_p^p for the standard Gaussian g over the
+    dimensions ds, self-dual: twice its log_moment_ratio, the one-term ratio at rate 1.  A
+    log beyond the floats raises."""
+    _check_dimension(*ds)
     if not 1 < p < math.inf:
         raise ValueError(f"p must be finite and exceed 1, got {p}")
-    log_product = 2.0 * _log_one_term_ratio(0.5 * d, 0.5 * p, 1.0)
-    if not math.isfinite(log_product):
+    log_products = [2.0 * r for r in _log_one_term_ratios([0.5 * d for d in ds], 0.5 * p, 1.0)]
+    if not all(map(math.isfinite, log_products)):
+        d, log_product = next(pair for pair in zip(ds, log_products) if not math.isfinite(pair[1]))
         raise ValueError(f"the Gaussian uncertainty product at d={d}, p={p:g} has no finite "
                          f"log: ln product = {log_product:.6g}")
-    return log_product
+    return log_products
+
+
+def gaussian_log_product(d: int, p: float) -> float:
+    """gaussian_log_products at the one dimension d."""
+    return gaussian_log_products((d,), p)[0]

@@ -2,7 +2,8 @@
 
 Everything downstream (parameter selection, Gaussian closed forms, dimension
 sweeps) consumes Gamma quotients that overflow in linear arithmetic near
-d ~ 170, so all quantities here are carried as natural logs.
+d ~ 170, so all quantities here are carried as natural logs.  Each is one loop over many
+dimensions that calls math.lgamma directly; dimension_constants reads its one d from it.
 """
 
 from __future__ import annotations
@@ -38,20 +39,22 @@ def _stirling_tail(z: float) -> float:
     return inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
 
 
-def _log_gamma_ratio(x: float, a: float) -> float:
-    """ln Gamma(x + a) - ln Gamma(x) for x > 0 and a >= 0; inf where it leaves the floats.
+def _log_gamma_ratios(xs, a: float) -> list[float]:
+    """ln Gamma(x + a) - ln Gamma(x) for each x > 0 of xs, a >= 0; inf beyond the floats.
 
-    Below _STIRLING_MIN it is the difference of the two log_gamma values; from there
+    Below _STIRLING_MIN it is the difference of the two lgamma values; from there
     Stirling's series gives (x - 1/2) ln(1 + a/x) + a ln(x + a) - a plus the difference of
     the series' tails, whose terms are no larger than a ln(x + a).
     """
-    if x < _STIRLING_MIN:
+    ratios = []
+    for x in xs:
         try:
-            return log_gamma(x + a) - log_gamma(x)
+            ratios.append(math.lgamma(x + a) - math.lgamma(x) if x < _STIRLING_MIN else
+                          (x - 0.5) * math.log1p(a / x) + a * math.log(x + a) - a
+                          + _stirling_tail(x + a) - _stirling_tail(x))
         except OverflowError:  # ln Gamma(x + a) beyond the floats, ln Gamma(x) < 1200
-            return math.inf
-    return ((x - 0.5) * math.log1p(a / x) + a * math.log(x + a) - a
-            + _stirling_tail(x + a) - _stirling_tail(x))
+            ratios.append(math.inf)
+    return ratios
 
 
 @dataclass(frozen=True)
@@ -72,20 +75,30 @@ class DimensionConstants:
         return math.exp(self.log_sphere_area)
 
 
-def _check_dimension(d: int) -> None:
-    """Reject a dimension below 1, or beyond the floats, where d / 2 raises OverflowError."""
-    if not 1 <= d <= sys.float_info.max:
-        raise ValueError(f"dimension must be >= 1 and at most {sys.float_info.max:.4g}, got {d}")
+def _check_dimension(*ds) -> None:
+    """Reject a dimension of ds below 1, or beyond the floats, where d / 2 raises OverflowError."""
+    for d in (min(ds), max(ds)) if ds else ():
+        if not 1 <= d <= sys.float_info.max:
+            raise ValueError(f"dimension must be >= 1 and at most {sys.float_info.max:.4g}, "
+                             f"got {d}")
+
+
+def dimension_logs(ds) -> tuple[list[float], list[float]]:
+    """The columns ln omega_{d-1} and ln v_d over the dimensions ds, each d >= 1: the one
+    place they are computed, for a sweep's column and dimension_constants' one d alike."""
+    _check_dimension(*ds)
+    log_areas, log_volumes = [], []
+    for d in ds:
+        half = 0.5 * d
+        try:
+            log_areas.append(LOG_2 + half * LOG_PI - math.lgamma(half))
+            log_volumes.append(half * LOG_PI - math.lgamma(half + 1.0))
+        except OverflowError:  # ln Gamma(d/2) passes the largest float from d ~ 5.1e305 on
+            raise ValueError(f"ln Gamma(d/2) at d={d:.4g} exceeds the float range") from None
+    return log_areas, log_volumes
 
 
 def dimension_constants(d: int) -> DimensionConstants:
     """Sphere area and ball volume for dimension d >= 1."""
-    _check_dimension(d)
-    half = 0.5 * d
-    try:
-        log_area = LOG_2 + half * LOG_PI - log_gamma(half)
-        log_vol = half * LOG_PI - log_gamma(half + 1.0)
-    except OverflowError:  # ln Gamma(d/2) passes the largest float from d ~ 5.1e305 on
-        raise ValueError(f"ln Gamma(d/2) at d={d:.4g} exceeds the float range") from None
+    (log_area,), (log_vol,) = dimension_logs((d,))
     return DimensionConstants(d=d, log_sphere_area=log_area, log_ball_volume=log_vol)
-

@@ -8,6 +8,7 @@ cli_readme, run here under the tracer, so a change in src/ that breaks one
 fails this test, not only the benchmark.
 """
 
+import collections
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from uplab import grid  # noqa: E402
 
 # one feasible, two violated (d = 1, 2) and one endpoint tuple, a d = 1 and a d = 3 chain
 # check, and the seven README commands: the violated ones build translate families, the
-# sweeps read each row's constants from its parameter bundle
+# sweeps read their constants as columns, one call each
 README_OPERATIONS = ["heisenberg", "lp", "sharpness", "rudin-shapiro", "cowling-price",
                      "gaussian", "chain"]
 OPERATIONS = [
@@ -58,10 +59,14 @@ def test_traced_operations_pass_their_checks(tmp_path):
     assert values["counterexamples.rs_level.distinct_ratio"] > 0
     assert values["grid.norm.points"] > 0
     assert values["counterexamples.endpoint.calls"] == 5
-    # one sphere/ball constants build a sweep row, and the lp floor's calibration row
-    builds = {name: sum(span.name == "specialfn.dimension_constants" and span.op == i
-                        for span in tracer.spans) for i, name in enumerate(OPERATIONS)}
-    assert (builds["heisenberg"], builds["lp"]) == (workloads.HEISENBERG_ROWS, 500 + 1)
+    # a sweep builds no sphere/ball constants but the lp floor's calibration at d = 50, and
+    # each of its columns is one traced call; the calibration reads one row of them
+    spans = {name: collections.Counter(span.name for span in tracer.spans if span.op == i)
+             for i, name in enumerate(OPERATIONS)}
+    layers = ("specialfn.dimension_constants", "specialfn.dimension_logs", "params.l2_columns",
+              "params.lp_columns", "radial.gaussian_log_products")
+    assert [spans["heisenberg"][layer] for layer in layers] == [0, 1, 1, 0, 1]
+    assert [spans["lp"][layer] for layer in layers] == [1, 2, 0, 2, 1]
     # each README command builds its parser through the traced cli.build_parser
     for name in ("cli.main", "cli.build_parser"):
         assert sum(span.name == name for span in tracer.spans) == len(README_OPERATIONS)

@@ -284,10 +284,13 @@ class TestCowlingPriceCommand:
         assert (code, err) == (exit_code, "")
         d, p, q, theta, phi = (float(x) for x in argv[1::2])
         report = harness.cp_check(int(d), p, q, theta, phi, seed=0)
+        # strict JSON: the endpoint's bound of infinity is the string "inf"
+        checks = [{key: str(value) if value == math.inf else value
+                   for key, value in dataclasses.asdict(check).items()}
+                  for check in report.functions]
         expected = {"d": int(d), "p": p, "q": q, "theta": theta, "phi": phi, "seed": 0,
                     "classification": classification, "pass": True,
-                    "holds": classification == "feasible",
-                    "checks": [dataclasses.asdict(check) for check in report.functions]}
+                    "holds": classification == "feasible", "checks": checks}
         if classification == "violated":
             expected.update(predicted_slope=report.predicted_slope,
                             measured_slope=report.measured_slope)
@@ -315,6 +318,53 @@ class TestCowlingPriceCommand:
         )
         assert code == 2
         assert "homogeneity" in err
+
+
+def _refuse(constant):
+    raise AssertionError(f"{constant} is not strict JSON")
+
+
+class TestStrictJsonReports:
+    """Every --out JSON report parses as strict JSON (no NaN or Infinity); a non-finite
+    number is the string "inf", "-inf" or "nan", which float() reads back."""
+
+    @pytest.mark.parametrize("argv", [
+        ["heisenberg", "--d-max", "60", "--format", "json"],
+        ["lp", "--p", "1.5", "--d-max", "60", "--format", "json"],
+        ["lp", "--p", "1.5", "--d-max", "10", "--format", "json"],  # slopes are null
+        ["sharpness", "--d", "2", "--p", "5", "--c-list", "1,2,4"],
+        ["rudin-shapiro", "--d", "1", "--k-max", "3"],
+        ["chain", "--d", "1", "--p", "2"],
+        ["cowling-price", "--d", "1", "--p", "2", "--q", "2", "--theta", "1", "--phi", "1"],
+        ["cowling-price", "--d", "3", "--p", "8", "--q", "8", "--theta", "0.1", "--phi", "0.1"],
+        ["cowling-price", "--d", "2", "--p", "4", "--q", "4", "--theta", "0.5", "--phi", "0.5"],
+    ])
+    def test_report_is_strict_json(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "report.json"
+        code, _, err = run(capsys, *argv, "--out", str(out_path))
+        assert code in (0, 1) and err == ""
+        json.loads(out_path.read_text(), parse_constant=_refuse)
+
+    @pytest.mark.parametrize("argv, log_rhs", [
+        (["--d", "3", "--p", "8", "--q", "8", "--theta", "0.1", "--phi", "0.1"], "-inf"),
+        (["--d", "2", "--p", "4", "--q", "4", "--theta", "0.5", "--phi", "0.5"], "inf"),
+    ])
+    def test_bound_on_no_measurement_is_a_string(self, capsys, tmp_path, argv, log_rhs):
+        # the violated check at d = 3 and the endpoint's weighted mass have infinite bounds
+        out_path = tmp_path / "report.json"
+        run(capsys, "cowling-price", *argv, "--out", str(out_path))
+        checks = json.loads(out_path.read_text(), parse_constant=_refuse)["checks"]
+        assert checks[-1]["log_rhs"] == log_rhs
+        assert float(log_rhs) == (math.inf if log_rhs == "inf" else -math.inf)
+
+    def test_non_finite_floats_become_strings(self, tmp_path):
+        path = tmp_path / "summary.json"
+        harness.write_summary_json({"values": (math.inf, -math.inf, math.nan, 1.5, None),
+                                    "nested": [{"x": np.float64(math.inf)}]}, path)
+        loaded = json.loads(path.read_text(), parse_constant=_refuse)
+        assert loaded == {"values": ["inf", "-inf", "nan", 1.5, None], "nested": [{"x": "inf"}]}
+        assert [float(v) for v in loaded["values"][:2]] == [math.inf, -math.inf]
+        assert math.isnan(float(loaded["values"][2]))
 
 
 class TestChainCommand:

@@ -14,6 +14,7 @@ import re
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,12 +35,32 @@ from uplab.grid import (
 )
 from uplab.params import cp_feasible, l2_params, lp_params
 from uplab.radial import gaussian_log_product
+from uplab.specialfn import dimension_constants
 
 
 def read_sweep_csv(path) -> list[dict]:
     """The rows of a write_sweep_csv file, one dict of strings each."""
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+SWEEP_BITS = Path(__file__).resolve().parent / "golden" / "sweep_bits.txt"
+# about 60 log-spaced d up to 10^6, and the _BALL_VOLUMES (400) and _STIRLING_MIN (512) edges
+BITS_DS = sorted({round(10 ** (k / 10)) for k in range(61)} | {399, 400, 401, 511, 512, 513})
+
+
+def _sweep_bits_text() -> str:
+    """The repr of every column of the heisenberg sweep and of the lp sweeps at p = 1.2,
+    1.5, 2 over BITS_DS, then of dimension_constants at each d, one line each."""
+    sweeps = [("heisenberg", harness._heisenberg_sweep(BITS_DS))]
+    sweeps += [(f"lp p={p!r}", harness._lp_sweep(p, BITS_DS)) for p in (1.2, 1.5, 2.0)]
+    lines = []
+    for name, sweep in sweeps:
+        for column in ("d", "method_log_bound", "gaussian_log_product", "claimed_floor_log"):
+            lines.append(f"{name} {column} {getattr(sweep, column)!r}")
+        lines += [f"{name} {flag} {column!r}" for flag, column in sorted(sweep.flags.items())]
+    lines += [repr(dimension_constants(d)) for d in BITS_DS]
+    return "\n".join(lines) + "\n"
 
 
 def _fake_sweep(oks):
@@ -184,6 +205,38 @@ class TestSweeps:
             "floor": tuple(b.log_bound >= f - harness.SLACK_TOL if d > 50 else None
                            for d, b, f in zip(ds, lpb, lp_floor)),
         }
+
+    def test_columns_match_golden_bits(self):
+        # the repr of every column at log-spaced d up to 10^6 and at the edges of the linear
+        # ball volumes (d <= 400) and of Stirling's series (d / 2 >= 256), and of the
+        # sphere/ball constants there, byte for byte as tests/golden/sweep_bits.txt holds them
+        assert _sweep_bits_text() == SWEEP_BITS.read_text()
+
+    @pytest.mark.parametrize("sweep", [harness._heisenberg_sweep,
+                                       lambda ds: harness._lp_sweep(1.5, ds)])
+    @pytest.mark.parametrize("ds, bad", [([1, 2.5], "2.5"), ([1, 2.0], "2.0"),
+                                         ([True, 2], "True"), ([1, np.float64(3.0)], "3.0")])
+    def test_refuses_non_integer_dimensions(self, sweep, ds, bad):
+        with pytest.raises(ValueError, match=rf"^dimensions must be integers, got .*{bad}"):
+            sweep(ds)
+
+    @pytest.mark.parametrize("p", [None, 1.5])
+    def test_takes_numpy_integers_as_ints(self, p):
+        ds = [1, 2, 50, 60]
+        sweep = (harness._heisenberg_sweep if p is None else
+                 lambda ds: harness._lp_sweep(p, ds))
+        as_numpy, as_ints = sweep(list(np.array(ds, dtype=np.int64))), sweep(ds)
+        assert as_numpy == as_ints and all(type(d) is int for d in as_numpy.d)
+        assert repr(as_numpy) == repr(as_ints)
+
+    @pytest.mark.parametrize("sweep", [harness._heisenberg_sweep,
+                                       lambda ds: harness._lp_sweep(1.5, ds)])
+    def test_dimension_beyond_ln_gamma(self, sweep):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"^ln Gamma\(d/2\) at d=1e\+306 exceeds the float range$"):
+                sweep([1, 10**306])
 
     def test_summary_json(self, tmp_path):
         path = tmp_path / "summary.json"

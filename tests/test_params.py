@@ -5,6 +5,7 @@ serve as independent oracles for the derived quantities; the one-dimensional
 case has exact rational values.
 """
 
+import collections
 import math
 import random
 
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from uplab import harness
 from uplab import params as params_module
+from uplab import specialfn as specialfn_module
 from uplab.params import (
     _BALL_VOLUMES,
     EQ_TOL,
@@ -294,8 +296,8 @@ class TestComputeThreshold:
 
 
 class TestDimensionConstantsOnce:
-    """Each bundle builds its sphere/ball constants once and carries ln omega_{d-1}, so a
-    sweep row builds them once too."""
+    """Each bundle builds its sphere/ball constants once and carries ln omega_{d-1}; a sweep
+    reads them as columns and builds none."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -314,12 +316,27 @@ class TestDimensionConstantsOnce:
         cp_params(1, 2.0, 3.0, 0.4, 0.4 + 1.0 / 2.0 - 1.0 / 3.0)
         assert calls == [7, 7, 1]
 
-    def test_one_call_per_sweep_row(self, calls):
-        harness.heisenberg_sweep(60)
-        assert calls == list(range(1, 61))
-        calls.clear()
-        harness.lp_sweep(1.5, 60)
-        assert calls == [50] + list(range(1, 61))  # the floor's calibration at d = 50
+    def test_one_call_per_sweep_column(self, monkeypatch):
+        # a sweep builds no sphere/ball constants but lp's floor calibration at d = 50, and
+        # each of its columns is one call over every d
+        built, columns = [], collections.Counter()
+        constants = specialfn_module.DimensionConstants
+        monkeypatch.setattr(specialfn_module, "DimensionConstants",
+                            lambda *args, **kwargs: built.append(kwargs["d"]) or
+                            constants(*args, **kwargs))
+        for name in ("dimension_logs", "l2_columns", "lp_columns", "gaussian_log_products"):
+            def counted(ds, *args, _name=name, _inner=getattr(harness, name)):
+                columns[_name] += 1
+                assert ds == tuple(range(1, 501))
+                return _inner(ds, *args)
+            monkeypatch.setattr(harness, name, counted)
+        harness.heisenberg_sweep(500)
+        assert built == [] and columns == {"dimension_logs": 1, "l2_columns": 1,
+                                           "gaussian_log_products": 1}
+        columns.clear()
+        harness.lp_sweep(1.5, 500)
+        assert built == [50] and columns == {"dimension_logs": 1, "lp_columns": 1,
+                                             "gaussian_log_products": 1}
 
     def test_sweeps_build_no_bundle_per_row(self, monkeypatch):
         # a sweep reads the closed forms as plain tuples: it builds no WigdersonParams but

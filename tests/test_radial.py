@@ -521,7 +521,7 @@ class TestMomentKernel:
 
     def test_norm_does_no_work_for_the_mean(self, monkeypatch):
         calls = collections.Counter()
-        for name in ("_log_gamma_ratio", "_logsumexp"):
+        for name in ("_log_gamma_ratios", "_logsumexp"):
             def counted(*args, _name=name, _inner=getattr(radial, name)):
                 calls[_name] += 1
                 return _inner(*args)
@@ -533,9 +533,9 @@ class TestMomentKernel:
         for profile in (gaussian_profile(), gc_profile(2.0, 3)):
             calls.clear()
             radial_weighted_norm(profile, 3, 2.0, 1.0)
-            assert calls["_log_gamma_ratio"] == 0 and calls["_logsumexp"] <= 1
+            assert calls["_log_gamma_ratios"] == 0 and calls["_logsumexp"] <= 1
             log_moment_ratio(profile, 3, 2.0)  # the counters see the mean's work
-            assert calls["_log_gamma_ratio"] == 1
+            assert calls["_log_gamma_ratios"] == 1
         radial_weighted_norm(gc_profile(2.0, 3), 3, 2.5, 1.0)
         assert moments == [(0.0,)]
 
