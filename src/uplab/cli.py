@@ -241,6 +241,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = build_parser(_named_command(argv)).parse_args(argv)
+            if getattr(args, "seed", 0) < 0:  # whatever the classification or --function
+                raise ValueError(f"seed must be nonnegative, got {args.seed}")
             code = args.func(args)
         except (ValueError, OSError) as exc:
             # the error is the outcome; the warnings on the way to it are not printed

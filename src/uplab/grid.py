@@ -23,12 +23,11 @@ member) gets its terms on the box only, zero-padded to the same block sums.  A s
 sum, on either grid, is one real matrix product per block of the first axis' factors
 against an (n_terms, n^{d-1}) array of the coefficients times the last d - 1 axes' factors.
 
-A check's two passes, the x-side norms and the streamed norms of f^, run at once where
-the grid has more than one block and two CPUs are usable (_two_at_once): f^'s pass runs
-on a thread started by _beside, which makes private calls only, while the caller runs the
-x side, then the boundary guard, and then joins it.  Each pass keeps its blocks and its
-pairwise order, so every sum keeps its bits.  One-block grids, one usable CPU and bare
-samples run the two passes one after the other.
+A check's two sides meet in one place, _beside: it runs the streamed pass of f^ on a thread
+where the grid has more than one block and two CPUs are usable (_two_at_once), and yields
+norms(ratio), called after the x side: the boundary guard on the calling thread, then f^'s
+norms.  Each pass keeps its blocks and pairwise order, so every sum keeps its bits either
+way.  Bare samples, with no pass to stream, get fourier_weighted_norm's fourier_transform.
 """
 
 from __future__ import annotations
@@ -266,8 +265,19 @@ def fourier_weighted_norm(f: GridFunction, terms) -> tuple[float, ...]:
     its factors: the samples get the boundary guard, and f^ is read from the factors."""
     if f._terms is None:
         return grid_weighted_norm(fourier_transform(f), terms)
-    _require_decay(_boundary_ratio(f.spec, f.values))
-    return _fourier_pass(f.spec, f._terms, terms)()
+    with _fourier_beside(f, terms) as norms:
+        return norms()
+
+
+@contextlib.contextmanager
+def _fourier_beside(f: GridFunction, terms):
+    """fourier_weighted_norm(f, terms) as a call: _beside's norms of the samples'
+    _boundary_ratio where f carries its factors, else fourier_weighted_norm itself."""
+    if f._terms is None:
+        yield functools.partial(fourier_weighted_norm, f, terms)
+        return
+    with _beside(f.spec, f._terms, terms) as norms:
+        yield lambda: norms(_boundary_ratio(f.spec, f.values))
 
 
 def _fourier_pass(spec: GridSpec, pair, terms):
@@ -302,34 +312,54 @@ def _two_at_once(spec: GridSpec) -> bool:
 
 
 @contextlib.contextmanager
-def _beside(side):
-    """Run side(), a pass of private calls only (the benchmark's tracer keeps one span
-    stack), on a thread beside the block, and yield a callable that joins the thread and
-    returns side()'s value or raises its error; yield None for side None.  The thread is
-    joined before the block is left, so an error raised in the block wins over side()'s."""
-    if side is None:
-        yield None
-        return
-    outcome = {}
+def _beside(spec: GridSpec, pair, terms):
+    """Yield norms(ratio): the boundary guard on ratio, on the calling thread, then the norms
+    in terms of f^ for the separable sum of pair = (coefs, factors) on spec (_fourier_pass).
+    Where _two_at_once(spec) the pass runs beside the block on a thread of private calls only
+    (the benchmark's tracer keeps one span stack), joined by norms and before the block is
+    left: an error raised in the block, or by the guard, wins over the pass's."""
+    outcome, thread = {}, None
 
-    def run():
+    def run(xi_side):
         try:
-            outcome["value"] = side()
-        except BaseException as error:  # raised on the calling thread by result()
+            outcome["value"] = xi_side()
+        except BaseException as error:  # raised on the calling thread by norms
             outcome["error"] = error
 
-    def result():
+    def norms(ratio):
+        _require_decay(ratio)
+        if thread is None:  # the pass and its operands after the guard, as in series
+            return _fourier_pass(spec, pair, terms)()
         thread.join()
         if "error" in outcome:
             raise outcome.pop("error")
         return outcome["value"]
 
-    thread = threading.Thread(target=run, name="uplab-xi-side")
-    thread.start()
+    if _two_at_once(spec):
+        thread = threading.Thread(target=run, args=(_fourier_pass(spec, pair, terms),),
+                                  name="uplab-xi-side")
+        thread.start()
     try:
-        yield result
+        yield norms
     finally:
-        thread.join()
+        if thread is not None:
+            thread.join()
+
+
+def _bump_norms(spec: GridSpec, seed: int, terms, xi_terms):
+    """The norms in terms of random_bump(spec, seed) and in xi_terms of its transform.  The x
+    side of a grid of several _row_blocks blocks is streamed from the factors beside f^'s
+    pass; one block is sampled for grid_weighted_norm, and freed before f^'s pass."""
+    if len(_row_blocks(spec)) > 1:
+        pair = _bump_terms(spec, seed)
+        with _beside(spec, pair, xi_terms) as hat_norms:
+            norms, ratio = _separable_norms(spec, *pair, terms)
+            return norms, hat_norms(ratio)
+    bump = random_bump(spec, seed)
+    norms, ratio = grid_weighted_norm(bump, terms), _boundary_ratio(spec, bump.values)
+    pair, bump = bump._terms, None
+    with _beside(spec, pair, xi_terms) as hat_norms:
+        return norms, hat_norms(ratio)
 
 
 def grid_weighted_norm(f: GridFunction, terms: Iterable[tuple[float, float]]) -> tuple[float, ...]:

@@ -25,18 +25,10 @@ from .grid import (
     DEFAULT_SPECS,
     GridFunction,
     _ball_sum,
-    _beside,
-    _boundary_ratio,
-    _bump_terms,
-    _fourier_pass,
-    _require_decay,
-    _row_blocks,
-    _separable_norms,
-    _two_at_once,
+    _bump_norms,
+    _fourier_beside,
     default_spec,
-    fourier_weighted_norm,
     grid_weighted_norm,
-    random_bump,
 )
 from .params import (
     WigdersonParams,
@@ -102,15 +94,17 @@ def _dimensions(d_max) -> range:
 
 
 def _sweep(p: float, ds, closed_forms, rule) -> Sweep:
-    """The columns over the ascending integer dimensions ds (numpy's too, no bool) at p, each
-    from one call: dimension_logs, closed_forms(ds, log_areas, log_volumes) and the Gaussian
-    product.  rule(ds, columns, gauss) gives the claimed floor's and the flags' columns from
-    the d column, the closed forms' columns by their _LOG_FIELDS name and the Gaussian's."""
+    """The columns over the strictly ascending integer dimensions ds (numpy's too, no bool) at
+    p, each from one call: dimension_logs, closed_forms(ds, log_areas, log_volumes) and the
+    Gaussian product; rule(ds, columns, gauss) gives the floor's and flags' columns from them,
+    the closed forms' by their _LOG_FIELDS name.  Both read ds[-1] as the largest d."""
     ds = tuple(ds)
     if not set(map(type, ds)) <= {int}:
         if bad := [d for d in ds if isinstance(d, bool) or not isinstance(d, numbers.Integral)]:
             raise ValueError(f"dimensions must be integers, got {bad[0]!r}")
         ds = tuple(map(int, ds))
+    if not ds or any(a >= b for a, b in zip(ds, ds[1:])):
+        raise ValueError(f"dimensions must be nonempty and strictly ascending, got {list(ds)}")
     columns = dict(zip(_LOG_FIELDS, closed_forms(ds, *dimension_logs(ds))))
     gauss = tuple(gaussian_log_products(ds, p))
     floor, flags = rule(ds, columns, gauss)
@@ -167,10 +161,11 @@ def lp_sweep(p: float, d_max: int) -> Sweep:
 
 
 def _lp_sweep(p: float, ds) -> Sweep:
-    c1_log = lp_params(50, p).log_bound - p * math.log(50.0) if ds[-1] >= 50 else -math.inf
-    eps = lp_epsilon(ds[-1], p)  # p/(p - 1) at every d, for p <= 2
+    def closed_forms(ds, *logs):  # epsilon is p/(p - 1) at every d, for p <= 2
+        return lp_columns(ds, *logs, p, lp_epsilon(ds[-1], p))
 
     def rule(ds, columns, gauss):
+        c1_log = lp_params(50, p).log_bound - p * math.log(50.0) if ds[-1] >= 50 else -math.inf
         bounds = columns["log_bound"]
         floor = [c1_log + p * math.log(d) for d in ds]
         flags = {"below_sharp": tuple(map(operator.le, bounds, gauss))}
@@ -179,7 +174,7 @@ def _lp_sweep(p: float, ds) -> Sweep:
                                    for d, b, f in zip(ds, bounds, floor))
         return floor, flags
 
-    return _sweep(p, ds, lambda ds, *logs: lp_columns(ds, *logs, p, eps), rule)
+    return _sweep(p, ds, closed_forms, rule)
 
 
 def lp_summary(sweep: Sweep, p: float) -> dict:
@@ -276,12 +271,9 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
     per-function moment inequality, the primary uncertainty quotient, and the
     final certified product bound.  The first two read the tail's a-mass as the
     grid's less the ball |x| <= T; by Hoelder T <= 2 c_d L < sqrt(d) L (c_d < 0.4),
-    so no ball holds the grid.  The last two take norms of f^ from fourier_weighted_norm:
-    for a Gaussian, g_c or random bump sampled by grid, which carry their 1-D factors,
-    they are streamed by blocks of the dual grid from the factors' transforms; bare
-    samples go through fourier_transform.  On a grid of several blocks with two usable
-    CPUs the streamed norms of f^ run on a thread while this one takes the x-side norms
-    and the tail, then the boundary guard, as fourier_weighted_norm would.
+    so no ball holds the grid.  The last two take fourier_weighted_norm's norms of f^ by
+    grid's _fourier_beside, streamed beside the x side where f carries its 1-D factors
+    (a Gaussian, g_c or random bump sampled by grid), after the boundary guard.
     """
     if f.spec.d != d:
         raise ValueError(f"grid dimension {f.spec.d} does not match d={d}")
@@ -290,8 +282,7 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
     log_omega = params.log_sphere_area
 
     terms = [(a, 0.0), (p, 0.0), (p, 1.0)]
-    at_once = f._terms is not None and _two_at_once(f.spec)
-    with _beside(_fourier_pass(f.spec, f._terms, terms) if at_once else None) as hat_norms:
+    with _fourier_beside(f, terms) as hat_norms:
         norm_a, norm_p, moment_root = grid_weighted_norm(f, terms)
         if norm_p == 0.0:
             raise ValueError("chain check is undefined for the zero function")
@@ -320,12 +311,7 @@ def function_chain_check(f: GridFunction, d: int, p: float) -> ChainReport:
             + p * (1.0 + eps / d) * (log_norm_a - log_norm_p)
         )
         links.append(_at_least("per_function", log_per_fn, log_per_fn_rhs))
-
-        if hat_norms is None:
-            hat_a, hat_p, hat_moment_root = fourier_weighted_norm(f, terms)
-        else:  # fourier_weighted_norm's guard, then the norms of f^ from the thread
-            _require_decay(_boundary_ratio(f.spec, f.values))
-            hat_a, hat_p, hat_moment_root = hat_norms()
+        hat_a, hat_p, hat_moment_root = hat_norms()
     log_hat_a, log_hat_p = _log(hat_a), _log(hat_p)
     log_quotient = log_norm_a + log_hat_a - log_norm_p - log_hat_p
     links.append(_at_least("primary_up", log_quotient, 0.0))
@@ -437,10 +423,8 @@ def cp_check(
     """Classify a Cowling-Price tuple and run the matching verification.
 
     feasible  -> certify the inequality on {gaussian, g_2, g_4} and, where a
-                 grid exists (d <= 3), a random bump; on the 64^3 grid its x-side
-                 norms and boundary guard are streamed from its factors, no grid
-                 built, and the norms of its transform run beside them on a thread
-                 where two CPUs are usable;
+                 grid exists (d <= 3), a random bump, whose two sides grid's
+                 _bump_norms takes;
     violated  -> compare the predicted growth slope of the signed-translate
                  counterexample schedule with the one measured on grids
                  for d <= 2 (slope); at d >= 3 no family is measured, and the
@@ -461,20 +445,8 @@ def cp_check(
             _cp_radial_result("g_4", cx.gc_profile(4.0, d), d, p, q, theta, phi, log_bound),
         ]
         if d in DEFAULT_SPECS:  # the random bump needs a grid
-            spec, terms = default_spec(d), [(p, theta), (2.0, 0.0)]
-            if len(_row_blocks(spec)) == 1:
-                bump = random_bump(spec, seed)
-                weighted, l2 = grid_weighted_norm(bump, terms)
-                _require_decay(_boundary_ratio(spec, bump.values))  # fourier_weighted_norm's steps
-                pair, bump = bump._terms, None
-                (hat_weighted,) = _fourier_pass(spec, pair, [(q, phi)])()
-            else:  # the x side streamed from the factors, no grid built, f^ beside it
-                pair = _bump_terms(spec, seed)
-                xi_side = _fourier_pass(spec, pair, [(q, phi)])
-                with _beside(xi_side if _two_at_once(spec) else None) as hat_norms:
-                    (weighted, l2), ratio = _separable_norms(spec, *pair, terms)
-                    _require_decay(ratio)
-                    (hat_weighted,) = (hat_norms or xi_side)()
+            (weighted, l2), (hat_weighted,) = _bump_norms(
+                default_spec(d), seed, [(p, theta), (2.0, 0.0)], [(q, phi)])
             results.append(_at_least(
                 "random_bump", _log(weighted) + _log(hat_weighted), log_bound + 2.0 * _log(l2)
             ))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specialfn import LOG_2, _check_dimension, dimension_constants
+from .specialfn import LOG_2, LOG_MAX, _check_dimension, dimension_constants
 
 EQ_TOL = 1e-12
 
@@ -115,7 +115,7 @@ def l2_columns(ds, log_areas, log_volumes) -> tuple[tuple[float, ...], ...]:
         else:  # the log path, from the log path's ln c_d
             log_c_d = _log_c_d(d, log_vol, s)
             log_bound = log_16th + (2.0 / (d + 1)) * 2.0 * (log_c_d - log_omega)
-            bound_lin = math.exp(log_bound)
+            bound_lin = math.exp(log_bound) if log_bound < LOG_MAX else math.inf
             if not 0 < c_lin < math.inf:
                 log_c, c_lin = log_c_d, math.exp(log_c_d)
         rows.append((a, r, s, log_c, log_bound, c_lin, bound_lin, log_omega))

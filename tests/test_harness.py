@@ -4,6 +4,7 @@ Determinism, flag logic, and the cross-sweep consistency of the Gaussian
 column are checked here; the full-scale sweeps live in the acceptance suite.
 """
 
+import ast
 import csv
 import dataclasses
 import importlib
@@ -237,6 +238,26 @@ class TestSweeps:
             with pytest.raises(ValueError,
                                match=r"^ln Gamma\(d/2\) at d=1e\+306 exceeds the float range$"):
                 sweep([1, 10**306])
+
+    @pytest.mark.parametrize("sweep", [harness._heisenberg_sweep,
+                                       lambda ds: harness._lp_sweep(1.5, ds)])
+    @pytest.mark.parametrize("ds", [[], [60, 10], [1, 3, 3], [1, 60, 50]])
+    def test_refuses_empty_or_unordered_dimensions(self, sweep, ds):
+        # the lp sweep read ds[-1] as the largest d: [60, 10] skipped the d = 50 calibration
+        # and the floor column, and [] raised IndexError (KeyError in the heisenberg sweep)
+        with pytest.raises(ValueError, match=r"^dimensions must be nonempty and strictly "
+                                             rf"ascending, got {re.escape(str(ds))}$"):
+            sweep(ds)
+
+    def test_l2_bound_beyond_the_floats(self):
+        # ln bound passes ln(max float) from d ~ 9.16e155: the linear bound is inf there,
+        # and the logs and flags stay finite and measured
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = harness._heisenberg_sweep([1, 10**160, 10**300])
+        assert all(map(math.isfinite, sweep.method_log_bound))
+        assert sweep.method_log_bound[1] == l2_params(10**160).log_bound
+        assert all(sweep.satisfied)
 
     def test_summary_json(self, tmp_path):
         path = tmp_path / "summary.json"
@@ -647,6 +668,23 @@ class TestTwoSidesAtOnce:
             assert threading.active_count() == before
         assert len(starts) == 2
         assert all(not thread.is_alive() for thread in starts)
+
+    def test_one_place_for_the_two_sides(self):
+        # harness reaches the thread, the guard and the block split through grid's helpers
+        # only, and in grid only _beside decides on and starts the thread
+        harness_names = {getattr(node, field) for node in ast.walk(
+                             ast.parse(Path(harness.__file__).read_text()))
+                         for field in ("id", "attr", "name") if hasattr(node, field)}
+        assert not harness_names & {"threading", "_two_at_once", "_usable_cpus",
+                                    "_require_decay", "_fourier_pass", "_row_blocks",
+                                    "_separable_norms", "_bump_terms"}
+        tree = ast.parse(Path(grid.__file__).read_text())
+        for callee in ("_two_at_once", "Thread"):
+            callers = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                       for call in ast.walk(node) if isinstance(call, ast.Call)
+                       and callee in (getattr(call.func, "id", None),
+                                      getattr(call.func, "attr", None))]
+            assert callers == ["_beside"], callee
 
     def test_threads_are_joined(self, cpus, starts):
         cpus(2)

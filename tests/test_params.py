@@ -87,6 +87,13 @@ class TestL2Params:
                     math.exp(params.log_bound), rel=1e-12
                 )
 
+    def test_bound_beyond_the_floats(self):
+        # from d ~ 9.16e155 ln bound passes ln(max float): the linear bound is inf, not an
+        # OverflowError, and the log keeps its value
+        params = l2_params(10**160)
+        assert params.bound == math.inf
+        assert params.log_bound == pytest.approx(728.3788869030361, rel=1e-12)
+
     def test_ball_volume_table_matches_product_loop(self):
         # the table repeats the loop's multiplications in the loop's order
         for d in range(1, 401):
