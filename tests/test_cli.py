@@ -494,11 +494,6 @@ class TestOutOfRangeInputs:
         (["chain", "--d", "1", "--function", "bump", "--seed", "-1"], "seed must be nonnegative"),
         (["cowling-price", "--d", "1", "--p", "2", "--q", "2", "--theta", "1", "--phi", "1",
           "--seed", "-1"], "seed must be nonnegative"),
-        # the seed is refused where no bump reads it too: a d = 5 tuple, a Gaussian chain
-        (["cowling-price", "--d", "5", "--p", "2", "--q", "2", "--theta", "1", "--phi", "1",
-          "--seed", "-1"], "seed must be nonnegative"),
-        (["chain", "--d", "1", "--function", "gaussian", "--seed", "-1"],
-         "seed must be nonnegative"),
         (["sharpness", "--d", "2", "--p", "5", "--c-list", ","], "--c-list"),
         # the translate members vanish outside a box of samples; inside it the weight
         # |x|^(p w) is inf beyond |x| = 1, where the members have zeros: inf * 0 = NaN
@@ -522,6 +517,11 @@ class TestOutOfRangeInputs:
         (["rudin-shapiro", "--d", "2", "--p", "4", "--theta", "0.5"], "0 within rounding"),
         (["rudin-shapiro", "--d", "2", "--p", "3", "--theta", "0.3333333333333333"],
          "0 within rounding"),
+        # the seed is refused where no bump reads it too: a d = 5 tuple, a Gaussian chain
+        (["cowling-price", "--d", "5", "--p", "2", "--q", "2", "--theta", "1", "--phi", "1",
+          "--seed", "-1"], "seed must be nonnegative"),
+        (["chain", "--d", "1", "--function", "gaussian", "--seed", "-1"],
+         "seed must be nonnegative"),
     ])
     def test_usage_error(self, capsys, argv, named):
         code, _, err = run(capsys, *argv)
