@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,7 +110,9 @@ class RSFamily:
     """The 2^d level-k signed translates of the base bump, which lies inside [0, 1)^d,
     so the translates have disjoint supports.  Member i is the outer product over the
     axes b of pair[bit b of i] times the bump: pair is rs_pair(k), and bump holds the 1-D
-    bump's samples on the unit cell, the same read-only array at every level.
+    bump's samples on the unit cell, the same read-only array at every level.  leads holds
+    the leading members f_{1,j} of levels j = 1..k, each on _support_grid(d, j), as
+    rs_level places them for rs_growth_ratio.
     """
 
     d: int
@@ -118,6 +120,7 @@ class RSFamily:
     pair: np.ndarray
     bump: np.ndarray
     base_l2_sq: float
+    leads: tuple[GridFunction, ...] = field(default=(), repr=False, compare=False)
 
     def member(self, i: int, spec: GridSpec | None = None) -> GridFunction:
         """Member i, sampled on spec (default: the 512^d grid of spacing 1/16 and
@@ -171,7 +174,8 @@ def rs_base_bump_1d(t: np.ndarray) -> np.ndarray:
 
 
 def rs_level(d: int, k: int) -> RSFamily:
-    """The level-k family; RSFamily.member builds each function.
+    """The level-k family; RSFamily.member builds each function.  It is built once per
+    (d, k) and then shared, every array in it read-only.
 
     The bump is sampled at spacing 1/16 on the unit cell, and base_l2_sq is the L^2
     mass of its d-fold product over the support grid of the unit cell.
@@ -180,11 +184,19 @@ def rs_level(d: int, k: int) -> RSFamily:
         raise ValueError(f"rs_level supports d in (1, 2), got {d}")
     if k < 0 or k > 4:
         raise ValueError(f"level must be 0..4, got {k}")
+    return _rs_family(d, k)
+
+
+@functools.lru_cache(maxsize=10)  # every (d, k) that rs_level accepts
+def _rs_family(d: int, k: int) -> RSFamily:
     bump = rs_base_bump_1d(RS_SPACING * np.arange(round(1.0 / RS_SPACING)))
     bump.setflags(write=False)
     cell = _place([np.ones(1, dtype=np.int8)] * d, bump, _support_grid(d, 0))
     base_l2_sq = grid_weighted_norm(cell, [(2.0, 0.0)])[0] ** 2
-    return RSFamily(d=d, k=k, pair=rs_pair(k), bump=bump, base_l2_sq=base_l2_sq)
+    pair = rs_pair(k)
+    # P_k starts with each lower level's P_j, so f_{1,j} is member 0 cut to [0, 2^j)^d
+    leads = tuple(_place([pair[0, :2**j]] * d, bump, _support_grid(d, j)) for j in range(1, k + 1))
+    return RSFamily(d=d, k=k, pair=pair, bump=bump, base_l2_sq=base_l2_sq, leads=leads)
 
 
 def rs_growth_ratio(family: RSFamily, p: float, theta: float) -> list[float]:
@@ -192,9 +204,8 @@ def rs_growth_ratio(family: RSFamily, p: float, theta: float) -> list[float]:
 
     ratio_k = ||f_{1,k}||_2^2 / (|| |x|^theta f_{1,k} ||_p * 2^{dk/2 + d/2}),
     with the k-independent Fourier-side norm factor dropped (it does not affect the
-    slope).  The top level's P starts with each lower level's, so f_{1,k} is member 0
-    cut to [0, 2^k)^d, weighed on the level-k support grid: the 512^d samples it leaves
-    out are exact zeros.
+    slope).  f_{1,k} is the family's lead of level k, member 0 cut to [0, 2^k)^d on the
+    level-k support grid: the 512^d samples it leaves out are exact zeros.
     """
     if family.k < 2:
         raise ValueError("need levels 1..k with k >= 2 for a slope fit")
@@ -205,8 +216,7 @@ def rs_growth_ratio(family: RSFamily, p: float, theta: float) -> list[float]:
     for k in range(1, family.k + 1):
         # the 2^{dk} translates of the base are disjoint and carry signs +-1
         l2_sq = 2.0 ** (d * k) * family.base_l2_sq
-        lead = _place([family.pair[0, :2**k]] * d, family.bump, _support_grid(d, k))
-        (weighted,) = grid_weighted_norm(lead, [(p, theta)])
+        (weighted,) = grid_weighted_norm(family.leads[k - 1], [(p, theta)])
         fourier_side = 2.0 ** (0.5 * d * k + 0.5 * d)
         out.append(l2_sq / (weighted * fourier_side))
     return out

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import LOG_2, _check_dimension, _log_gamma_ratios, dimension_constants, log_gamma
+from .specialfn import (LOG_2, _check_dimension, _log_gamma_ratios, _stirling_tail,
+                        dimension_constants, log_gamma)
 
 TRAPEZOID_RTOL = 1e-13
 # an integer power of a mixture is expanded while it has at most this many Gaussians
@@ -235,11 +236,16 @@ def _log_moments(terms, k: float, p: float, m: float = 0.0) -> tuple[float, floa
     half, a = 0.5 * k, 0.5 * m
     try:  # the closed forms' mass factor; no mean needs it
         log_gamma_half = log_gamma(half)
-    except OverflowError:  # from k ~ 5.1e305 on the mass is beyond the floats
+    except OverflowError:  # from k ~ 5.1e305 on; the one-term mass takes Stirling's series
         log_gamma_half = math.inf
     if len(terms) == 1:
         log_c, rate = terms[0]
-        log_mass = p * log_c + log_gamma_half - half * math.log(math.pi * p * rate) - LOG_2
+        if math.isfinite(log_gamma_half):
+            log_gamma_scaled = log_gamma_half - half * math.log(math.pi * p * rate)
+        else:  # Stirling's series, its (k/2) ln(k/2) and (k/2) ln(pi p a) in one log
+            log_gamma_scaled = (half * (math.log(half / (math.pi * p * rate)) - 1.0)
+                                - 0.5 * math.log(half / (2.0 * math.pi)) + _stirling_tail(half))
+        log_mass = p * log_c + log_gamma_scaled - LOG_2
         # rate * (p / m) is rate itself at m = p
         return log_mass, _log_one_term_ratios((half,), a, rate * (p / m))[0] if m else 0.0
     if (expansion := _expansion(terms, p)) is not None:

@@ -18,7 +18,8 @@ sys.path.insert(0, str(BENCH))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-from uplab import grid  # noqa: E402
+from uplab import counterexamples as cx  # noqa: E402
+from uplab import grid, harness  # noqa: E402
 
 # one feasible, two violated (d = 1, 2) and one endpoint tuple, a d = 1 and a d = 3 chain
 # check, and the seven README commands: the violated ones build translate families, the
@@ -91,3 +92,25 @@ def test_chain_makes_one_blocked_pass_per_side(tmp_path, monkeypatch):
         calls.clear()
         assert ops[name].check(ops[name].run()) is None, name
         assert len(calls) == 2, name
+
+
+def test_first_family_build_norms_under_rs_level():
+    # bench/tests/test_smoke.py reads counterexamples.rs_level as a parent of a traced
+    # grid_weighted_norm: the unit cell's L^2 norm of the first build, in a cold process;
+    # a warm family is read from the private cache, with no norm under rs_level
+    cx._rs_family.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for op in range(2):
+            with tracer.operation(op, "violated"):
+                harness.rs_check(1, 3, 4.0, 0.1)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    for op, parents in enumerate([{"counterexamples.rs_level", "counterexamples.rs_growth_ratio"},
+                                  {"counterexamples.rs_growth_ratio"}]):
+        norm_parents = {spans[s.parent].name for s in spans
+                        if s.op == op and s.name == "grid.grid_weighted_norm"}
+        assert norm_parents == parents, op
+        assert sum(s.op == op and s.name == "counterexamples.rs_level" for s in spans) == 1

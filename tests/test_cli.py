@@ -503,10 +503,11 @@ class TestOutOfRangeInputs:
         # at the edge of ln Gamma(d/2), which the ratio never forms: still the node budget
         (["sharpness", "--d", "1" + "0" * 306, "--p", "3.5", "--c-list", "1,2"],
          "r^1e+306 F(r)^3.5 peaks too narrowly"),
-        # k = p theta + d = 2e306: ln Gamma(k/2), and with it the norm's log mass, is beyond
-        # the floats (an OverflowError traceback once)
+        # k = p theta + d = 2e306: ln Gamma(k/2) is beyond the floats (an OverflowError
+        # traceback once), so the Gaussian's norm takes Stirling's series; g_2's
+        # r^{k-1} F(r)^p then peaks too narrowly for the trapezoid rule
         (["cowling-price", "--d", "3", "--p", "1e306", "--q", "1e306", "--theta", "2",
-          "--phi", "2"], "r^2e+306 F(r)^1e+306 has no finite log"),
+          "--phi", "2"], "r^2e+306 F(r)^1e+306 peaks too narrowly"),
         # |x|^(p w) = 7.9^400 overflows inside the level-3 box [0, 8), at zeros of the member
         (["rudin-shapiro", "--d", "1", "--k-max", "3", "--p", "1000", "--theta", "0.4"],
          "p=1000, w=0.4"),

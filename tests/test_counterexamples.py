@@ -211,6 +211,15 @@ class TestSignTensors:
         assert np.array_equal(lead[(slice(0, half),) * d], outer_product_signs(d, k - 1)[0])
 
 
+@pytest.fixture
+def fresh_family_cache():
+    """An empty translate-family cache, emptied again afterwards: a test that counts the
+    work of a first build must not read a family that another test built."""
+    cx._rs_family.cache_clear()
+    yield
+    cx._rs_family.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def families_2d():
     return [cx.rs_level(2, k) for k in range(4)]
@@ -362,9 +371,10 @@ class TestTranslateFamilies:
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("k_max", [2, 3, 4])
-    def test_check_norms_each_level_once(self, d, k_max, monkeypatch):
-        # one L^2 norm of the unit cell, one weighted norm per level 1..k_max and one
-        # doubling run of the 1-D pair
+    def test_check_norms_each_level_once(self, d, k_max, monkeypatch, fresh_family_cache):
+        # the first check builds the family: one L^2 norm of the unit cell, one weighted
+        # norm per level 1..k_max and one doubling run of the 1-D pair; a second check
+        # reads the family and its leads, and takes only the weighted norms
         calls = {"norm": 0, "signs": 0}
 
         def counted(name, fn):
@@ -377,6 +387,9 @@ class TestTranslateFamilies:
         monkeypatch.setattr(cx, "sign_matrix", counted("signs", cx.sign_matrix))
         harness.rs_check(d, k_max, 8.0, 0.1)
         assert calls == {"norm": k_max + 1, "signs": 1}
+        calls.update(norm=0, signs=0)
+        harness.rs_check(d, k_max, 4.0, 0.3)
+        assert calls == {"norm": k_max, "signs": 0}
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_member_index_out_of_range(self, d):
@@ -413,6 +426,63 @@ class TestTranslateFamilies:
     def test_slope_needs_three_levels(self):
         with pytest.raises(ValueError):
             cx.rs_slope(cx.rs_level(1, 1), 8.0, 0.1)
+
+
+class TestFamilyCache:
+    """rs_level builds each (d, k) family once, with its leading members f_{1,j}."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k", range(5))
+    def test_leads_have_the_bytes_of_fresh_members(self, d, k):
+        # reference: P_j's own doubling run placed on the level-j support grid
+        family = cx.rs_level(d, k)
+        assert len(family.leads) == k
+        for j, lead in enumerate(family.leads, start=1):
+            fresh = cx._place([cx.rs_pair(j)[0]] * d, family.bump, cx._support_grid(d, j))
+            assert lead.spec == fresh.spec and lead._support == fresh._support
+            for got, expected in zip((lead.values, *lead._terms),
+                                     (fresh.values, *fresh._terms), strict=True):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    def test_second_call_returns_the_same_family(self, fresh_family_cache):
+        for d in (1, 2):
+            for k in range(5):
+                assert cx.rs_level(d, k) is cx.rs_level(d, k)
+        assert cx.rs_level(1, 3) is not cx.rs_level(2, 3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_shared_arrays_are_read_only(self, d):
+        family = cx.rs_level(d, 4)
+        arrays = [family.pair, family.bump]
+        arrays += [array for lead in family.leads for array in (lead.values, *lead._terms)]
+        assert len(arrays) == 2 + 3 * 4
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+    @pytest.mark.parametrize("d, k_max, p, theta", [(1, 3, 8.0, 0.1), (1, 4, 3.0, 0.05),
+                                                    (2, 3, 8.0, 0.1), (2, 2, 6.0, 0.5)])
+    def test_check_is_the_same_cold_and_warm(self, d, k_max, p, theta, fresh_family_cache):
+        cold = repr(harness.rs_check(d, k_max, p, theta))
+        assert cx._rs_family.cache_info().misses == 1
+        assert repr(harness.rs_check(d, k_max, p, theta)) == cold
+        cx._rs_family.cache_clear()
+        assert repr(harness.rs_check(d, k_max, p, theta)) == cold
+
+    def test_cache_holds_at_most_ten_families(self, fresh_family_cache):
+        # every (d, k) that rs_level accepts fits: a second round builds nothing
+        for _ in range(2):
+            for d in (1, 2):
+                for k in range(5):
+                    cx.rs_level(d, k)
+            for bad in ((3, 1), (2, 5), (1, -1)):  # refused before the cache is read
+                with pytest.raises(ValueError):
+                    cx.rs_level(*bad)
+        info = cx._rs_family.cache_info()
+        assert info.maxsize == 10 and info.currsize == 10
+        assert (info.misses, info.hits) == (10, 10)
 
 
 class TestStorage:

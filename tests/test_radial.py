@@ -575,8 +575,26 @@ class TestMomentKernel:
         finally:
             radial._multinomial.cache_clear()
 
+    @pytest.mark.parametrize("p, w", [(5e299, 2.0), (3e305, 2.0), (1e306, 2.0), (5e306, 2.0)])
+    @pytest.mark.parametrize("rate", [1.0, 2.5, 1e-3])
+    def test_one_term_mass_past_lgamma_against_mpmath(self, p, w, rate):
+        # k = p w + d of 1e300, 6e305, 2e306 and 1e307: from k ~ 5.1e305 on ln Gamma(k/2)
+        # leaves the floats, and the one-term mass takes ln Gamma(k/2) - (k/2) ln(pi p a)
+        # from Stirling's series, of size k/2 where p ~ k
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        d = 3
+        half = mp.mpf(p * w + d) / 2  # k as the kernel rounds it
+        log_sphere = mp.log(2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2))
+        exact = (log_sphere + mp.loggamma(half) - half * mp.log(mp.pi * mp.mpf(p) * rate)
+                 - mp.log(2)) / p
+        got = radial_weighted_norm(gaussian_profile(rate), d, p, w)
+        assert got == pytest.approx(float(exact), rel=1e-13)
+
     @pytest.mark.parametrize("profile", [gaussian_profile(), gc_profile(2.0, 1)])
     def test_norm_with_a_mass_beyond_the_floats_raises(self, profile):
-        # k = 1e306: ln Gamma(k/2) is beyond the floats (an OverflowError once)
+        # k = 1e306 at p = 1: the log mass itself, about (k/2) ln k, is beyond the floats
+        # (an OverflowError once)
         with pytest.raises(ValueError, match="r\\^1e\\+306 F\\(r\\)\\^1 has no finite log"):
             radial_weighted_norm(profile, 1, 1.0, 1e306)
