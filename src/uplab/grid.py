@@ -9,7 +9,9 @@ well-resolved inputs it matches the continuous transform to near machine
 precision.  That DFT is the tensor product of 1-D ones, so fourier_weighted_norm
 takes the norms of f^ of a sum of separable terms that carries its 1-D factors
 (the Gaussians, g_c, the random bump, a translate-family member) from the transformed
-factors, block by block; fourier_transform, an n^d FFT in place, serves bare samples.
+factors, block by block.  A real f has f^(-xi) = conj f^(xi), so its norms read the dual
+rows 0..n/2 of the first axis (_half_rows); real bare samples take an rfft along that
+axis, complex ones fourier_transform, an n^d FFT in place.
 
 Weighted norms read the grid in blocks of _BLOCK samples along the first axis, several
 norms per pass, and add the block sums pairwise, which is the order of numpy's pairwise
@@ -27,7 +29,7 @@ A check's two sides meet in one place, _beside: it runs the streamed pass of f^ 
 where the grid has more than one block and two CPUs are usable (_two_at_once), and yields
 norms(ratio), called after the x side: the boundary guard on the calling thread, then f^'s
 norms.  Each pass keeps its blocks and pairwise order, so every sum keeps its bits either
-way.  Bare samples, with no pass to stream, get fourier_weighted_norm's fourier_transform.
+way.  Bare samples, with no pass to stream, are transformed by fourier_weighted_norm.
 """
 
 from __future__ import annotations
@@ -165,11 +167,20 @@ def _row_blocks(spec: GridSpec):
     return [slice(lo, lo + rows) for lo in range(0, spec.n, rows)]
 
 
+def _half_rows(spec: GridSpec):
+    """The first axis' rows 0..n/2, cut like _row_blocks, and each row's multiplicity: row
+    j mirrors row (n - j) mod n, with the same |x| (n/2 even) and, for real f, the same |f^|,
+    so rows 0 and n/2 count once and every other row twice."""
+    half = spec.n // 2
+    return ([slice(rows.start, min(rows.stop, half + 1)) for rows in _row_blocks(spec)
+             if rows.start <= half], np.r_[1.0, np.full(half - 1, 2.0), 1.0])
+
+
 def _pairwise(sums):
-    """Add the block sums of a power-of-two grid pairwise.  For whole blocks, of equal
-    size, it is the order in which numpy's pairwise summation adds the grid's halves."""
+    """Add the block sums pairwise, an odd one carried up a level.  For whole blocks of a
+    power-of-two grid, of equal size, it is numpy's pairwise order over the grid."""
     while len(sums) > 1:
-        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])] + sums[len(sums) & ~1:]
     return sums[0]
 
 
@@ -262,11 +273,21 @@ def fourier_transform(f: GridFunction) -> GridFunction:
 
 def fourier_weighted_norm(f: GridFunction, terms) -> tuple[float, ...]:
     """grid_weighted_norm(fourier_transform(f), terms), without building f^ when f carries
-    its factors: the samples get the boundary guard, and f^ is read from the factors."""
-    if f._terms is None:
+    its factors: the samples get the boundary guard, and f^ is read from the factors.  For
+    real f, only _half_rows of f^; real bare samples take an rfft along the first axis of
+    the sign-flipped samples and FFTs in place along the others (|f^| needs no flips)."""
+    if f._terms is not None:
+        with _fourier_beside(f, terms) as norms:
+            return norms()
+    if np.iscomplexobj(f.values):
         return grid_weighted_norm(fourier_transform(f), terms)
-    with _fourier_beside(f, terms) as norms:
-        return norms()
+    spec = f.spec
+    _require_decay(_boundary_ratio(spec, f.values))
+    hat = np.fft.rfft(f.values * _checkerboard(spec.n, spec.d), axis=0)
+    for axis in range(1, spec.d):
+        np.fft.fft(hat, axis=axis, out=hat)
+    hat *= spec.spacing**spec.d
+    return _weighted_norms(spec.dual(), hat, terms, half=True)
 
 
 @contextlib.contextmanager
@@ -283,8 +304,10 @@ def _fourier_beside(f: GridFunction, terms):
 def _fourier_pass(spec: GridSpec, pair, terms):
     """The norms of f^ for the separable sum of pair = (coefs, factors) on spec, without the
     boundary guard, as a call that streams them from _transform_rows: its operands are
-    built here, its blocks when it is called."""
-    return functools.partial(_weighted_norms, spec.dual(), _transform_rows(spec, *pair), terms)
+    built here, its blocks when it is called.  Real coefs and factors stream _half_rows."""
+    half = not any(np.iscomplexobj(array) for array in pair)
+    return functools.partial(_weighted_norms, spec.dual(), _transform_rows(spec, *pair, half),
+                             terms, half=half)
 
 
 def _separable_norms(spec: GridSpec, coefs, factors, terms) -> tuple[tuple[float, ...], float]:
@@ -369,7 +392,7 @@ def grid_weighted_norm(f: GridFunction, terms: Iterable[tuple[float, float]]) ->
     return _weighted_norms(f.spec, f.values, terms, f._support)
 
 
-def _weighted_norms(spec: GridSpec, samples, terms, support=None, faces=None):
+def _weighted_norms(spec: GridSpec, samples, terms, support=None, faces=None, half=False):
     """grid_weighted_norm of samples, as in _weighted_sums."""
     terms = list(terms)
     for p, w in terms:
@@ -380,11 +403,11 @@ def _weighted_norms(spec: GridSpec, samples, terms, support=None, faces=None):
     cell = spec.spacing**spec.d
     return tuple(
         total if p == math.inf else (total * cell) ** (1.0 / p)
-        for (p, _), total in zip(terms, _weighted_sums(spec, samples, terms, support, faces))
+        for (p, _), total in zip(terms, _weighted_sums(spec, samples, terms, support, faces, half))
     )
 
 
-def _weighted_sums(spec: GridSpec, samples, terms, support=None, faces=None):
+def _weighted_sums(spec: GridSpec, samples, terms, support=None, faces=None, half=False):
     """The sums sum |x_k|^{p w} |f_k|^p (max |x_k|^w |f_k| for p = inf) behind
     grid_weighted_norm, without the cell volume, over samples on spec or its _row_blocks.
     One blocked pass computes |f| and each distinct |f|^p once per block, gathers each
@@ -393,11 +416,13 @@ def _weighted_sums(spec: GridSpec, samples, terms, support=None, faces=None):
     their maximum, NaN kept).  A streamed block is freed once its |f| is taken, and each
     |f|^p after its terms; faces, a _Maxima, reads each block's |f| too (for samples
     without a support box).  Samples 0 outside the box support get their terms on the box
-    only, zero-padded to the same block sums.  A non-finite sum raises, naming its (p, w),
-    without a floating-point warning."""
+    only, zero-padded to the same block sums.  With half, samples of an even |f| are read
+    on _half_rows, a block's row sums weighed by their multiplicities.  A non-finite sum
+    raises, naming its (p, w), without a floating-point warning."""
+    blocks, counts = _half_rows(spec) if half else (_row_blocks(spec), None)
     if isinstance(samples, np.ndarray):  # views of its blocks
-        samples = [samples[rows] for rows in _row_blocks(spec)]
-    blocks = iter(samples)  # read one at a time, so that a streamed block can be freed
+        samples = [samples[rows] for rows in blocks]
+    samples = iter(samples)  # read one at a time, so that a streamed block can be freed
     exponents = [w if p == math.inf else p * w for p, w in terms]  # |x|^e in each term
     levels, index = _radius_levels(spec) if any(w > 0 for _, w in terms) else (None, None)
     readers = {}  # each distinct p and the terms that read |f|^p
@@ -407,8 +432,8 @@ def _weighted_sums(spec: GridSpec, samples, terms, support=None, faces=None):
     # a power or weight beyond the floats shows as a sum of inf or NaN, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
         tables = {e: levels**e for (_, w), e in zip(terms, exponents) if w > 0}
-        for rows in _row_blocks(spec):
-            block = next(blocks)
+        for rows in blocks:
+            block = next(samples)
             box = ...  # the whole block, or its part in the support box
             if support is not None:
                 box = (slice(max(support[0].start - rows.start, 0),
@@ -432,7 +457,8 @@ def _weighted_sums(spec: GridSpec, samples, terms, support=None, faces=None):
                         continue
                     if support is not None:  # the box's terms in a zero block
                         padded[box], values = values, padded
-                    parts[i].append(values.sum())
+                    parts[i].append(values.sum() if counts is None else
+                                    counts[rows] @ values.reshape(len(values), -1).sum(axis=1))
                 power = values = weights = None
             mags = None  # before the next block is made
         sums = [float(np.max(part)) if p == math.inf else float(_pairwise(part))
@@ -546,11 +572,12 @@ def _separable_rows(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray, bloc
     return ((left[:, rows].T @ right).view(dtype).reshape(shape) for rows in blocks)
 
 
-def _transform_rows(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray):
+def _transform_rows(spec: GridSpec, coefs: np.ndarray, factors: np.ndarray, half=False):
     """fourier_transform's values on the separable sum of (coefs, factors), to a few ulps of
-    the peak, by _row_blocks of the dual grid and without the boundary guard: _separable_rows
-    of the 1-D factors' transforms, each taken between (-1)^k sign flips."""
+    the peak, by _row_blocks of the dual grid (_half_rows with half) and without the boundary
+    guard: _separable_rows of the 1-D factors' transforms, each between (-1)^k sign flips."""
     alt = _checkerboard(spec.n, 1)
     hats = np.fft.fft(factors * alt, axis=-1)
     hats *= alt * spec.spacing
-    return _separable_rows(spec.dual(), coefs, hats, _row_blocks(spec))
+    blocks = _half_rows(spec)[0] if half else _row_blocks(spec)
+    return _separable_rows(spec.dual(), coefs, hats, blocks)

@@ -35,6 +35,8 @@ from uplab.grid import (
     _ball_sum,
     _boundary_ratio,
     _bump_terms,
+    _half_rows,
+    _pairwise,
     _radius_levels,
     _row_blocks,
     _separable_norms,
@@ -44,6 +46,7 @@ from uplab.grid import (
     fourier_transform,
     fourier_weighted_norm,
     gaussian_grid_function,
+    gaussian_mixture_grid_function,
     grid_weighted_norm,
     random_bump,
     sample,
@@ -956,3 +959,98 @@ class TestRandomBump:
                                     for block in _transform_rows(spec, *_bump_terms(spec, seed))))
         )
         assert child == in_process
+
+
+def sampled_gc(c, spec):
+    """g_c sampled from its radial profile, with no factors, as the benchmark samples g_2."""
+    profile = cx.gc_profile(c, spec.d)
+    return sample(lambda *mesh: profile(np.sqrt(sum(m * m for m in mesh))), spec)
+
+
+def real_functions(d):
+    """The real functions whose f^ norms read half of the dual grid: the Gaussian, g_2 and
+    g_4 (on a grid wide enough for its e^{-pi r^2 / 16}) factored and sampled, and at
+    d <= 2 a translate-family member."""
+    functions = {"gaussian": gaussian_grid_function(default_spec(d))}
+    for c, spec in [(2.0, default_spec(d)), (4.0, default_spec(d, half_width=12.0))]:
+        functions[f"g_{c:g}"] = gaussian_mixture_grid_function(spec, cx.gc_profile(c, d).terms)
+        functions[f"sampled g_{c:g}"] = sampled_gc(c, spec)
+    if d < 3:
+        functions["member"] = cx.rs_level(d, 2).member(1)
+    return functions
+
+
+class TestHalfRead:
+    """A real f has f^(-xi) = conj f^(xi), so its norms of f^ read the dual rows 0..n/2 of
+    the first axis, rows 0 and n/2 once and every other row twice; complex functions read
+    the whole dual grid."""
+
+    TERMS = [(p, w) for p in (1.5, 2.0, 3.0, math.inf) for w in (0.0, 0.5, 1.0)]
+
+    def test_pairwise_carries_an_odd_sum(self):
+        def halves(sums):  # the order before odd lengths were carried
+            while len(sums) > 1:
+                sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+            return sums[0]
+
+        assert _pairwise([1.0, 2.0, 4.0]) == 7.0
+        assert _pairwise([1.0, 2.0, 4.0, 8.0, 16.0]) == 31.0
+        rng = np.random.default_rng(0)
+        for size in (1, 2, 4, 8, 64):
+            sums = list(rng.random(size) * 10.0 ** rng.integers(-8, 8, size))
+            assert _pairwise(sums).tobytes() == halves(sums).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_of_the_half(self, d):
+        # the half is cut like _row_blocks: one block at d <= 2, and 33 rows in blocks of
+        # 8 at d = 3, the last of one row
+        spec = default_spec(d)
+        blocks, counts = _half_rows(spec)
+        half = spec.n // 2
+        expected = [slice(0, half + 1)] if d < 3 else [
+            slice(lo, min(lo + 8, half + 1)) for lo in range(0, half + 1, 8)]
+        assert blocks == expected
+        assert len(blocks) == (1 if d < 3 else 5)
+        assert counts.tolist() == [1.0] + [2.0] * (half - 1) + [1.0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_half_matches_the_full_read(self, d):
+        # measured at most 3.0 eps relative over these functions and terms (factored g_4
+        # at d = 2, p = inf); the bound is the 8 eps of the peak within which the factored
+        # transform meets the FFT (test_factored_transform_matches_fftn)
+        eps = np.finfo(float).eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # g_2's faces at d = 3: 1.1e-9 of its peak
+            for name, f in real_functions(d).items():
+                half = fourier_weighted_norm(f, self.TERMS)
+                full = grid_weighted_norm(fourier_transform(f), self.TERMS)
+                for term, a, b in zip(self.TERMS, half, full):
+                    assert abs(a - b) <= 8 * eps * b, (name, term)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_complex_functions_keep_their_bytes(self, d):
+        # the bump's norms of f^ from its whole streamed transform, and bare complex
+        # samples from fourier_transform, as before the half read
+        spec = default_spec(d)
+        for seed in (1, 7):
+            bump = random_bump(spec, seed)
+            full = GridFunction(spec.dual(), np.concatenate(list(
+                _transform_rows(spec, *_bump_terms(spec, seed)))))
+            assert fourier_weighted_norm(bump, self.TERMS) == grid_weighted_norm(full, self.TERMS)
+            bare = GridFunction(spec, bump.values)
+            assert (fourier_weighted_norm(bare, self.TERMS)
+                    == grid_weighted_norm(fourier_transform(bare), self.TERMS))
+
+    def test_one_complex_coefficient_takes_the_full_read(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(uplab.grid, "_half_rows",
+                            lambda spec: reads.append(spec) or _half_rows(spec))
+        spec = default_spec(2)
+        real = gaussian_mixture_grid_function(spec, [(0.0, 1.0), (-1.0, 2.0)])
+        coefs, factors = real._terms
+        mixed = uplab.grid._separable_function(spec, coefs * [1.0, 1j], factors)
+        full = GridFunction(spec.dual(), np.concatenate(list(_transform_rows(spec, *mixed._terms))))
+        assert fourier_weighted_norm(mixed, self.TERMS) == grid_weighted_norm(full, self.TERMS)
+        assert reads == []
+        fourier_weighted_norm(real, self.TERMS)
+        assert len(reads) == 2  # the transform's rows and the sums' multiplicities

@@ -536,6 +536,18 @@ class TestPeakMemory:
         peak = _traced_peak(lambda: harness.function_chain_check(random_bump(spec, 0), 3, 2.0))
         assert peak <= 7.5 * 2**20
 
+    def test_chain_on_d3_bare_g2(self):
+        # g_2 sampled with no factors, as the benchmark samples it: the 2 MiB sign-flipped
+        # samples and the 2.06 MiB half of f^ along the first axis, 4.07 MiB; 4.79 MiB
+        # with the 4 MiB complex transform of the whole grid
+        profile = cx.gc_profile(2.0, 3)
+        f = grid.sample(lambda *mesh: profile(np.sqrt(sum(m * m for m in mesh))),
+                        default_spec(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # g_2's faces at d = 3: 1.1e-9 of its peak
+            peak = _traced_peak(lambda: harness.function_chain_check(f, 3, 2.0))
+        assert peak <= 4.5 * 2**20
+
     def test_feasible_check_at_d3(self):
         # one 4 MiB grid at a time, the bump's samples and then its transform, plus block
         # temporaries: 5.25 MiB; two live grids would break the bound.  16.0 MiB with
